@@ -83,6 +83,11 @@ def _empty_record(d: int, k: int) -> dict:
     return record
 
 
+def _or_empty(value: float | None) -> float | str:
+    """None (a coefficient that does not exist for the cell) reports as an empty field."""
+    return "" if value is None else value
+
+
 def _absorption_residual(d: int, k: int) -> float:
     big = symgroup.sym_projector(k + 1, d).mat
     worst = 0.0
@@ -111,7 +116,7 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
             ok = report.passed and report.eig_residual <= config.tol
             if config.suite == "sweep":
                 coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
-                record.update(c1=coeff.c1, c2=coeff.c2)
+                record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             record["pass"] = "true" if ok else "false"
         elif config.suite == "lemmas":
             coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
@@ -122,7 +127,7 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
                 p_formula=teleport.success_probability_formula(d, k),
                 eig_residual=eig,
                 c1=coeff.c1,
-                c2=coeff.c2,
+                c2=_or_empty(coeff.c2),
             )
             worst = max(gram, eig, absorption, coeff.residual_on_support)
             record["pass"] = "true" if worst <= config.tol else "false"
@@ -134,14 +139,14 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
         elif config.suite == "sar":
             report = sar.verify_sar(
                 d,
-                config.d_out or d,
+                d if config.d_out is None else config.d_out,
                 k,
                 config.kraus_rank,
                 config.samples,
                 config.tol,
                 seed,
             )
-            record.update(p_formula=report.p_formula)
+            record.update(p_formula=report.p_formula, p_mean=report.p_mean, p_std=report.p_std)
             record["pass"] = "true" if report.passed else "false"
         else:
             raise ValueError(f"unknown suite {config.suite}")
@@ -269,6 +274,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     if args.samples < 1 or args.tol <= 0:
         parser.error("need samples >= 1 and tol > 0")
+    if args.suite == "sar":
+        if args.rank < 1 or (args.dout is not None and args.dout < 1):
+            parser.error("need --rank >= 1 and --dout >= 1")
+        if args.dout is not None and args.dout * args.rank < max(d_values):
+            parser.error(
+                f"--dout {args.dout} x --rank {args.rank} < d = {max(d_values)}: "
+                "no channel has an isometric dilation that small"
+            )
     config = RunConfig(
         suite=args.suite,
         d_values=d_values,

@@ -147,7 +147,7 @@ class CoefficientReport:
     d: int
     k: int
     c1: float
-    c2: float
+    c2: float | None
     c1_closed: float
     c2_closed: float
     c1_row_form: float
@@ -160,15 +160,17 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     """Decompose (Psym_{1..k,A})^{t_A} = c1 F + c2 (Q - F) numerically.
 
     c1 and c2 are least-squares projections onto the two orthogonal
-    projectors; the residual is evaluated on their combined support Q.
+    projectors; the residual is evaluated on their combined support Q.  At
+    d = 1, Q - F is empty: c2 is then None and left unchecked.
     """
     x = _transposed_symmetriser(d, k)
     f = _success_projector(d, k)
     q = _sym_with_identity(d, k)
     ps = q - f
     c1 = _trace_pair(x, f) / float(f.trace().real)
-    c2 = _trace_pair(x, ps) / float(ps.trace().real)
-    delta = x - c1 * f - c2 * ps
+    ps_rank = float(ps.trace().real)
+    c2 = _trace_pair(x, ps) / ps_rank if ps_rank > 0.5 else None
+    delta = x - c1 * f - (c2 or 0.0) * ps
     residual = float(np.linalg.norm(q @ delta @ q))
     c1_closed = (d + k) / (k + 1)
     c2_closed = 1.0 / (k + 1)
@@ -181,7 +183,7 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     report = CoefficientReport(
         d, k, c1, c2, c1_closed, c2_closed, c1_row_form, residual, tol, note
     )
-    worst = max(residual, abs(c1 - c1_closed), abs(c2 - c2_closed))
+    worst = max(residual, abs(c1 - c1_closed), 0.0 if c2 is None else abs(c2 - c2_closed))
     if worst > tol:
         raise VerificationError(
             f"reduced-family decomposition failed at d={d}, k={k}: "
@@ -372,7 +374,8 @@ def perturbation_falsifier(
         clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.conj().T
         shield = np.eye(dim) - ps
         target = shield @ clipped @ shield
-        target -= (gap_of(target) / gap_ps) * ps
+        if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
+            target -= (gap_of(target) / gap_ps) * ps
         delta = target - f
 
         def feasible(step: float) -> bool:

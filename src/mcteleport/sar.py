@@ -178,6 +178,8 @@ class SarReport:
     samples: int
     seed: int
     p_formula: float
+    p_mean: float
+    p_std: float
     max_probability_deviation: float
     max_state_deviation: float
     tol: float
@@ -200,6 +202,7 @@ def verify_sar(
     meas = build_measurement(d, k, form="eigen")
     p_formula = success_probability_formula(d, k)
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
+    probs = np.empty(samples)
     worst_p = 0.0
     worst_state = 0.0
     worst_index = 0
@@ -209,6 +212,7 @@ def verify_sar(
         psi = haar_state(d, rng)
         prog = store(channel)
         p_est, out = retrieve(prog, psi, k, meas)
+        probs[index] = p_est
         expected = channel.apply(np.outer(psi.vec, psi.vec.conj()))
         p_dev = abs(p_est - p_formula)
         state_dev = float(np.linalg.norm(out.mat - expected))
@@ -225,6 +229,8 @@ def verify_sar(
         samples=samples,
         seed=seed,
         p_formula=p_formula,
+        p_mean=float(probs.mean()),
+        p_std=float(probs.std()),
         max_probability_deviation=worst_p,
         max_state_deviation=worst_state,
         tol=tol,

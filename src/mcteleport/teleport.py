@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .tensor import (
     StateVector,
     VerificationError,
     check_capacity,
+    check_group_budget,
     haar_state,
     kron,
     max_entangled_state,
@@ -77,14 +79,29 @@ def r_vectors(d: int, k: int) -> list[RVector]:
     return out
 
 
-@dataclass(frozen=True)
 class Measurement:
-    """The success POVM element for (d, k), with its eigenbasis when known."""
+    """The success POVM element M = F F^dagger for (d, k), held as a thin factor.
 
-    d: int
-    k: int
-    op: Operator
-    r_basis: tuple[StateVector, ...] | None = None
+    ``factor`` is a dim x r matrix F: the stacked eigenbasis for the eigen
+    form, r = d^(k-1) columns for the projector form.  The dense ``op`` is
+    formed from F on first access and kept; a Measurement given only a dense
+    operator keeps that operator and has no factor.
+    """
+
+    def __init__(self, d: int, k: int, op: Operator | None = None, factor: np.ndarray | None = None):
+        if (op is None) == (factor is None):
+            raise ValueError("give exactly one of op and factor")
+        self.d = d
+        self.k = k
+        self.factor = factor
+        if factor is not None:
+            factor.setflags(write=False)
+        if op is not None:
+            self.__dict__["op"] = op
+
+    @cached_property
+    def op(self) -> Operator:
+        return Operator(self.factor @ self.factor.conj().T, (self.d,) * (self.k + 1))
 
     @property
     def rank_expected(self) -> int:
@@ -92,40 +109,40 @@ class Measurement:
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
-    """Construct the success element.
+    """Construct the success element as a thin factor F with M = F F^dagger.
 
-    ``form="eigen"`` sums rank-one projectors over the eigenbasis (cheap,
-    carries the basis for fast simulation); ``form="projector"`` evaluates
-    the sandwiched-projector formula directly and is kept as an independent
-    construction for cross-checks.
+    ``form="eigen"`` stacks the eigenbasis from ``r_vectors``;
+    ``form="projector"`` evaluates the sandwiched-projector formula from the
+    group-sum symmetriser and is kept as an independent construction for
+    cross-checks.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    dim = d ** (k + 1)
-    check_capacity(dim)
-    dims = (d,) * (k + 1)
+    check_capacity(d ** (k + 1))
     if form == "eigen":
-        basis = tuple(r.vector for r in r_vectors(d, k))
-        columns = np.column_stack([b.vec for b in basis])
-        mat = columns @ columns.conj().T
-        return Measurement(d, k, Operator(mat, dims), basis)
+        return Measurement(d, k, factor=np.column_stack([r.vector.vec for r in r_vectors(d, k)]))
     if form == "projector":
-        phi = max_entangled_state(d).vec
-        big = np.kron(sym_projector(k, d).mat, np.eye(d))
-        # M = c * Q (1 (x) P+) Q = c * (Q B)(Q B)^dagger with B of rank d^(k-1);
-        # associating this way avoids two full dim^3 products.
-        narrow = np.kron(np.eye(d ** (k - 1)), phi.reshape(-1, 1))
-        qb = big @ narrow
-        mat = (d * k / (k - 1 + d)) * (qb @ qb.conj().T)
-        return Measurement(d, k, Operator(mat, dims), None)
+        # M = c (Psym (x) 1)(1 (x) |phi><phi|)(Psym (x) 1) = F F^dagger with
+        # F = sqrt(c) (Psym (x) 1)(1 (x) |phi>).  As phi = sum_i |ii>/sqrt(d),
+        # F[(x, a), y] = Psym[x, (y, a)] / sqrt(d): an index remap of Psym.
+        psym = sym_projector(k, d).mat.reshape(d**k, d ** (k - 1), d)
+        thin = psym.transpose(0, 2, 1).reshape(d ** (k + 1), d ** (k - 1))
+        return Measurement(d, k, factor=math.sqrt(k / (k - 1 + d)) * thin)
     raise ValueError(f"unknown form {form!r}")
 
 
 def eigendecomposition_residual(d: int, k: int) -> float:
-    """Frobenius distance between the two independent constructions."""
-    m_eigen = build_measurement(d, k, form="eigen").op.mat
-    m_proj = build_measurement(d, k, form="projector").op.mat
-    return float(np.linalg.norm(m_eigen - m_proj))
+    """Frobenius distance between the two independent constructions.
+
+    With [F_e, F_p] = Q S and S = [S1, S2], F_e F_e^dagger - F_p F_p^dagger
+    = Q (S1 S1^dagger - S2 S2^dagger) Q^dagger, and Q has orthonormal
+    columns, so the distance is taken on the small triangular factor.
+    """
+    f_eigen = build_measurement(d, k, form="eigen").factor
+    f_proj = build_measurement(d, k, form="projector").factor
+    s = np.linalg.qr(np.hstack([f_eigen, f_proj]), mode="r")
+    s1, s2 = s[:, : f_eigen.shape[1]], s[:, f_eigen.shape[1] :]
+    return float(np.linalg.norm(s1 @ s1.conj().T - s2 @ s2.conj().T))
 
 
 @dataclass(frozen=True)
@@ -162,12 +179,11 @@ def bob_conditional_block(meas: Measurement, state_matrix: np.ndarray) -> np.nda
     """Unnormalised conditional state on Bob's side for a global pure state.
 
     With G the (Alice x Bob)-reshaped amplitude matrix and M the success
-    element, the block is tr_Alice[(M (x) 1) |G><G|]; using the eigenbasis
-    this is W^T conj(W) with W = R^dagger G, which is PSD by construction.
+    element, the block is tr_Alice[(M (x) 1) |G><G|]; with M = F F^dagger
+    this is W^T conj(W) with W = F^dagger G, which is PSD by construction.
     """
-    if meas.r_basis is not None:
-        columns = np.column_stack([b.vec for b in meas.r_basis])
-        w = columns.conj().T @ state_matrix
+    if meas.factor is not None:
+        w = meas.factor.conj().T @ state_matrix
         return w.T @ w.conj()
     mg = meas.op.mat @ state_matrix
     return mg.T @ state_matrix.conj()
@@ -227,6 +243,9 @@ def verify_theorem(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if include_eig_residual:
+        # The projector form needs the group sum over S_k: skip before sampling.
+        check_group_budget(k)
     meas = build_measurement(d, k, form="eigen")
     p_formula = success_probability_formula(d, k)
     child_seeds = np.random.SeedSequence(seed).spawn(samples)

@@ -6,6 +6,9 @@ representations, no shared code with the package under test.
 
 from __future__ import annotations
 
+from itertools import permutations
+from math import factorial
+
 import numpy as np
 
 
@@ -111,3 +114,25 @@ def sign_of_permutation(images: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def frobenius_distance(a: np.ndarray, b: np.ndarray, rows: int = 256) -> float:
+    """||a - b||_F by summing squared moduli over row blocks of two dense matrices."""
+    total = 0.0
+    for start in range(0, a.shape[0], rows):
+        diff = a[start : start + rows] - b[start : start + rows]
+        total += float(np.sum(diff.real**2 + diff.imag**2))
+    return float(np.sqrt(total))
+
+
+def dense_success_element(d: int, k: int) -> np.ndarray:
+    """d k/(k-1+d) (Psym (x) 1)(1 (x) P+)(Psym (x) 1) with every factor written out.
+
+    Psym is the plain average of explicit permutation matrices and P+ the
+    outer product of sum_i |ii> / sqrt(d); the products are formed densely.
+    """
+    psym = sum(dense_permutation_matrix(images, d) for images in permutations(range(k))) / factorial(k)
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    q = np.kron(psym, np.eye(d))
+    middle = np.kron(np.eye(d ** (k - 1)), np.outer(phi, phi))
+    return d * k / (k - 1 + d) * (q @ middle @ q)

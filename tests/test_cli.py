@@ -80,6 +80,15 @@ class TestExitCodes:
         result = run_cli("verify", "--d", "2", "--k", "1", "--tol", "0")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "options",
+        [("--dout", "0"), ("--rank", "0"), ("--d", "4", "--dout", "1", "--rank", "2")],
+    )
+    def test_bad_sar_options_exit_two(self, options):
+        result = run_cli("sar", "--k", "1", "--samples", "1", *options)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
 
 class TestVerifySuite:
     def test_probability_column(self):
@@ -150,6 +159,14 @@ class TestOtherSuites:
         assert rows[0]["pass"] == "true"
         assert float(rows[0]["p_formula"]) == pytest.approx(1 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("suite", ["lemmas", "optimality"])
+    def test_trivial_local_dimension(self, suite):
+        result = run_cli(suite, "--d", "1", "--k", "1..3", "--samples", "2", "--no-timestamp")
+        assert result.returncode == 0, result.stderr
+        rows = parse_csv(result.stdout)
+        assert [row["pass"] for row in rows] == ["true"] * 3
+        assert all(float(row["p_formula"]) == 1.0 for row in rows)
+
     def test_sar_suite(self):
         result = run_cli(
             "sar", "--d", "2", "--k", "1,2", "--samples", "5", "--dout", "3",
@@ -158,3 +175,5 @@ class TestOtherSuites:
         assert result.returncode == 0
         rows = parse_csv(result.stdout)
         assert [row["pass"] for row in rows] == ["true", "true"]
+        for row in rows:
+            assert float(row["p_mean"]) == pytest.approx(float(row["p_formula"]), abs=1e-9)

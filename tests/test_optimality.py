@@ -110,6 +110,13 @@ class TestCoefficients:
         with pytest.raises(VerificationError):
             decomposition_coefficients(2, 2, tol=-1.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trivial_dimension_has_no_second_coefficient(self, k):
+        report = decomposition_coefficients(1, k)
+        assert report.c2 is None
+        assert abs(report.c1 - 1.0) < 1e-12
+        assert report.residual_on_support < 1e-12
+
 
 class TestReducedOptimum:
     def test_two_qubit_two_copies(self):
@@ -146,6 +153,11 @@ class TestFalsifier:
 
     def test_small_search_finds_no_improvement(self):
         report = perturbation_falsifier(2, 2, trials=20, seed=4, haar_twirl_samples=50)
+        assert report.passed
+        assert report.max_objective <= report.p_star + 1e-7
+
+    def test_trivial_dimension(self):
+        report = perturbation_falsifier(1, 2, trials=3, seed=6, haar_twirl_samples=5)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
 

@@ -158,6 +158,12 @@ class TestVerifySar:
         assert report.passed
         assert abs(report.p_formula - 1 / 3) < 1e-15
 
+    def test_reports_retrieval_probabilities(self):
+        report = verify_sar(3, 2, k=3, kraus_rank=3, samples=10, seed=4)
+        assert report.passed
+        assert abs(report.p_mean - report.p_formula) <= report.tol
+        assert report.p_std <= 1e-12
+
     def test_shrinking_output_two_copies(self):
         report = verify_sar(3, 2, k=2, kraus_rank=4, samples=10, seed=3)
         assert report.passed

@@ -22,6 +22,19 @@ from mcteleport import (
     symmetric_group,
     verify_theorem,
 )
+from mcteleport import sar, teleport
+from mcteleport.tensor import GROUP_BUDGET, CapacityError
+
+from oracles import dense_success_element, frobenius_distance
+
+#: Every cell whose dense success element has at most 4096 rows and whose
+#: projector form fits the group budget, d = 1 included.
+DENSE_CELLS = [
+    (d, k)
+    for d in range(1, 65)
+    for k in range(1, GROUP_BUDGET + 1)
+    if d ** (k + 1) <= 4096
+]
 
 
 class TestFormula:
@@ -208,6 +221,51 @@ class TestCovariance:
             u = haar_unitary(d, rng).mat
             w = reduce(np.kron, [u] * k + [u.conj()])
             assert np.linalg.norm(w @ op @ w.conj().T - op) < 1e-9
+
+
+class TestThinFactor:
+    @pytest.mark.parametrize("d,k", DENSE_CELLS)
+    def test_thin_residual_matches_dense_oracle(self, d, k):
+        dense = frobenius_distance(
+            build_measurement(d, k, form="eigen").op.mat,
+            build_measurement(d, k, form="projector").op.mat,
+        )
+        assert abs(eigendecomposition_residual(d, k) - dense) <= 1e-13
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 3), (3, 2), (2, 4)])
+    def test_both_forms_match_the_written_out_formula(self, d, k):
+        target = dense_success_element(d, k)
+        for form in ("eigen", "projector"):
+            assert frobenius_distance(build_measurement(d, k, form=form).op.mat, target) < 1e-12
+
+    def test_factor_widths(self):
+        d, k = 3, 3
+        assert build_measurement(d, k).factor.shape == (d ** (k + 1), math.comb(k - 2 + d, k - 1))
+        assert build_measurement(d, k, form="projector").factor.shape == (d ** (k + 1), d ** (k - 1))
+
+    def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
+        built = []
+
+        def recording(d, k, form="eigen"):
+            meas = build_measurement(d, k, form)
+            built.append(meas)
+            return meas
+
+        monkeypatch.setattr(teleport, "build_measurement", recording)
+        monkeypatch.setattr(sar, "build_measurement", recording)
+        assert verify_theorem(3, 3, samples=3, seed=1).passed
+        assert sar.verify_sar(2, 3, k=3, kraus_rank=2, samples=3, seed=1).passed
+        assert len(built) == 4  # eigen for sampling, both forms for the residual, eigen for sar
+        assert all(meas.factor is not None and "op" not in vars(meas) for meas in built)
+
+    def test_group_budget_skips_before_sampling(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("work done for a cell over the group budget")
+
+        monkeypatch.setattr(teleport, "build_measurement", unexpected)
+        monkeypatch.setattr(teleport, "simulate", unexpected)
+        with pytest.raises(CapacityError, match="symmetric group on 9 letters .* exceeds budget 8"):
+            verify_theorem(2, 9, samples=200)
 
 
 def test_residual_helper_matches_assert():
