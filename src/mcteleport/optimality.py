@@ -168,9 +168,11 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     q = _sym_with_identity(d, k)
     ps = q - f
     c1 = _trace_pair(x, f) / float(f.trace().real)
-    ps_rank = float(ps.trace().real)
-    c2 = _trace_pair(x, ps) / ps_rank if ps_rank > 0.5 else None
-    delta = x - c1 * f - (c2 or 0.0) * ps
+    delta = x - c1 * f
+    c2 = None
+    if d > 1:  # at d = 1, Q - F is empty
+        c2 = _trace_pair(x, ps) / float(ps.trace().real)
+        delta -= c2 * ps
     residual = float(np.linalg.norm(q @ delta @ q))
     c1_closed = (d + k) / (k + 1)
     c2_closed = 1.0 / (k + 1)

@@ -79,25 +79,24 @@ def r_vectors(d: int, k: int) -> list[RVector]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class Measurement:
     """The success POVM element M = F F^dagger for (d, k), held as a thin factor.
 
     ``factor`` is a dim x r matrix F: the stacked eigenbasis for the eigen
-    form, r = d^(k-1) columns for the projector form.  The dense ``op`` is
-    formed from F on first access and kept; a Measurement given only a dense
-    operator keeps that operator and has no factor.
+    form, r = d^(k-1) columns for the projector form.  It is kept as a
+    read-only view, so the caller's array stays writable.  The dense ``op``
+    is formed from F on first access and kept.
     """
 
-    def __init__(self, d: int, k: int, op: Operator | None = None, factor: np.ndarray | None = None):
-        if (op is None) == (factor is None):
-            raise ValueError("give exactly one of op and factor")
-        self.d = d
-        self.k = k
-        self.factor = factor
-        if factor is not None:
-            factor.setflags(write=False)
-        if op is not None:
-            self.__dict__["op"] = op
+    d: int
+    k: int
+    factor: np.ndarray
+
+    def __post_init__(self):
+        view = np.asarray(self.factor).view()
+        view.setflags(write=False)
+        object.__setattr__(self, "factor", view)
 
     @cached_property
     def op(self) -> Operator:
@@ -120,14 +119,14 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
         raise ValueError("need d >= 1 and k >= 1")
     check_capacity(d ** (k + 1))
     if form == "eigen":
-        return Measurement(d, k, factor=np.column_stack([r.vector.vec for r in r_vectors(d, k)]))
+        return Measurement(d, k, np.column_stack([r.vector.vec for r in r_vectors(d, k)]))
     if form == "projector":
         # M = c (Psym (x) 1)(1 (x) |phi><phi|)(Psym (x) 1) = F F^dagger with
         # F = sqrt(c) (Psym (x) 1)(1 (x) |phi>).  As phi = sum_i |ii>/sqrt(d),
         # F[(x, a), y] = Psym[x, (y, a)] / sqrt(d): an index remap of Psym.
         psym = sym_projector(k, d).mat.reshape(d**k, d ** (k - 1), d)
         thin = psym.transpose(0, 2, 1).reshape(d ** (k + 1), d ** (k - 1))
-        return Measurement(d, k, factor=math.sqrt(k / (k - 1 + d)) * thin)
+        return Measurement(d, k, math.sqrt(k / (k - 1 + d)) * thin)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -182,11 +181,8 @@ def bob_conditional_block(meas: Measurement, state_matrix: np.ndarray) -> np.nda
     element, the block is tr_Alice[(M (x) 1) |G><G|]; with M = F F^dagger
     this is W^T conj(W) with W = F^dagger G, which is PSD by construction.
     """
-    if meas.factor is not None:
-        w = meas.factor.conj().T @ state_matrix
-        return w.T @ w.conj()
-    mg = meas.op.mat @ state_matrix
-    return mg.T @ state_matrix.conj()
+    w = meas.factor.conj().T @ state_matrix
+    return w.T @ w.conj()
 
 
 def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
