@@ -88,16 +88,6 @@ def _or_empty(value: float | None) -> float | str:
     return "" if value is None else value
 
 
-def _absorption_residual(d: int, k: int) -> float:
-    big = symgroup.sym_projector(k + 1, d).mat
-    worst = 0.0
-    for mu in symgroup.partitions(k):
-        projector = np.kron(symgroup.young_projector(mu, d).mat, np.eye(d))
-        delta = 1.0 if mu == symgroup.sym_partition(k) else 0.0
-        worst = max(worst, float(np.linalg.norm(big @ projector - delta * big)))
-    return worst
-
-
 def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
     record = _empty_record(d, k)
     start = time.perf_counter()
@@ -120,9 +110,9 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
             record["pass"] = "true" if ok else "false"
         elif config.suite == "lemmas":
             coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
-            gram = _gram_residual(d, k)
+            gram = teleport.gram_residual(d, k)
             eig = teleport.eigendecomposition_residual(d, k)
-            absorption = _absorption_residual(d, k)
+            absorption = symgroup.absorption_residual(d, k)
             record.update(
                 p_formula=teleport.success_probability_formula(d, k),
                 eig_residual=eig,
@@ -158,13 +148,6 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
         record["detail"] = str(exc)
     record["seconds"] = time.perf_counter() - start
     return record
-
-
-def _gram_residual(d: int, k: int) -> float:
-    vectors = teleport.r_vectors(d, k)
-    columns = np.column_stack([r.vector.vec for r in vectors])
-    gram = columns.conj().T @ columns
-    return float(np.abs(gram - np.eye(len(vectors))).max())
 
 
 def run(config: RunConfig) -> tuple[list[dict], bool]:

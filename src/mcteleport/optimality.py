@@ -31,6 +31,19 @@ from .tensor import (
 )
 from .teleport import success_probability_formula
 
+#: Spacing of the [0, 1]^2 grid that re-derives the reduced optimum.
+GRID_STEP = 1e-3
+#: Largest allowed distance of the grid optimum from the closed form.
+GRID_TOL = 1e-6
+#: Largest constraint gap a grid point may have and still count as feasible.
+FEASIBILITY_TOL = 1e-9
+#: Frobenius length of each normalised perturbation of the optimum.
+PERTURBATION_SCALE = 1.0
+#: How far a feasible candidate's objective may exceed p* before it raises.
+MARGIN = 1e-7
+#: Eigenvalue slack of the [0, 1] feasibility test in the line search.
+EIG_SLACK = 1e-10
+
 
 def _trace_pair(a: np.ndarray, b: np.ndarray) -> float:
     """Re tr(a b) without forming the product."""
@@ -214,15 +227,7 @@ class SdpReport:
     grid_step: float
 
 
-def reduced_optimum(
-    d: int,
-    k: int,
-    grid_step: float = 1e-3,
-    grid_tol: float = 1e-6,
-    feasibility_tol: float = 1e-9,
-    covariance_samples: int = 5,
-    seed: int = 0,
-) -> SdpReport:
+def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) -> SdpReport:
     """Maximise over M(a1, a2) = a1 F + a2 (Q - F) under the equality.
 
     The constraint gap is linear with zero weight on F and strictly positive
@@ -245,11 +250,11 @@ def reduced_optimum(
     gap_f = gap_of(f)
     gap_ps = gap_of(ps.mat)
 
-    a_values = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    a_values = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
     a1_grid, a2_grid = np.meshgrid(a_values, a_values, indexing="ij")
     gaps = np.abs(a1_grid * gap_f + a2_grid * gap_ps)
     objectives = a1_grid * obj_f + a2_grid * obj_ps
-    feasible = gaps <= feasibility_tol
+    feasible = gaps <= FEASIBILITY_TOL
     if not feasible.any():
         raise VerificationError(f"no feasible grid point at d={d}, k={k}")
     masked = np.where(feasible, objectives, -np.inf)
@@ -258,7 +263,7 @@ def reduced_optimum(
     grid_p = float(masked[best])
 
     p_star = success_probability_formula(d, k)
-    if abs(grid_p - p_star) > grid_tol or abs(obj_f - p_star) > grid_tol:
+    if abs(grid_p - p_star) > GRID_TOL or abs(obj_f - p_star) > GRID_TOL:
         raise VerificationError(
             f"grid optimum {grid_p} deviates from closed form {p_star} at d={d}, k={k}",
             abs(grid_p - p_star),
@@ -288,7 +293,7 @@ def reduced_optimum(
         grid_a1=grid_a1,
         grid_a2=grid_a2,
         grid_p_max=grid_p,
-        grid_step=grid_step,
+        grid_step=GRID_STEP,
     )
 
 
@@ -332,9 +337,6 @@ def perturbation_falsifier(
     trials: int = 200,
     seed: int = 0,
     haar_twirl_samples: int = 200,
-    perturbation_scale: float = 1.0,
-    margin: float = 1e-7,
-    eig_slack: float = 1e-10,
 ) -> FalsifierReport:
     """Search for feasible perturbations of the optimum that beat it.
 
@@ -346,7 +348,7 @@ def perturbation_falsifier(
     correction removes rounding), and costs nothing in objective, which is
     blind to the removed coherences.  A line search from the optimum toward
     the candidate then certifies feasibility of the reported point.  A
-    candidate whose objective exceeds p* + margin raises, as it would
+    candidate whose objective exceeds p* + MARGIN raises, as it would
     contradict the optimality statement or expose a bug.
     """
     f = _success_projector(d, k)
@@ -371,7 +373,7 @@ def perturbation_falsifier(
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
             continue
-        perturbed = f + (perturbation_scale / norm) * direction
+        perturbed = f + (PERTURBATION_SCALE / norm) * direction
         vals, vecs = np.linalg.eigh(perturbed)
         clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.conj().T
         shield = np.eye(dim) - ps
@@ -382,7 +384,7 @@ def perturbation_falsifier(
 
         def feasible(step: float) -> bool:
             spectrum = np.linalg.eigvalsh(f + step * delta)
-            return spectrum[0] >= -eig_slack and spectrum[-1] <= 1.0 + eig_slack
+            return spectrum[0] >= -EIG_SLACK and spectrum[-1] <= 1.0 + EIG_SLACK
 
         if not feasible(0.0):
             raise VerificationError(f"optimal element infeasible at d={d}, k={k}")
@@ -401,10 +403,10 @@ def perturbation_falsifier(
         value = objective(candidate, d, k)
         max_objective = max(max_objective, value)
         max_step = max(max_step, step * float(np.linalg.norm(delta)))
-        if value > p_star + margin:
+        if value > p_star + MARGIN:
             raise VerificationError(
                 f"feasible candidate beats the optimum at d={d}, k={k}: "
-                f"objective {value} > {p_star} + {margin} "
+                f"objective {value} > {p_star} + {MARGIN} "
                 f"(trial {index}, seed {seed})",
                 value - p_star,
             )
@@ -415,7 +417,7 @@ def perturbation_falsifier(
         seed=seed,
         p_star=p_star,
         max_objective=max_objective,
-        margin=margin,
+        margin=MARGIN,
         max_step=max_step,
         passed=True,
     )

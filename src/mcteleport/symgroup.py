@@ -12,19 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations as _sn_iter
 
 import numpy as np
 
 from .tensor import (
-    GROUP_BUDGET,
     Operator,
     Permutation,
     StateVector,
     check_capacity,
-    check_group_budget,
     max_entangled_state,
     permutation_index_map,
+    symmetric_group,
 )
 
 Partition = tuple[int, ...]
@@ -167,25 +165,9 @@ def character(mu: Partition, sigma: Permutation) -> int:
     return _character_of_class(mu, sigma.cycle_type())
 
 
-def _cycle_type_of_images(images: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(images)
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = images[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def _group_sum(n: int, d: int, weight_of_class, budget: int) -> np.ndarray:
+def _group_sum(n: int, d: int, weight_of_class) -> np.ndarray:
     """Sum of weight(class(sigma)) * V_sigma over S_n, assembled by remapping."""
-    check_group_budget(n, budget)
+    group = symmetric_group(n)  # checks the group budget before anything is allocated
     dims = (d,) * n
     total = math.prod(dims)
     check_capacity(total)
@@ -193,23 +175,20 @@ def _group_sum(n: int, d: int, weight_of_class, budget: int) -> np.ndarray:
     cols = np.arange(total)
     multi = np.array(np.unravel_index(cols, dims))
     weights: dict[tuple[int, ...], complex] = {}
-    for images in _sn_iter(range(n)):
-        ct = _cycle_type_of_images(images)
+    for sigma in group:
+        ct = sigma.cycle_type()
         w = weights.get(ct)
         if w is None:
             w = weights[ct] = weight_of_class(ct)
         if w == 0:
             continue
-        inv = [0] * n
-        for i, im in enumerate(images):
-            inv[im] = i
-        rows = np.ravel_multi_index(tuple(multi[np.array(inv)]), dims)
+        rows = np.ravel_multi_index(tuple(multi[list(sigma.inverse().images)]), dims)
         acc[rows, cols] += w
     return acc
 
 
 @lru_cache(maxsize=None)
-def young_projector(mu: Partition, d: int, budget: int = GROUP_BUDGET) -> Operator:
+def young_projector(mu: Partition, d: int) -> Operator:
     """Character-weighted group average projecting on the mu-isotypic part.
 
     P_mu = (d_mu / k!) sum_sigma chi_mu(sigma^{-1}) V_sigma on (C^d)^(x k);
@@ -220,18 +199,23 @@ def young_projector(mu: Partition, d: int, budget: int = GROUP_BUDGET) -> Operat
     k = sum(mu)
     if k < 1:
         raise ValueError("young_projector needs a non-empty frame")
-    mat = _group_sum(k, d, lambda ct: _character_of_class(mu, ct), budget)
+    mat = _group_sum(k, d, lambda ct: _character_of_class(mu, ct))
     mat *= dim_standard(mu) / math.factorial(k)
     return Operator(mat, (d,) * k)
 
 
 @lru_cache(maxsize=None)
-def sym_projector(n: int, d: int, budget: int = GROUP_BUDGET) -> Operator:
-    """Uniform group average (1/n!) sum_sigma V_sigma on (C^d)^(x n)."""
+def sym_projector(n: int, d: int) -> Operator:
+    """Projector onto the symmetric subspace of (C^d)^(x n), as B B^dagger.
+
+    B stacks the orthonormal occupation-number basis from ``sym_basis``, so
+    this equals the group average (1/n!) sum_sigma V_sigma without a loop
+    over S_n.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    mat = _group_sum(n, d, lambda ct: 1.0, budget)
-    return Operator(mat / math.factorial(n), (d,) * n)
+    b = np.column_stack([s.vec for s in sym_basis(n, d)])
+    return Operator(b @ b.conj().T, (d,) * n)
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +247,7 @@ def sym_basis(n: int, d: int) -> tuple[StateVector, ...]:
     return tuple(basis)
 
 
-def f_projector(mu: Partition, alpha: Partition, d: int, budget: int = GROUP_BUDGET) -> Operator:
+def f_projector(mu: Partition, alpha: Partition, d: int) -> Operator:
     """Projector of the partially transposed permutation algebra.
 
     With k = |mu| and alpha = mu minus one box, acting on (C^d)^(x (k+1))
@@ -296,8 +280,8 @@ def f_projector(mu: Partition, alpha: Partition, d: int, budget: int = GROUP_BUD
     if k == 1:
         thin = entangled_column
     else:
-        thin = np.kron(young_projector(alpha, d, budget).mat, entangled_column)
-    big = np.kron(young_projector(mu, d, budget).mat, np.eye(d))
+        thin = np.kron(young_projector(alpha, d).mat, entangled_column)
+    big = np.kron(young_projector(mu, d).mat, np.eye(d))
     out = np.zeros((total, total), dtype=complex)
     for a in range(k):
         swap = Permutation.transposition(k + 1, a, k - 1)
@@ -306,3 +290,18 @@ def f_projector(mu: Partition, alpha: Partition, d: int, budget: int = GROUP_BUD
         column = big @ thin[f, :]
         out += column @ column.conj().T
     return Operator(out / gamma, dims)
+
+
+def absorption_residual(d: int, k: int) -> float:
+    """Worst ||Psym_(k+1) (P_mu (x) 1) - delta_(mu, sym) Psym_(k+1)||_F over frames mu of k.
+
+    The symmetriser on k+1 factors absorbs the one-row Young projector on
+    the first k factors and annihilates every other one.
+    """
+    big = sym_projector(k + 1, d).mat
+    worst = 0.0
+    for mu in partitions(k):
+        projector = np.kron(young_projector(mu, d).mat, np.eye(d))
+        delta = 1.0 if mu == sym_partition(k) else 0.0
+        worst = max(worst, float(np.linalg.norm(big @ projector - delta * big)))
+    return worst

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .symgroup import sym_basis, sym_projector
+from .symgroup import sym_basis
 from .tensor import (
     DEFAULT_ATOL,
     Operator,
@@ -28,7 +28,6 @@ from .tensor import (
     StateVector,
     VerificationError,
     check_capacity,
-    check_group_budget,
     haar_state,
     kron,
     max_entangled_state,
@@ -84,9 +83,9 @@ class Measurement:
     """The success POVM element M = F F^dagger for (d, k), held as a thin factor.
 
     ``factor`` is a dim x r matrix F: the stacked eigenbasis for the eigen
-    form, r = d^(k-1) columns for the projector form.  It is kept as a
-    read-only view, so the caller's array stays writable.  The dense ``op``
-    is formed from F on first access and kept.
+    form, r = min(d^(k-1), d C(k+d-1, k)) columns for the projector form.
+    It is kept as a read-only view, so the caller's array stays writable.
+    The dense ``op`` is formed from F on first access and kept.
     """
 
     d: int
@@ -110,10 +109,11 @@ class Measurement:
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     """Construct the success element as a thin factor F with M = F F^dagger.
 
-    ``form="eigen"`` stacks the eigenbasis from ``r_vectors``;
-    ``form="projector"`` evaluates the sandwiched-projector formula from the
-    group-sum symmetriser and is kept as an independent construction for
-    cross-checks.
+    ``form="eigen"`` stacks the eigenbasis from ``r_vectors`` (symmetric
+    basis on k-1 factors, entangled into each slot in turn);
+    ``form="projector"`` factors the sandwiched-projector formula through the
+    symmetric basis on all k factors and is kept as an independent
+    construction for cross-checks.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
@@ -121,13 +121,23 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     if form == "eigen":
         return Measurement(d, k, np.column_stack([r.vector.vec for r in r_vectors(d, k)]))
     if form == "projector":
-        # M = c (Psym (x) 1)(1 (x) |phi><phi|)(Psym (x) 1) = F F^dagger with
-        # F = sqrt(c) (Psym (x) 1)(1 (x) |phi>).  As phi = sum_i |ii>/sqrt(d),
-        # F[(x, a), y] = Psym[x, (y, a)] / sqrt(d): an index remap of Psym.
-        psym = sym_projector(k, d).mat.reshape(d**k, d ** (k - 1), d)
-        thin = psym.transpose(0, 2, 1).reshape(d ** (k + 1), d ** (k - 1))
-        return Measurement(d, k, math.sqrt(k / (k - 1 + d)) * thin)
+        # With Psym = B B^dagger, M = c (B (x) 1) Z Z^dagger (B (x) 1)^dagger
+        # where Z = (B^dagger (x) 1)(1 (x) |phi>).  As phi = sum_i |ii>/sqrt(d),
+        # Z^dagger[y, (j, a)] = B[(y, a), j] / sqrt(d).  Z^dagger = Q R gives
+        # Z Z^dagger = R^dagger R, so F = sqrt(c) (B (x) 1) R^dagger.
+        b = np.column_stack([s.vec for s in sym_basis(k, d)])
+        m = b.shape[1]
+        z_dag = b.reshape(d ** (k - 1), d, m).transpose(0, 2, 1).reshape(d ** (k - 1), m * d)
+        r_dag = np.linalg.qr(z_dag / math.sqrt(d), mode="r").conj().T
+        thin = (b @ r_dag.reshape(m, -1)).reshape(d ** (k + 1), -1)
+        return Measurement(d, k, math.sqrt(d * k / (k - 1 + d)) * thin)
     raise ValueError(f"unknown form {form!r}")
+
+
+def gram_residual(d: int, k: int) -> float:
+    """Largest entry of |R^dagger R - 1| for the stacked eigenbasis R."""
+    columns = build_measurement(d, k).factor
+    return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
 def eigendecomposition_residual(d: int, k: int) -> float:
@@ -228,7 +238,6 @@ def verify_theorem(
     samples: int = 25,
     tol: float = 1e-9,
     seed: int = 0,
-    include_eig_residual: bool = True,
 ) -> TheoremReport:
     """Sample Haar inputs, simulate, and compare against the formula.
 
@@ -239,9 +248,6 @@ def verify_theorem(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    if include_eig_residual:
-        # The projector form needs the group sum over S_k: skip before sampling.
-        check_group_budget(k)
     meas = build_measurement(d, k, form="eigen")
     p_formula = success_probability_formula(d, k)
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
@@ -255,7 +261,7 @@ def verify_theorem(
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
-    eig_residual = eigendecomposition_residual(d, k) if include_eig_residual else float("nan")
+    eig_residual = eigendecomposition_residual(d, k)
     passed = bool(deviations.max() <= tol and fids.min() >= 1.0 - tol)
     return TheoremReport(
         d=d,

@@ -127,11 +127,10 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
 
-def symmetric_group(n: int, budget: int = GROUP_BUDGET) -> Iterator[Permutation]:
-    """Iterate over S_n in lexicographic image order."""
-    check_group_budget(n, budget)
-    for images in _sn_iter(range(n)):
-        yield Permutation(images)
+def symmetric_group(n: int) -> Iterator[Permutation]:
+    """Iterate over S_n in lexicographic image order; checks the budget on the call."""
+    check_group_budget(n)
+    return (Permutation(images) for images in _sn_iter(range(n)))
 
 
 @dataclass(frozen=True)

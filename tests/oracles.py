@@ -6,7 +6,6 @@ representations, no shared code with the package under test.
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -125,13 +124,32 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray, rows: int = 256) -> float:
     return float(np.sqrt(total))
 
 
+def group_average_symmetriser(n: int, d: int) -> np.ndarray:
+    """(1/n!) sum over S_n of the explicit permutation matrices on (C^d)^(x n).
+
+    Every sigma in S_m factors uniquely as (a m-1) tau with tau fixing the
+    last letter, so the sum over S_m is sum_a V_(a m-1) (sum over S_(m-1)
+    (x) 1).  Each of the n! matrices enters once, but only m dense
+    transposition matrices are built per level, which keeps n = 8 cheap.
+    """
+    total = np.ones((1, 1), dtype=complex)
+    for m in range(1, n + 1):
+        lifted = np.kron(total, np.eye(d))
+        total = np.zeros_like(lifted)
+        for a in range(m):
+            images = list(range(m))
+            images[a], images[m - 1] = m - 1, a
+            total += dense_permutation_matrix(tuple(images), d) @ lifted
+    return total / factorial(n)
+
+
 def dense_success_element(d: int, k: int) -> np.ndarray:
     """d k/(k-1+d) (Psym (x) 1)(1 (x) P+)(Psym (x) 1) with every factor written out.
 
-    Psym is the plain average of explicit permutation matrices and P+ the
+    Psym is the group average of explicit permutation matrices and P+ the
     outer product of sum_i |ii> / sqrt(d); the products are formed densely.
     """
-    psym = sum(dense_permutation_matrix(images, d) for images in permutations(range(k))) / factorial(k)
+    psym = group_average_symmetriser(k, d)
     phi = np.eye(d).reshape(-1) / np.sqrt(d)
     q = np.kron(psym, np.eye(d))
     middle = np.kron(np.eye(d ** (k - 1)), np.outer(phi, phi))

@@ -102,6 +102,11 @@ class TestVerifySuite:
         assert probs == pytest.approx([0.25, 1 / 3, 0.375, 0.4], abs=1e-12)
         assert all(row["pass"] == "true" for row in rows)
 
+    def test_cells_past_eight_copies_run(self):
+        result = run_cli("verify", "--d", "2", "--k", "9,10", "--samples", "5", "--no-timestamp")
+        assert result.returncode == 0, result.stderr
+        assert [row["pass"] for row in parse_csv(result.stdout)] == ["true", "true"]
+
     def test_capacity_cells_are_skipped(self):
         result = run_cli(
             "verify", "--d", "16", "--k", "1,7", "--samples", "2", "--no-timestamp"

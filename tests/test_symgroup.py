@@ -6,6 +6,7 @@ import pytest
 from mcteleport import (
     CapacityError,
     Permutation,
+    absorption_residual,
     character,
     dim_standard,
     f_projector,
@@ -24,6 +25,7 @@ from mcteleport import (
 )
 
 from oracles import (
+    group_average_symmetriser,
     partitions_by_sieve,
     semistandard_tableaux_count,
     sign_of_permutation,
@@ -173,12 +175,11 @@ class TestSymProjector:
     def test_two_qubit_trace(self):
         assert abs(sym_projector(2, 2).trace() - 3) < 1e-12
 
-    def test_agrees_with_occupation_construction(self):
-        p = sym_projector(4, 3).mat
-        outer = np.zeros_like(p)
-        for vec in sym_basis(4, 3):
-            outer += np.outer(vec.vec, vec.vec.conj())
-        assert np.linalg.norm(p - outer) < 1e-12
+    @pytest.mark.parametrize(
+        "d,n", [(d, n) for d in (1, 2, 3) for n in range(1, 6)] + [(2, 8)]
+    )
+    def test_agrees_with_group_average(self, d, n):
+        assert np.linalg.norm(sym_projector(n, d).mat - group_average_symmetriser(n, d)) < 1e-12
 
     def test_absorbs_every_permutation(self):
         p = sym_projector(3, 2)
@@ -280,6 +281,7 @@ class TestAlgebraIdentities:
                 projector = np.kron(young_projector(mu, d).mat, np.eye(d))
                 delta = 1.0 if mu == sym_partition(k) else 0.0
                 assert np.linalg.norm(big @ projector - delta * big) < 1e-10
+            assert absorption_residual(d, k) < 1e-10
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_transposed_swap_is_entangled_projector(self, d):

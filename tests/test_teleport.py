@@ -12,6 +12,7 @@ from mcteleport import (
     build_measurement,
     conjugate_by_permutation,
     eigendecomposition_residual,
+    gram_residual,
     haar_state,
     haar_unitary,
     hermitian_eig,
@@ -19,22 +20,17 @@ from mcteleport import (
     r_vectors,
     simulate,
     success_probability_formula,
+    sym_projector,
     symmetric_group,
     verify_theorem,
 )
-from mcteleport import sar, teleport
-from mcteleport.tensor import GROUP_BUDGET, CapacityError
+from mcteleport import sar, symgroup, teleport
 
 from oracles import dense_success_element, frobenius_distance
 
-#: Every cell whose dense success element has at most 4096 rows and whose
-#: projector form fits the group budget, d = 1 included.
-DENSE_CELLS = [
-    (d, k)
-    for d in range(1, 65)
-    for k in range(1, GROUP_BUDGET + 1)
-    if d ** (k + 1) <= 4096
-]
+#: Every cell whose dense success element has at most 4096 rows (so k <= 11
+#: for d >= 2), d = 1 included.
+DENSE_CELLS = [(d, k) for d in range(1, 65) for k in range(1, 12) if d ** (k + 1) <= 4096]
 
 #: Every cell whose success element has at most 1024 rows and k <= 6: small
 #: enough to write out with explicit permutation matrices, d = 1 included.
@@ -76,6 +72,8 @@ class TestRVectors:
         columns = np.column_stack([r.vector.vec for r in vectors])
         gram = columns.conj().T @ columns
         assert np.abs(gram - np.eye(2)).max() < 1e-12
+        for d, k in [(1, 3), (2, 2), (2, 4), (3, 3)]:
+            assert gram_residual(d, k) <= 1e-12
 
     def test_constituent_overlaps(self):
         d, k = 2, 3
@@ -242,9 +240,10 @@ class TestThinFactor:
             assert frobenius_distance(build_measurement(d, k, form=form).op.mat, target) < 1e-12
 
     def test_factor_widths(self):
-        d, k = 3, 3
-        assert build_measurement(d, k).factor.shape == (d ** (k + 1), math.comb(k - 2 + d, k - 1))
-        assert build_measurement(d, k, form="projector").factor.shape == (d ** (k + 1), d ** (k - 1))
+        for d, k in [(3, 3), (2, 10)]:  # projector width d^(k-1), then d C(k+d-1, k)
+            assert build_measurement(d, k).factor.shape == (d ** (k + 1), math.comb(k - 2 + d, k - 1))
+            width = min(d ** (k - 1), d * math.comb(k + d - 1, k))
+            assert build_measurement(d, k, form="projector").factor.shape == (d ** (k + 1), width)
 
     def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
         built = []
@@ -261,14 +260,14 @@ class TestThinFactor:
         assert len(built) == 4  # eigen for sampling, both forms for the residual, eigen for sar
         assert all("op" not in vars(meas) for meas in built)
 
-    def test_group_budget_skips_before_sampling(self, monkeypatch):
+    def test_projector_form_needs_no_group_sum(self, monkeypatch):
         def unexpected(*args, **kwargs):
-            raise AssertionError("work done for a cell over the group budget")
+            raise AssertionError("sum over the symmetric group")
 
-        monkeypatch.setattr(teleport, "build_measurement", unexpected)
-        monkeypatch.setattr(teleport, "simulate", unexpected)
-        with pytest.raises(CapacityError, match="symmetric group on 9 letters .* exceeds budget 8"):
-            verify_theorem(2, 9, samples=200)
+        monkeypatch.setattr(symgroup, "_group_sum", unexpected)
+        symgroup.sym_projector.cache_clear()  # a cached projector would hide a group sum
+        assert sym_projector(10, 2).trace() == pytest.approx(11, abs=1e-10)
+        assert eigendecomposition_residual(2, 10) <= 1e-12
 
 
 def test_residual_helper_matches_assert():
