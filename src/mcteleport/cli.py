@@ -96,6 +96,10 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
         if d ** (k + 1) > DIM_CAP:
             raise CapacityError(f"d^(k+1) = {d ** (k + 1)} exceeds cap {DIM_CAP}")
         if config.suite in ("verify", "sweep"):
+            if config.suite == "sweep":
+                # First, so a cell over the group budget skips before sampling.
+                coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
+                record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             report = teleport.verify_theorem(d, k, config.samples, config.tol, seed)
             record.update(
                 p_formula=report.p_formula,
@@ -104,9 +108,6 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
                 eig_residual=report.eig_residual,
             )
             ok = report.passed and report.eig_residual <= config.tol
-            if config.suite == "sweep":
-                coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
-                record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             record["pass"] = "true" if ok else "false"
         elif config.suite == "lemmas":
             coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)

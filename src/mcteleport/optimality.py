@@ -81,14 +81,19 @@ def objective(m: Operator, d: int, k: int) -> float:
     return _trace_pair(_sym_with_identity(d, k), m.mat) / (d * m_sym)
 
 
+def _constraint_gap(mat: np.ndarray, d: int, k: int) -> float:
+    """LHS - RHS of the feasibility equality: tr(Q M)/m_k - tr(X M)/m_(k+1)."""
+    m_k = mult_semistandard(sym_partition(k), d)
+    m_k1 = mult_semistandard(sym_partition(k + 1), d)
+    lhs = _trace_pair(_sym_with_identity(d, k), mat) / m_k
+    rhs = _trace_pair(_transposed_symmetriser(d, k), mat) / m_k1
+    return lhs - rhs
+
+
 def equality_residual(m: Operator, d: int, k: int) -> float:
     """|LHS - RHS| of the feasibility equality tying the two Haar averages."""
     _check_layout(m, d, k)
-    m_k = mult_semistandard(sym_partition(k), d)
-    m_k1 = mult_semistandard(sym_partition(k + 1), d)
-    lhs = _trace_pair(_sym_with_identity(d, k), m.mat) / m_k
-    rhs = _trace_pair(_transposed_symmetriser(d, k), m.mat) / m_k1
-    return abs(lhs - rhs)
+    return abs(_constraint_gap(m.mat, d, k))
 
 
 @dataclass(frozen=True)
@@ -238,17 +243,11 @@ def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) 
     family = ReducedMeasurement.build(d, k)
     f_op, ps = family.f, family.ps
     f = f_op.mat
-    q = _sym_with_identity(d, k)
 
     obj_f = objective(f_op, d, k)
     obj_ps = objective(ps, d, k)
-    m_k = mult_semistandard(sym_partition(k), d)
-    m_k1 = mult_semistandard(sym_partition(k + 1), d)
-    gap_of = lambda mat: (
-        _trace_pair(q, mat) / m_k - _trace_pair(_transposed_symmetriser(d, k), mat) / m_k1
-    )
-    gap_f = gap_of(f)
-    gap_ps = gap_of(ps.mat)
+    gap_f = _constraint_gap(f, d, k)
+    gap_ps = _constraint_gap(ps.mat, d, k)
 
     a_values = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
     a1_grid, a2_grid = np.meshgrid(a_values, a_values, indexing="ij")
@@ -355,11 +354,7 @@ def perturbation_falsifier(
     q = _sym_with_identity(d, k)
     ps = q - f
     dims = (d,) * (k + 1)
-    m_k = mult_semistandard(sym_partition(k), d)
-    m_k1 = mult_semistandard(sym_partition(k + 1), d)
-    x = _transposed_symmetriser(d, k)
-    gap_of = lambda mat: _trace_pair(q, mat) / m_k - _trace_pair(x, mat) / m_k1
-    gap_ps = gap_of(ps)
+    gap_ps = _constraint_gap(ps, d, k)
     p_star = success_probability_formula(d, k)
     dim = f.shape[0]
 
@@ -379,7 +374,7 @@ def perturbation_falsifier(
         shield = np.eye(dim) - ps
         target = shield @ clipped @ shield
         if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
-            target -= (gap_of(target) / gap_ps) * ps
+            target -= (_constraint_gap(target, d, k) / gap_ps) * ps
         delta = target - f
 
         def feasible(step: float) -> bool:

@@ -27,9 +27,9 @@ from .tensor import (
 from .teleport import (
     Measurement,
     P_FLOOR,
-    _global_state_matrix,
-    bob_conditional_block,
+    _check_input,
     build_measurement,
+    conditioned_element,
     success_probability_formula,
 )
 
@@ -144,25 +144,18 @@ def retrieve(
     """Measure the success element on k copies of psi plus the stored half.
 
     Returns the success probability estimate and the conditioned output,
-    which reproduces the stored channel acting on |psi><psi|.
+    which reproduces the stored channel acting on |psi><psi|.  The output is
+    tr_A[(E (x) 1) rho] for the d x d ``conditioned_element`` E and the
+    stored program rho on (A, output).
     """
-    if psi.dims != (prog.d,):
-        raise ValueError(f"input state must be a single factor of dim {prog.d}")
-    if abs(psi.norm() - 1.0) > DEFAULT_ATOL:
-        raise ValueError("input state must be normalised")
+    _check_input(psi, prog.d)
     if meas is None:
         meas = build_measurement(prog.d, k, form="eigen")
     elif meas.d != prog.d or meas.k != k:
         raise ValueError("measurement does not match the requested (d, k)")
-    # Rank-decompose the program state so each branch is a pure global state.
-    vals, vecs = np.linalg.eigh(prog.rho.mat)
-    block = np.zeros((prog.d_out, prog.d_out), dtype=complex)
-    for weight, column in zip(vals, vecs.T):
-        if weight < 1e-15:
-            continue
-        branch = math.sqrt(weight) * column
-        g = _global_state_matrix(psi, k, branch)
-        block += bob_conditional_block(meas, g)
+    e = conditioned_element(meas, psi)
+    rho = prog.rho.mat.reshape(prog.d, prog.d_out, prog.d, prog.d_out)
+    block = np.einsum("ab,bxay->xy", e, rho)
     p_est = float(block.trace().real)
     if p_est < P_FLOOR:
         raise VerificationError(f"success probability {p_est:.3e} below floor", p_est)

@@ -54,10 +54,6 @@ def partitions(k: int) -> list[Partition]:
     return out
 
 
-def height(mu: Partition) -> int:
-    return len(mu)
-
-
 def sym_partition(k: int) -> Partition:
     """The one-row frame with k boxes; the empty frame for k = 0."""
     return (k,) if k > 0 else ()
@@ -273,6 +269,9 @@ def f_projector(mu: Partition, alpha: Partition, d: int) -> Operator:
     dims = (d,) * (k + 1)
     total = math.prod(dims)
     check_capacity(total)
+    # P_mu comes first: its group is the larger, so an over-budget frame
+    # raises before the smaller group is summed.
+    big = np.kron(young_projector(mu, d).mat, np.eye(d))
     # The middle factor P_alpha (x) d P+ equals B B^dagger with B of rank
     # d^(k-1), so the sandwich is assembled from k thin products instead of
     # two full dim^3 multiplications.
@@ -281,7 +280,6 @@ def f_projector(mu: Partition, alpha: Partition, d: int) -> Operator:
         thin = entangled_column
     else:
         thin = np.kron(young_projector(alpha, d).mat, entangled_column)
-    big = np.kron(young_projector(mu, d).mat, np.eye(d))
     out = np.zeros((total, total), dtype=complex)
     for a in range(k):
         swap = Permutation.transposition(k + 1, a, k - 1)

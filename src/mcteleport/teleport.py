@@ -101,10 +101,6 @@ class Measurement:
     def op(self) -> Operator:
         return Operator(self.factor @ self.factor.conj().T, (self.d,) * (self.k + 1))
 
-    @property
-    def rank_expected(self) -> int:
-        return math.comb(self.k - 2 + self.d, self.k - 1)
-
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     """Construct the success element as a thin factor F with M = F F^dagger.
@@ -140,18 +136,24 @@ def gram_residual(d: int, k: int) -> float:
     return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
-def eigendecomposition_residual(d: int, k: int) -> float:
-    """Frobenius distance between the two independent constructions.
+def _factor_distance(f_a: np.ndarray, f_b: np.ndarray) -> float:
+    """||F_a F_a^dagger - F_b F_b^dagger||_F from the thin factors alone.
 
-    With [F_e, F_p] = Q S and S = [S1, S2], F_e F_e^dagger - F_p F_p^dagger
+    With [F_a, F_b] = Q S and S = [S1, S2], F_a F_a^dagger - F_b F_b^dagger
     = Q (S1 S1^dagger - S2 S2^dagger) Q^dagger, and Q has orthonormal
     columns, so the distance is taken on the small triangular factor.
     """
-    f_eigen = build_measurement(d, k, form="eigen").factor
-    f_proj = build_measurement(d, k, form="projector").factor
-    s = np.linalg.qr(np.hstack([f_eigen, f_proj]), mode="r")
-    s1, s2 = s[:, : f_eigen.shape[1]], s[:, f_eigen.shape[1] :]
+    s = np.linalg.qr(np.hstack([f_a, f_b]), mode="r")
+    s1, s2 = s[:, : f_a.shape[1]], s[:, f_a.shape[1] :]
     return float(np.linalg.norm(s1 @ s1.conj().T - s2 @ s2.conj().T))
+
+
+def eigendecomposition_residual(d: int, k: int) -> float:
+    """Frobenius distance between the two independent constructions."""
+    return _factor_distance(
+        build_measurement(d, k, form="eigen").factor,
+        build_measurement(d, k, form="projector").factor,
+    )
 
 
 @dataclass(frozen=True)
@@ -174,43 +176,42 @@ def assert_eigendecomposition(d: int, k: int, tol: float = 1e-10) -> EigenReport
     return EigenReport(d, k, residual, tol)
 
 
-def _global_state_matrix(psi: StateVector, k: int, resource: np.ndarray) -> np.ndarray:
-    """|psi>^(x k) (x) resource, reshaped so rows index Alice's k+1 factors."""
-    d = psi.dim
-    copies = psi.vec
-    for _ in range(k - 1):
-        copies = np.kron(copies, psi.vec)
-    full = np.kron(copies, resource)
-    return full.reshape(d ** (k + 1), -1)
+def _check_input(psi: StateVector, d: int) -> None:
+    """Reject an input that is not one normalised factor of dim d."""
+    if psi.dims != (d,):
+        raise ValueError(f"input state must be a single factor of dim {d}")
+    if abs(psi.norm() - 1.0) > DEFAULT_ATOL:
+        raise ValueError("input state must be normalised")
 
 
-def bob_conditional_block(meas: Measurement, state_matrix: np.ndarray) -> np.ndarray:
-    """Unnormalised conditional state on Bob's side for a global pure state.
+def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
+    """E = (<psi|^(x k) (x) 1_A) M (|psi>^(x k) (x) 1_A), a d x d matrix.
 
-    With G the (Alice x Bob)-reshaped amplitude matrix and M the success
-    element, the block is tr_Alice[(M (x) 1) |G><G|]; with M = F F^dagger
-    this is W^T conj(W) with W = F^dagger G, which is PSD by construction.
+    Bob's success-conditioned output depends on Alice's measurement only
+    through E.  With M = F F^dagger, E = t t^dagger where t contracts the k
+    copy factors of F against conj(psi), so E is PSD by construction.
     """
-    w = meas.factor.conj().T @ state_matrix
-    return w.T @ w.conj()
+    _check_input(psi, meas.d)
+    bra = psi.vec.conj()
+    t = meas.factor
+    for _ in range(meas.k):  # contract the leading copy factor
+        t = bra @ t.reshape(meas.d, -1)
+    t = t.reshape(meas.d, -1)
+    return t @ t.conj().T
 
 
 def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
     """Run the protocol on k copies of psi; return (p_est, Bob's state).
 
-    Bob's state is the success-conditioned output, normalised by p_est.
+    With the shared pair |phi>, tr_Alice[(E (x) 1)|phi><phi|] = E^T / d, so
+    the success probability is tr E / d and Bob's normalised state E^T / tr E.
     """
-    if psi.dims != (meas.d,):
-        raise ValueError(f"input state must be a single factor of dim {meas.d}")
-    if abs(psi.norm() - 1.0) > DEFAULT_ATOL:
-        raise ValueError("input state must be normalised")
-    resource = max_entangled_state(meas.d).vec
-    g = _global_state_matrix(psi, meas.k, resource)
-    block = bob_conditional_block(meas, g)
-    p_est = float(block.trace().real)
+    e = conditioned_element(meas, psi)
+    trace = float(e.trace().real)
+    p_est = trace / meas.d
     if p_est < P_FLOOR:
         raise VerificationError(f"success probability {p_est:.3e} below floor", p_est)
-    return p_est, Operator(block / p_est, (meas.d,))
+    return p_est, Operator(e.T / trace, (meas.d,))
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,7 @@ def verify_theorem(
     Passes iff every sampled probability matches k/(d(k-1+d)) within tol and
     every conditional output has fidelity at least 1 - tol with the input.
     The report also carries the residual between the two measurement
-    constructions.
+    constructions, reusing the eigen form it sampled with.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -261,7 +262,7 @@ def verify_theorem(
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
-    eig_residual = eigendecomposition_residual(d, k)
+    eig_residual = _factor_distance(meas.factor, build_measurement(d, k, form="projector").factor)
     passed = bool(deviations.max() <= tol and fids.min() >= 1.0 - tol)
     return TheoremReport(
         d=d,

@@ -201,9 +201,6 @@ class Operator:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.mat)[0])
 
-    def is_hermitian(self, atol: float = DEFAULT_ATOL) -> bool:
-        return self.hermiticity_defect() <= atol
-
     def apply(self, state: StateVector) -> StateVector:
         if state.dims != self.dims:
             raise ValueError(f"layout mismatch: {self.dims} vs {state.dims}")

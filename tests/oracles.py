@@ -143,6 +143,25 @@ def group_average_symmetriser(n: int, d: int) -> np.ndarray:
     return total / factorial(n)
 
 
+def dense_conditional_output(m: np.ndarray, psi: np.ndarray, k: int, rho: np.ndarray) -> np.ndarray:
+    """tr_Alice[(M (x) 1)(|psi><psi|^(x k) (x) rho)] for a dense M on k copies and A.
+
+    rho lives on (A, output).  It acts as the identity on the copies, so the
+    copies are traced out of M (|psi><psi|^(x k) (x) 1_A) first, leaving a
+    d x d operator G on A; then A is traced out of (G (x) 1) rho.  Both
+    traces are explicit sums over the diagonal of the traced factor.
+    """
+    d = psi.shape[0]
+    d_out = rho.shape[0] // d
+    copies = np.ones((1, 1), dtype=complex)
+    for _ in range(k):
+        copies = np.kron(copies, np.outer(psi, psi.conj()))
+    on_alice = (m @ np.kron(copies, np.eye(d))).reshape(d**k, d, d**k, d)
+    g = sum(on_alice[i, :, i, :] for i in range(d**k))
+    joint = (np.kron(g, np.eye(d_out)) @ rho).reshape(d, d_out, d, d_out)
+    return sum(joint[a, :, a, :] for a in range(d))
+
+
 def dense_success_element(d: int, k: int) -> np.ndarray:
     """d k/(k-1+d) (Psym (x) 1)(1 (x) P+)(Psym (x) 1) with every factor written out.
 

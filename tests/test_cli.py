@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from mcteleport import cli, teleport
+
 BASE = [sys.executable, "-m", "mcteleport"]
 
 
@@ -154,6 +156,18 @@ class TestOtherSuites:
         assert result.returncode == 0
         header = result.stdout.splitlines()[0]
         assert header == "d,k,p_formula,p_mean,p_std,eig_residual,c1,c2,pass,seconds"
+
+    def test_sweep_skips_over_budget_cell_before_sampling(self, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("verify_theorem ran on a cell that skips")
+
+        monkeypatch.setattr(teleport, "verify_theorem", unexpected)
+        argv = ["sweep", "--d", "2", "--k", "9", "--samples", "5", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert "symmetric group on 9 letters" in cell["detail"]
 
     def test_optimality_suite(self):
         result = run_cli(

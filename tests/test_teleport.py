@@ -26,7 +26,7 @@ from mcteleport import (
 )
 from mcteleport import sar, symgroup, teleport
 
-from oracles import dense_success_element, frobenius_distance
+from oracles import dense_conditional_output, dense_success_element, frobenius_distance
 
 #: Every cell whose dense success element has at most 4096 rows (so k <= 11
 #: for d >= 2), d = 1 included.
@@ -35,6 +35,10 @@ DENSE_CELLS = [(d, k) for d in range(1, 65) for k in range(1, 12) if d ** (k + 1
 #: Every cell whose success element has at most 1024 rows and k <= 6: small
 #: enough to write out with explicit permutation matrices, d = 1 included.
 FORMULA_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 7) if d ** (k + 1) <= 1024]
+
+#: Every cell whose success element has at most 1024 rows (so k <= 9 for
+#: d >= 2), d = 1 included up to the same k.
+CONTRACTION_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 10) if d ** (k + 1) <= 1024]
 
 
 class TestFormula:
@@ -179,6 +183,29 @@ class TestSimulate:
             simulate(StateVector(np.ones(3) / math.sqrt(3), (3,)), meas)
 
 
+class TestConditionedOutput:
+    @pytest.mark.parametrize("d,k", CONTRACTION_CELLS)
+    def test_general_measurement_matches_dense_oracle(self, d, k):
+        # A random rank-3 factor gives a conditioned element of rank > 1,
+        # unlike the optimal measurement, whose element is rank one.
+        rng = np.random.default_rng([d, k])
+        dim = d ** (k + 1)
+        f = (rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))) / math.sqrt(6)
+        meas = teleport.Measurement(d, k, f)
+        m = f @ f.conj().T
+        psi = haar_state(d, rng)
+        phi = max_entangled_state(d).vec
+        want = dense_conditional_output(m, psi.vec, k, np.outer(phi, phi.conj()))
+        p, bob = simulate(psi, meas)
+        assert abs(p - want.trace().real) < 1e-12
+        assert np.linalg.norm(p * bob.mat - want) < 1e-12
+        prog = sar.store(sar.random_channel(d, d + 1, kraus_rank=2, seed=rng))
+        want = dense_conditional_output(m, psi.vec, k, prog.rho.mat)
+        p, out = sar.retrieve(prog, psi, k, meas)
+        assert abs(p - want.trace().real) < 1e-12
+        assert np.linalg.norm(p * out.mat - want) < 1e-12
+
+
 class TestVerifyTheorem:
     def test_single_copy(self):
         report = verify_theorem(2, 1, samples=50, seed=5)
@@ -257,7 +284,7 @@ class TestThinFactor:
         monkeypatch.setattr(sar, "build_measurement", recording)
         assert verify_theorem(3, 3, samples=3, seed=1).passed
         assert sar.verify_sar(2, 3, k=3, kraus_rank=2, samples=3, seed=1).passed
-        assert len(built) == 4  # eigen for sampling, both forms for the residual, eigen for sar
+        assert len(built) == 3  # eigen for sampling and the residual, projector for the residual, eigen for sar
         assert all("op" not in vars(meas) for meas in built)
 
     def test_projector_form_needs_no_group_sum(self, monkeypatch):
