@@ -6,8 +6,9 @@ to the overlap with the partially transposed (k+1)-factor symmetriser,
 covariance under factor permutations and under U^(x k) (x) conj(U), and
 0 <= M <= 1.  Restricted to the two-projector family a1 F + a2 (Q - F) the
 constraint forces a2 = 0 and the objective is maximised at a1 = 1; a
-randomised twirled-perturbation search provides independent evidence beyond
-the reduced family.
+randomised perturbation search along directions projected exactly onto the
+commutant of both symmetries provides independent evidence beyond the
+reduced family.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .symgroup import f_projector, mult_semistandard, sym_partition, sym_projector
+from .symgroup import (
+    commutant_projection,
+    f_projector,
+    mult_semistandard,
+    sym_partition,
+    sym_projector,
+)
 from .tensor import (
     Operator,
     Permutation,
@@ -250,10 +257,9 @@ def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) 
     gap_ps = _constraint_gap(ps.mat, d, k)
 
     a_values = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
-    a1_grid, a2_grid = np.meshgrid(a_values, a_values, indexing="ij")
-    gaps = np.abs(a1_grid * gap_f + a2_grid * gap_ps)
-    objectives = a1_grid * obj_f + a2_grid * obj_ps
-    feasible = gaps <= FEASIBILITY_TOL
+    # rows are a1 and columns a2, as in an "ij" meshgrid
+    feasible = np.abs(np.add.outer(a_values * gap_f, a_values * gap_ps)) <= FEASIBILITY_TOL
+    objectives = np.add.outer(a_values * obj_f, a_values * obj_ps)
     if not feasible.any():
         raise VerificationError(f"no feasible grid point at d={d}, k={k}")
     masked = np.where(feasible, objectives, -np.inf)
@@ -309,43 +315,24 @@ class FalsifierReport:
     passed: bool
 
 
-def _twirled_direction(
-    delta: np.ndarray, d: int, k: int, rng: np.random.Generator, haar_samples: int
-) -> np.ndarray:
-    """Average a Hermitian seed over both symmetry groups of the problem."""
-    dims = (d,) * (k + 1)
-    acc = np.zeros_like(delta)
-    count = 0
-    for sigma in symmetric_group(k):
-        extended = Permutation(sigma.images + (k,))
-        acc += conjugate_by_permutation(extended, Operator(delta, dims)).mat
-        count += 1
-    delta = acc / count
-    acc = np.zeros_like(delta)
-    for _ in range(haar_samples):
-        u = haar_unitary(d, rng).mat
-        w = reduce(np.kron, [u] * k + [u.conj()])
-        acc += w @ delta @ w.conj().T
-    delta = acc / haar_samples
-    return (delta + delta.conj().T) / 2
-
-
 def perturbation_falsifier(
     d: int,
     k: int,
     trials: int = 200,
     seed: int = 0,
-    haar_twirl_samples: int = 200,
 ) -> FalsifierReport:
     """Search for feasible perturbations of the optimum that beat it.
 
-    Each trial twirls a random Hermitian direction into the (approximate)
-    commutant and clips the perturbed spectrum into [0, 1].  Any operator
-    that is PSD and satisfies the equality has exactly zero block on Q - F,
-    so the clipped candidate is compressed by (1 - (Q - F)); that keeps
-    0 <= M <= 1, zeroes the constraint gap structurally (a final exact
-    correction removes rounding), and costs nothing in objective, which is
-    blind to the removed coherences.  A line search from the optimum toward
+    Each trial projects a random real symmetric direction exactly onto the
+    commutant of S_k x (U^(x k) (x) conj(U)) with ``commutant_projection``
+    (the Hermitian part of that commutant is spanned by real symmetric
+    operators, so a real seed reaches all of it) and clips the perturbed
+    spectrum into [0, 1].  Any operator that is PSD and satisfies the
+    equality has exactly zero block on Q - F, so the clipped candidate is
+    compressed by (1 - (Q - F)); that keeps 0 <= M <= 1, zeroes the
+    constraint gap structurally (a final exact correction removes
+    rounding), and costs nothing in objective, which is blind to the
+    removed coherences.  A line search from the optimum toward
     the candidate then certifies feasibility of the reported point.  A
     candidate whose objective exceeds p* + MARGIN raises, as it would
     contradict the optimality statement or expose a bug.
@@ -357,21 +344,21 @@ def perturbation_falsifier(
     gap_ps = _constraint_gap(ps, d, k)
     p_star = success_probability_formula(d, k)
     dim = f.shape[0]
+    shield = np.eye(dim) - ps
 
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     max_objective = p_star
     max_step = 0.0
     for index, child in enumerate(child_seeds):
         rng = np.random.default_rng(child)
-        raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        direction = _twirled_direction((raw + raw.conj().T) / 2, d, k, rng, haar_twirl_samples)
+        raw = rng.standard_normal((dim, dim))
+        direction = commutant_projection(raw + raw.T, d, k)
         norm = np.linalg.norm(direction)
         if norm < 1e-12:
             continue
         perturbed = f + (PERTURBATION_SCALE / norm) * direction
         vals, vecs = np.linalg.eigh(perturbed)
         clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.conj().T
-        shield = np.eye(dim) - ps
         target = shield @ clipped @ shield
         if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
             target -= (_constraint_gap(target, d, k) / gap_ps) * ps

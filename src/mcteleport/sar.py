@@ -22,7 +22,6 @@ from .tensor import (
     as_rng,
     haar_state,
     haar_unitary,
-    max_entangled_state,
 )
 from .teleport import (
     Measurement,
@@ -122,16 +121,17 @@ class ProgramState:
 
 
 def store(channel: Channel, tol: float = DEFAULT_ATOL) -> ProgramState:
-    """Apply the channel to the second half of the entangled resource."""
+    """Apply the channel to the second half of the entangled resource.
+
+    (1 (x) K) sum_i |ii>/sqrt(d) = sum_i |i> (x) K|i>/sqrt(d) is vec(K^T)/sqrt(d),
+    so with one such row per Kraus operator stacked in B, rho = B^T conj(B).
+    """
     defect = channel.cptp_defect()
     if defect > tol:
         raise ValueError(f"channel is not trace preserving: defect {defect:.3e}")
     d = channel.d_in
-    phi = max_entangled_state(d).vec
-    rho = np.zeros((d * channel.d_out,) * 2, dtype=complex)
-    for op in channel.kraus:
-        branch = (np.kron(np.eye(d), op) @ phi).reshape(-1)
-        rho += np.outer(branch, branch.conj())
+    branches = np.stack([op.T.reshape(-1) for op in channel.kraus]) / math.sqrt(d)
+    rho = branches.T @ branches.conj()
     return ProgramState(Operator(rho, (d, channel.d_out)), d, channel.d_out)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .tensor import (
     Permutation,
     StateVector,
     check_capacity,
+    check_group_budget,
     max_entangled_state,
     permutation_index_map,
     symmetric_group,
@@ -303,3 +305,133 @@ def absorption_residual(d: int, k: int) -> float:
         delta = 1.0 if mu == sym_partition(k) else 0.0
         worst = max(worst, float(np.linalg.norm(big @ projector - delta * big)))
     return worst
+
+
+def _lex_rank(columns: np.ndarray) -> np.ndarray:
+    """Lexicographic indices in S_n of permutations given as image columns (Lehmer code)."""
+    n = len(columns)
+    rank = np.zeros(columns.shape[1], dtype=np.intp)
+    later_smaller = np.empty(columns.shape[1], dtype=np.int8)
+    for i in range(n - 1):
+        later_smaller[:] = 0
+        for j in range(i + 1, n):
+            later_smaller += columns[j] < columns[i]
+        rank += later_smaller.astype(np.intp) * math.factorial(n - 1 - i)
+    return rank
+
+
+def _cycle_lengths(perms: np.ndarray) -> np.ndarray:
+    """Length of the cycle through each letter, row by row."""
+    n = perms.shape[1]
+    letters = np.arange(n)
+    lengths = np.zeros(perms.shape, dtype=np.intp)
+    walk = perms.astype(np.intp)
+    for step in range(1, n + 1):
+        lengths[(walk == letters) & (lengths == 0)] = step
+        walk = np.take_along_axis(perms, walk, axis=1)
+    return lengths
+
+
+@lru_cache(maxsize=None)
+def _orbit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_(k+1) split into orbits under conjugation by the S_k fixing letter k.
+
+    An orbit is fixed by the length of the cycle through k and the cycle
+    type of the rest, so there are sum_(j <= k) p(j) of them.  Returns one
+    representative sigma_o per orbit, the orbit sizes, and counts with
+    counts[o, o', c] = #{tau in o' : sigma_o^-1 tau has c cycles}.  Only
+    O((k+1)!)-sized arrays are built, with one ranking pass over S_(k+1)
+    per orbit.
+    """
+    check_group_budget(k)
+    n = k + 1
+    # itertools yields S_n in lexicographic order, which _lex_rank indexes
+    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8).reshape(-1, n)
+    lengths = _cycle_lengths(perms)
+    cycles = np.rint((1.0 / lengths).sum(axis=1)).astype(np.intp)
+    # letters per cycle length in base n + 1 fix the cycle type; times n + 1
+    # plus the length through k fixes the orbit
+    key = lengths[:, k] + (n + 1) * ((n + 1) ** (lengths - 1)).sum(axis=1)
+    _, first, label = np.unique(key, return_index=True, return_inverse=True)
+    orbits = len(first)
+    columns = np.ascontiguousarray(perms.T)
+    offset = label * (n + 1)
+    counts = np.empty((orbits, orbits, n + 1))
+    for o, rep in enumerate(first):
+        # tau sigma_o^-1 is conjugate to sigma_o^-1 tau, and its image
+        # columns are those of tau reordered by sigma_o^-1
+        relative = cycles[_lex_rank(columns[np.argsort(perms[rep])])]
+        counts[o] = np.bincount(offset + relative, minlength=orbits * (n + 1)).reshape(orbits, n + 1)
+    return perms[first], np.bincount(label), counts
+
+
+@lru_cache(maxsize=None)
+def _commutant_tables(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Positions, orbit sizes, Gram pseudo-inverse and copy swaps for ``commutant_projection``.
+
+    V_sigma^(t_k) has a one at (row, column) for every basis ket j, where
+    digit j_m sits in row slot sigma(m) and column slot m, with the two
+    slots of factor k swapped by the partial transpose; ``positions`` holds
+    these flat positions in a dim x dim matrix for each orbit
+    representative.  The Gram entries of the orbit sums follow from
+    tr(V_sigma^(t_k)dagger V_tau^(t_k)) = d^#cycles(sigma^-1 tau) without a
+    dense product.  The span is dependent when d <= k, so the pseudo-inverse
+    drops the kernel of the unit-diagonal Gram matrix.  ``swaps[m]`` holds
+    the index maps of the transpositions (a, m+1), a <= m, of the copies.
+    """
+    reps, sizes, counts = _orbit_tables(k)
+    n = k + 1
+    dims = (d,) * n
+    dim = d**n
+    check_capacity(dim)
+    place = d ** np.arange(n - 1, -1, -1)
+    row, col = place * dim, place.copy()
+    row[k], col[k] = 1, dim
+    positions = (row[reps] + col) @ np.array(np.unravel_index(np.arange(dim), dims))
+    gram = sizes[:, None] * (counts @ float(d) ** np.arange(n + 1))
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    vals, vecs = np.linalg.eigh(scale[:, None] * gram * scale)
+    kept = vals > 1e-10 * vals[-1]
+    basis = vecs[:, kept] * scale[:, None]
+    pinv = basis @ (basis.T / vals[kept][:, None])
+    swaps = [
+        [permutation_index_map(Permutation.transposition(n, a, m), dims) for a in range(m)]
+        for m in range(1, k)
+    ]
+    return positions, sizes, pinv, swaps
+
+
+def _copy_average(x: np.ndarray, swaps: list) -> np.ndarray:
+    """(1/k!) sum over S_k of V_pi x V_pi^dagger, one coset level at a time.
+
+    S_m is the union of the cosets (a, m-1) S_(m-1), a < m, so the average
+    over S_m is the mean of the average over S_(m-1) and its m - 1
+    conjugates by (a, m-1): k(k-1)/2 index remaps instead of k!.
+    """
+    for level in swaps:
+        x = (x + sum(x[np.ix_(f, f)] for f in level)) / (len(level) + 1)
+    return x
+
+
+def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Orthogonal projection of x onto the operators on (C^d)^(x (k+1)) that
+    commute with U^(x k) (x) conj(U) and with the permutations of the k copies.
+
+    That commutant is the S_k-invariant part of span{V_sigma^(t_k)}, sigma in
+    S_(k+1), spanned by the orbit sums B_o of V_sigma^(t_k) under conjugation
+    by S_k.  With A the average over S_k conjugation, tr(B_o x) = |o|
+    tr(V_sigma_o^(t_k)dagger A(x)) is gathered from A(x) at the positions of
+    the representative, and sum_o c_o B_o = A(sum_o c_o |o| V_sigma_o^(t_k)).
+    The orbit sums are real, so a complex x is projected as its real and
+    imaginary parts.
+    """
+    if np.iscomplexobj(x):
+        return commutant_projection(x.real, d, k) + 1j * commutant_projection(x.imag, d, k)
+    positions, sizes, pinv, swaps = _commutant_tables(d, k)
+    dim = positions.shape[1]
+    if x.shape != (dim, dim):
+        raise ValueError(f"operator shape {x.shape} does not match d={d}, k={k}")
+    overlaps = sizes * _copy_average(x, swaps).reshape(-1)[positions].sum(axis=1)
+    weights = sizes * (pinv @ overlaps)
+    spread = np.bincount(positions.reshape(-1), np.repeat(weights, dim), dim * dim)
+    return _copy_average(spread.reshape(dim, dim), swaps)

@@ -6,6 +6,7 @@ representations, no shared code with the package under test.
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -173,3 +174,106 @@ def dense_success_element(d: int, k: int) -> np.ndarray:
     q = np.kron(psym, np.eye(d))
     middle = np.kron(np.eye(d ** (k - 1)), np.outer(phi, phi))
     return d * k / (k - 1 + d) * (q @ middle @ q)
+
+
+def kron_program_state(kraus: list[np.ndarray], d: int) -> np.ndarray:
+    """sum_K (1 (x) K)|phi><phi|(1 (x) K)^dagger with |phi> = sum_i |ii>/sqrt(d), via np.kron."""
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    total = 0
+    for op in kraus:
+        branch = np.kron(np.eye(d), op) @ phi
+        total = total + np.outer(branch, branch.conj())
+    return total
+
+
+def haar_unitary_by_qr(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary: QR of a complex Ginibre matrix with R's diagonal phases divided out."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q @ np.diag(np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def covariant_unitary(u: np.ndarray, k: int) -> np.ndarray:
+    """U^(x k) (x) conj(U) as an explicit Kronecker product."""
+    w = np.ones((1, 1), dtype=complex)
+    for _ in range(k):
+        w = np.kron(w, u)
+    return np.kron(w, u.conj())
+
+
+def _row_map(images: tuple[int, ...], d: int) -> np.ndarray:
+    """Row of the single one in each column of the factor-permutation matrix.
+
+    Column j is the ket whose factor m carries digit j_m; its image carries
+    j_m in factor images[m].
+    """
+    n = len(images)
+    digits = np.indices((d,) * n).reshape(n, -1)
+    moved = np.empty_like(digits)
+    moved[list(images)] = digits
+    return np.ravel_multi_index(tuple(moved), (d,) * n)
+
+
+def copy_average(x: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Mean of V_pi x V_pi^dagger over all k! permutations pi of the first k factors."""
+    total = np.zeros_like(x, dtype=complex)
+    count = 0
+    for pi in permutations(range(k)):
+        rows = _row_map(pi + (k,), d)
+        moved = np.empty_like(total)
+        moved[np.ix_(rows, rows)] = x
+        total += moved
+        count += 1
+    return total / count
+
+
+def haar_twirl(x: np.ndarray, d: int, k: int, samples: int, seed: int) -> np.ndarray:
+    """Monte-Carlo commutant twirl: the exact copy average, then the mean of
+    W (.) W^dagger over `samples` Haar unitaries W = U^(x k) (x) conj(U)."""
+    rng = np.random.default_rng(seed)
+    averaged = copy_average(x, d, k)
+    total = np.zeros_like(averaged)
+    for _ in range(samples):
+        w = covariant_unitary(haar_unitary_by_qr(d, rng), k)
+        total += w @ averaged @ w.conj().T
+    return total / samples
+
+
+def _transpose_last(y: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Swap the row and column index of the last of n factors."""
+    axes = list(range(2 * n))
+    axes[n - 1], axes[2 * n - 1] = 2 * n - 1, n - 1
+    return y.reshape((d,) * (2 * n)).transpose(axes).reshape(y.shape)
+
+
+def partially_transposed_overlap(y: np.ndarray, images: tuple[int, ...], d: int) -> complex:
+    """tr(V_sigma^(t_last)^dagger y) = sum over the ones of V_sigma of y^(t_last).
+
+    V_sigma is real, so the overlap is the sum of y^(t_last) at the ones of
+    V_sigma, one per column, in the rows given by ``_row_map``.
+    """
+    rows = _row_map(images, d)
+    return complex(_transpose_last(y, d, len(images))[rows, np.arange(len(rows))].sum())
+
+
+def commutant_orbit_sums(d: int, k: int) -> list[np.ndarray]:
+    """Explicit sums of V_sigma^(t_k) over the orbits of S_(k+1) under conjugation by S_k.
+
+    Each orbit is found by brute force, as the set of all pi sigma pi^-1.
+    """
+    n = k + 1
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for sigma in permutations(range(n)):
+        conjugates = []
+        for pi in permutations(range(k)):
+            pi = pi + (k,)
+            inverse = [pi.index(i) for i in range(n)]
+            conjugates.append(tuple(pi[sigma[inverse[i]]] for i in range(n)))
+        orbits.setdefault(min(conjugates), []).append(sigma)
+    sums = []
+    for members in orbits.values():
+        total = 0
+        for sigma in members:
+            total = total + _transpose_last(dense_permutation_matrix(sigma, d), d, n)
+        sums.append(total)
+    return sums

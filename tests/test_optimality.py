@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from mcteleport import (
     ReducedMeasurement,
     VerificationError,
     build_measurement,
+    commutant_projection,
     conjugate_by_permutation,
     equality_residual,
     f_projector,
@@ -20,6 +24,16 @@ from mcteleport import (
     reduced_optimum,
     success_probability_formula,
     sym_partition,
+)
+
+from oracles import (
+    commutant_orbit_sums,
+    copy_average,
+    covariant_unitary,
+    dense_permutation_matrix,
+    haar_twirl,
+    haar_unitary_by_qr,
+    partially_transposed_overlap,
 )
 
 
@@ -152,20 +166,120 @@ class TestFalsifier:
             assert abs(objective(f, d, k) - success_probability_formula(d, k)) < 1e-12
 
     def test_small_search_finds_no_improvement(self):
-        report = perturbation_falsifier(2, 2, trials=20, seed=4, haar_twirl_samples=50)
+        report = perturbation_falsifier(2, 2, trials=20, seed=4)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
 
     def test_trivial_dimension(self):
-        report = perturbation_falsifier(1, 2, trials=3, seed=6, haar_twirl_samples=5)
+        report = perturbation_falsifier(1, 2, trials=3, seed=6)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
 
     def test_search_takes_nontrivial_steps(self):
         # The twirled directions must actually move the candidate, otherwise
         # the search is vacuous.
-        report = perturbation_falsifier(2, 2, trials=10, seed=5, haar_twirl_samples=50)
+        report = perturbation_falsifier(2, 2, trials=10, seed=5)
         assert report.max_step > 1e-3
+
+    def test_candidate_above_margin_raises(self, monkeypatch):
+        from mcteleport import optimality
+
+        p_star = success_probability_formula(2, 2)
+        monkeypatch.setattr(optimality, "objective", lambda m, d, k: p_star + 2 * optimality.MARGIN)
+        with pytest.raises(VerificationError, match="beats the optimum"):
+            perturbation_falsifier(2, 2, trials=1)
+
+    def test_eight_copies_still_run(self):
+        # The projection enumerates S_9 once, past GROUP_BUDGET = 8; only the
+        # copy group S_8 counts against the budget, as in f_projector.
+        report = perturbation_falsifier(1, 8, trials=1)
+        assert report.passed
+        assert report.max_objective <= report.p_star + 1e-7
+
+
+#: The cells whose span of partially transposed permutations is linearly
+#: dependent (d <= k) named in the design, plus every cell with at most 1024
+#: rows and k <= GROUP_BUDGET, d = 1 included.
+PROJECTION_CELLS = sorted(
+    {(1, 3), (2, 3), (3, 4)}
+    | {(d, k) for d in range(1, 33) for k in range(1, 9) if d ** (k + 1) <= 1024}
+)
+
+
+def _unit_hermitian(dim, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x = x + x.conj().T
+    return x / np.linalg.norm(x)
+
+
+class TestCommutantProjection:
+    @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
+    def test_projection_properties(self, d, k):
+        dim = d ** (k + 1)
+        x = _unit_hermitian(dim, 10 * d + k)
+        p = commutant_projection(x, d, k)
+        # invariant under U^(x k) (x) conj(U) for seeded Haar U ...
+        rng = np.random.default_rng(d + 100 * k)
+        for _ in range(2):
+            w = covariant_unitary(haar_unitary_by_qr(d, rng), k)
+            assert np.linalg.norm(w @ p @ w.conj().T - p) <= 1e-12
+        # ... and under the permutations of the copies (S_k is generated by
+        # a transposition and the k-cycle)
+        for images in {(1, 0) + tuple(range(2, k + 1)), tuple(range(1, k)) + (0, k)} if k > 1 else ():
+            v = dense_permutation_matrix(images, d)
+            assert np.linalg.norm(v @ p @ v.conj().T - p) <= 1e-12
+        # idempotent and self-adjoint: an orthogonal projection
+        assert np.linalg.norm(commutant_projection(p, d, k) - p) <= 1e-12
+        y = _unit_hermitian(dim, 10 * d + k + 5)
+        assert abs(np.vdot(p, y) - np.vdot(x, commutant_projection(y, d, k))) <= 1e-12
+        # the optimal measurement lies in the commutant
+        m = build_measurement(d, k).op.mat
+        assert np.linalg.norm(commutant_projection(m, d, k) - m) <= 1e-12 * max(1.0, np.linalg.norm(m))
+
+    @pytest.mark.parametrize("d,k", [cell for cell in PROJECTION_CELLS if cell[1] <= 6])
+    def test_residual_is_orthogonal_to_every_partial_transpose(self, d, k):
+        # P(X) is also the projection of the copy average A(X), and the
+        # residual A(X) - P(X) is orthogonal to every V_sigma^(t_k) itself,
+        # sigma in S_(k+1); X - P(X) is orthogonal only to their orbit sums.
+        x = _unit_hermitian(d ** (k + 1), 7 * d + k)
+        residual = copy_average(x, d, k) - commutant_projection(x, d, k)
+        worst = max(
+            abs(partially_transposed_overlap(residual, sigma, d))
+            for sigma in itertools.permutations(range(k + 1))
+        )
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (3, 4), (2, 1), (3, 2), (2, 4)])
+    def test_matches_least_squares_on_explicit_orbit_sums(self, d, k):
+        basis = np.array([b.reshape(-1) for b in commutant_orbit_sums(d, k)]).T
+        x = _unit_hermitian(d ** (k + 1), 3 * d + k)
+        coefficients, *_ = np.linalg.lstsq(basis, x.reshape(-1), rcond=None)
+        expected = (basis @ coefficients).reshape(x.shape)
+        assert np.linalg.norm(commutant_projection(x, d, k) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (3, 4), (2, 2), (3, 2)])
+    def test_haar_oracle_converges_to_the_projection(self, d, k):
+        x = _unit_hermitian(d ** (k + 1), 11 * d + k)
+        p = commutant_projection(x, d, k)
+        few = np.linalg.norm(haar_twirl(x, d, k, samples=20, seed=3) - p)
+        many = np.linalg.norm(haar_twirl(x, d, k, samples=320, seed=3) - p)
+        # 16 times the samples: the Monte-Carlo error shrinks about 4-fold
+        assert many <= few / 2 + 1e-12
+
+    def test_counts_match_group_sizes(self):
+        # sum_(j <= k) p(j) orbits: 2 at k = 1, 12 at k = 4, 67 at k = 8
+        from mcteleport.symgroup import _orbit_tables
+
+        for k, orbits in [(1, 2), (4, 12), (8, 67)]:
+            reps, sizes, counts = _orbit_tables(k)
+            assert len(reps) == len(sizes) == orbits
+            assert sizes.sum() == math.factorial(k + 1)
+            assert (counts.sum(axis=2) == sizes[None, :]).all()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            commutant_projection(np.eye(4), 2, 2)
 
 
 class TestReducedFamily:

@@ -19,6 +19,8 @@ from mcteleport import (
 )
 from mcteleport.sar import ProgramState
 
+from oracles import kron_program_state
+
 
 def basis_state(d, i):
     vec = np.zeros(d, dtype=complex)
@@ -58,6 +60,17 @@ class TestChannels:
             Channel((np.eye(2),), 2, 3)
 
 
+#: (d, d_out, Kraus rank) with d <= 4 and d_out, rank <= 3 whose Stinespring
+#: isometry exists, so the channel is trace preserving.
+ISOMETRIC_CELLS = [
+    (d, d_out, rank)
+    for d in range(1, 5)
+    for d_out in range(1, 4)
+    for rank in range(1, 4)
+    if d_out * rank >= d
+]
+
+
 class TestStore:
     def test_identity_program_is_entangled_pair(self):
         prog = store(identity_channel(2))
@@ -86,6 +99,12 @@ class TestStore:
             reduced = rho.mat.reshape(2, 3, 2, 3)
             first = np.einsum("ibjb->ij", reduced)
             assert np.linalg.norm(first - np.eye(2) / 2) < 1e-12
+
+    @pytest.mark.parametrize("d,d_out,rank", ISOMETRIC_CELLS)
+    def test_matches_kron_built_program(self, d, d_out, rank):
+        ch = random_channel(d, d_out, kraus_rank=rank, seed=100 * d + 10 * d_out + rank)
+        expected = kron_program_state(list(ch.kraus), d)
+        assert np.linalg.norm(store(ch).rho.mat - expected) <= 1e-13
 
     def test_store_rejects_non_cptp(self):
         broken = Channel((0.5 * np.eye(2),), 2, 2)
