@@ -34,7 +34,6 @@ from .tensor import (
     haar_state,
     haar_unitary,
     partial_transpose,
-    symmetric_group,
 )
 from .teleport import success_probability_formula
 
@@ -220,6 +219,20 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     return report
 
 
+def _copy_permutation_residual(m: Operator, k: int) -> float:
+    """Largest ||V M V^dagger - M||_F over the copy permutations (0 1) and (0 1 .. k-1).
+
+    The transposition and the k-cycle generate S_k, so M commutes with every permutation of the copies
+    exactly when both residuals vanish.  S_1 is trivial, and at k = 2 the
+    cycle is the transposition.
+    """
+    generators = {(1, 0) + tuple(range(2, k + 1)), tuple(range(1, k)) + (0, k)} if k > 1 else set()
+    return max(
+        (float(np.linalg.norm(conjugate_by_permutation(Permutation(g), m).mat - m.mat)) for g in generators),
+        default=0.0,
+    )
+
+
 @dataclass(frozen=True)
 class SdpReport:
     """Optimum of the reduced two-parameter family with a grid cross-check."""
@@ -274,10 +287,7 @@ def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) 
             abs(grid_p - p_star),
         )
 
-    perm_res = 0.0
-    for sigma in symmetric_group(k):
-        extended = Permutation(sigma.images + (k,))
-        perm_res = max(perm_res, float(np.linalg.norm(conjugate_by_permutation(extended, f_op).mat - f)))
+    perm_res = _copy_permutation_residual(f_op, k)
     rng = as_rng(seed)
     unitary_res = 0.0
     for _ in range(covariance_samples):

@@ -217,13 +217,55 @@ def sym_projector(n: int, d: int) -> Operator:
 
 
 @lru_cache(maxsize=None)
+def occupations(n: int, d: int) -> np.ndarray:
+    """Occupation vectors of n factors over d levels, one per row, in ``sym_basis`` order.
+
+    Row i counts how many factors sit at each level in the i-th symmetric
+    basis vector; rows run lexicographically decreasing, so the first is
+    (n, 0, ..., 0).  There are C(n + d - 1, n) of them.
+    """
+    if n < 0 or d < 1:
+        raise ValueError("need n >= 0 and d >= 1")
+    check_capacity(math.comb(n + d - 1, n))
+    if d == 1:
+        out = np.array([[n]])
+    else:
+        blocks = []
+        for first in range(n, -1, -1):
+            rest = occupations(n - first, d - 1)
+            blocks.append(np.column_stack([np.full(len(rest), first), rest]))
+        out = np.concatenate(blocks)
+    out.setflags(write=False)
+    return out
+
+
+def occupation_rank(occ: np.ndarray) -> np.ndarray:
+    """Row index in ``occupations(n, d)`` of each occupation vector along the last axis.
+
+    The vectors ahead of c are those larger at the first level j where they
+    differ; counting them by j gives sum_(j < d-1) C(t_j + d - j - 2, d - j - 1)
+    with t_j the occupation of the levels after j.
+    """
+    occ = np.asarray(occ)
+    d = occ.shape[-1]
+    tails = np.cumsum(occ[..., :0:-1], axis=-1)[..., ::-1]  # t_j for j = 0 .. d-2
+    if tails.size == 0:
+        return np.zeros(occ.shape[:-1], dtype=np.intp)
+    top = int(tails.max()) + d
+    table = np.array([[math.comb(t, r) for t in range(top)] for r in range(d - 1, 0, -1)], dtype=np.intp)
+    shifted = tails + np.arange(d - 2, -1, -1)
+    return table[np.arange(d - 1), shifted].sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
 def sym_basis(n: int, d: int) -> tuple[StateVector, ...]:
     """Orthonormal occupation-number basis of the symmetric subspace.
 
     Each vector is the uniform superposition of all basis kets sharing one
     occupation vector (how many factors sit at each level); ordering is
-    lexicographically decreasing in the occupation vector.  For n = 0 the
-    basis is the single scalar state on the empty layout.
+    lexicographically decreasing in the occupation vector, as in
+    ``occupations``.  For n = 0 the basis is the single scalar state on the
+    empty layout.
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
@@ -231,18 +273,15 @@ def sym_basis(n: int, d: int) -> tuple[StateVector, ...]:
         return (StateVector(np.ones(1, dtype=complex), ()),)
     total = d**n
     check_capacity(total)
-    multi = np.array(np.unravel_index(np.arange(total), (d,) * n))
-    by_occupation: dict[tuple[int, ...], list[int]] = {}
-    for j in range(total):
-        occ = tuple(int(np.count_nonzero(multi[:, j] == level)) for level in range(d))
-        by_occupation.setdefault(occ, []).append(j)
-    basis = []
-    for occ in sorted(by_occupation, reverse=True):
-        members = by_occupation[occ]
-        v = np.zeros(total, dtype=complex)
-        v[members] = 1.0 / math.sqrt(len(members))
-        basis.append(StateVector(v, (d,) * n))
-    return tuple(basis)
+    kets = np.arange(total)
+    counts = np.zeros((total, d), dtype=np.intp)
+    for digits in np.indices((d,) * n).reshape(n, total):
+        counts[kets, digits] += 1
+    rank = occupation_rank(counts)
+    members = np.bincount(rank)
+    rows = np.zeros((len(members), total), dtype=complex)
+    rows[rank, kets] = 1.0 / np.sqrt(members[rank])
+    return tuple(StateVector(row, (d,) * n) for row in rows)
 
 
 def f_projector(mu: Partition, alpha: Partition, d: int) -> Operator:

@@ -10,19 +10,28 @@ a projector of rank C(k-2+d, k-1) whose eigenbasis is assembled from the
 symmetric-subspace basis of k-1 factors entangled into each copy slot in
 turn.  Conditioned on the success outcome Bob holds the input state exactly,
 with probability k / (d (k - 1 + d)) independent of the input.
+
+M lives on Sym^k (x) C^d, of dimension m d with m = C(k+d-1, k), so the
+measurement is held as a factor on the coordinates |n>_sym (x) |a> (n an
+occupation vector of k factors, a a level of A) and the simulation, the
+residual between the two constructions and retrieval never touch the
+d^(k+1) coordinates of the full space.  ``r_vectors`` and
+``Measurement.op`` still live there, for the certificates and the dense
+layers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .symgroup import sym_basis
+from .symgroup import occupation_rank, occupations, sym_basis
 from .tensor import (
     DEFAULT_ATOL,
+    CapacityError,
     Operator,
     Permutation,
     StateVector,
@@ -80,12 +89,15 @@ def r_vectors(d: int, k: int) -> list[RVector]:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """The success POVM element M = F F^dagger for (d, k), held as a thin factor.
+    """The success POVM element M for (d, k), held as a thin factor in symmetric coordinates.
 
-    ``factor`` is a dim x r matrix F: the stacked eigenbasis for the eigen
-    form, r = min(d^(k-1), d C(k+d-1, k)) columns for the projector form.
-    It is kept as a read-only view, so the caller's array stays writable.
-    The dense ``op`` is formed from F on first access and kept.
+    M is supported on Sym^k (x) C^d, so M = F F^dagger with F = (B (x) 1) G,
+    where B stacks ``sym_basis(k, d)``.  ``factor`` is G, an (m d) x r
+    matrix with m = C(k+d-1, k); its row index(n) d + a is the
+    coordinate |n>_sym (x) |a>, with index(n) the row of the occupation n in
+    ``occupations(k, d)``.  It is kept as a read-only view, so the caller's
+    array stays writable.  The dense ``op`` on (C^d)^(x (k+1)) is formed on
+    first access and kept.
     """
 
     d: int
@@ -94,45 +106,73 @@ class Measurement:
 
     def __post_init__(self):
         view = np.asarray(self.factor).view()
+        rows = self.d * math.comb(self.k + self.d - 1, self.k)
+        if view.ndim != 2 or view.shape[0] != rows:
+            raise ValueError(
+                f"factor of shape {view.shape} needs m d = {rows} rows at d={self.d}, k={self.k}"
+            )
         view.setflags(write=False)
         object.__setattr__(self, "factor", view)
 
     @cached_property
     def op(self) -> Operator:
-        return Operator(self.factor @ self.factor.conj().T, (self.d,) * (self.k + 1))
+        dims = (self.d,) * (self.k + 1)
+        check_capacity(math.prod(dims))
+        b = np.column_stack([s.vec for s in sym_basis(self.k, self.d)])
+        full = (b @ self.factor.reshape(b.shape[1], -1)).reshape(math.prod(dims), -1)
+        return Operator(full @ full.conj().T, dims)
+
+
+def _insertions(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where inserting a factor at level a takes each occupation n' of k-1 factors.
+
+    Returns, for every n' (rows, in ``occupations(k - 1, d)`` order) and
+    level a (columns), the symmetric coordinate (n' + e_a, a) and the count
+    n'_a + 1 of level a in n' + e_a.
+    """
+    base = occupations(k - 1, d)
+    grown = base[:, None, :] + np.eye(d, dtype=base.dtype)
+    return occupation_rank(grown) * d + np.arange(d), base + 1
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
-    """Construct the success element as a thin factor F with M = F F^dagger.
+    """Construct the success element as a thin factor G on Sym^k (x) C^d.
 
-    ``form="eigen"`` stacks the eigenbasis from ``r_vectors`` (symmetric
-    basis on k-1 factors, entangled into each slot in turn);
-    ``form="projector"`` factors the sandwiched-projector formula through the
-    symmetric basis on all k factors and is kept as an independent
-    construction for cross-checks.
+    ``form="eigen"`` is the eigenbasis of ``r_vectors`` in symmetric
+    coordinates: Psym_k(|n'>_sym (x) |a>) = sqrt((n'_a + 1)/k) |n' + e_a>_sym
+    puts the eigenvector of index n' at sqrt((n'_a + 1)/(k - 1 + d)) in
+    coordinate (n' + e_a, a), for each level a.  ``form="projector"``
+    factors the sandwiched-projector formula through a QR decomposition and
+    is kept as an independent construction for cross-checks.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    check_capacity(d ** (k + 1))
+    rows = d * math.comb(k + d - 1, k)
+    check_capacity(rows)
+    coords, counts = _insertions(d, k)
+    index = np.arange(len(coords))[:, None]
     if form == "eigen":
-        return Measurement(d, k, np.column_stack([r.vector.vec for r in r_vectors(d, k)]))
+        g = np.zeros((rows, len(coords)))
+        g[coords, index] = np.sqrt(counts / (k - 1 + d))
+        return Measurement(d, k, g)
     if form == "projector":
         # With Psym = B B^dagger, M = c (B (x) 1) Z Z^dagger (B (x) 1)^dagger
-        # where Z = (B^dagger (x) 1)(1 (x) |phi>).  As phi = sum_i |ii>/sqrt(d),
-        # Z^dagger[y, (j, a)] = B[(y, a), j] / sqrt(d).  Z^dagger = Q R gives
-        # Z Z^dagger = R^dagger R, so F = sqrt(c) (B (x) 1) R^dagger.
-        b = np.column_stack([s.vec for s in sym_basis(k, d)])
-        m = b.shape[1]
-        z_dag = b.reshape(d ** (k - 1), d, m).transpose(0, 2, 1).reshape(d ** (k - 1), m * d)
-        r_dag = np.linalg.qr(z_dag / math.sqrt(d), mode="r").conj().T
-        thin = (b @ r_dag.reshape(m, -1)).reshape(d ** (k + 1), -1)
-        return Measurement(d, k, math.sqrt(d * k / (k - 1 + d)) * thin)
+        # where Z = (B^dagger (x) 1)(1 (x) |phi>), with one column per ket y
+        # of k-1 factors: Z[(n, a), y] = <n|_sym (|y> (x) |a>) / sqrt(d) is
+        # 1/sqrt(d mult(n)) when occ(y) + e_a = n.  Columns of kets with one
+        # occupation n'' agree, so Z Z^dagger = C^dagger C with one row per
+        # n'', weighted by sqrt(mult(n'')): C[n'', (n, a)] = sqrt(n_a/(k d)).
+        # C = Q R gives Z Z^dagger = R^dagger R, so G = sqrt(c) R^dagger.
+        z = np.zeros((len(coords), rows))
+        z[index, coords] = np.sqrt(counts / (k * d))
+        r_dag = np.linalg.qr(z, mode="r").conj().T
+        return Measurement(d, k, math.sqrt(d * k / (k - 1 + d)) * r_dag)
     raise ValueError(f"unknown form {form!r}")
 
 
 def gram_residual(d: int, k: int) -> float:
-    """Largest entry of |R^dagger R - 1| for the stacked eigenbasis R."""
-    columns = build_measurement(d, k).factor
+    """Largest entry of |R^dagger R - 1| for the stacked eigenbasis R of ``r_vectors``."""
+    columns = np.column_stack([r.vector.vec for r in r_vectors(d, k)])
     return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
@@ -141,7 +181,9 @@ def _factor_distance(f_a: np.ndarray, f_b: np.ndarray) -> float:
 
     With [F_a, F_b] = Q S and S = [S1, S2], F_a F_a^dagger - F_b F_b^dagger
     = Q (S1 S1^dagger - S2 S2^dagger) Q^dagger, and Q has orthonormal
-    columns, so the distance is taken on the small triangular factor.
+    columns, so the distance is taken on the small triangular factor.  For
+    the same reason the symmetric-coordinate factors G give the distance
+    between the full operators: the isometry B (x) 1 cancels.
     """
     s = np.linalg.qr(np.hstack([f_a, f_b]), mode="r")
     s1, s2 = s[:, : f_a.shape[1]], s[:, f_a.shape[1] :]
@@ -184,19 +226,39 @@ def _check_input(psi: StateVector, d: int) -> None:
         raise ValueError("input state must be normalised")
 
 
+@lru_cache(maxsize=None)
+def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
+    """sqrt(k! / prod_j n_j!) for each occupation n in ``occupations(k, d)``, read-only.
+
+    The multinomials are exact integers.  Below 2^1000 every square root
+    stays under 2^500, so the power products of a weight that matters stay
+    far above the float underflow; larger multinomials are refused.
+    """
+    factorial = [math.factorial(c) for c in range(k + 1)]
+    counts = [factorial[k] // math.prod(factorial[c] for c in occ) for occ in occupations(k, d).tolist()]
+    if max(counts).bit_length() > 1000:
+        raise CapacityError(f"multinomial weights of k={k} copies at d={d} exceed the float range")
+    out = np.sqrt(np.array(counts, dtype=float))
+    out.setflags(write=False)
+    return out
+
+
 def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
     """E = (<psi|^(x k) (x) 1_A) M (|psi>^(x k) (x) 1_A), a d x d matrix.
 
     Bob's success-conditioned output depends on Alice's measurement only
-    through E.  With M = F F^dagger, E = t t^dagger where t contracts the k
-    copy factors of F against conj(psi), so E is PSD by construction.
+    through E.  In symmetric coordinates <psi^(x k)|n>_sym = sqrt(k!/prod
+    n_j!) prod_j conj(psi_j)^n_j =: w_n, so with M = F F^dagger and
+    F = (B (x) 1) G, E = t t^dagger for t[a] = sum_n w_n G[(n, a)]; E is PSD
+    by construction.
     """
     _check_input(psi, meas.d)
-    bra = psi.vec.conj()
-    t = meas.factor
-    for _ in range(meas.k):  # contract the leading copy factor
-        t = bra @ t.reshape(meas.d, -1)
-    t = t.reshape(meas.d, -1)
+    d, k = meas.d, meas.k
+    powers = np.ones((d, k + 1), dtype=complex)
+    powers[:, 1:] = psi.vec.conj()[:, None]
+    powers = np.cumprod(powers, axis=1)  # powers[j, c] = conj(psi_j)^c
+    w = _sqrt_multinomials(d, k) * powers[np.arange(d), occupations(k, d)].prod(axis=1)
+    t = (w @ meas.factor.reshape(len(w), -1)).reshape(d, -1)
     return t @ t.conj().T
 
 

@@ -6,6 +6,7 @@ representations, no shared code with the package under test.
 
 from __future__ import annotations
 
+import itertools
 from itertools import permutations
 from math import factorial
 
@@ -277,3 +278,71 @@ def commutant_orbit_sums(d: int, k: int) -> list[np.ndarray]:
             total = total + _transpose_last(dense_permutation_matrix(sigma, d), d, n)
         sums.append(total)
     return sums
+
+
+def occupations_by_sorting(n: int, d: int) -> list[tuple[int, ...]]:
+    """Distinct digit counts of all d^n kets of n factors, sorted decreasingly."""
+    counts = set()
+    for ket in itertools.product(range(d), repeat=n):
+        counts.add(tuple(ket.count(level) for level in range(d)))
+    return sorted(counts, reverse=True)
+
+
+def sym_basis_by_loop(n: int, d: int) -> np.ndarray:
+    """Occupation-number basis of the symmetric subspace as columns, one Python step per ket.
+
+    Each column is the uniform superposition of the kets sharing one
+    occupation vector, in lexicographically decreasing occupation order.
+    """
+    total = d**n
+    multi = np.indices((d,) * n).reshape(n, total)
+    by_occupation: dict[tuple[int, ...], list[int]] = {}
+    for j in range(total):
+        occ = tuple(int(np.count_nonzero(multi[:, j] == level)) for level in range(d))
+        by_occupation.setdefault(occ, []).append(j)
+    columns = []
+    for occ in sorted(by_occupation, reverse=True):
+        members = by_occupation[occ]
+        v = np.zeros(total, dtype=complex)
+        v[members] = 1.0 / np.sqrt(len(members))
+        columns.append(v)
+    return np.column_stack(columns)
+
+
+def full_eigen_factor(d: int, k: int) -> np.ndarray:
+    """The eigenbasis of the success element on all d^(k+1) coordinates, stacked.
+
+    Column i is sqrt(d/(k (k-1+d))) sum_a V_(a k-1) (s_i (x) |phi>), with s_i
+    the i-th symmetric basis vector of k-1 factors and the transposition
+    applied by moving entries along ``_row_map``.
+    """
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    scale = np.sqrt(d / (k * (k - 1 + d)))
+    swaps = []
+    for a in range(k):
+        images = list(range(k + 1))
+        images[a], images[k - 1] = k - 1, a
+        swaps.append(_row_map(tuple(images), d))
+    columns = []
+    for s in sym_basis_by_loop(k - 1, d).T:
+        base = np.kron(s, phi)
+        total = np.zeros_like(base)
+        for rows in swaps:
+            total[rows] += base
+        columns.append(scale * total)
+    return np.column_stack(columns)
+
+
+def full_projector_factor(d: int, k: int) -> np.ndarray:
+    """sqrt(d k/(k-1+d)) (B (x) 1) R^dagger on all d^(k+1) coordinates.
+
+    B stacks the symmetric basis of k factors and R is the triangular factor
+    of Z^dagger, one row per ket y of k-1 factors:
+    Z^dagger[y, (j, a)] = B[(y, a), j] / sqrt(d).
+    """
+    b = sym_basis_by_loop(k, d)
+    m = b.shape[1]
+    z_dag = b.reshape(d ** (k - 1), d, m).transpose(0, 2, 1).reshape(d ** (k - 1), m * d)
+    r_dag = np.linalg.qr(z_dag / np.sqrt(d), mode="r").conj().T
+    thin = (b @ r_dag.reshape(m, -1)).reshape(d ** (k + 1), -1)
+    return np.sqrt(d * k / (k - 1 + d)) * thin

@@ -109,6 +109,14 @@ class TestVerifySuite:
         assert result.returncode == 0, result.stderr
         assert [row["pass"] for row in parse_csv(result.stdout)] == ["true", "true"]
 
+    @pytest.mark.parametrize("d,k", [("2", "200"), ("6", "5")])
+    def test_symmetric_coordinates_reach_past_the_dense_cap(self, d, k, capsys):
+        argv = ["verify", "--d", d, "--k", k, "--samples", "5", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "true"
+
     def test_capacity_cells_are_skipped(self):
         result = run_cli(
             "verify", "--d", "16", "--k", "1,7", "--samples", "2", "--no-timestamp"

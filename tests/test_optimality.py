@@ -25,6 +25,7 @@ from mcteleport import (
     success_probability_formula,
     sym_partition,
 )
+from mcteleport import optimality
 
 from oracles import (
     commutant_orbit_sums,
@@ -157,6 +158,34 @@ class TestReducedOptimum:
         assert report.equality_residual <= 1e-11
         assert report.perm_covariance_residual <= 1e-11
         assert report.unitary_covariance_residual <= 1e-9
+
+    def test_seven_copies_are_covariant(self):
+        assert reduced_optimum(2, 7, covariance_samples=1).perm_covariance_residual <= 1e-11
+
+
+class TestCopyPermutationResidual:
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_transposition_alone_is_not_enough(self, k):
+        # |0 0 1 .. 1>|0>: (0 1) fixes it, the k-cycle does not
+        d = 2
+        v = np.zeros(d ** (k + 1))
+        v[(2 ** (k - 2) - 1) * 2] = 1.0
+        op = Operator(np.outer(v, v), (d,) * (k + 1))
+        swap = Permutation((1, 0) + tuple(range(2, k + 1)))
+        assert np.linalg.norm(conjugate_by_permutation(swap, op).mat - op.mat) == 0.0
+        assert optimality._copy_permutation_residual(op, k) > 1e-11
+        assert optimality._copy_permutation_residual(op, k) == pytest.approx(math.sqrt(2))
+
+    def test_two_copies_need_only_the_swap(self):
+        v = np.zeros(8)
+        v[0b010] = 1.0  # |0 1>|0> is moved by the one nontrivial permutation
+        op = Operator(np.outer(v, v), (2, 2, 2))
+        assert optimality._copy_permutation_residual(op, 2) == pytest.approx(math.sqrt(2))
+        assert optimality._copy_permutation_residual(op, 1) == 0.0  # S_1 is trivial
+
+    @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 3), (2, 5)])
+    def test_optimum_is_covariant(self, d, k):
+        assert optimality._copy_permutation_residual(build_measurement(d, k).op, k) <= 1e-11
 
 
 class TestFalsifier:

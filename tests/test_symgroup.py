@@ -13,6 +13,8 @@ from mcteleport import (
     irrep_data,
     mult_semistandard,
     max_entangled_state,
+    occupation_rank,
+    occupations,
     partial_transpose,
     partitions,
     permutation_operator,
@@ -26,10 +28,12 @@ from mcteleport import (
 
 from oracles import (
     group_average_symmetriser,
+    occupations_by_sorting,
     partitions_by_sieve,
     semistandard_tableaux_count,
     sign_of_permutation,
     standard_tableaux_count,
+    sym_basis_by_loop,
 )
 
 
@@ -220,6 +224,39 @@ class TestSymBasis:
             for sigma in symmetric_group(3):
                 v = permutation_operator(sigma, 2).mat
                 assert np.linalg.norm(v @ vec.vec - vec.vec) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_equals_the_loop_over_kets_bit_for_bit(self, d):
+        for n in range(6):
+            columns = np.column_stack([b.vec for b in sym_basis(n, d)])
+            want = sym_basis_by_loop(n, d)
+            assert columns.dtype == want.dtype and np.array_equal(columns, want)
+
+
+class TestOccupations:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_order_matches_sorted_digit_counts(self, d):
+        for n in range(6):
+            assert [tuple(row) for row in occupations(n, d).tolist()] == occupations_by_sorting(n, d)
+
+    def test_rank_inverts_the_listing(self):
+        for n, d in [(0, 3), (1, 1), (4, 1), (3, 4), (6, 3), (200, 2), (5, 6), (2, 16)]:
+            occ = occupations(n, d)
+            assert len(occ) == math.comb(n + d - 1, n)
+            assert np.array_equal(occupation_rank(occ), np.arange(len(occ)))
+
+    def test_rank_keeps_leading_axes(self):
+        occ = occupations(3, 3)
+        stacked = np.stack([occ[::-1], occ])
+        assert np.array_equal(occupation_rank(stacked), [np.arange(10)[::-1], np.arange(10)])
+
+    def test_listing_is_read_only(self):
+        with pytest.raises(ValueError):
+            occupations(2, 2)[0, 0] = 5
+
+    def test_capacity(self):
+        with pytest.raises(CapacityError):
+            occupations(7, 16)  # C(22, 7) = 170544 rows
 
 
 def valid_f_pairs(k, d):

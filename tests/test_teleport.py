@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcteleport import (
+    CapacityError,
     Permutation,
     StateVector,
     VerificationError,
@@ -26,7 +27,15 @@ from mcteleport import (
 )
 from mcteleport import sar, symgroup, teleport
 
-from oracles import dense_conditional_output, dense_success_element, frobenius_distance
+from oracles import (
+    dense_conditional_output,
+    dense_success_element,
+    frobenius_distance,
+    full_eigen_factor,
+    full_projector_factor,
+    occupations_by_sorting,
+    sym_basis_by_loop,
+)
 
 #: Every cell whose dense success element has at most 4096 rows (so k <= 11
 #: for d >= 2), d = 1 included.
@@ -173,7 +182,7 @@ class TestSimulate:
     def test_degenerate_outcome_guard(self):
         from mcteleport.teleport import Measurement
 
-        zero = Measurement(2, 1, np.zeros((4, 1)))
+        zero = Measurement(2, 1, np.zeros((2 * math.comb(2, 1), 1)))  # m d rows
         with pytest.raises(VerificationError):
             simulate(StateVector(np.array([1.0, 0.0]), (2,)), zero)
 
@@ -189,9 +198,11 @@ class TestConditionedOutput:
         # A random rank-3 factor gives a conditioned element of rank > 1,
         # unlike the optimal measurement, whose element is rank one.
         rng = np.random.default_rng([d, k])
-        dim = d ** (k + 1)
-        f = (rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))) / math.sqrt(6)
-        meas = teleport.Measurement(d, k, f)
+        rows = d * math.comb(k + d - 1, k)
+        g = (rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))) / math.sqrt(6)
+        meas = teleport.Measurement(d, k, g)
+        b = sym_basis_by_loop(k, d)
+        f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)  # F = (B (x) 1) G
         m = f @ f.conj().T
         psi = haar_state(d, rng)
         phi = max_entangled_state(d).vec
@@ -266,11 +277,52 @@ class TestThinFactor:
         for form in ("eigen", "projector"):
             assert frobenius_distance(build_measurement(d, k, form=form).op.mat, target) < 1e-12
 
+    @pytest.mark.parametrize("d,k", DENSE_CELLS)
+    def test_forms_match_full_coordinate_oracles(self, d, k):
+        for form, oracle in (("eigen", full_eigen_factor), ("projector", full_projector_factor)):
+            f = oracle(d, k)
+            assert frobenius_distance(build_measurement(d, k, form=form).op.mat, f @ f.conj().T) < 1e-12
+
     def test_factor_widths(self):
-        for d, k in [(3, 3), (2, 10)]:  # projector width d^(k-1), then d C(k+d-1, k)
-            assert build_measurement(d, k).factor.shape == (d ** (k + 1), math.comb(k - 2 + d, k - 1))
-            width = min(d ** (k - 1), d * math.comb(k + d - 1, k))
-            assert build_measurement(d, k, form="projector").factor.shape == (d ** (k + 1), width)
+        for d, k in [(3, 3), (2, 10), (6, 5), (2, 200)]:  # m d rows, one column per eigenvector
+            shape = (d * math.comb(k + d - 1, k), math.comb(k - 2 + d, k - 1))
+            assert build_measurement(d, k).factor.shape == shape
+            assert build_measurement(d, k, form="projector").factor.shape == shape
+
+    @pytest.mark.parametrize("d,k", [(1, 4), (2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (5, 2), (7, 1)])
+    def test_eigen_factor_entries(self, d, k):
+        # column n' holds sqrt((n'_a + 1)/(k - 1 + d)) in row index(n' + e_a) d + a, and nothing else
+        index = {occ: i for i, occ in enumerate(occupations_by_sorting(k, d))}
+        want = np.zeros((d * len(index), math.comb(k - 2 + d, k - 1)))
+        for col, occ in enumerate(occupations_by_sorting(k - 1, d)):
+            for a in range(d):
+                grown = occ[:a] + (occ[a] + 1,) + occ[a + 1 :]
+                want[index[grown] * d + a, col] = math.sqrt(grown[a] / (k - 1 + d))
+        assert np.array_equal(build_measurement(d, k).factor, want)
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 4), (3, 3), (4, 2)])
+    def test_eigen_factor_embeds_to_the_stacked_r_vectors(self, d, k):
+        g = build_measurement(d, k).factor
+        b = sym_basis_by_loop(k, d)
+        stacked = np.column_stack([r.vector.vec for r in r_vectors(d, k)])
+        assert np.abs((b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1) - stacked).max() < 1e-13
+
+    def test_factor_needs_symmetric_rows(self):
+        with pytest.raises(ValueError):
+            teleport.Measurement(2, 3, np.zeros((2**4, 1)))  # d^(k+1) rows, not m d = 8
+
+    def test_verify_paths_need_no_full_basis(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("basis on all d^k coordinates")
+
+        monkeypatch.setattr(symgroup, "sym_basis", unexpected)
+        monkeypatch.setattr(teleport, "sym_basis", unexpected)
+        assert verify_theorem(2, 30, samples=3, seed=2).passed
+        assert sar.verify_sar(2, 2, 30, kraus_rank=2, samples=3, seed=2).passed
+
+    def test_weights_past_the_float_range_are_refused(self):
+        with pytest.raises(CapacityError):  # C(1100, 550) > 2^1000
+            teleport._sqrt_multinomials(2, 1100)
 
     def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
         built = []
