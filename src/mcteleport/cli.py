@@ -28,16 +28,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import optimality, sar, symgroup, teleport
-from .tensor import DIM_CAP, CapacityError, VerificationError
+from .tensor import CapacityError, VerificationError
 
 CSV_COLUMNS = ["d", "k", "p_formula", "p_mean", "p_std", "eig_residual", "c1", "c2", "pass", "seconds"]
 
 SUITES = ("verify", "sweep", "lemmas", "optimality", "sar")
-
-#: Suites that build operators on all of (C^d)^(x (k+1)), so their cells are
-#: skipped when d^(k+1) exceeds the cap; verify and sar work on the much
-#: smaller symmetric subspace and check their own capacity.
-DENSE_SUITES = ("sweep", "lemmas", "optimality")
 
 
 @dataclass
@@ -98,8 +93,6 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
     start = time.perf_counter()
     seed = _cell_seed(config.seed, index)
     try:
-        if config.suite in DENSE_SUITES and d ** (k + 1) > DIM_CAP:
-            raise CapacityError(f"d^(k+1) = {d ** (k + 1)} exceeds cap {DIM_CAP}")
         if config.suite in ("verify", "sweep"):
             if config.suite == "sweep":
                 # First, so a cell over the group budget skips before sampling.

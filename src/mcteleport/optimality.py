@@ -30,6 +30,7 @@ from .tensor import (
     Permutation,
     VerificationError,
     as_rng,
+    check_capacity,
     conjugate_by_permutation,
     haar_state,
     haar_unitary,
@@ -187,6 +188,7 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     projectors; the residual is evaluated on their combined support Q.  At
     d = 1, Q - F is empty: c2 is then None and left unchecked.
     """
+    check_capacity(d ** (k + 1))
     x = _transposed_symmetriser(d, k)
     f = _success_projector(d, k)
     q = _sym_with_identity(d, k)
@@ -260,6 +262,7 @@ def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) 
     the dense grid over [0,1]^2 re-derives the same optimum from the raw
     traces without using that argument.
     """
+    check_capacity(d ** (k + 1))
     family = ReducedMeasurement.build(d, k)
     f_op, ps = family.f, family.ps
     f = f_op.mat
@@ -347,6 +350,7 @@ def perturbation_falsifier(
     candidate whose objective exceeds p* + MARGIN raises, as it would
     contradict the optimality statement or expose a bug.
     """
+    check_capacity(d ** (k + 1))
     f = _success_projector(d, k)
     q = _sym_with_identity(d, k)
     ps = q - f

@@ -337,6 +337,7 @@ def absorption_residual(d: int, k: int) -> float:
     The symmetriser on k+1 factors absorbs the one-row Young projector on
     the first k factors and annihilates every other one.
     """
+    check_capacity(d ** (k + 1))
     big = sym_projector(k + 1, d).mat
     worst = 0.0
     for mu in partitions(k):

@@ -15,16 +15,20 @@ M lives on Sym^k (x) C^d, of dimension m d with m = C(k+d-1, k), so the
 measurement is held as a factor on the coordinates |n>_sym (x) |a> (n an
 occupation vector of k factors, a a level of A) and the simulation, the
 residual between the two constructions and retrieval never touch the
-d^(k+1) coordinates of the full space.  ``r_vectors`` and
-``Measurement.op`` still live there, for the certificates and the dense
-layers.
+d^(k+1) coordinates of the full space.  The eigen and projector forms
+share no helper, so their residual certifies one against the other.  A
+factor over FACTOR_CAP entries is refused before it is built.
+``r_vectors`` and ``Measurement.op`` still live on the full space, for the
+certificates and the dense layers.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -45,6 +49,13 @@ from .tensor import (
 
 #: Success probabilities below this are treated as a degenerate outcome.
 P_FLOOR = 1e-14
+
+#: Largest thin factor, in entries (rows times columns), that
+#: ``build_measurement`` allocates.  The QRs of the projector form and of the
+#: residual work on arrays of about this size; every cell with
+#: d^(k+1) <= DIM_CAP stays under it (the largest, d = 16 and k = 3, has
+#: 1.8 million entries).
+FACTOR_CAP = 2**21
 
 
 def success_probability_formula(d: int, k: int) -> float:
@@ -135,6 +146,40 @@ def _insertions(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return occupation_rank(grown) * d + np.arange(d), base + 1
 
 
+def _multinomial(counts) -> int:
+    """(sum of counts)! / prod of counts!, exactly: how many kets share the occupation ``counts``."""
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= math.comb(total, c)
+    return out
+
+
+def _sandwich_rows(d: int, k: int) -> np.ndarray:
+    """The P+ sandwich Z^dagger compressed to one row per occupation of k-1 factors.
+
+    With Psym = B B^dagger, M = c (B (x) 1) Z Z^dagger (B (x) 1)^dagger
+    where Z = (B^dagger (x) 1)(1 (x) |phi>), with one column per ket y of
+    k-1 factors: Z[(n, a), y] = <n|_sym (|y> (x) |a>) / sqrt(d) is
+    1/sqrt(d mult(n)) when occ(y) + e_a = n.  Columns of kets with one
+    occupation n'' agree, so Z Z^dagger = C^dagger C with one row per n'',
+    weighted by sqrt(mult(n'')).  The rows come from multisets of levels,
+    the columns from a lookup of n'' + e_a and the entries from the
+    multinomials themselves, so nothing is shared with the eigen form.
+    """
+    column = {occ: i * d for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
+    rows = list(combinations_with_replacement(range(d), k - 1))
+    c = np.zeros((len(rows), d * len(column)))
+    for row, levels in enumerate(rows):
+        counts = Counter(levels)
+        base = [counts[a] for a in range(d)]
+        mult = _multinomial(base)
+        for a in range(d):
+            grown = base[:a] + [base[a] + 1] + base[a + 1 :]
+            c[row, column[tuple(grown)] + a] = math.sqrt(mult / (d * _multinomial(grown)))
+    return c
+
+
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     """Construct the success element as a thin factor G on Sym^k (x) C^d.
 
@@ -142,30 +187,29 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     coordinates: Psym_k(|n'>_sym (x) |a>) = sqrt((n'_a + 1)/k) |n' + e_a>_sym
     puts the eigenvector of index n' at sqrt((n'_a + 1)/(k - 1 + d)) in
     coordinate (n' + e_a, a), for each level a.  ``form="projector"``
-    factors the sandwiched-projector formula through a QR decomposition and
-    is kept as an independent construction for cross-checks.
+    factors the sandwiched-projector formula through a QR decomposition of
+    ``_sandwich_rows`` (C = Q R gives Z Z^dagger = R^dagger R, so
+    G = sqrt(c) R^dagger); it is coded independently of the eigen form and
+    kept for cross-checks.
+
+    A cell is refused with ``CapacityError`` before anything is allocated
+    when G would have more than DIM_CAP rows or FACTOR_CAP entries, or when
+    its sqrt-multinomial weights leave the float range.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    rows = d * math.comb(k + d - 1, k)
+    rows, width = d * math.comb(k + d - 1, k), math.comb(k - 2 + d, k - 1)
     check_capacity(rows)
-    coords, counts = _insertions(d, k)
-    index = np.arange(len(coords))[:, None]
+    if rows * width > FACTOR_CAP:
+        raise CapacityError(f"measurement factor of {rows} x {width} entries exceeds cap {FACTOR_CAP}")
+    _sqrt_multinomials(d, k)
     if form == "eigen":
-        g = np.zeros((rows, len(coords)))
-        g[coords, index] = np.sqrt(counts / (k - 1 + d))
+        coords, counts = _insertions(d, k)
+        g = np.zeros((rows, width))
+        g[coords, np.arange(width)[:, None]] = np.sqrt(counts / (k - 1 + d))
         return Measurement(d, k, g)
     if form == "projector":
-        # With Psym = B B^dagger, M = c (B (x) 1) Z Z^dagger (B (x) 1)^dagger
-        # where Z = (B^dagger (x) 1)(1 (x) |phi>), with one column per ket y
-        # of k-1 factors: Z[(n, a), y] = <n|_sym (|y> (x) |a>) / sqrt(d) is
-        # 1/sqrt(d mult(n)) when occ(y) + e_a = n.  Columns of kets with one
-        # occupation n'' agree, so Z Z^dagger = C^dagger C with one row per
-        # n'', weighted by sqrt(mult(n'')): C[n'', (n, a)] = sqrt(n_a/(k d)).
-        # C = Q R gives Z Z^dagger = R^dagger R, so G = sqrt(c) R^dagger.
-        z = np.zeros((len(coords), rows))
-        z[index, coords] = np.sqrt(counts / (k * d))
-        r_dag = np.linalg.qr(z, mode="r").conj().T
+        r_dag = np.linalg.qr(_sandwich_rows(d, k), mode="r").conj().T
         return Measurement(d, k, math.sqrt(d * k / (k - 1 + d)) * r_dag)
     raise ValueError(f"unknown form {form!r}")
 
@@ -232,13 +276,13 @@ def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
 
     The multinomials are exact integers.  Below 2^1000 every square root
     stays under 2^500, so the power products of a weight that matters stay
-    far above the float underflow; larger multinomials are refused.
+    far above the float underflow; larger multinomials are refused, from
+    the largest one (the most even occupation) before the others are formed.
     """
-    factorial = [math.factorial(c) for c in range(k + 1)]
-    counts = [factorial[k] // math.prod(factorial[c] for c in occ) for occ in occupations(k, d).tolist()]
-    if max(counts).bit_length() > 1000:
+    q, extra = divmod(k, d)
+    if _multinomial([q + 1] * extra + [q] * (d - extra)).bit_length() > 1000:
         raise CapacityError(f"multinomial weights of k={k} copies at d={d} exceed the float range")
-    out = np.sqrt(np.array(counts, dtype=float))
+    out = np.sqrt(np.array([float(_multinomial(occ)) for occ in occupations(k, d).tolist()]))
     out.setflags(write=False)
     return out
 

@@ -117,6 +117,21 @@ class TestVerifySuite:
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "true"
 
+    @pytest.mark.parametrize("suite", ["verify", "sar"])
+    @pytest.mark.parametrize("d,k", [("3", "200"), ("5", "15"), ("2", "1010")])
+    def test_cells_over_the_factor_cap_skip_unbuilt(self, suite, d, k, monkeypatch, capsys):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("factor built for a cell over the cap")
+
+        monkeypatch.setattr(teleport, "_insertions", unexpected)
+        monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
+        argv = [suite, "--d", d, "--k", k, "--samples", "5", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert "exceed" in cell["detail"]
+
     def test_capacity_cells_are_skipped(self):
         result = run_cli(
             "verify", "--d", "16", "--k", "1,7", "--samples", "2", "--no-timestamp"
@@ -126,6 +141,19 @@ class TestVerifySuite:
         status = {row["k"]: row["pass"] for row in rows}
         assert status["1"] == "true"
         assert status["7"] == "skipped"
+
+
+class TestDenseSuites:
+    @pytest.mark.parametrize("suite", ["lemmas", "optimality", "sweep"])
+    def test_cells_over_the_dense_cap_skip(self, suite, capsys):
+        # 5^8 = 390625 > 65536 while S_7 is within the group budget, so the
+        # skip comes from the layer's own capacity check
+        argv = [suite, "--d", "5", "--k", "7", "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert "ambient dimension 390625 exceeds cap" in cell["detail"]
 
 
 class TestFailureReporting:

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from mcteleport import (
+    CapacityError,
     Operator,
     Permutation,
     ReducedMeasurement,
     VerificationError,
+    absorption_residual,
     build_measurement,
     commutant_projection,
     conjugate_by_permutation,
@@ -356,3 +358,17 @@ class TestStructuralIdentities:
         f = f_projector(sym_partition(k), sym_partition(k - 1), d)
         m = build_measurement(d, k).op
         assert np.linalg.norm(f.mat - m.mat) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        decomposition_coefficients,
+        reduced_optimum,
+        lambda d, k: perturbation_falsifier(d, k, trials=1),
+        absorption_residual,
+    ],
+)
+def test_dense_layers_check_capacity_on_entry(layer):
+    with pytest.raises(CapacityError, match="ambient dimension 390625"):
+        layer(5, 7)  # 5^8 entries per row, S_7 within the group budget

@@ -13,7 +13,6 @@ from mcteleport import (
     irrep_data,
     mult_semistandard,
     max_entangled_state,
-    occupation_rank,
     occupations,
     partial_transpose,
     partitions,
@@ -25,6 +24,7 @@ from mcteleport import (
     symmetric_group,
     young_projector,
 )
+from mcteleport.symgroup import occupation_rank
 
 from oracles import (
     group_average_symmetriser,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mcteleport import (
+    DIM_CAP,
     CapacityError,
     Permutation,
     StateVector,
@@ -26,6 +27,7 @@ from mcteleport import (
     verify_theorem,
 )
 from mcteleport import sar, symgroup, teleport
+from mcteleport.symgroup import occupation_rank
 
 from oracles import (
     dense_conditional_output,
@@ -323,6 +325,45 @@ class TestThinFactor:
     def test_weights_past_the_float_range_are_refused(self):
         with pytest.raises(CapacityError):  # C(1100, 550) > 2^1000
             teleport._sqrt_multinomials(2, 1100)
+
+    @pytest.mark.parametrize("d,k", [(3, 200), (2, 30000), (8, 8), (5, 15), (16, 7), (2, 1010)])
+    def test_oversized_cells_are_refused_before_allocation(self, d, k, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("factor built for a cell over the cap")
+
+        monkeypatch.setattr(teleport, "_insertions", unexpected)
+        monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
+        for form in ("eigen", "projector"):
+            with pytest.raises(CapacityError):
+                build_measurement(d, k, form)
+
+    def test_every_dense_cell_fits_the_factor_cap(self):
+        for d in range(2, 257):  # 257^2 > DIM_CAP
+            for k in range(1, 17):
+                if d ** (k + 1) > DIM_CAP:
+                    break
+                rows, width = d * math.comb(k + d - 1, k), math.comb(k - 2 + d, k - 1)
+                assert rows <= DIM_CAP and rows * width <= teleport.FACTOR_CAP
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 2), (5, 1)])
+    def test_projector_form_shares_no_helper_with_the_eigen_form(self, d, k, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("eigen-form helper used by the projector form")
+
+        monkeypatch.setattr(teleport, "_insertions", unexpected)
+        monkeypatch.setattr(teleport, "occupation_rank", unexpected)
+        monkeypatch.setattr(symgroup, "occupation_rank", unexpected)
+        g = build_measurement(d, k, form="projector").factor
+        b = sym_basis_by_loop(k, d)
+        f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)
+        assert frobenius_distance(f @ f.conj().T, dense_success_element(d, k)) < 1e-12
+
+    def test_residual_sees_a_broken_occupation_rank(self, monkeypatch):
+        m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
+        monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
+        assert eigendecomposition_residual(3, 2) > 0.1
+        with pytest.raises(VerificationError):
+            assert_eigendecomposition(3, 2)
 
     def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
         built = []
