@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -71,9 +72,9 @@ def parse_int_range(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _cell_seed(seed: int, index: int) -> int:
-    children = np.random.SeedSequence(seed).spawn(index + 1)
-    return int(children[index].generate_state(1, np.uint64)[0])
+def _cell_seeds(seed: int, count: int) -> list[int]:
+    """One 64-bit seed per cell, each from its own child of one spawn of the base seed."""
+    return [int(child.generate_state(1, np.uint64)[0]) for child in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _empty_record(d: int, k: int) -> dict:
@@ -88,10 +89,9 @@ def _or_empty(value: float | None) -> float | str:
     return "" if value is None else value
 
 
-def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
+def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     record = _empty_record(d, k)
     start = time.perf_counter()
-    seed = _cell_seed(config.seed, index)
     try:
         if config.suite in ("verify", "sweep"):
             if config.suite == "sweep":
@@ -121,7 +121,7 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
             worst = max(gram, eig, absorption, coeff.residual_on_support)
             record["pass"] = "true" if worst <= config.tol else "false"
         elif config.suite == "optimality":
-            sdp = optimality.reduced_optimum(d, k, seed=seed)
+            sdp = optimality.reduced_optimum(d, k)
             optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed)
             record.update(p_formula=sdp.p_star, p_mean=sdp.grid_p_max)
             record["pass"] = "true"
@@ -151,12 +151,13 @@ def run_cell(config: RunConfig, index: int, d: int, k: int) -> dict:
 
 def run(config: RunConfig) -> tuple[list[dict], bool]:
     cells = config.cells()
+    seeds = _cell_seeds(config.seed, len(cells))
     workers = max(1, config.threads)
     if workers == 1:
-        records = [run_cell(config, i, d, k) for i, (d, k) in enumerate(cells)]
+        records = [run_cell(config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, config, i, d, k) for i, (d, k) in enumerate(cells)]
+            futures = [pool.submit(run_cell, config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
             records = [f.result() for f in futures]
     all_pass = all(record["pass"] != "false" for record in records)
     return records, all_pass
@@ -254,8 +255,10 @@ def main(argv: list[str] | None = None) -> int:
         k_values = parse_int_range(args.k)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
-    if args.samples < 1 or args.tol <= 0:
-        parser.error("need samples >= 1 and tol > 0")
+    if args.samples < 1 or not (math.isfinite(args.tol) and args.tol > 0):
+        parser.error("need samples >= 1 and a finite tol > 0")
+    if args.seed < 0:
+        parser.error("need seed >= 0")
     if args.suite == "sar":
         if args.rank < 1 or (args.dout is not None and args.dout < 1):
             parser.error("need --rank >= 1 and --dout >= 1")

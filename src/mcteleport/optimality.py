@@ -5,10 +5,12 @@ The Haar-averaged feasibility problem is linear in the measurement: maximise
 to the overlap with the partially transposed (k+1)-factor symmetriser,
 covariance under factor permutations and under U^(x k) (x) conj(U), and
 0 <= M <= 1.  Restricted to the two-projector family a1 F + a2 (Q - F) the
-constraint forces a2 = 0 and the objective is maximised at a1 = 1; a
-randomised perturbation search along directions projected exactly onto the
-commutant of both symmetries provides independent evidence beyond the
-reduced family.
+constraint forces a2 = 0 and the objective is maximised at a1 = 1, which
+``reduced_optimum`` reads off the feasible vertices in closed form.  The
+covariance of F is certified exactly by its distance from the commutant of
+both symmetries, and a randomised perturbation search along directions
+projected exactly onto that commutant provides independent evidence beyond
+the reduced family.
 """
 
 from __future__ import annotations
@@ -27,28 +29,23 @@ from .symgroup import (
 )
 from .tensor import (
     Operator,
-    Permutation,
     VerificationError,
     as_rng,
     check_capacity,
-    conjugate_by_permutation,
     haar_state,
-    haar_unitary,
     partial_transpose,
 )
 from .teleport import success_probability_formula
 
-#: Spacing of the [0, 1]^2 grid that re-derives the reduced optimum.
-GRID_STEP = 1e-3
-#: Largest allowed distance of the grid optimum from the closed form.
+#: Largest allowed distance of the reduced optimum from the closed form.
 GRID_TOL = 1e-6
-#: Largest constraint gap a grid point may have and still count as feasible.
+#: Largest constraint gap of F that still counts as rounding of an exact zero.
 FEASIBILITY_TOL = 1e-9
 #: Frobenius length of each normalised perturbation of the optimum.
 PERTURBATION_SCALE = 1.0
 #: How far a feasible candidate's objective may exceed p* before it raises.
 MARGIN = 1e-7
-#: Eigenvalue slack of the [0, 1] feasibility test in the line search.
+#: Eigenvalue slack of the [0, 1] feasibility test of F and of each candidate.
 EIG_SLACK = 1e-10
 
 
@@ -101,6 +98,15 @@ def equality_residual(m: Operator, d: int, k: int) -> float:
     """|LHS - RHS| of the feasibility equality tying the two Haar averages."""
     _check_layout(m, d, k)
     return abs(_constraint_gap(m.mat, d, k))
+
+
+def _covariance_residual(m: Operator, d: int, k: int) -> float:
+    """||P(M) - M||_F with P the orthogonal projection onto the commutant of
+    S_k x (U^(x k) (x) conj(U)): zero exactly when M commutes with every
+    permutation of the copies and with every U^(x k) (x) conj(U).
+    """
+    _check_layout(m, d, k)
+    return float(np.linalg.norm(commutant_projection(m.mat, d, k) - m.mat))
 
 
 @dataclass(frozen=True)
@@ -221,23 +227,14 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     return report
 
 
-def _copy_permutation_residual(m: Operator, k: int) -> float:
-    """Largest ||V M V^dagger - M||_F over the copy permutations (0 1) and (0 1 .. k-1).
-
-    The transposition and the k-cycle generate S_k, so M commutes with every permutation of the copies
-    exactly when both residuals vanish.  S_1 is trivial, and at k = 2 the
-    cycle is the transposition.
-    """
-    generators = {(1, 0) + tuple(range(2, k + 1)), tuple(range(1, k)) + (0, k)} if k > 1 else set()
-    return max(
-        (float(np.linalg.norm(conjugate_by_permutation(Permutation(g), m).mat - m.mat)) for g in generators),
-        default=0.0,
-    )
-
-
 @dataclass(frozen=True)
 class SdpReport:
-    """Optimum of the reduced two-parameter family with a grid cross-check."""
+    """Exact optimum of the reduced two-parameter family.
+
+    ``grid_a1``, ``grid_a2`` and ``grid_p_max`` are the best feasible vertex
+    and its objective, taken from the raw traces; ``covariance_residual`` is
+    the Frobenius distance of F from the commutant of both symmetries.
+    """
 
     d: int
     k: int
@@ -246,57 +243,49 @@ class SdpReport:
     p_star: float
     objective_value: float
     equality_residual: float
-    perm_covariance_residual: float
-    unitary_covariance_residual: float
+    covariance_residual: float
     grid_a1: float
     grid_a2: float
     grid_p_max: float
-    grid_step: float
 
 
-def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) -> SdpReport:
-    """Maximise over M(a1, a2) = a1 F + a2 (Q - F) under the equality.
+def reduced_optimum(d: int, k: int) -> SdpReport:
+    """Maximise over M(a1, a2) = a1 F + a2 (Q - F), 0 <= a1, a2 <= 1, under the equality.
 
-    The constraint gap is linear with zero weight on F and strictly positive
-    weight on Q - F, so a2 = 0 is forced and the objective grows with a1;
-    the dense grid over [0,1]^2 re-derives the same optimum from the raw
-    traces without using that argument.
+    The constraint gap is linear, a1 gap(F) + a2 gap(Q - F), and gap(F) is
+    zero: one larger than FEASIBILITY_TOL raises, a smaller one is rounding
+    and is taken as zero.  The feasible set is then the edge a2 = 0, or the
+    whole square at d = 1, where Q - F is empty and its gap vanishes.  The
+    objective is linear too, so its maximum over that set sits at a vertex;
+    ties go to a2 = 0.  Covariance under S_k and U^(x k) (x) conj(U) is
+    certified at once by the distance of F from their commutant.
     """
     check_capacity(d ** (k + 1))
     family = ReducedMeasurement.build(d, k)
     f_op, ps = family.f, family.ps
-    f = f_op.mat
 
     obj_f = objective(f_op, d, k)
     obj_ps = objective(ps, d, k)
-    gap_f = _constraint_gap(f, d, k)
+    gap_f = _constraint_gap(f_op.mat, d, k)
     gap_ps = _constraint_gap(ps.mat, d, k)
+    if abs(gap_f) > FEASIBILITY_TOL:
+        raise VerificationError(
+            f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}",
+            abs(gap_f),
+        )
 
-    a_values = np.arange(0.0, 1.0 + GRID_STEP / 2, GRID_STEP)
-    # rows are a1 and columns a2, as in an "ij" meshgrid
-    feasible = np.abs(np.add.outer(a_values * gap_f, a_values * gap_ps)) <= FEASIBILITY_TOL
-    objectives = np.add.outer(a_values * obj_f, a_values * obj_ps)
-    if not feasible.any():
-        raise VerificationError(f"no feasible grid point at d={d}, k={k}")
-    masked = np.where(feasible, objectives, -np.inf)
-    best = np.unravel_index(int(np.argmax(masked)), masked.shape)
-    grid_a1, grid_a2 = float(a_values[best[0]]), float(a_values[best[1]])
-    grid_p = float(masked[best])
+    vertices = [(0.0, 0.0), (1.0, 0.0)]
+    if abs(gap_ps) <= FEASIBILITY_TOL:
+        vertices += [(0.0, 1.0), (1.0, 1.0)]
+    grid_a1, grid_a2 = max(vertices, key=lambda a: (a[0] * obj_f + a[1] * obj_ps, -a[1]))
+    grid_p = grid_a1 * obj_f + grid_a2 * obj_ps
 
     p_star = success_probability_formula(d, k)
     if abs(grid_p - p_star) > GRID_TOL or abs(obj_f - p_star) > GRID_TOL:
         raise VerificationError(
-            f"grid optimum {grid_p} deviates from closed form {p_star} at d={d}, k={k}",
+            f"reduced optimum {grid_p} deviates from closed form {p_star} at d={d}, k={k}",
             abs(grid_p - p_star),
         )
-
-    perm_res = _copy_permutation_residual(f_op, k)
-    rng = as_rng(seed)
-    unitary_res = 0.0
-    for _ in range(covariance_samples):
-        u = haar_unitary(d, rng).mat
-        w = reduce(np.kron, [u] * k + [u.conj()])
-        unitary_res = max(unitary_res, float(np.linalg.norm(w @ f @ w.conj().T - f)))
 
     return SdpReport(
         d=d,
@@ -306,13 +295,19 @@ def reduced_optimum(d: int, k: int, covariance_samples: int = 5, seed: int = 0) 
         p_star=p_star,
         objective_value=obj_f,
         equality_residual=abs(gap_f),
-        perm_covariance_residual=perm_res,
-        unitary_covariance_residual=unitary_res,
+        covariance_residual=_covariance_residual(f_op, d, k),
         grid_a1=grid_a1,
         grid_a2=grid_a2,
         grid_p_max=grid_p,
-        grid_step=GRID_STEP,
     )
+
+
+def _check_unit_interval(mat: np.ndarray, what: str) -> None:
+    """Raise unless the Hermitian mat has its spectrum in [-EIG_SLACK, 1 + EIG_SLACK]."""
+    spectrum = np.linalg.eigvalsh(mat)
+    excess = max(-spectrum[0], spectrum[-1] - 1.0)
+    if excess > EIG_SLACK:
+        raise VerificationError(f"{what} leaves [0, 1] by {excess:.3e}", excess)
 
 
 @dataclass(frozen=True)
@@ -345,10 +340,12 @@ def perturbation_falsifier(
     compressed by (1 - (Q - F)); that keeps 0 <= M <= 1, zeroes the
     constraint gap structurally (a final exact correction removes
     rounding), and costs nothing in objective, which is blind to the
-    removed coherences.  A line search from the optimum toward
-    the candidate then certifies feasibility of the reported point.  A
-    candidate whose objective exceeds p* + MARGIN raises, as it would
-    contradict the optimality statement or expose a bug.
+    removed coherences.  The commutant is commutative, so F, the shield and
+    the clipped operator commute and the candidate's spectrum stays in
+    [0, 1]; one ``eigvalsh`` per trial certifies that, and a candidate
+    outside [-EIG_SLACK, 1 + EIG_SLACK] raises.  A candidate whose
+    objective exceeds p* + MARGIN raises, as it would contradict the
+    optimality statement or expose a bug.
     """
     check_capacity(d ** (k + 1))
     f = _success_projector(d, k)
@@ -360,6 +357,7 @@ def perturbation_falsifier(
     dim = f.shape[0]
     shield = np.eye(dim) - ps
 
+    _check_unit_interval(f, f"optimal element at d={d}, k={k}")
     child_seeds = np.random.SeedSequence(seed).spawn(trials)
     max_objective = p_star
     max_step = 0.0
@@ -376,29 +374,10 @@ def perturbation_falsifier(
         target = shield @ clipped @ shield
         if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
             target -= (_constraint_gap(target, d, k) / gap_ps) * ps
-        delta = target - f
-
-        def feasible(step: float) -> bool:
-            spectrum = np.linalg.eigvalsh(f + step * delta)
-            return spectrum[0] >= -EIG_SLACK and spectrum[-1] <= 1.0 + EIG_SLACK
-
-        if not feasible(0.0):
-            raise VerificationError(f"optimal element infeasible at d={d}, k={k}")
-        if feasible(1.0):
-            step = 1.0
-        else:
-            lo, hi = 0.0, 1.0
-            for _ in range(50):
-                mid = (lo + hi) / 2
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            step = lo
-        candidate = Operator(f + step * delta, dims)
-        value = objective(candidate, d, k)
+        _check_unit_interval(target, f"candidate at d={d}, k={k} (trial {index}, seed {seed})")
+        value = objective(Operator(target, dims), d, k)
         max_objective = max(max_objective, value)
-        max_step = max(max_step, step * float(np.linalg.norm(delta)))
+        max_step = max(max_step, float(np.linalg.norm(target - f)))
         if value > p_star + MARGIN:
             raise VerificationError(
                 f"feasible candidate beats the optimum at d={d}, k={k}: "

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mcteleport import cli, teleport
@@ -32,6 +33,15 @@ class TestDeterminism:
             )
             assert result.returncode == 0, result.stderr
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_cell_seeds_come_from_one_spawn(self):
+        # Cell i keeps the seed of child i of a spawn of any longer length,
+        # so a report does not depend on how many cells follow it.
+        for base in (0, 7, 2**63 + 5):
+            seeds = cli._cell_seeds(base, 20)
+            for i, seed in enumerate(seeds):
+                child = np.random.SeedSequence(base).spawn(i + 1)[i]
+                assert seed == int(child.generate_state(1, np.uint64)[0])
 
     def test_timestamp_header_present_by_default(self):
         result = run_cli("verify", "--d", "2", "--k", "1", "--samples", "2")
@@ -79,8 +89,16 @@ class TestExitCodes:
         assert result.returncode == 2
 
     def test_bad_tolerance_exits_two(self):
-        result = run_cli("verify", "--d", "2", "--k", "1", "--tol", "0")
+        # nan would fail every cell and inf would pass every cell
+        for tol in ("0", "nan", "inf", "-inf"):
+            result = run_cli("verify", "--d", "2", "--k", "1", "--tol", tol)
+            assert result.returncode == 2, tol
+            assert "Traceback" not in result.stderr
+
+    def test_negative_seed_exits_two(self):
+        result = run_cli("verify", "--d", "2", "--k", "1", "--seed", "-1")
         assert result.returncode == 2
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize(
         "options",

@@ -156,16 +156,38 @@ class TestReducedOptimum:
         assert np.linalg.norm(f.mat - phi.mat) < 1e-12
 
     def test_feasibility_and_covariance_residuals(self):
-        report = reduced_optimum(2, 2, covariance_samples=10)
+        report = reduced_optimum(2, 2)
         assert report.equality_residual <= 1e-11
-        assert report.perm_covariance_residual <= 1e-11
-        assert report.unitary_covariance_residual <= 1e-9
+        assert report.covariance_residual <= 1e-11
 
     def test_seven_copies_are_covariant(self):
-        assert reduced_optimum(2, 7, covariance_samples=1).perm_covariance_residual <= 1e-11
+        assert reduced_optimum(2, 7).covariance_residual <= 1e-11
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trivial_dimension_takes_the_a2_zero_vertex(self, k):
+        # Q - F is empty at d = 1, so the whole square is feasible and the
+        # tie between (1, 0) and (1, 1) goes to a2 = 0.
+        report = reduced_optimum(1, k)
+        assert (report.grid_a1, report.grid_a2) == (1.0, 0.0)
+        assert report.grid_p_max == report.objective_value == 1.0
+
+    def test_violated_equality_raises(self, monkeypatch):
+        # Mixing in some of Q - F puts weight where the equality has a gap.
+        f = optimality._success_projector(2, 2)
+        q = optimality._sym_with_identity(2, 2)
+        monkeypatch.setattr(optimality, "_success_projector", lambda d, k: f + 0.1 * (q - f))
+        with pytest.raises(VerificationError, match="violates the equality"):
+            reduced_optimum(2, 2)
 
 
-class TestCopyPermutationResidual:
+def _projection_by_least_squares(op, d, k):
+    """Distance of op from the span of the explicit orbit sums (test oracle)."""
+    basis = np.array([b.reshape(-1) for b in commutant_orbit_sums(d, k)]).T
+    coefficients, *_ = np.linalg.lstsq(basis, op.mat.reshape(-1), rcond=None)
+    return float(np.linalg.norm(basis @ coefficients - op.mat.reshape(-1)))
+
+
+class TestCovarianceResidual:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_transposition_alone_is_not_enough(self, k):
         # |0 0 1 .. 1>|0>: (0 1) fixes it, the k-cycle does not
@@ -175,19 +197,43 @@ class TestCopyPermutationResidual:
         op = Operator(np.outer(v, v), (d,) * (k + 1))
         swap = Permutation((1, 0) + tuple(range(2, k + 1)))
         assert np.linalg.norm(conjugate_by_permutation(swap, op).mat - op.mat) == 0.0
-        assert optimality._copy_permutation_residual(op, k) > 1e-11
-        assert optimality._copy_permutation_residual(op, k) == pytest.approx(math.sqrt(2))
+        residual = optimality._covariance_residual(op, d, k)
+        assert residual > 1e-11
+        assert residual == pytest.approx(_projection_by_least_squares(op, d, k), abs=1e-12)
 
-    def test_two_copies_need_only_the_swap(self):
+    def test_two_copies_and_one_copy(self):
         v = np.zeros(8)
         v[0b010] = 1.0  # |0 1>|0> is moved by the one nontrivial permutation
         op = Operator(np.outer(v, v), (2, 2, 2))
-        assert optimality._copy_permutation_residual(op, 2) == pytest.approx(math.sqrt(2))
-        assert optimality._copy_permutation_residual(op, 1) == 0.0  # S_1 is trivial
+        assert optimality._covariance_residual(op, 2, 2) == pytest.approx(
+            _projection_by_least_squares(op, 2, 2), abs=1e-12
+        )
+        assert optimality._covariance_residual(op, 2, 2) > 1e-11
+        # S_1 is trivial: only U (x) conj(U) acts, which fixes span{1, Phi}
+        # and moves |0 1><0 1|
+        phi = max_entangled_state(2).projector()
+        assert optimality._covariance_residual(phi, 2, 1) <= 1e-12
+        assert optimality._covariance_residual(identity_operator((2, 2)), 2, 1) <= 1e-12
+        w = np.zeros(4)
+        w[0b01] = 1.0
+        moved = Operator(np.outer(w, w), (2, 2))
+        assert optimality._covariance_residual(moved, 2, 1) > 1e-11
+
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (2, 4)])
+    def test_copy_permutations_alone_are_not_enough(self, d, k):
+        # |0><0|^(x (k+1)) is fixed by every permutation of the copies but
+        # not by U^(x k) (x) conj(U)
+        v = np.zeros(d ** (k + 1))
+        v[0] = 1.0
+        op = Operator(np.outer(v, v), (d,) * (k + 1))
+        assert np.linalg.norm(copy_average(op.mat, d, k) - op.mat) == 0.0
+        residual = optimality._covariance_residual(op, d, k)
+        assert residual > 1e-11
+        assert residual == pytest.approx(_projection_by_least_squares(op, d, k), abs=1e-12)
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 3), (2, 5)])
     def test_optimum_is_covariant(self, d, k):
-        assert optimality._copy_permutation_residual(build_measurement(d, k).op, k) <= 1e-11
+        assert optimality._covariance_residual(build_measurement(d, k).op, d, k) <= 1e-11
 
 
 class TestFalsifier:
@@ -207,7 +253,7 @@ class TestFalsifier:
         assert report.max_objective <= report.p_star + 1e-7
 
     def test_search_takes_nontrivial_steps(self):
-        # The twirled directions must actually move the candidate, otherwise
+        # The projected directions must actually move the candidate, otherwise
         # the search is vacuous.
         report = perturbation_falsifier(2, 2, trials=10, seed=5)
         assert report.max_step > 1e-3
@@ -218,6 +264,20 @@ class TestFalsifier:
         p_star = success_probability_formula(2, 2)
         monkeypatch.setattr(optimality, "objective", lambda m, d, k: p_star + 2 * optimality.MARGIN)
         with pytest.raises(VerificationError, match="beats the optimum"):
+            perturbation_falsifier(2, 2, trials=1)
+
+    def test_candidate_outside_the_unit_interval_raises(self, monkeypatch):
+        # A wrong gap correction subtracts all of Q - F, where the shielded
+        # candidate is zero: eigenvalue -1, and a lower objective, so only
+        # the spectrum check can catch it.
+        monkeypatch.setattr(optimality, "_constraint_gap", lambda mat, d, k: 1.0)
+        with pytest.raises(VerificationError, match=r"leaves \[0, 1\]"):
+            perturbation_falsifier(2, 2, trials=1)
+
+    def test_infeasible_optimum_raises(self, monkeypatch):
+        f = optimality._success_projector(2, 2)
+        monkeypatch.setattr(optimality, "_success_projector", lambda d, k: 1.5 * f)
+        with pytest.raises(VerificationError, match="optimal element"):
             perturbation_falsifier(2, 2, trials=1)
 
     def test_eight_copies_still_run(self):
