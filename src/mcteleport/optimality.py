@@ -22,7 +22,6 @@ import numpy as np
 
 from .symgroup import (
     commutant_projection,
-    f_projector,
     mult_semistandard,
     sym_partition,
     sym_projector,
@@ -32,10 +31,11 @@ from .tensor import (
     VerificationError,
     as_rng,
     check_capacity,
+    check_group_budget,
     haar_state,
     partial_transpose,
 )
-from .teleport import success_probability_formula
+from .teleport import build_measurement, success_probability_formula
 
 #: Largest allowed distance of the reduced optimum from the closed form.
 GRID_TOL = 1e-6
@@ -69,8 +69,8 @@ def _transposed_symmetriser(d: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _success_projector(d: int, k: int) -> np.ndarray:
-    """F at the one-row frames: equals the optimal measurement exactly."""
-    return f_projector(sym_partition(k), sym_partition(k - 1), d).mat
+    """F = F_(k)((k-1)), the optimal measurement: the dense ``Measurement.op``."""
+    return build_measurement(d, k).op.mat
 
 
 def _check_layout(m: Operator, d: int, k: int) -> None:
@@ -261,6 +261,7 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
     certified at once by the distance of F from their commutant.
     """
     check_capacity(d ** (k + 1))
+    check_group_budget(k)  # before F and Q: the commutant tables enumerate S_(k+1)
     family = ReducedMeasurement.build(d, k)
     f_op, ps = family.f, family.ps
 
@@ -348,6 +349,7 @@ def perturbation_falsifier(
     optimality statement or expose a bug.
     """
     check_capacity(d ** (k + 1))
+    check_group_budget(k)  # before F and Q: the commutant tables enumerate S_(k+1)
     f = _success_projector(d, k)
     q = _sym_with_identity(d, k)
     ps = q - f

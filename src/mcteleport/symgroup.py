@@ -169,10 +169,10 @@ def _group_sum(n: int, d: int, weight_of_class) -> np.ndarray:
     dims = (d,) * n
     total = math.prod(dims)
     check_capacity(total)
-    acc = np.zeros((total, total), dtype=complex)
+    acc = np.zeros((total, total))
     cols = np.arange(total)
     multi = np.array(np.unravel_index(cols, dims))
-    weights: dict[tuple[int, ...], complex] = {}
+    weights: dict[tuple[int, ...], float] = {}
     for sigma in group:
         ct = sigma.cycle_type()
         w = weights.get(ct)
@@ -270,7 +270,7 @@ def sym_basis(n: int, d: int) -> tuple[StateVector, ...]:
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     if n == 0:
-        return (StateVector(np.ones(1, dtype=complex), ()),)
+        return (StateVector(np.ones(1), ()),)
     total = d**n
     check_capacity(total)
     kets = np.arange(total)
@@ -279,7 +279,7 @@ def sym_basis(n: int, d: int) -> tuple[StateVector, ...]:
         counts[kets, digits] += 1
     rank = occupation_rank(counts)
     members = np.bincount(rank)
-    rows = np.zeros((len(members), total), dtype=complex)
+    rows = np.zeros((len(members), total))
     rows[rank, kets] = 1.0 / np.sqrt(members[rank])
     return tuple(StateVector(row, (d,) * n) for row in rows)
 
@@ -321,7 +321,7 @@ def f_projector(mu: Partition, alpha: Partition, d: int) -> Operator:
         thin = entangled_column
     else:
         thin = np.kron(young_projector(alpha, d).mat, entangled_column)
-    out = np.zeros((total, total), dtype=complex)
+    out = np.zeros((total, total))
     for a in range(k):
         swap = Permutation.transposition(k + 1, a, k - 1)
         f = permutation_index_map(swap, dims)
@@ -338,6 +338,7 @@ def absorption_residual(d: int, k: int) -> float:
     the first k factors and annihilates every other one.
     """
     check_capacity(d ** (k + 1))
+    check_group_budget(k)  # the frames' group sums need S_k; check before Psym_(k+1) is built
     big = sym_projector(k + 1, d).mat
     worst = 0.0
     for mu in partitions(k):
@@ -463,7 +464,7 @@ def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:
     tr(V_sigma_o^(t_k)dagger A(x)) is gathered from A(x) at the positions of
     the representative, and sum_o c_o B_o = A(sum_o c_o |o| V_sigma_o^(t_k)).
     The orbit sums are real, so a complex x is projected as its real and
-    imaginary parts.
+    imaginary parts; a real x stays real.
     """
     if np.iscomplexobj(x):
         return commutant_projection(x.real, d, k) + 1j * commutant_projection(x.imag, d, k)

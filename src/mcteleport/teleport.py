@@ -348,10 +348,10 @@ def verify_theorem(
 ) -> TheoremReport:
     """Sample Haar inputs, simulate, and compare against the formula.
 
-    Passes iff every sampled probability matches k/(d(k-1+d)) within tol and
-    every conditional output has fidelity at least 1 - tol with the input.
-    The report also carries the residual between the two measurement
-    constructions, reusing the eigen form it sampled with.
+    Passes iff every sampled probability matches k/(d(k-1+d)) within tol,
+    every conditional output has fidelity at least 1 - tol with the input,
+    and the residual between the two measurement constructions (reusing the
+    eigen form it sampled with) is at most tol.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -369,7 +369,7 @@ def verify_theorem(
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
     eig_residual = _factor_distance(meas.factor, build_measurement(d, k, form="projector").factor)
-    passed = bool(deviations.max() <= tol and fids.min() >= 1.0 - tol)
+    passed = bool(deviations.max() <= tol and fids.min() >= 1.0 - tol and eig_residual <= tol)
     return TheoremReport(
         d=d,
         k=k,

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra over tensor products of qudit spaces.
+"""Dense linear algebra over tensor products of qudit spaces.
 
 Conventions used throughout the package:
 
@@ -10,6 +10,8 @@ Conventions used throughout the package:
   ``V_sigma |v_0 .. v_{n-1}>`` is the ket whose i-th factor carries
   ``v_{sigma^{-1}(i)}``.  Permutations are applied by index remapping, never
   by materialising permutation matrices inside loops.
+* An array's dtype follows its data: float64 for the permutation algebra,
+  complex only where Haar states, unitaries and channels enter.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ import numpy as np
 
 #: Default tolerance for identity-style checks (Frobenius residuals).
 DEFAULT_ATOL = 1e-9
-#: Default tolerance for unitarity checks.
-UNITARY_ATOL = 1e-12
 #: Largest ambient dimension constructed without raising CapacityError.
 DIM_CAP = 65536
 #: Largest factorial group iterated when assembling group averages.
@@ -43,16 +43,16 @@ class VerificationError(RuntimeError):
         self.residual = residual
 
 
-def check_capacity(dim: int, cap: int = DIM_CAP) -> None:
-    if dim > cap:
-        raise CapacityError(f"ambient dimension {dim} exceeds cap {cap}")
+def check_capacity(dim: int) -> None:
+    if dim > DIM_CAP:
+        raise CapacityError(f"ambient dimension {dim} exceeds cap {DIM_CAP}")
 
 
-def check_group_budget(n: int, budget: int = GROUP_BUDGET) -> None:
-    if n > budget:
+def check_group_budget(n: int) -> None:
+    if n > GROUP_BUDGET:
         raise CapacityError(
             f"symmetric group on {n} letters ({math.factorial(n)} elements) "
-            f"exceeds budget {budget}"
+            f"exceeds budget {GROUP_BUDGET}"
         )
 
 
@@ -69,7 +69,8 @@ def _validate_dims(dims: tuple[int, ...]) -> None:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex, order="C")
+    arr = np.asarray(arr)
+    out = np.array(arr, dtype=np.result_type(arr, float), order="C")
     out.setflags(write=False)
     return out
 
@@ -135,7 +136,7 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Dense complex vector tagged with a subsystem layout."""
+    """Dense real or complex vector tagged with a subsystem layout."""
 
     vec: np.ndarray
     dims: tuple[int, ...]
@@ -167,7 +168,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense complex square matrix tagged with a subsystem layout."""
+    """Dense real or complex square matrix tagged with a subsystem layout."""
 
     mat: np.ndarray
     dims: tuple[int, ...]
@@ -185,9 +186,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.mat.conj().T, self.dims)
 
     def trace(self) -> complex:
         return complex(self.mat.trace())
@@ -208,13 +206,13 @@ class Operator:
 
 
 def identity_operator(dims: tuple[int, ...]) -> Operator:
-    return Operator(np.eye(math.prod(dims), dtype=complex), dims)
+    return Operator(np.eye(math.prod(dims)), dims)
 
 
-def kron(a: Operator | StateVector, b: Operator | StateVector, cap: int = DIM_CAP):
+def kron(a: Operator | StateVector, b: Operator | StateVector):
     """Tensor product; the layout is the concatenation of the layouts."""
     dims = a.dims + b.dims
-    check_capacity(math.prod(dims), cap)
+    check_capacity(math.prod(dims))
     if isinstance(a, Operator) and isinstance(b, Operator):
         return Operator(np.kron(a.mat, b.mat), dims)
     if isinstance(a, StateVector) and isinstance(b, StateVector):
@@ -276,13 +274,13 @@ def permutation_index_map(sigma: Permutation, dims: tuple[int, ...]) -> np.ndarr
     return np.ravel_multi_index(tuple(multi[inv]), dims)
 
 
-def permutation_operator(sigma: Permutation, d: int, cap: int = DIM_CAP) -> Operator:
+def permutation_operator(sigma: Permutation, d: int) -> Operator:
     """Dense 0/1 matrix of the factor permutation on ``n`` qudits of dim d."""
     dims = (d,) * sigma.n
     total = math.prod(dims)
-    check_capacity(total, cap)
+    check_capacity(total)
     f = permutation_index_map(sigma, dims)
-    mat = np.zeros((total, total), dtype=complex)
+    mat = np.zeros((total, total))
     mat[f, np.arange(total)] = 1.0
     return Operator(mat, dims)
 
@@ -312,7 +310,7 @@ def max_entangled_state(d: int) -> StateVector:
     """The two-qudit state with Schmidt-uniform weights 1/sqrt(d) on |ii>."""
     if d < 1:
         raise ValueError("local dimension must be at least 1")
-    return StateVector(np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d), (d, d))
+    return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
 
 
 def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:

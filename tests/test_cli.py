@@ -216,12 +216,30 @@ class TestOtherSuites:
             raise AssertionError("verify_theorem ran on a cell that skips")
 
         monkeypatch.setattr(teleport, "verify_theorem", unexpected)
-        argv = ["sweep", "--d", "2", "--k", "9", "--samples", "5", "--threads", "1",
+        argv = ["sweep", "--d", "5", "--k", "7", "--samples", "5", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
-        assert "symmetric group on 9 letters" in cell["detail"]
+        assert "ambient dimension 390625" in cell["detail"]
+
+    def test_sweep_runs_past_the_group_budget(self):
+        result = run_cli("sweep", "--d", "2", "--k", "9", "--samples", "5", "--format", "json",
+                         "--no-timestamp")
+        assert result.returncode == 0, result.stderr
+        cell = json.loads(result.stdout)["cells"][0]
+        assert cell["pass"] == "true"
+        assert cell["c1"] == pytest.approx(11 / 10, abs=1e-10)  # (d + k)/(k + 1)
+        assert cell["c2"] == pytest.approx(1 / 10, abs=1e-10)  # 1/(k + 1)
+
+    @pytest.mark.parametrize("suite,k", [("optimality", 14), ("lemmas", 12)])
+    def test_group_budget_skips_before_any_dense_operator(self, suite, k, forbid_dense_builders, capsys):
+        argv = [suite, "--d", "2", "--k", str(k), "--samples", "1", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert f"symmetric group on {k} letters" in cell["detail"]
 
     def test_optimality_suite(self):
         result = run_cli(

@@ -26,6 +26,8 @@ from mcteleport import (
     reduced_optimum,
     success_probability_formula,
     sym_partition,
+    sym_projector,
+    young_projector,
 )
 from mcteleport import optimality
 
@@ -34,6 +36,7 @@ from oracles import (
     copy_average,
     covariant_unitary,
     dense_permutation_matrix,
+    dense_success_element,
     haar_twirl,
     haar_unitary_by_qr,
     partially_transposed_overlap,
@@ -432,3 +435,38 @@ class TestStructuralIdentities:
 def test_dense_layers_check_capacity_on_entry(layer):
     with pytest.raises(CapacityError, match="ambient dimension 390625"):
         layer(5, 7)  # 5^8 entries per row, S_7 within the group budget
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        reduced_optimum,
+        lambda d, k: perturbation_falsifier(d, k, trials=1),
+        absorption_residual,
+    ],
+)
+def test_group_layers_check_the_budget_before_any_dense_operator(layer, forbid_dense_builders):
+    with pytest.raises(CapacityError, match="symmetric group on 9 letters"):
+        layer(2, 9)  # 2^10 entries per row is within the dense cap
+
+
+SUCCESS_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 10) if d ** (k + 1) <= 1024]
+
+
+class TestDenseSuccessElement:
+    @pytest.mark.parametrize("d,k", SUCCESS_CELLS)
+    def test_matches_the_written_out_formula(self, d, k):
+        f = optimality._success_projector(d, k)
+        assert np.linalg.norm(f - dense_success_element(d, k)) <= 1e-12
+
+    def test_permutation_algebra_is_real(self):
+        d, k = 2, 3
+        arrays = [
+            sym_projector(k, d).mat,
+            young_projector((2, 1), d).mat,
+            f_projector(sym_partition(k), sym_partition(k - 1), d).mat,
+            optimality._success_projector(d, k),
+            optimality._sym_with_identity(d, k),
+            optimality._transposed_symmetriser(d, k),
+        ]
+        assert [a.dtype for a in arrays] == [np.float64] * len(arrays)

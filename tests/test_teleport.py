@@ -26,7 +26,7 @@ from mcteleport import (
     symmetric_group,
     verify_theorem,
 )
-from mcteleport import sar, symgroup, teleport
+from mcteleport import cli, sar, symgroup, teleport
 from mcteleport.symgroup import occupation_rank
 
 from oracles import (
@@ -238,6 +238,12 @@ class TestVerifyTheorem:
     def test_probability_is_input_independent(self):
         report = verify_theorem(3, 2, samples=40, seed=8)
         assert report.p_std <= 1e-10
+
+    def test_disagreeing_constructions_fail(self, monkeypatch, capsys):
+        monkeypatch.setattr(teleport, "_factor_distance", lambda *args: 1.0)
+        assert not verify_theorem(2, 2, samples=3, seed=9).passed
+        assert cli.main(["verify", "--d", "2", "--k", "2", "--samples", "3", "--threads", "1"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[-2] == "false"
 
     def test_impossible_tolerance_fails_with_worst_sample(self):
         report = verify_theorem(2, 2, samples=10, seed=9, tol=0.0)

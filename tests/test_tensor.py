@@ -55,9 +55,8 @@ class TestKron:
         assert abs(kron(x, y).trace() - direct) < 1e-12
 
     def test_capacity_error(self):
-        big = identity_operator((256,))
         with pytest.raises(CapacityError):
-            kron(big, big, cap=1024)
+            kron(identity_operator((512,)), identity_operator((256,)))  # 131072 > DIM_CAP
 
 
 class TestPartialTrace:
@@ -276,6 +275,16 @@ class TestValueTypes:
     def test_statevector_layout_mismatch(self):
         with pytest.raises(ValueError):
             StateVector(np.zeros(3), (2, 2))
+
+    def test_dtype_follows_the_data(self):
+        assert Operator(np.eye(2), (2,)).mat.dtype == np.float64
+        assert Operator(np.eye(2, dtype=int), (2,)).mat.dtype == np.float64
+        assert Operator(np.eye(2, dtype=complex), (2,)).mat.dtype == np.complex128
+        assert StateVector([1, 0], (2,)).vec.dtype == np.float64
+        assert StateVector(np.array([1j, 0]), (2,)).vec.dtype == np.complex128
+        assert identity_operator((2,)).mat.dtype == np.float64
+        assert max_entangled_state(3).vec.dtype == np.float64
+        assert haar_unitary(2, 0).mat.dtype == np.complex128
 
     def test_arrays_are_frozen(self):
         op = identity_operator((2,))
