@@ -7,9 +7,10 @@ and the perturbation search, ``sar`` exercises program storage and
 retrieval, and ``sweep`` combines verify with the coefficient checks.
 
 Exit code 0 means every executed cell passed, 1 flags a verification
-failure, 2 a usage error.  With a fixed seed the report is byte-identical
-across runs once the timestamp (and with it the wall-time column) is
-suppressed.
+failure, 2 a usage error, and 3 a cell that raised any other exception: it
+is recorded as ``error`` with the exception in its detail, and the grid
+goes on.  With a fixed seed the report is byte-identical across runs once
+the timestamp (and with it the wall-time column) is suppressed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -145,22 +147,23 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     except VerificationError as exc:
         record["pass"] = "false"
         record["detail"] = str(exc)
+    except Exception as exc:
+        traceback.print_exc()
+        record["pass"] = "error"
+        record["detail"] = f"error:{type(exc).__name__}: {exc}"
     record["seconds"] = time.perf_counter() - start
     return record
 
 
-def run(config: RunConfig) -> tuple[list[dict], bool]:
+def run(config: RunConfig) -> list[dict]:
     cells = config.cells()
     seeds = _cell_seeds(config.seed, len(cells))
     workers = max(1, config.threads)
     if workers == 1:
-        records = [run_cell(config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_cell, config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
-            records = [f.result() for f in futures]
-    all_pass = all(record["pass"] != "false" for record in records)
-    return records, all_pass
+        return [run_cell(config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(run_cell, config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
+        return [f.result() for f in futures]
 
 
 def _format_value(column: str, value) -> str:
@@ -281,14 +284,16 @@ def main(argv: list[str] | None = None) -> int:
         d_out=getattr(args, "dout", None),
         kraus_rank=getattr(args, "rank", 2),
     )
-    records, all_pass = run(config)
+    records = run(config)
+    outcomes = {record["pass"] for record in records}
+    all_pass = not outcomes & {"false", "error"}
     text = render_csv(config, records) if config.fmt == "csv" else render_json(config, records, all_pass)
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 0 if all_pass else 1
+    return 1 if "false" in outcomes else 3 if "error" in outcomes else 0
 
 
 if __name__ == "__main__":

@@ -261,7 +261,7 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
     certified at once by the distance of F from their commutant.
     """
     check_capacity(d ** (k + 1))
-    check_group_budget(k)  # before F and Q: the commutant tables enumerate S_(k+1)
+    check_group_budget(k)  # before F and Q: the commutant blocks sum over S_k
     family = ReducedMeasurement.build(d, k)
     f_op, ps = family.f, family.ps
 
@@ -349,7 +349,7 @@ def perturbation_falsifier(
     optimality statement or expose a bug.
     """
     check_capacity(d ** (k + 1))
-    check_group_budget(k)  # before F and Q: the commutant tables enumerate S_(k+1)
+    check_group_budget(k)  # before F and Q: the commutant blocks sum over S_k
     f = _success_projector(d, k)
     q = _sym_with_identity(d, k)
     ps = q - f

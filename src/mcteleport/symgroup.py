@@ -3,8 +3,10 @@
 Partitions are tuples of weakly decreasing positive integers; the empty
 tuple is the (trivial) partition of 0, needed as the removed-box companion
 of the single-box frame.  Young frames, tableau counts, irreducible
-characters, the character-weighted group projectors and the projectors of
-the partially transposed permutation algebra all live here.
+characters, the character-weighted group projectors (every frame of k from
+one pass over S_k), the projectors F_mu(alpha) of the partially transposed
+permutation algebra, and the projection onto the commutant that those
+projectors span all live here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
 
 import numpy as np
 
@@ -163,43 +164,61 @@ def character(mu: Partition, sigma: Permutation) -> int:
     return _character_of_class(mu, sigma.cycle_type())
 
 
-def _group_sum(n: int, d: int, weight_of_class) -> np.ndarray:
-    """Sum of weight(class(sigma)) * V_sigma over S_n, assembled by remapping."""
-    group = symmetric_group(n)  # checks the group budget before anything is allocated
-    dims = (d,) * n
-    total = math.prod(dims)
-    check_capacity(total)
-    acc = np.zeros((total, total))
-    cols = np.arange(total)
-    multi = np.array(np.unravel_index(cols, dims))
-    weights: dict[tuple[int, ...], float] = {}
-    for sigma in group:
-        ct = sigma.cycle_type()
-        w = weights.get(ct)
-        if w is None:
-            w = weights[ct] = weight_of_class(ct)
-        if w == 0:
-            continue
-        rows = np.ravel_multi_index(tuple(multi[list(sigma.inverse().images)]), dims)
-        acc[rows, cols] += w
-    return acc
-
-
 @lru_cache(maxsize=None)
+def _young_projectors(k: int, d: int) -> dict[Partition, Operator]:
+    """``young_projector`` of every frame of k with at most d rows, from one pass over S_k.
+
+    V_sigma has its one in column j at row sum_m d^(k-1-sigma(m)) j_m, so each
+    chunk of the group is remapped by one integer product and added into every
+    frame, weighted by its characters, by ``np.bincount``.  A chunk has at most
+    max(d^(2k), k!) keys.  The sums are exact integers until the scale.
+    """
+    frames = [mu for mu in partitions(k) if len(mu) <= d]
+    group = symmetric_group(k)  # checks the group budget before anything is allocated
+    total = d**k
+    check_capacity(total)
+    images, label, classes = [], [], {}
+    for sigma in group:
+        images.append(sigma.images)
+        label.append(classes.setdefault(sigma.cycle_type(), len(classes)))
+    chars = np.array([[_character_of_class(mu, ct) for ct in classes] for mu in frames], dtype=float)
+    places = (d ** np.arange(k - 1, -1, -1))[np.array(images)]
+    digits = np.indices((d,) * k).reshape(k, total)
+    sums = np.zeros((len(frames), total * total))
+    step = max(total, len(images) // total)
+    for start in range(0, len(images), step):
+        keys = (places[start : start + step] @ digits * total + np.arange(total)).reshape(-1)
+        for acc, weight in zip(sums, chars[:, label[start : start + step]]):
+            acc += np.bincount(keys, np.repeat(weight, total), total * total)
+    out = {}
+    for mu, acc in zip(frames, sums):
+        acc *= dim_standard(mu) / math.factorial(k)
+        out[mu] = Operator(acc.reshape(total, total), (d,) * k)
+    return out
+
+
 def young_projector(mu: Partition, d: int) -> Operator:
     """Character-weighted group average projecting on the mu-isotypic part.
 
     P_mu = (d_mu / k!) sum_sigma chi_mu(sigma^{-1}) V_sigma on (C^d)^(x k);
     sigma and its inverse share a cycle type, so the class character is used
     directly.  Satisfies P_mu P_nu = delta P_mu and tr P_mu = m_mu d_mu.
+    A frame taller than d gives the zero operator without a group sum; every
+    other one is the read-only operator stored by ``_young_projectors``.
     """
     check_partition(mu)
     k = sum(mu)
     if k < 1:
         raise ValueError("young_projector needs a non-empty frame")
-    mat = _group_sum(k, d, lambda ct: _character_of_class(mu, ct))
-    mat *= dim_standard(mu) / math.factorial(k)
-    return Operator(mat, (d,) * k)
+    if len(mu) > d:
+        check_capacity(d**k)
+        return Operator(np.zeros((d**k, d**k)), (d,) * k)
+    return _young_projectors(k, d)[mu]
+
+
+# The store is the cache of the group passes, so its statistics are this
+# function's: a miss is one pass over S_k.
+young_projector.cache_info = _young_projectors.cache_info
 
 
 @lru_cache(maxsize=None)
@@ -312,21 +331,19 @@ def f_projector(mu: Partition, alpha: Partition, d: int) -> Operator:
     check_capacity(total)
     # P_mu comes first: its group is the larger, so an over-budget frame
     # raises before the smaller group is summed.
-    big = np.kron(young_projector(mu, d).mat, np.eye(d))
+    p_mu = young_projector(mu, d).mat
     # The middle factor P_alpha (x) d P+ equals B B^dagger with B of rank
     # d^(k-1), so the sandwich is assembled from k thin products instead of
-    # two full dim^3 multiplications.
+    # two full dim^3 multiplications; P_mu (x) 1 acts on B with the last
+    # factor moved into the columns.
     entangled_column = math.sqrt(d) * max_entangled_state(d).vec.reshape(-1, 1)
-    if k == 1:
-        thin = entangled_column
-    else:
-        thin = np.kron(young_projector(alpha, d).mat, entangled_column)
+    thin = entangled_column if k == 1 else np.kron(young_projector(alpha, d).mat, entangled_column)
     out = np.zeros((total, total))
     for a in range(k):
         swap = Permutation.transposition(k + 1, a, k - 1)
         f = permutation_index_map(swap, dims)
         # f is an involution (swap is self-inverse), so B[f] applies V_swap.
-        column = big @ thin[f, :]
+        column = (p_mu @ thin[f, :].reshape(d**k, -1)).reshape(total, -1)
         out += column @ column.conj().T
     return Operator(out / gamma, dims)
 
@@ -348,131 +365,59 @@ def absorption_residual(d: int, k: int) -> float:
     return worst
 
 
-def _lex_rank(columns: np.ndarray) -> np.ndarray:
-    """Lexicographic indices in S_n of permutations given as image columns (Lehmer code)."""
-    n = len(columns)
-    rank = np.zeros(columns.shape[1], dtype=np.intp)
-    later_smaller = np.empty(columns.shape[1], dtype=np.int8)
-    for i in range(n - 1):
-        later_smaller[:] = 0
-        for j in range(i + 1, n):
-            later_smaller += columns[j] < columns[i]
-        rank += later_smaller.astype(np.intp) * math.factorial(n - 1 - i)
-    return rank
-
-
-def _cycle_lengths(perms: np.ndarray) -> np.ndarray:
-    """Length of the cycle through each letter, row by row."""
-    n = perms.shape[1]
-    letters = np.arange(n)
-    lengths = np.zeros(perms.shape, dtype=np.intp)
-    walk = perms.astype(np.intp)
-    for step in range(1, n + 1):
-        lengths[(walk == letters) & (lengths == 0)] = step
-        walk = np.take_along_axis(perms, walk, axis=1)
-    return lengths
-
-
 @lru_cache(maxsize=None)
-def _orbit_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_(k+1) split into orbits under conjugation by the S_k fixing letter k.
+def _commutant_blocks(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal projectors Pi_b of the commutant of S_k x (U^(x k) (x) conj(U)), on their support.
 
-    An orbit is fixed by the length of the cycle through k and the cycle
-    type of the rest, so there are sum_(j <= k) p(j) of them.  Returns one
-    representative sigma_o per orbit, the orbit sizes, and counts with
-    counts[o, o', c] = #{tau in o' : sigma_o^-1 tau has c cycles}.  Only
-    O((k+1)!)-sized arrays are built, with one ranking pass over S_(k+1)
-    per orbit.
+    (C^d)^(x k) (x) conj(C^d) is multiplicity-free under that group (Pieri
+    rule), so the commutant is spanned by orthogonal projectors: for every
+    frame mu of k with at most d rows, F_mu(alpha) for each alpha = mu minus
+    one box, of rank d_mu m_alpha, and (P_mu (x) 1) - sum_alpha F_mu(alpha),
+    of rank d_mu (d m_mu - sum_alpha m_alpha) when that is not zero.  A
+    diagonal unitary gives each ket a phase fixed by its weight, the
+    occupation of the copies minus the level of the last factor, so no block
+    links kets of different weights.  Returns the flat positions where row
+    and column weights agree, one row of values there per block, and the ranks.
     """
-    check_group_budget(k)
-    n = k + 1
-    # itertools yields S_n in lexicographic order, which _lex_rank indexes
-    perms = np.fromiter(chain.from_iterable(permutations(range(n))), dtype=np.int8).reshape(-1, n)
-    lengths = _cycle_lengths(perms)
-    cycles = np.rint((1.0 / lengths).sum(axis=1)).astype(np.intp)
-    # letters per cycle length in base n + 1 fix the cycle type; times n + 1
-    # plus the length through k fixes the orbit
-    key = lengths[:, k] + (n + 1) * ((n + 1) ** (lengths - 1)).sum(axis=1)
-    _, first, label = np.unique(key, return_index=True, return_inverse=True)
-    orbits = len(first)
-    columns = np.ascontiguousarray(perms.T)
-    offset = label * (n + 1)
-    counts = np.empty((orbits, orbits, n + 1))
-    for o, rep in enumerate(first):
-        # tau sigma_o^-1 is conjugate to sigma_o^-1 tau, and its image
-        # columns are those of tau reordered by sigma_o^-1
-        relative = cycles[_lex_rank(columns[np.argsort(perms[rep])])]
-        counts[o] = np.bincount(offset + relative, minlength=orbits * (n + 1)).reshape(orbits, n + 1)
-    return perms[first], np.bincount(label), counts
-
-
-@lru_cache(maxsize=None)
-def _commutant_tables(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Positions, orbit sizes, Gram pseudo-inverse and copy swaps for ``commutant_projection``.
-
-    V_sigma^(t_k) has a one at (row, column) for every basis ket j, where
-    digit j_m sits in row slot sigma(m) and column slot m, with the two
-    slots of factor k swapped by the partial transpose; ``positions`` holds
-    these flat positions in a dim x dim matrix for each orbit
-    representative.  The Gram entries of the orbit sums follow from
-    tr(V_sigma^(t_k)dagger V_tau^(t_k)) = d^#cycles(sigma^-1 tau) without a
-    dense product.  The span is dependent when d <= k, so the pseudo-inverse
-    drops the kernel of the unit-diagonal Gram matrix.  ``swaps[m]`` holds
-    the index maps of the transpositions (a, m+1), a <= m, of the copies.
-    """
-    reps, sizes, counts = _orbit_tables(k)
-    n = k + 1
-    dims = (d,) * n
-    dim = d**n
+    dim = d ** (k + 1)
     check_capacity(dim)
-    place = d ** np.arange(n - 1, -1, -1)
-    row, col = place * dim, place.copy()
-    row[k], col[k] = 1, dim
-    positions = (row[reps] + col) @ np.array(np.unravel_index(np.arange(dim), dims))
-    gram = sizes[:, None] * (counts @ float(d) ** np.arange(n + 1))
-    scale = 1.0 / np.sqrt(np.diag(gram))
-    vals, vecs = np.linalg.eigh(scale[:, None] * gram * scale)
-    kept = vals > 1e-10 * vals[-1]
-    basis = vecs[:, kept] * scale[:, None]
-    pinv = basis @ (basis.T / vals[kept][:, None])
-    swaps = [
-        [permutation_index_map(Permutation.transposition(n, a, m), dims) for a in range(m)]
-        for m in range(1, k)
-    ]
-    return positions, sizes, pinv, swaps
-
-
-def _copy_average(x: np.ndarray, swaps: list) -> np.ndarray:
-    """(1/k!) sum over S_k of V_pi x V_pi^dagger, one coset level at a time.
-
-    S_m is the union of the cosets (a, m-1) S_(m-1), a < m, so the average
-    over S_m is the mean of the average over S_(m-1) and its m - 1
-    conjugates by (a, m-1): k(k-1)/2 index remaps instead of k!.
-    """
-    for level in swaps:
-        x = (x + sum(x[np.ix_(f, f)] for f in level)) / (len(level) + 1)
-    return x
+    digits = np.indices((d,) * (k + 1)).reshape(k + 1, dim)
+    levels = np.arange(d)
+    # one more on every level makes the weight an occupation vector
+    weight = occupation_rank((digits[:k, :, None] == levels).sum(axis=0) - (digits[k, :, None] == levels) + 1)
+    positions = np.flatnonzero(weight[:, None] == weight)
+    values, ranks = [], []
+    for mu in partitions(k):
+        if len(mu) > d:
+            continue
+        d_mu = dim_standard(mu)
+        complement = np.kron(young_projector(mu, d).mat, np.eye(d)).reshape(-1)[positions]
+        m_rest = d * mult_semistandard(mu, d)
+        for alpha in removable_boxes(mu):
+            m_alpha = mult_semistandard(alpha, d)
+            block = f_projector(mu, alpha, d).mat.reshape(-1)[positions]
+            complement -= block
+            m_rest -= m_alpha
+            values.append(block)
+            ranks.append(d_mu * m_alpha)
+        if m_rest:
+            values.append(complement)
+            ranks.append(d_mu * m_rest)
+    return positions, np.array(values), np.array(ranks)
 
 
 def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:
     """Orthogonal projection of x onto the operators on (C^d)^(x (k+1)) that
     commute with U^(x k) (x) conj(U) and with the permutations of the k copies.
 
-    That commutant is the S_k-invariant part of span{V_sigma^(t_k)}, sigma in
-    S_(k+1), spanned by the orbit sums B_o of V_sigma^(t_k) under conjugation
-    by S_k.  With A the average over S_k conjugation, tr(B_o x) = |o|
-    tr(V_sigma_o^(t_k)dagger A(x)) is gathered from A(x) at the positions of
-    the representative, and sum_o c_o B_o = A(sum_o c_o |o| V_sigma_o^(t_k)).
-    The orbit sums are real, so a complex x is projected as its real and
-    imaginary parts; a real x stays real.
+    With the orthogonal projectors Pi_b of ``_commutant_blocks``, P(x) =
+    sum_b tr(Pi_b x) / rank_b Pi_b.  The Pi_b are real and symmetric, so a
+    complex x needs no split and a real x stays real.
     """
-    if np.iscomplexobj(x):
-        return commutant_projection(x.real, d, k) + 1j * commutant_projection(x.imag, d, k)
-    positions, sizes, pinv, swaps = _commutant_tables(d, k)
-    dim = positions.shape[1]
+    dim = d ** (k + 1)
     if x.shape != (dim, dim):
         raise ValueError(f"operator shape {x.shape} does not match d={d}, k={k}")
-    overlaps = sizes * _copy_average(x, swaps).reshape(-1)[positions].sum(axis=1)
-    weights = sizes * (pinv @ overlaps)
-    spread = np.bincount(positions.reshape(-1), np.repeat(weights, dim), dim * dim)
-    return _copy_average(spread.reshape(dim, dim), swaps)
+    positions, values, ranks = _commutant_blocks(d, k)
+    out = np.zeros(x.shape, dtype=np.result_type(x, values))
+    out.reshape(-1)[positions] = (values @ x.reshape(-1)[positions] / ranks) @ values
+    return out

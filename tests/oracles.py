@@ -6,6 +6,7 @@ representations, no shared code with the package under test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from itertools import permutations
 from math import factorial
@@ -143,6 +144,75 @@ def group_average_symmetriser(n: int, d: int) -> np.ndarray:
             images[a], images[m - 1] = m - 1, a
             total += dense_permutation_matrix(tuple(images), d) @ lifted
     return total / factorial(n)
+
+
+def _cycle_type(images: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = images[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def _is_border_strip(boxes: set[tuple[int, int]]) -> bool:
+    """Edge-connected and free of 2 x 2 squares."""
+    if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= boxes for i, j in boxes):
+        return False
+    start = next(iter(boxes))
+    reached, frontier = {start}, [start]
+    while frontier:
+        i, j = frontier.pop()
+        for step in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if step in boxes and step not in reached:
+                reached.add(step)
+                frontier.append(step)
+    return reached == boxes
+
+
+@functools.lru_cache(maxsize=None)
+def character_by_border_strips(shape: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama rule by brute force on the diagram.
+
+    Every sub-diagram with cycles[0] boxes fewer is tried; it counts when the
+    boxes it leaves form a border strip, with sign (-1)^(rows of the strip - 1).
+    """
+    if not cycles:
+        return 1
+    boxes = {(i, j) for i, row in enumerate(shape) for j in range(row)}
+    total = 0
+    for inner in partitions_by_sieve(sum(shape) - cycles[0]):
+        if len(inner) > len(shape) or any(part > shape[i] for i, part in enumerate(inner)):
+            continue
+        strip = boxes - {(i, j) for i, row in enumerate(inner) for j in range(row)}
+        if _is_border_strip(strip):
+            rows = len({i for i, _ in strip})
+            total += (-1) ** (rows - 1) * character_by_border_strips(inner, cycles[1:])
+    return total
+
+
+def young_projector_by_group_sum(mu: tuple[int, ...], d: int) -> np.ndarray:
+    """(d_mu / k!) sum over S_k of chi_mu(sigma) V_sigma, summed for this frame alone.
+
+    Every entry of the sum is an integer, so the order of the terms cannot
+    change a bit of the result.
+    """
+    k = sum(mu)
+    dims = (d,) * k
+    digits = np.indices(dims).reshape(k, -1)
+    cols = np.arange(digits.shape[1])
+    acc = np.zeros((len(cols), len(cols)))
+    for images in permutations(range(k)):
+        moved = np.empty_like(digits)
+        moved[list(images)] = digits  # factor m's digit goes to factor images[m]
+        acc[np.ravel_multi_index(tuple(moved), dims), cols] += character_by_border_strips(mu, _cycle_type(images))
+    acc *= standard_tableaux_count(mu) / factorial(k)
+    return acc
 
 
 def dense_conditional_output(m: np.ndarray, psi: np.ndarray, k: int, rho: np.ndarray) -> np.ndarray:

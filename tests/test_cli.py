@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from mcteleport import cli, teleport
+from mcteleport import cli, optimality, teleport
+from mcteleport.tensor import VerificationError
 
 BASE = [sys.executable, "-m", "mcteleport"]
 
@@ -186,6 +187,41 @@ class TestFailureReporting:
         cell = payload["cells"][0]
         assert cell["pass"] == "false"
         assert "detail" in cell
+
+
+class TestErrorContainment:
+    ARGV = ["optimality", "--d", "2", "--k", "1,2", "--samples", "1", "--threads", "1",
+            "--format", "json", "--no-timestamp"]
+
+    def test_unexpected_error_is_recorded_and_the_grid_goes_on(self, monkeypatch, capsys):
+        exact = optimality.reduced_optimum
+
+        def out_of_memory_at_two_copies(d, k):
+            if k == 2:
+                raise MemoryError("Unable to allocate 32.0 GiB")
+            return exact(d, k)
+
+        monkeypatch.setattr(optimality, "reduced_optimum", out_of_memory_at_two_copies)
+        assert cli.main(self.ARGV) == 3
+        captured = capsys.readouterr()
+        assert "Traceback" in captured.err and "MemoryError" in captured.err
+        payload = json.loads(captured.out)
+        assert payload["pass"] is False
+        one, two = payload["cells"]
+        assert one["pass"] == "true"
+        assert two["pass"] == "error"
+        assert two["detail"] == "error:MemoryError: Unable to allocate 32.0 GiB"
+
+    def test_verification_failure_outranks_an_error(self, monkeypatch, capsys):
+        def fail_or_raise(d, k, trials, seed):
+            if k == 1:
+                raise VerificationError("candidate beats the optimum")
+            raise MemoryError("Unable to allocate 32.0 GiB")
+
+        monkeypatch.setattr(optimality, "perturbation_falsifier", fail_or_raise)
+        assert cli.main(self.ARGV) == 1
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert [cell["pass"] for cell in cells] == ["false", "error"]
 
 
 class TestLemmasSuite:

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -22,14 +21,16 @@ from mcteleport import (
     max_entangled_state,
     mult_semistandard,
     objective,
+    partitions,
     perturbation_falsifier,
     reduced_optimum,
+    removable_boxes,
     success_probability_formula,
     sym_partition,
     sym_projector,
     young_projector,
 )
-from mcteleport import optimality
+from mcteleport import optimality, symgroup
 
 from oracles import (
     commutant_orbit_sums,
@@ -284,8 +285,8 @@ class TestFalsifier:
             perturbation_falsifier(2, 2, trials=1)
 
     def test_eight_copies_still_run(self):
-        # The projection enumerates S_9 once, past GROUP_BUDGET = 8; only the
-        # copy group S_8 counts against the budget, as in f_projector.
+        # The commutant blocks sum over the copy group S_8, the largest
+        # within GROUP_BUDGET = 8, and over S_7.
         report = perturbation_falsifier(1, 8, trials=1)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
@@ -361,15 +362,38 @@ class TestCommutantProjection:
         # 16 times the samples: the Monte-Carlo error shrinks about 4-fold
         assert many <= few / 2 + 1e-12
 
-    def test_counts_match_group_sizes(self):
-        # sum_(j <= k) p(j) orbits: 2 at k = 1, 12 at k = 4, 67 at k = 8
-        from mcteleport.symgroup import _orbit_tables
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (3, 4), (3, 2), (4, 2)])
+    def test_blocks_span_the_commutant(self, d, k):
+        positions, values, ranks = symgroup._commutant_blocks(d, k)
+        dim = d ** (k + 1)
+        blocks = []
+        for row in values:
+            block = np.zeros(dim * dim)
+            block[positions] = row
+            blocks.append(block.reshape(dim, dim))
+        for b, (block, rank) in enumerate(zip(blocks, ranks)):
+            for c, other in enumerate(blocks):
+                assert np.linalg.norm(block @ other - (b == c) * block) <= 1e-12
+            assert abs(np.trace(block) - rank) <= 1e-12
+        assert np.linalg.norm(sum(blocks) - np.eye(dim)) <= 1e-12
+        sums = np.array([s.reshape(-1) for s in commutant_orbit_sums(d, k)])
+        assert len(blocks) == np.linalg.matrix_rank(sums @ sums.T)
 
-        for k, orbits in [(1, 2), (4, 12), (8, 67)]:
-            reps, sizes, counts = _orbit_tables(k)
-            assert len(reps) == len(sizes) == orbits
-            assert sizes.sum() == math.factorial(k + 1)
-            assert (counts.sum(axis=2) == sizes[None, :]).all()
+    @pytest.mark.parametrize("d,k", [cell for cell in PROJECTION_CELLS if cell[1] <= 6])
+    def test_blocks_vanish_between_kets_of_different_weights(self, d, k):
+        # rebuilt densely from f_projector and the Young projectors, so a
+        # wrong weight (say, one that ignores the level of A) shows
+        positions, _, _ = symgroup._commutant_blocks(d, k)
+        dim = d ** (k + 1)
+        off = np.ones(dim * dim, dtype=bool)
+        off[positions] = False
+        for mu in partitions(k):
+            if len(mu) > d:
+                continue
+            blocks = [f_projector(mu, alpha, d).mat for alpha in removable_boxes(mu)]
+            complement = np.kron(young_projector(mu, d).mat, np.eye(d)) - sum(blocks)
+            for block in blocks + [complement]:
+                assert not block.reshape(-1)[off].any()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

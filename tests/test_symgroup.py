@@ -24,6 +24,7 @@ from mcteleport import (
     symmetric_group,
     young_projector,
 )
+from mcteleport import symgroup
 from mcteleport.symgroup import occupation_rank
 
 from oracles import (
@@ -34,6 +35,7 @@ from oracles import (
     sign_of_permutation,
     standard_tableaux_count,
     sym_basis_by_loop,
+    young_projector_by_group_sum,
 )
 
 
@@ -170,6 +172,30 @@ class TestYoungProjectors:
     def test_budget_exceeded(self):
         with pytest.raises(CapacityError):
             young_projector((9,), 2)
+
+    @pytest.mark.parametrize("d,k", [(d, k) for d in (1, 2, 3) for k in range(1, 7)] + [(2, 8)])
+    def test_one_pass_equals_the_group_sum_of_each_frame_bit_for_bit(self, d, k):
+        # at k = 8 only the frames with at most d rows, as the oracle takes
+        # about a second per frame; a taller one is zero with no group sum
+        # (next test)
+        for mu in partitions(k):
+            if k <= 6 or len(mu) <= d:
+                assert np.array_equal(young_projector(mu, d).mat, young_projector_by_group_sum(mu, d)), mu
+
+    def test_tall_frame_is_exact_zero_without_a_group_sum(self, monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sum over the symmetric group")
+
+        monkeypatch.setattr(symgroup, "symmetric_group", unexpected)
+        for mu, d in [((1, 1, 1), 2), ((2, 1, 1, 1), 3), ((3, 2), 1), ((1,) * 9, 2)]:
+            p = young_projector(mu, d)
+            assert p.dims == (d,) * sum(mu)
+            assert not p.mat.any()
+
+    def test_stored_projector_is_returned_read_only(self):
+        p = young_projector((2, 1), 2)
+        assert p is young_projector((2, 1), 2)
+        assert not p.mat.flags.writeable
 
 
 class TestSymProjector:

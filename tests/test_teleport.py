@@ -390,7 +390,7 @@ class TestThinFactor:
         def unexpected(*args, **kwargs):
             raise AssertionError("sum over the symmetric group")
 
-        monkeypatch.setattr(symgroup, "_group_sum", unexpected)
+        monkeypatch.setattr(symgroup, "symmetric_group", unexpected)
         symgroup.sym_projector.cache_clear()  # a cached projector would hide a group sum
         assert sym_projector(10, 2).trace() == pytest.approx(11, abs=1e-10)
         assert eigendecomposition_residual(2, 10) <= 1e-12
