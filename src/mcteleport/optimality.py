@@ -8,19 +8,21 @@ covariance under factor permutations and under U^(x k) (x) conj(U), and
 constraint forces a2 = 0 and the objective is maximised at a1 = 1, which
 ``reduced_optimum`` reads off the feasible vertices in closed form.  The
 covariance of F is certified exactly by its distance from the commutant of
-both symmetries, and a randomised perturbation search along directions
-projected exactly onto that commutant provides independent evidence beyond
-the reduced family.
+both symmetries.  That commutant is spanned by certified orthogonal block
+projectors, so a randomised perturbation search beyond the reduced family
+runs on one coefficient per block, with no dense operator per trial.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .symgroup import (
+    _commutant_blocks,
     commutant_projection,
     mult_semistandard,
     sym_partition,
@@ -303,12 +305,36 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
     )
 
 
-def _check_unit_interval(mat: np.ndarray, what: str) -> None:
-    """Raise unless the Hermitian mat has its spectrum in [-EIG_SLACK, 1 + EIG_SLACK]."""
-    spectrum = np.linalg.eigvalsh(mat)
-    excess = max(-spectrum[0], spectrum[-1] - 1.0)
+def _check_unit_interval(spectrum: np.ndarray, what: str) -> None:
+    """Raise unless every value of spectrum lies in [-EIG_SLACK, 1 + EIG_SLACK]."""
+    excess = max(-spectrum.min(), spectrum.max() - 1.0)
     if excess > EIG_SLACK:
         raise VerificationError(f"{what} leaves [0, 1] by {excess:.3e}", excess)
+
+
+#: Per block Pi_b: the coefficients of F and of Q - F, the objective and constraint gap of Pi_b, and r_b.
+_Blocks = namedtuple("_Blocks", "f ps objective gap ranks")
+
+
+def _block_tables(d: int, k: int) -> _Blocks:
+    """F, Q and X = (Psym_(k+1))^(t_A) at the block positions, where tr(Pi_b A) is a dot product."""
+    positions, values, ranks = _commutant_blocks(d, k)
+    f, q, x = (
+        values @ a.reshape(-1)[positions]
+        for a in (_success_projector(d, k), _sym_with_identity(d, k), _transposed_symmetriser(d, k))
+    )
+    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
+    return _Blocks(f / ranks, (q - f) / ranks, q / (d * m_k), q / m_k - x / m_k1, ranks)
+
+
+def _block_candidate(blocks: _Blocks, direction: np.ndarray, d: int) -> np.ndarray:
+    """Coefficients of F moved PERTURBATION_SCALE along sum_b direction_b Pi_b, then
+    clipped into [0, 1], shielded by (1 - (Q - F))^2 and gap-corrected by a multiple of Q - F."""
+    scale = PERTURBATION_SCALE / np.sqrt(blocks.ranks @ direction**2)
+    target = (1.0 - blocks.ps) ** 2 * np.clip(blocks.f + scale * direction, 0.0, 1.0)
+    if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
+        target -= (target @ blocks.gap) / (blocks.ps @ blocks.gap) * blocks.ps
+    return target
 
 
 @dataclass(frozen=True)
@@ -332,54 +358,34 @@ def perturbation_falsifier(
 ) -> FalsifierReport:
     """Search for feasible perturbations of the optimum that beat it.
 
-    Each trial projects a random real symmetric direction exactly onto the
-    commutant of S_k x (U^(x k) (x) conj(U)) with ``commutant_projection``
-    (the Hermitian part of that commutant is spanned by real symmetric
-    operators, so a real seed reaches all of it) and clips the perturbed
-    spectrum into [0, 1].  Any operator that is PSD and satisfies the
-    equality has exactly zero block on Q - F, so the clipped candidate is
-    compressed by (1 - (Q - F)); that keeps 0 <= M <= 1, zeroes the
-    constraint gap structurally (a final exact correction removes
-    rounding), and costs nothing in objective, which is blind to the
-    removed coherences.  The commutant is commutative, so F, the shield and
-    the clipped operator commute and the candidate's spectrum stays in
-    [0, 1]; one ``eigvalsh`` per trial certifies that, and a candidate
-    outside [-EIG_SLACK, 1 + EIG_SLACK] raises.  A candidate whose
-    objective exceeds p* + MARGIN raises, as it would contradict the
-    optimality statement or expose a bug.
+    The commutant of S_k x (U^(x k) (x) conj(U)) is spanned by the certified
+    orthogonal projectors Pi_b of ``_commutant_blocks``, so its elements are
+    sum_b c_b Pi_b with spectrum the c_b, and each trial works on those D
+    coefficients.  The direction, N(0, 1)^D over sqrt(r_b), is uniform in
+    the orthonormal basis Pi_b / sqrt(r_b), as a Gaussian symmetric
+    direction projected onto the commutant is.  Clipping the spectrum clips
+    the coefficients; the shield 1 - (Q - F) removes the block that any PSD
+    operator satisfying the equality lacks, which the objective does not
+    see.  A coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so
+    does an objective above p* + MARGIN, as it would contradict the
+    optimality statement or expose a bug.  F is checked by one ``eigvalsh``.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     check_capacity(d ** (k + 1))
     check_group_budget(k)  # before F and Q: the commutant blocks sum over S_k
-    f = _success_projector(d, k)
-    q = _sym_with_identity(d, k)
-    ps = q - f
-    dims = (d,) * (k + 1)
-    gap_ps = _constraint_gap(ps, d, k)
     p_star = success_probability_formula(d, k)
-    dim = f.shape[0]
-    shield = np.eye(dim) - ps
-
-    _check_unit_interval(f, f"optimal element at d={d}, k={k}")
-    child_seeds = np.random.SeedSequence(seed).spawn(trials)
+    _check_unit_interval(np.linalg.eigvalsh(_success_projector(d, k)), f"optimal element at d={d}, k={k}")
+    blocks = _block_tables(d, k)
     max_objective = p_star
     max_step = 0.0
-    for index, child in enumerate(child_seeds):
-        rng = np.random.default_rng(child)
-        raw = rng.standard_normal((dim, dim))
-        direction = commutant_projection(raw + raw.T, d, k)
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            continue
-        perturbed = f + (PERTURBATION_SCALE / norm) * direction
-        vals, vecs = np.linalg.eigh(perturbed)
-        clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.conj().T
-        target = shield @ clipped @ shield
-        if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
-            target -= (_constraint_gap(target, d, k) / gap_ps) * ps
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        direction = np.random.default_rng(child).standard_normal(len(blocks.ranks)) / np.sqrt(blocks.ranks)
+        target = _block_candidate(blocks, direction, d)
         _check_unit_interval(target, f"candidate at d={d}, k={k} (trial {index}, seed {seed})")
-        value = objective(Operator(target, dims), d, k)
+        value = float(target @ blocks.objective)
         max_objective = max(max_objective, value)
-        max_step = max(max_step, float(np.linalg.norm(target - f)))
+        max_step = max(max_step, float(np.sqrt(blocks.ranks @ (target - blocks.f) ** 2)))
         if value > p_star + MARGIN:
             raise VerificationError(
                 f"feasible candidate beats the optimum at d={d}, k={k}: "

@@ -18,9 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
+    DEFAULT_ATOL,
     Operator,
     Permutation,
     StateVector,
+    VerificationError,
     check_capacity,
     check_group_budget,
     max_entangled_state,
@@ -359,6 +361,8 @@ def absorption_residual(d: int, k: int) -> float:
     big = sym_projector(k + 1, d).mat
     worst = 0.0
     for mu in partitions(k):
+        if len(mu) > d:
+            continue  # its Young projector is exactly zero, and so is its term
         projector = np.kron(young_projector(mu, d).mat, np.eye(d))
         delta = 1.0 if mu == sym_partition(k) else 0.0
         worst = max(worst, float(np.linalg.norm(big @ projector - delta * big)))
@@ -378,6 +382,10 @@ def _commutant_blocks(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     occupation of the copies minus the level of the last factor, so no block
     links kets of different weights.  Returns the flat positions where row
     and column weights agree, one row of values there per block, and the ranks.
+
+    Before returning, it certifies that each Pi_b is symmetric and
+    idempotent with trace rank_b and that the Pi_b sum to 1, each within
+    DEFAULT_ATOL in Frobenius norm, so sum_b c_b Pi_b has spectrum the c_b.
     """
     dim = d ** (k + 1)
     check_capacity(dim)
@@ -386,12 +394,14 @@ def _commutant_blocks(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # one more on every level makes the weight an occupation vector
     weight = occupation_rank((digits[:k, :, None] == levels).sum(axis=0) - (digits[k, :, None] == levels) + 1)
     positions = np.flatnonzero(weight[:, None] == weight)
+    rows, cols = np.divmod(positions, dim)
     values, ranks = [], []
     for mu in partitions(k):
         if len(mu) > d:
             continue
         d_mu = dim_standard(mu)
-        complement = np.kron(young_projector(mu, d).mat, np.eye(d)).reshape(-1)[positions]
+        # P_mu (x) 1 at the positions, without the dense Kronecker product
+        complement = young_projector(mu, d).mat[rows // d, cols // d] * (rows % d == cols % d)
         m_rest = d * mult_semistandard(mu, d)
         for alpha in removable_boxes(mu):
             m_alpha = mult_semistandard(alpha, d)
@@ -403,7 +413,22 @@ def _commutant_blocks(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         if m_rest:
             values.append(complement)
             ranks.append(d_mu * m_rest)
-    return positions, np.array(values), np.array(ranks)
+    values, ranks = np.array(values), np.array(ranks)
+    # Squared Frobenius norms add up over the weight classes.
+    squares, traces, completeness = np.zeros((2, len(ranks))), np.zeros(len(ranks)), 0.0
+    for label in np.unique(weight):
+        kets = np.flatnonzero(weight == label)
+        sub = values[:, np.searchsorted(positions, kets[:, None] * dim + kets)]
+        squares[0] += ((sub - sub.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
+        squares[1] += ((sub @ sub - sub) ** 2).sum(axis=(1, 2))
+        completeness += ((sub.sum(axis=0) - np.eye(len(kets))) ** 2).sum()
+        traces += np.trace(sub, axis1=1, axis2=2)
+    worst = float(max(np.sqrt(squares.max()), np.sqrt(completeness), np.abs(traces - ranks).max()))
+    if worst > DEFAULT_ATOL:
+        raise VerificationError(
+            f"commutant blocks at d={d}, k={k} are not orthogonal projectors summing to 1: {worst:.3e}", worst
+        )
+    return positions, values, ranks
 
 
 def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:

@@ -416,3 +416,31 @@ def full_projector_factor(d: int, k: int) -> np.ndarray:
     r_dag = np.linalg.qr(z_dag / np.sqrt(d), mode="r").conj().T
     thin = (b @ r_dag.reshape(m, -1)).reshape(d ** (k + 1), -1)
     return np.sqrt(d * k / (k - 1 + d)) * thin
+
+
+def dense_falsifier_candidate(
+    f: np.ndarray, q: np.ndarray, x: np.ndarray, direction: np.ndarray, d: int, scale: float = 1.0
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """One perturbation trial on dense matrices.
+
+    F moves by ``scale`` along the unit-Frobenius ``direction``; ``eigh``
+    clips its spectrum into [0, 1]; the shield 1 - (Q - F) compresses it
+    from both sides; and at d > 1 a multiple of Q - F zeroes the constraint
+    gap tr(Q M)/m_k - tr(X M)/m_(k+1), with d m_k = tr(Q) and
+    m_(k+1) = tr(X).  Returns the candidate, its objective tr(Q M)/tr(Q),
+    its Frobenius distance from F and its spectrum from ``eigvalsh``.
+    """
+    ps = q - f
+    q_trace, m_k1 = float(np.trace(q)), float(np.trace(x))
+
+    def gap(m: np.ndarray) -> float:
+        return d * float(np.sum(q * m.T)) / q_trace - float(np.sum(x * m.T)) / m_k1
+
+    vals, vecs = np.linalg.eigh(f + scale * direction / np.linalg.norm(direction))
+    clipped = (vecs * np.clip(vals, 0.0, 1.0)) @ vecs.T
+    shield = np.eye(len(f)) - ps
+    target = shield @ clipped @ shield
+    if d > 1:  # at d = 1, Q - F is empty and so is the gap
+        target -= gap(target) / gap(ps) * ps
+    objective = float(np.sum(q * target.T)) / q_trace
+    return target, objective, float(np.linalg.norm(target - f)), np.linalg.eigvalsh(target)

@@ -34,6 +34,7 @@ from mcteleport import optimality, symgroup
 
 from oracles import (
     commutant_orbit_sums,
+    dense_falsifier_candidate,
     copy_average,
     covariant_unitary,
     dense_permutation_matrix,
@@ -240,6 +241,15 @@ class TestCovarianceResidual:
         assert optimality._covariance_residual(build_measurement(d, k).op, d, k) <= 1e-11
 
 
+#: The cells whose span of partially transposed permutations is linearly
+#: dependent (d <= k) named in the design, plus every cell with at most 1024
+#: rows and k <= GROUP_BUDGET, d = 1 included.
+PROJECTION_CELLS = sorted(
+    {(1, 3), (2, 3), (3, 4)}
+    | {(d, k) for d in range(1, 33) for k in range(1, 9) if d ** (k + 1) <= 1024}
+)
+
+
 class TestFalsifier:
     def test_zero_perturbation_objective_is_exact(self):
         for d, k in [(2, 2), (3, 2)]:
@@ -263,19 +273,25 @@ class TestFalsifier:
         assert report.max_step > 1e-3
 
     def test_candidate_above_margin_raises(self, monkeypatch):
-        from mcteleport import optimality
-
-        p_star = success_probability_formula(2, 2)
-        monkeypatch.setattr(optimality, "objective", lambda m, d, k: p_star + 2 * optimality.MARGIN)
+        # With a negative margin every candidate beats the optimum.
+        monkeypatch.setattr(optimality, "MARGIN", -1.0)
         with pytest.raises(VerificationError, match="beats the optimum"):
             perturbation_falsifier(2, 2, trials=1)
 
     def test_candidate_outside_the_unit_interval_raises(self, monkeypatch):
-        # A wrong gap correction subtracts all of Q - F, where the shielded
-        # candidate is zero: eigenvalue -1, and a lower objective, so only
-        # the spectrum check can catch it.
-        monkeypatch.setattr(optimality, "_constraint_gap", lambda mat, d, k: 1.0)
-        with pytest.raises(VerificationError, match=r"leaves \[0, 1\]"):
+        # With no step the shielded candidate is F, whose block on Q - F is
+        # zero.  A gap of one on every block gives F and Q - F the same gap,
+        # so the correction subtracts all of Q - F: coefficient -1, and a
+        # lower objective, so only the spectrum check can catch it.
+        tables = optimality._block_tables
+
+        def unit_gaps(d, k):
+            blocks = tables(d, k)
+            return blocks._replace(gap=np.ones_like(blocks.gap))
+
+        monkeypatch.setattr(optimality, "PERTURBATION_SCALE", 0.0)
+        monkeypatch.setattr(optimality, "_block_tables", unit_gaps)
+        with pytest.raises(VerificationError, match=r"leaves \[0, 1\] by 1\.000e\+00"):
             perturbation_falsifier(2, 2, trials=1)
 
     def test_infeasible_optimum_raises(self, monkeypatch):
@@ -284,21 +300,58 @@ class TestFalsifier:
         with pytest.raises(VerificationError, match="optimal element"):
             perturbation_falsifier(2, 2, trials=1)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            perturbation_falsifier(2, 2, trials=trials)
+
+    def test_trials_run_no_dense_eigensolve(self, monkeypatch):
+        perturbation_falsifier(3, 3, trials=1)  # builds and caches F, Q and the blocks
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _solver=solver, **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        perturbation_falsifier(3, 3, trials=10)
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
+    def test_block_candidate_matches_the_dense_trial(self, d, k):
+        blocks = optimality._block_tables(d, k)
+        positions, values, _ = symgroup._commutant_blocks(d, k)
+        dim = d ** (k + 1)
+
+        def dense(coefficients):
+            out = np.zeros(dim * dim)
+            out[positions] = coefficients @ values
+            return out.reshape(dim, dim)
+
+        f = optimality._success_projector(d, k)
+        q = optimality._sym_with_identity(d, k)
+        x = optimality._transposed_symmetriser(d, k)
+        rng = np.random.default_rng(7 * d + k)
+        for _ in range(3):
+            direction = rng.standard_normal(len(blocks.ranks)) / np.sqrt(blocks.ranks)
+            target = optimality._block_candidate(blocks, direction, d)
+            oracle, value, step, spectrum = dense_falsifier_candidate(
+                f, q, x, dense(direction), d, optimality.PERTURBATION_SCALE
+            )
+            assert np.linalg.norm(dense(target) - oracle) <= 1e-12
+            assert abs(target @ blocks.objective - value) <= 1e-12
+            assert abs(np.sqrt(blocks.ranks @ (target - blocks.f) ** 2) - step) <= 1e-12
+            assert abs(spectrum[0] - target.min()) <= 1e-12
+            assert abs(spectrum[-1] - target.max()) <= 1e-12
+
     def test_eight_copies_still_run(self):
         # The commutant blocks sum over the copy group S_8, the largest
         # within GROUP_BUDGET = 8, and over S_7.
         report = perturbation_falsifier(1, 8, trials=1)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
-
-
-#: The cells whose span of partially transposed permutations is linearly
-#: dependent (d <= k) named in the design, plus every cell with at most 1024
-#: rows and k <= GROUP_BUDGET, d = 1 included.
-PROJECTION_CELLS = sorted(
-    {(1, 3), (2, 3), (3, 4)}
-    | {(d, k) for d in range(1, 33) for k in range(1, 9) if d ** (k + 1) <= 1024}
-)
 
 
 def _unit_hermitian(dim, seed):
@@ -398,6 +451,20 @@ class TestCommutantProjection:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             commutant_projection(np.eye(4), 2, 2)
+
+    def test_corrupted_blocks_fail_the_certificate(self, monkeypatch):
+        build = symgroup.f_projector
+
+        def scaled(mu, alpha, d):
+            return Operator(1.01 * build(mu, alpha, d).mat, (d,) * (sum(mu) + 1))
+
+        monkeypatch.setattr(symgroup, "f_projector", scaled)
+        symgroup._commutant_blocks.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match="not orthogonal projectors"):
+                symgroup._commutant_blocks(2, 3)
+        finally:
+            symgroup._commutant_blocks.cache_clear()
 
 
 class TestReducedFamily:

@@ -346,6 +346,24 @@ class TestAlgebraIdentities:
                 assert np.linalg.norm(big @ projector - delta * big) < 1e-10
             assert absorption_residual(d, k) < 1e-10
 
+    def test_absorption_skips_frames_taller_than_d(self, monkeypatch):
+        # A frame taller than d has a zero Young projector and a zero term.
+        d, k = 2, 5
+        big = sym_projector(k + 1, d).mat
+        expected = max(
+            float(np.linalg.norm(big @ np.kron(young_projector(mu, d).mat, np.eye(d)) - (mu == (k,)) * big))
+            for mu in partitions(k)
+        )
+        build = symgroup.young_projector
+
+        def short_frames_only(mu, d):
+            if len(mu) > d:
+                raise AssertionError(f"Young projector of {mu} built at d={d}")
+            return build(mu, d)
+
+        monkeypatch.setattr(symgroup, "young_projector", short_frames_only)
+        assert absorption_residual(d, k) == expected
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_transposed_swap_is_entangled_projector(self, d):
         swap = permutation_operator(Permutation.transposition(2, 0, 1), d)
