@@ -97,7 +97,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     try:
         if config.suite in ("verify", "sweep"):
             if config.suite == "sweep":
-                # First, so a cell over the dense cap skips before sampling.
+                # First, so a cell over the factor cap skips before sampling.
                 coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
                 record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             report = teleport.verify_theorem(d, k, config.samples, config.tol, seed)
@@ -109,7 +109,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
             )
             record["pass"] = "true" if report.passed else "false"
         elif config.suite == "lemmas":
-            # First, so a cell over the group budget skips before any dense F is built.
+            # First, so a cell over the group budget or the dense cap skips before anything is built.
             absorption = symgroup.absorption_residual(d, k)
             coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
             gram = teleport.gram_residual(d, k)

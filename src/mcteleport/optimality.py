@@ -2,19 +2,22 @@
 
 The Haar-averaged feasibility problem is linear in the measurement: maximise
 (1/d) tr[(Psym/m (x) 1) M] subject to an equality constraint tying that trace
-to the overlap with the partially transposed (k+1)-factor symmetriser,
-covariance under factor permutations and under U^(x k) (x) conj(U), and
-0 <= M <= 1.  Restricted to the two-projector family a1 F + a2 (Q - F) the
-constraint forces a2 = 0 and the objective is maximised at a1 = 1, which
-``reduced_optimum`` reads off the feasible vertices in closed form.  The
-covariance of F is certified exactly by its distance from the commutant of
-both symmetries.  That commutant is spanned by certified orthogonal block
-projectors, so a randomised perturbation search beyond the reduced family
-runs on one coefficient per block, with no dense operator per trial.
+to the overlap with X, the (k+1)-factor symmetriser partially transposed on
+A, covariance under factor permutations and under U^(x k) (x) conj(U), and
+0 <= M <= 1.  Both traces see only the compression of M to Sym^k (x) C^d,
+where permutation covariance is automatic, so the layers here work in the
+coordinates (n, a) of that space, grouped by the weight n - e_a: F, Q = 1
+and X keep each weight class, of at most d rows.  The generators of
+U^(x k) (x) conj(U) certify that F is covariant, and the kernel of the
+raising operators that the covariant operators are span{F, 1 - F} (two
+irreducible components, Pieri rule).  ``reduced_optimum`` reads the optimum
+off the four traces of that family; the perturbation search draws on its
+two coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -22,19 +25,20 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .symgroup import (
-    _commutant_blocks,
-    commutant_projection,
     mult_semistandard,
+    occupation_rank,
+    occupations,
+    sym_basis,
     sym_partition,
     sym_projector,
 )
 from .tensor import (
+    DEFAULT_ATOL,
     Operator,
     VerificationError,
     as_rng,
-    check_capacity,
-    check_group_budget,
     haar_state,
+    partial_trace,
     partial_transpose,
 )
 from .teleport import build_measurement, success_probability_formula
@@ -49,30 +53,8 @@ PERTURBATION_SCALE = 1.0
 MARGIN = 1e-7
 #: Eigenvalue slack of the [0, 1] feasibility test of F and of each candidate.
 EIG_SLACK = 1e-10
-
-
-def _trace_pair(a: np.ndarray, b: np.ndarray) -> float:
-    """Re tr(a b) without forming the product."""
-    return float(np.einsum("ij,ji->", a, b).real)
-
-
-@lru_cache(maxsize=None)
-def _sym_with_identity(d: int, k: int) -> np.ndarray:
-    """Psym on the k copy factors, tensored with the identity on A."""
-    return np.kron(sym_projector(k, d).mat, np.eye(d))
-
-
-@lru_cache(maxsize=None)
-def _transposed_symmetriser(d: int, k: int) -> np.ndarray:
-    """(Psym on k+1 factors) partially transposed on the last factor."""
-    big = sym_projector(k + 1, d)
-    return partial_transpose(big, {k}).mat
-
-
-@lru_cache(maxsize=None)
-def _success_projector(d: int, k: int) -> np.ndarray:
-    """F = F_(k)((k-1)), the optimal measurement: the dense ``Measurement.op``."""
-    return build_measurement(d, k).op.mat
+#: The raising operators' sum K has integer eigenvalues, so one below this is zero.
+KERNEL_CUT = 0.5
 
 
 def _check_layout(m: Operator, d: int, k: int) -> None:
@@ -80,58 +62,162 @@ def _check_layout(m: Operator, d: int, k: int) -> None:
         raise ValueError(f"operator layout {m.dims} does not match (d,)*{k + 1} for d={d}")
 
 
+def _sym_overlap(mat: np.ndarray, n: int, d: int) -> float:
+    """Re tr(Psym_n A) = Re tr(B^T A B), B the vectors of ``sym_basis(n, d)`` as columns."""
+    b = np.column_stack([s.vec for s in sym_basis(n, d)])
+    return float(np.sum(b * (mat @ b)).real)
+
+
 def objective(m: Operator, d: int, k: int) -> float:
     """(1/d) tr[(Psym/m_sym_k (x) 1_A) M]; equals p(d,k) at the optimum."""
     _check_layout(m, d, k)
-    m_sym = mult_semistandard(sym_partition(k), d)
-    return _trace_pair(_sym_with_identity(d, k), m.mat) / (d * m_sym)
-
-
-def _constraint_gap(mat: np.ndarray, d: int, k: int) -> float:
-    """LHS - RHS of the feasibility equality: tr(Q M)/m_k - tr(X M)/m_(k+1)."""
-    m_k = mult_semistandard(sym_partition(k), d)
-    m_k1 = mult_semistandard(sym_partition(k + 1), d)
-    lhs = _trace_pair(_sym_with_identity(d, k), mat) / m_k
-    rhs = _trace_pair(_transposed_symmetriser(d, k), mat) / m_k1
-    return lhs - rhs
+    return _sym_overlap(partial_trace(m, {k}).mat, k, d) / (d * mult_semistandard(sym_partition(k), d))
 
 
 def equality_residual(m: Operator, d: int, k: int) -> float:
-    """|LHS - RHS| of the feasibility equality tying the two Haar averages."""
-    _check_layout(m, d, k)
-    return abs(_constraint_gap(m.mat, d, k))
+    """|LHS - RHS| of the feasibility equality tying the two Haar averages: tr(Q M)/m_k - tr(X M)/m_(k+1).
 
-
-def _covariance_residual(m: Operator, d: int, k: int) -> float:
-    """||P(M) - M||_F with P the orthogonal projection onto the commutant of
-    S_k x (U^(x k) (x) conj(U)): zero exactly when M commutes with every
-    permutation of the copies and with every U^(x k) (x) conj(U).
+    X is Psym on k+1 factors partially transposed on A, so tr(X M) = tr(Psym_(k+1) M^(t_A)).
     """
     _check_layout(m, d, k)
-    return float(np.linalg.norm(commutant_projection(m.mat, d, k) - m.mat))
+    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
+    lhs = _sym_overlap(partial_trace(m, {k}).mat, k, d) / m_k
+    return abs(lhs - _sym_overlap(partial_transpose(m, {k}).mat, k + 1, d) / m_k1)
 
 
-@dataclass(frozen=True)
-class ReducedMeasurement:
-    """The two-parameter family a1 F + a2 (Q - F) the optimum lives in.
+#: Operators on Sym^k (x) C^d that keep each weight class, as (m d) x d arrays; see ``_weight_classes``.
+_Classes = namedtuple("_Classes", "rows singles slots q f x")
 
-    F and Q - F are orthogonal projectors, so the family sits inside the
-    operator interval [0, 1] exactly when both coefficients do.
+
+def _class_trace(a: np.ndarray, b: np.ndarray) -> float:
+    """tr(A B) for symmetric A and B held as in ``_Classes``: sum_r sum_b A[r, s_b] B[s_b, r]."""
+    return float(np.sum(a * b))
+
+
+def _class_blocks(classes: _Classes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal blocks of A: a (width, d, d) stack for the classes of d rows, the values of the rest."""
+    return a[classes.rows], a[classes.singles, classes.singles % a.shape[1]]
+
+
+@lru_cache(maxsize=None)
+def _weight_classes(d: int, k: int) -> _Classes:
+    """Q = 1, F and X on Sym^k (x) C^d, each held as A[r, b] = A[r, slots[r, b]].
+
+    Row r = (n, a) has the weight n - e_a; slots[r, b] is the row (n', b) of
+    its class, n' = n - e_a + e_b, or -1 when n' has a negative entry.  A
+    class has d rows when n - e_a >= 0 (``rows[j]``, of weight
+    occupations(k - 1, d)[j]) and one row otherwise (``singles``).  X is
+    delta(n + e_b, n' + e_a) sqrt((n_b + 1)(n'_a + 1)) / (k + 1); F is g g^T
+    on class j, g the entries of column j of the measurement factor on its
+    rows, and a factor with any other nonzero entry raises.
     """
+    factor = build_measurement(d, k).factor
+    n = np.repeat(occupations(k, d), d, axis=0)
+    size = len(n)
+    level = np.arange(size) % d
+    eye = np.eye(d, dtype=n.dtype)
+    slots = np.empty((size, d), dtype=np.intp)
+    x = np.empty((size, d))
+    for b in range(d):
+        partner = n - eye[level] + eye[b]
+        live = partner.min(axis=1) >= 0
+        slots[:, b] = np.where(live, occupation_rank(np.where(live[:, None], partner, n)) * d + b, -1)
+        x[:, b] = live * np.sqrt((n[:, b] + 1) * (partner[np.arange(size), level] + 1)) / (k + 1)
+    whole = slots.min(axis=1) >= 0
+    rows = slots[whole & (level == 0)]
+    g = factor[rows, np.arange(len(rows))[:, None]]
+    stray = np.count_nonzero(factor) - np.count_nonzero(g)
+    if stray:
+        raise VerificationError(f"measurement factor has {stray} entries outside its weight classes at d={d}, k={k}")
+    f = np.zeros((size, d))
+    f[rows] = g[:, :, None] * g[:, None, :]
+    classes = _Classes(rows, np.flatnonzero(~whole), slots, (slots == np.arange(size)[:, None]) * 1.0, f, x)
+    for array in classes:
+        array.setflags(write=False)
+    return classes
 
-    d: int
-    k: int
-    f: Operator
-    ps: Operator
 
-    @classmethod
-    def build(cls, d: int, k: int) -> "ReducedMeasurement":
-        dims = (d,) * (k + 1)
-        f = _success_projector(d, k)
-        return cls(d, k, Operator(f, dims), Operator(_sym_with_identity(d, k) - f, dims))
+def _generator(d: int, k: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """L_pq = J_pq (x) 1 - 1 (x) E_qp on Sym^k (x) C^d, two terms per row: L e_r = sum_t coef[r, t] e_tgt[r, t].
 
-    def operator(self, a1: float, a2: float) -> Operator:
-        return Operator(a1 * self.f.mat + a2 * self.ps.mat, self.f.dims)
+    The d^2 generators of U^(x k) (x) conj(U), conj(U) acting as the dual
+    representation: J_pq |n> = sqrt(n_q (n_p + 1)) |n + e_p - e_q>, J_pp |n>
+    = n_p |n>, and E_qp moves A from level p to q.  A missing term has coefficient 0.
+    """
+    occ = occupations(k, d)
+    moved = occ + (np.arange(d) == p) - (np.arange(d) == q)
+    copies = occ[:, p].astype(float) if p == q else np.sqrt(occ[:, q] * (occ[:, p] + 1.0))
+    image = occupation_rank(np.where(moved.min(axis=1, keepdims=True) >= 0, moved, occ))
+    level = np.tile(np.arange(d), len(occ))
+    tgt = np.column_stack([np.repeat(image, d) * d + level, np.repeat(np.arange(len(occ)), d) * d + q])
+    coef = np.column_stack([np.repeat(copies, d), np.where(level == p, -1.0, 0.0)])
+    return tgt, coef
+
+
+def _commutator_norm(classes: _Classes, tgt: np.ndarray, coef: np.ndarray) -> float:
+    """||[L, F]||_F for F symmetric and held as in ``_Classes``, L given as by ``_generator``.
+
+    L F moves row r of F to row tgt[r, t]; column r of F L gains coef[r, t]
+    times column tgt[r, t] of F, which by symmetry is that row of F at the
+    rows of its class.  [L, F] takes each class into one class, so an entry
+    is keyed by its row and the level of its column.
+    """
+    f, slots = classes.f, np.maximum(classes.slots, 0)
+    d = f.shape[1]
+    keys, values = [], []
+    for t in range(tgt.shape[1]):
+        src = np.flatnonzero(coef[:, t])
+        dst, c = tgt[src, t], coef[src, t, None]
+        keys += [(dst[:, None] * d + np.arange(d)).ravel(), (slots[dst] * d + (src % d)[:, None]).ravel()]
+        values += [(c * f[src]).ravel(), -(c * f[dst]).ravel()]
+    _, entry = np.unique(np.concatenate(keys), return_inverse=True)
+    return float(np.linalg.norm(np.bincount(entry, np.concatenate(values))))
+
+
+def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
+    """Certify that F is covariant and that span{F, 1 - F} holds every covariant operator, or raise.
+
+    Covariance: the d^2 generators L_pq span the Lie algebra of U^(x k) (x)
+    conj(U), and U(d) is connected, so every ||[L_pq, F]||_F / ||L_pq||_F
+    must be within DEFAULT_ATOL (a diagonal L_pp is constant on each class
+    and sees only F's mass outside its classes).  Reduction: the kernel of
+    K = sum_(p<q) L_pq^dagger L_pq, which keeps each class, holds one
+    highest-weight vector per irreducible component; it must meet two
+    classes, one vector each, so the commutant is spanned by two projectors,
+    and <v, F v> on them must be 0 and 1, so F is one of them (at d = 1, one
+    vector and 1).  Returns the largest ratio and K's smallest nonzero
+    eigenvalue, None at d = 1 where K = 0.
+    """
+    covariance, sums = 0.0, np.zeros(classes.f.shape)
+    for p in range(d):
+        for q in range(d):
+            tgt, coef = _generator(d, k, p, q)
+            size = np.linalg.norm(coef.sum(axis=1) if p == q else coef)  # only L_pp's terms share rows
+            if size:  # L_00 = k - 1 vanishes at d = k = 1
+                covariance = max(covariance, _commutator_norm(classes, tgt, coef) / size)
+            for t in range(2 if p < q else 0):
+                src = np.flatnonzero(coef[:, t])
+                near = np.maximum(classes.slots[src], 0)
+                for u in range(2):  # <L e_r, L e_s> for s = slots[r, b]: terms that land on the same row
+                    sums[src] += coef[src, t, None] * coef[near, u] * (tgt[src, t, None] == tgt[near, u])
+    if covariance > DEFAULT_ATOL:
+        raise VerificationError(
+            f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
+        )
+    blocks, single = _class_blocks(classes, sums * (classes.slots >= 0))
+    values, vectors = np.linalg.eigh(blocks)
+    f_blocks, f_single = _class_blocks(classes, classes.f)
+    kernel, alone = values < KERNEL_CUT, single < KERNEL_CUT
+    on_kernel = np.einsum("jai,jab,jbi->ji", vectors, f_blocks, vectors)[kernel]
+    on_kernel = np.sort(np.concatenate([on_kernel, f_single[alone]]))
+    met, expected = int(kernel.any(axis=1).sum() + alone.sum()), np.arange(2 - min(d, 2), 2.0)
+    if (met, len(on_kernel)) != (len(expected),) * 2 or np.abs(on_kernel - expected).max() > DEFAULT_ATOL:
+        raise VerificationError(
+            f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: the raising operators' kernel "
+            f"meets {met} classes, with <v, F v> = {on_kernel} on it where {expected} was expected"
+        )
+    rest = np.concatenate([values[~kernel], single[~alone]])
+    return covariance, (float(rest.min()) if rest.size else None)
 
 
 @dataclass(frozen=True)
@@ -190,24 +276,21 @@ class CoefficientReport:
 
 
 def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> CoefficientReport:
-    """Decompose (Psym_{1..k,A})^{t_A} = c1 F + c2 (Q - F) numerically.
+    """Decompose (Psym_{1..k,A})^{t_A} = c1 F + c2 (Q - F) numerically, class by class.
 
     c1 and c2 are least-squares projections onto the two orthogonal
-    projectors; the residual is evaluated on their combined support Q.  At
-    d = 1, Q - F is empty: c2 is then None and left unchecked.
+    projectors; the residual is the Frobenius norm of the rest of X on their
+    combined support Q = 1 on Sym^k (x) C^d.  At d = 1, Q - F is empty: c2
+    is then None and left unchecked.
     """
-    check_capacity(d ** (k + 1))
-    x = _transposed_symmetriser(d, k)
-    f = _success_projector(d, k)
-    q = _sym_with_identity(d, k)
-    ps = q - f
-    c1 = _trace_pair(x, f) / float(f.trace().real)
+    *_, q, f, x = _weight_classes(d, k)
+    c1 = _class_trace(x, f) / _class_trace(q, f)
     delta = x - c1 * f
     c2 = None
     if d > 1:  # at d = 1, Q - F is empty
-        c2 = _trace_pair(x, ps) / float(ps.trace().real)
-        delta -= c2 * ps
-    residual = float(np.linalg.norm(q @ delta @ q))
+        c2 = _class_trace(x, q - f) / _class_trace(q, q - f)
+        delta -= c2 * (q - f)
+    residual = float(np.linalg.norm(delta))
     c1_closed = (d + k) / (k + 1)
     c2_closed = 1.0 / (k + 1)
     c1_row_form = (d + k) / k
@@ -229,13 +312,33 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     return report
 
 
+#: For F and for Q - F: the coefficients of F, the rank, the objective tr(M)/(d m_k) and the gap
+#: tr(M)/m_k - tr(X M)/m_(k+1).
+_Family = namedtuple("_Family", "f ranks objective gap")
+
+
+def _family(d: int, k: int) -> _Family:
+    """Ranks, objective values and constraint gaps of F and of Q - F, from their traces on the classes.
+
+    The ranks are C(k+d-2, k-1) and m d minus that, so Q - F has rank 0 at d = 1.
+    """
+    classes = _weight_classes(d, k)
+    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
+    parts = (classes.f, classes.q - classes.f)
+    traces, overlaps = (np.array([_class_trace(a, part) for part in parts]) for a in (classes.q, classes.x))
+    width = math.comb(k + d - 2, k - 1)
+    ranks = np.array([width, d * m_k - width])
+    return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)
+
+
 @dataclass(frozen=True)
 class SdpReport:
     """Exact optimum of the reduced two-parameter family.
 
     ``grid_a1``, ``grid_a2`` and ``grid_p_max`` are the best feasible vertex
-    and its objective, taken from the raw traces; ``covariance_residual`` is
-    the Frobenius distance of F from the commutant of both symmetries.
+    and its objective, taken from the raw traces; ``covariance_residual`` and
+    ``reduction_margin`` are the largest relative commutator of F with a
+    generator and the smallest nonzero eigenvalue of K (see ``_certify``).
     """
 
     d: int
@@ -246,6 +349,7 @@ class SdpReport:
     objective_value: float
     equality_residual: float
     covariance_residual: float
+    reduction_margin: float | None
     grid_a1: float
     grid_a2: float
     grid_p_max: float
@@ -259,18 +363,11 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
     and is taken as zero.  The feasible set is then the edge a2 = 0, or the
     whole square at d = 1, where Q - F is empty and its gap vanishes.  The
     objective is linear too, so its maximum over that set sits at a vertex;
-    ties go to a2 = 0.  Covariance under S_k and U^(x k) (x) conj(U) is
-    certified at once by the distance of F from their commutant.
+    ties go to a2 = 0.  Then ``_certify`` checks that the family holds every
+    covariant operator.
     """
-    check_capacity(d ** (k + 1))
-    check_group_budget(k)  # before F and Q: the commutant blocks sum over S_k
-    family = ReducedMeasurement.build(d, k)
-    f_op, ps = family.f, family.ps
-
-    obj_f = objective(f_op, d, k)
-    obj_ps = objective(ps, d, k)
-    gap_f = _constraint_gap(f_op.mat, d, k)
-    gap_ps = _constraint_gap(ps.mat, d, k)
+    family = _family(d, k)
+    (obj_f, obj_ps), (gap_f, gap_ps) = family.objective, family.gap
     if abs(gap_f) > FEASIBILITY_TOL:
         raise VerificationError(
             f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}",
@@ -290,6 +387,7 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
             abs(grid_p - p_star),
         )
 
+    covariance, margin = _certify(_weight_classes(d, k), d, k)
     return SdpReport(
         d=d,
         k=k,
@@ -298,7 +396,8 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
         p_star=p_star,
         objective_value=obj_f,
         equality_residual=abs(gap_f),
-        covariance_residual=_covariance_residual(f_op, d, k),
+        covariance_residual=covariance,
+        reduction_margin=margin,
         grid_a1=grid_a1,
         grid_a2=grid_a2,
         grid_p_max=grid_p,
@@ -312,28 +411,12 @@ def _check_unit_interval(spectrum: np.ndarray, what: str) -> None:
         raise VerificationError(f"{what} leaves [0, 1] by {excess:.3e}", excess)
 
 
-#: Per block Pi_b: the coefficients of F and of Q - F, the objective and constraint gap of Pi_b, and r_b.
-_Blocks = namedtuple("_Blocks", "f ps objective gap ranks")
-
-
-def _block_tables(d: int, k: int) -> _Blocks:
-    """F, Q and X = (Psym_(k+1))^(t_A) at the block positions, where tr(Pi_b A) is a dot product."""
-    positions, values, ranks = _commutant_blocks(d, k)
-    f, q, x = (
-        values @ a.reshape(-1)[positions]
-        for a in (_success_projector(d, k), _sym_with_identity(d, k), _transposed_symmetriser(d, k))
-    )
-    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
-    return _Blocks(f / ranks, (q - f) / ranks, q / (d * m_k), q / m_k - x / m_k1, ranks)
-
-
-def _block_candidate(blocks: _Blocks, direction: np.ndarray, d: int) -> np.ndarray:
-    """Coefficients of F moved PERTURBATION_SCALE along sum_b direction_b Pi_b, then
-    clipped into [0, 1], shielded by (1 - (Q - F))^2 and gap-corrected by a multiple of Q - F."""
-    scale = PERTURBATION_SCALE / np.sqrt(blocks.ranks @ direction**2)
-    target = (1.0 - blocks.ps) ** 2 * np.clip(blocks.f + scale * direction, 0.0, 1.0)
+def _trial(family: _Family, direction: np.ndarray, d: int) -> np.ndarray:
+    """F moved PERTURBATION_SCALE along direction, clipped into [0, 1] and gap-corrected by Q - F."""
+    scale = PERTURBATION_SCALE / np.sqrt(family.ranks @ direction**2)
+    target = np.clip(family.f + scale * direction, 0.0, 1.0)
     if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
-        target -= (target @ blocks.gap) / (blocks.ps @ blocks.gap) * blocks.ps
+        target[1] -= (target @ family.gap) / family.gap[1]
     return target
 
 
@@ -358,34 +441,33 @@ def perturbation_falsifier(
 ) -> FalsifierReport:
     """Search for feasible perturbations of the optimum that beat it.
 
-    The commutant of S_k x (U^(x k) (x) conj(U)) is spanned by the certified
-    orthogonal projectors Pi_b of ``_commutant_blocks``, so its elements are
-    sum_b c_b Pi_b with spectrum the c_b, and each trial works on those D
-    coefficients.  The direction, N(0, 1)^D over sqrt(r_b), is uniform in
-    the orthonormal basis Pi_b / sqrt(r_b), as a Gaussian symmetric
-    direction projected onto the commutant is.  Clipping the spectrum clips
-    the coefficients; the shield 1 - (Q - F) removes the block that any PSD
-    operator satisfying the equality lacks, which the objective does not
-    see.  A coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so
-    does an objective above p* + MARGIN, as it would contradict the
-    optimality statement or expose a bug.  F is checked by one ``eigvalsh``.
+    The covariant operators are c_1 F + c_2 (Q - F), as ``reduced_optimum``
+    certifies, with spectrum the c_b, so each trial works on those
+    coefficients (F alone at d = 1).  The direction, N(0, 1) per coefficient
+    over sqrt(rank), is uniform in the orthonormal basis F / sqrt(r_1),
+    (Q - F) / sqrt(r_2), as a projected Gaussian symmetric direction is.  A
+    coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so does an
+    objective above p* + MARGIN, as it would contradict the optimality
+    statement or expose a bug.  F is checked by one ``eigvalsh`` of its blocks.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    check_capacity(d ** (k + 1))
-    check_group_budget(k)  # before F and Q: the commutant blocks sum over S_k
     p_star = success_probability_formula(d, k)
-    _check_unit_interval(np.linalg.eigvalsh(_success_projector(d, k)), f"optimal element at d={d}, k={k}")
-    blocks = _block_tables(d, k)
+    classes = _weight_classes(d, k)
+    blocks, single = _class_blocks(classes, classes.f)
+    spectrum = np.concatenate([np.linalg.eigvalsh(blocks).ravel(), single])
+    _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
+    family = _family(d, k)
+    family = _Family(*(column[family.ranks > 0] for column in family))
     max_objective = p_star
     max_step = 0.0
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        direction = np.random.default_rng(child).standard_normal(len(blocks.ranks)) / np.sqrt(blocks.ranks)
-        target = _block_candidate(blocks, direction, d)
+        direction = np.random.default_rng(child).standard_normal(len(family.ranks)) / np.sqrt(family.ranks)
+        target = _trial(family, direction, d)
         _check_unit_interval(target, f"candidate at d={d}, k={k} (trial {index}, seed {seed})")
-        value = float(target @ blocks.objective)
+        value = float(target @ family.objective)
         max_objective = max(max_objective, value)
-        max_step = max(max_step, float(np.sqrt(blocks.ranks @ (target - blocks.f) ** 2)))
+        max_step = max(max_step, float(np.sqrt(family.ranks @ (target - family.f) ** 2)))
         if value > p_star + MARGIN:
             raise VerificationError(
                 f"feasible candidate beats the optimum at d={d}, k={k}: "

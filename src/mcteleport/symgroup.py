@@ -4,9 +4,9 @@ Partitions are tuples of weakly decreasing positive integers; the empty
 tuple is the (trivial) partition of 0, needed as the removed-box companion
 of the single-box frame.  Young frames, tableau counts, irreducible
 characters, the character-weighted group projectors (every frame of k from
-one pass over S_k), the projectors F_mu(alpha) of the partially transposed
-permutation algebra, and the projection onto the commutant that those
-projectors span all live here.
+one pass over S_k), the occupation-number basis of the symmetric subspace
+and the projectors F_mu(alpha) of the partially transposed permutation
+algebra all live here.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
-    DEFAULT_ATOL,
     Operator,
     Permutation,
     StateVector,
-    VerificationError,
     check_capacity,
     check_group_budget,
     max_entangled_state,
@@ -367,82 +365,3 @@ def absorption_residual(d: int, k: int) -> float:
         delta = 1.0 if mu == sym_partition(k) else 0.0
         worst = max(worst, float(np.linalg.norm(big @ projector - delta * big)))
     return worst
-
-
-@lru_cache(maxsize=None)
-def _commutant_blocks(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Minimal projectors Pi_b of the commutant of S_k x (U^(x k) (x) conj(U)), on their support.
-
-    (C^d)^(x k) (x) conj(C^d) is multiplicity-free under that group (Pieri
-    rule), so the commutant is spanned by orthogonal projectors: for every
-    frame mu of k with at most d rows, F_mu(alpha) for each alpha = mu minus
-    one box, of rank d_mu m_alpha, and (P_mu (x) 1) - sum_alpha F_mu(alpha),
-    of rank d_mu (d m_mu - sum_alpha m_alpha) when that is not zero.  A
-    diagonal unitary gives each ket a phase fixed by its weight, the
-    occupation of the copies minus the level of the last factor, so no block
-    links kets of different weights.  Returns the flat positions where row
-    and column weights agree, one row of values there per block, and the ranks.
-
-    Before returning, it certifies that each Pi_b is symmetric and
-    idempotent with trace rank_b and that the Pi_b sum to 1, each within
-    DEFAULT_ATOL in Frobenius norm, so sum_b c_b Pi_b has spectrum the c_b.
-    """
-    dim = d ** (k + 1)
-    check_capacity(dim)
-    digits = np.indices((d,) * (k + 1)).reshape(k + 1, dim)
-    levels = np.arange(d)
-    # one more on every level makes the weight an occupation vector
-    weight = occupation_rank((digits[:k, :, None] == levels).sum(axis=0) - (digits[k, :, None] == levels) + 1)
-    positions = np.flatnonzero(weight[:, None] == weight)
-    rows, cols = np.divmod(positions, dim)
-    values, ranks = [], []
-    for mu in partitions(k):
-        if len(mu) > d:
-            continue
-        d_mu = dim_standard(mu)
-        # P_mu (x) 1 at the positions, without the dense Kronecker product
-        complement = young_projector(mu, d).mat[rows // d, cols // d] * (rows % d == cols % d)
-        m_rest = d * mult_semistandard(mu, d)
-        for alpha in removable_boxes(mu):
-            m_alpha = mult_semistandard(alpha, d)
-            block = f_projector(mu, alpha, d).mat.reshape(-1)[positions]
-            complement -= block
-            m_rest -= m_alpha
-            values.append(block)
-            ranks.append(d_mu * m_alpha)
-        if m_rest:
-            values.append(complement)
-            ranks.append(d_mu * m_rest)
-    values, ranks = np.array(values), np.array(ranks)
-    # Squared Frobenius norms add up over the weight classes.
-    squares, traces, completeness = np.zeros((2, len(ranks))), np.zeros(len(ranks)), 0.0
-    for label in np.unique(weight):
-        kets = np.flatnonzero(weight == label)
-        sub = values[:, np.searchsorted(positions, kets[:, None] * dim + kets)]
-        squares[0] += ((sub - sub.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
-        squares[1] += ((sub @ sub - sub) ** 2).sum(axis=(1, 2))
-        completeness += ((sub.sum(axis=0) - np.eye(len(kets))) ** 2).sum()
-        traces += np.trace(sub, axis1=1, axis2=2)
-    worst = float(max(np.sqrt(squares.max()), np.sqrt(completeness), np.abs(traces - ranks).max()))
-    if worst > DEFAULT_ATOL:
-        raise VerificationError(
-            f"commutant blocks at d={d}, k={k} are not orthogonal projectors summing to 1: {worst:.3e}", worst
-        )
-    return positions, values, ranks
-
-
-def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Orthogonal projection of x onto the operators on (C^d)^(x (k+1)) that
-    commute with U^(x k) (x) conj(U) and with the permutations of the k copies.
-
-    With the orthogonal projectors Pi_b of ``_commutant_blocks``, P(x) =
-    sum_b tr(Pi_b x) / rank_b Pi_b.  The Pi_b are real and symmetric, so a
-    complex x needs no split and a real x stays real.
-    """
-    dim = d ** (k + 1)
-    if x.shape != (dim, dim):
-        raise ValueError(f"operator shape {x.shape} does not match d={d}, k={k}")
-    positions, values, ranks = _commutant_blocks(d, k)
-    out = np.zeros(x.shape, dtype=np.result_type(x, values))
-    out.reshape(-1)[positions] = (values @ x.reshape(-1)[positions] / ranks) @ values
-    return out

@@ -18,8 +18,8 @@ residual between the two constructions and retrieval never touch the
 d^(k+1) coordinates of the full space.  The eigen and projector forms
 share no helper, so their residual certifies one against the other.  A
 factor over FACTOR_CAP entries is refused before it is built.
-``r_vectors`` and ``Measurement.op`` still live on the full space, for the
-certificates and the dense layers.
+``r_vectors`` still lives on the full space, for ``gram_residual`` in the
+lemma suite, and ``Measurement.op`` embeds the factor there for the tests.
 """
 
 from __future__ import annotations

@@ -17,12 +17,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 
 @pytest.fixture
 def forbid_dense_builders(monkeypatch):
-    """Make every builder of a dense F, Q or symmetriser raise, to prove a cell skips before them."""
-    from mcteleport import optimality, symgroup
+    """Make every builder of a d^(k+1)-square operator raise, in every module that binds it.
+
+    These are ``sym_projector``, ``young_projector``, ``f_projector`` and
+    ``Measurement.op``, so a test under this fixture proves that it builds none.
+    """
+    import mcteleport
+    from mcteleport import cli, optimality, sar, symgroup, teleport, tensor
 
     def unexpected(*args, **kwargs):
-        raise AssertionError("dense operator built on a cell over the group budget")
+        raise AssertionError("dense d^(k+1)-square operator built")
 
-    for module, name in [(optimality, "_success_projector"), (optimality, "_sym_with_identity"),
-                         (optimality, "sym_projector"), (symgroup, "sym_projector")]:
-        monkeypatch.setattr(module, name, unexpected)
+    for name in ("sym_projector", "young_projector", "f_projector"):
+        for module in (mcteleport, cli, optimality, sar, symgroup, teleport, tensor):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unexpected)
+    monkeypatch.setattr(teleport.Measurement, "op", property(unexpected))

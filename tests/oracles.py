@@ -1,7 +1,11 @@
 """Independent brute-force oracles the library tests check against.
 
-Everything here is deliberately naive: different algorithms, different data
-representations, no shared code with the package under test.
+Nearly everything here is deliberately naive: different algorithms, different
+data representations, no shared code with the package under test.  The
+exception is the dense optimality path at the end of the file: F, Q and X on
+(C^d)^(x (k+1)) and the commutant projection, built from the package's own
+operators (each checked against a naive construction elsewhere in the
+suite), which cross-check the symmetric-coordinate optimality layer.
 """
 
 from __future__ import annotations
@@ -12,6 +16,22 @@ from itertools import permutations
 from math import factorial
 
 import numpy as np
+
+from mcteleport import (
+    VerificationError,
+    build_measurement,
+    dim_standard,
+    f_projector,
+    mult_semistandard,
+    partial_transpose,
+    partitions,
+    removable_boxes,
+    sym_partition,
+    sym_projector,
+    young_projector,
+)
+from mcteleport.symgroup import occupation_rank
+from mcteleport.tensor import DEFAULT_ATOL
 
 
 def partitions_by_sieve(k: int) -> set[tuple[int, ...]]:
@@ -444,3 +464,135 @@ def dense_falsifier_candidate(
         target -= gap(target) / gap(ps) * ps
     objective = float(np.sum(q * target.T)) / q_trace
     return target, objective, float(np.linalg.norm(target - f)), np.linalg.eigvalsh(target)
+
+
+@functools.lru_cache(maxsize=8)
+def success_projector(d: int, k: int) -> np.ndarray:
+    """F = F_(k)((k-1)), the optimal measurement, as the dense ``Measurement.op``."""
+    return build_measurement(d, k).op.mat
+
+
+@functools.lru_cache(maxsize=8)
+def sym_with_identity(d: int, k: int) -> np.ndarray:
+    """Q: Psym on the k copy factors, tensored with the identity on A."""
+    return np.kron(sym_projector(k, d).mat, np.eye(d))
+
+
+@functools.lru_cache(maxsize=8)
+def transposed_symmetriser(d: int, k: int) -> np.ndarray:
+    """X: Psym on k+1 factors, partially transposed on the last factor."""
+    return partial_transpose(sym_projector(k + 1, d), {k}).mat
+
+
+def _trace_pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Re tr(a b) without forming the product."""
+    return float(np.einsum("ij,ji->", a, b).real)
+
+
+def dense_coefficients(d: int, k: int) -> tuple[float, float | None, float]:
+    """c1, c2 (None at d = 1) and ||Q (X - c1 F - c2 (Q - F)) Q||_F from the dense F, Q and X."""
+    x, f, q = transposed_symmetriser(d, k), success_projector(d, k), sym_with_identity(d, k)
+    c1 = _trace_pair(x, f) / float(f.trace())
+    delta = x - c1 * f
+    c2 = None
+    if d > 1:
+        c2 = _trace_pair(x, q - f) / float((q - f).trace())
+        delta -= c2 * (q - f)
+    return c1, c2, float(np.linalg.norm(q @ delta @ q))
+
+
+def dense_family_traces(d: int, k: int) -> tuple[float, float, float, float]:
+    """Objectives tr(Q M)/(d m_k) and gaps tr(Q M)/m_k - tr(X M)/m_(k+1) of M = F and M = Q - F."""
+    x, f, q = transposed_symmetriser(d, k), success_projector(d, k), sym_with_identity(d, k)
+    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
+    objective = [_trace_pair(q, m) / (d * m_k) for m in (f, q - f)]
+    gap = [_trace_pair(q, m) / m_k - _trace_pair(x, m) / m_k1 for m in (f, q - f)]
+    return objective[0], objective[1], gap[0], gap[1]
+
+
+def dense_generator(d: int, k: int, p: int, q: int) -> np.ndarray:
+    """sum over the k copies of E_pq on that copy, minus E_qp on the last factor, by np.kron."""
+    unit = np.zeros((d, d))
+    unit[p, q] = 1.0
+    total = np.zeros((d ** (k + 1),) * 2)
+    for copy in range(k):
+        total += np.kron(np.kron(np.eye(d**copy), unit), np.eye(d ** (k - copy)))
+    return total - np.kron(np.eye(d**k), unit.T)
+
+
+@functools.lru_cache(maxsize=None)
+def commutant_blocks(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimal projectors Pi_b of the commutant of S_k x (U^(x k) (x) conj(U)), on their support.
+
+    (C^d)^(x k) (x) conj(C^d) is multiplicity-free under that group (Pieri
+    rule), so the commutant is spanned by orthogonal projectors: for every
+    frame mu of k with at most d rows, F_mu(alpha) for each alpha = mu minus
+    one box, of rank d_mu m_alpha, and (P_mu (x) 1) - sum_alpha F_mu(alpha),
+    of rank d_mu (d m_mu - sum_alpha m_alpha) when that is not zero.  A
+    diagonal unitary gives each ket a phase fixed by its weight, the
+    occupation of the copies minus the level of the last factor, so no block
+    links kets of different weights.  Returns the flat positions where row
+    and column weights agree, one row of values there per block, and the ranks.
+
+    Before returning, it certifies that each Pi_b is symmetric and
+    idempotent with trace rank_b and that the Pi_b sum to 1, each within
+    DEFAULT_ATOL in Frobenius norm, so sum_b c_b Pi_b has spectrum the c_b.
+    """
+    dim = d ** (k + 1)
+    digits = np.indices((d,) * (k + 1)).reshape(k + 1, dim)
+    levels = np.arange(d)
+    # one more on every level makes the weight an occupation vector
+    weight = occupation_rank((digits[:k, :, None] == levels).sum(axis=0) - (digits[k, :, None] == levels) + 1)
+    positions = np.flatnonzero(weight[:, None] == weight)
+    rows, cols = np.divmod(positions, dim)
+    values, ranks = [], []
+    for mu in partitions(k):
+        if len(mu) > d:
+            continue
+        d_mu = dim_standard(mu)
+        # P_mu (x) 1 at the positions, without the dense Kronecker product
+        complement = young_projector(mu, d).mat[rows // d, cols // d] * (rows % d == cols % d)
+        m_rest = d * mult_semistandard(mu, d)
+        for alpha in removable_boxes(mu):
+            m_alpha = mult_semistandard(alpha, d)
+            block = f_projector(mu, alpha, d).mat.reshape(-1)[positions]
+            complement -= block
+            m_rest -= m_alpha
+            values.append(block)
+            ranks.append(d_mu * m_alpha)
+        if m_rest:
+            values.append(complement)
+            ranks.append(d_mu * m_rest)
+    values, ranks = np.array(values), np.array(ranks)
+    # Squared Frobenius norms add up over the weight classes.
+    squares, traces, completeness = np.zeros((2, len(ranks))), np.zeros(len(ranks)), 0.0
+    for label in np.unique(weight):
+        kets = np.flatnonzero(weight == label)
+        sub = values[:, np.searchsorted(positions, kets[:, None] * dim + kets)]
+        squares[0] += ((sub - sub.transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
+        squares[1] += ((sub @ sub - sub) ** 2).sum(axis=(1, 2))
+        completeness += ((sub.sum(axis=0) - np.eye(len(kets))) ** 2).sum()
+        traces += np.trace(sub, axis1=1, axis2=2)
+    worst = float(max(np.sqrt(squares.max()), np.sqrt(completeness), np.abs(traces - ranks).max()))
+    if worst > DEFAULT_ATOL:
+        raise VerificationError(
+            f"commutant blocks at d={d}, k={k} are not orthogonal projectors summing to 1: {worst:.3e}", worst
+        )
+    return positions, values, ranks
+
+
+def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Orthogonal projection of x onto the operators on (C^d)^(x (k+1)) that
+    commute with U^(x k) (x) conj(U) and with the permutations of the k copies.
+
+    With the orthogonal projectors Pi_b of ``commutant_blocks``, P(x) =
+    sum_b tr(Pi_b x) / rank_b Pi_b.  The Pi_b are real and symmetric, so a
+    complex x needs no split and a real x stays real.
+    """
+    dim = d ** (k + 1)
+    if x.shape != (dim, dim):
+        raise ValueError(f"operator shape {x.shape} does not match d={d}, k={k}")
+    positions, values, ranks = commutant_blocks(d, k)
+    out = np.zeros(x.shape, dtype=np.result_type(x, values))
+    out.reshape(-1)[positions] = (values @ x.reshape(-1)[positions] / ranks) @ values
+    return out

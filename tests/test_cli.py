@@ -163,7 +163,7 @@ class TestVerifySuite:
 
 
 class TestDenseSuites:
-    @pytest.mark.parametrize("suite", ["lemmas", "optimality", "sweep"])
+    @pytest.mark.parametrize("suite", ["lemmas"])
     def test_cells_over_the_dense_cap_skip(self, suite, capsys):
         # 5^8 = 390625 > 65536 while S_7 is within the group budget, so the
         # skip comes from the layer's own capacity check
@@ -173,6 +173,25 @@ class TestDenseSuites:
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
         assert "ambient dimension 390625 exceeds cap" in cell["detail"]
+
+
+class TestSymmetricSuites:
+    @pytest.mark.parametrize("suite", ["optimality", "sweep"])
+    @pytest.mark.parametrize("d,k", [("4", "7"), ("2", "13"), ("5", "7"), ("2", "14"), ("6", "5"), ("2", "200")])
+    def test_cells_past_the_dense_cap_run(self, suite, d, k, capsys):
+        # (4, 7) and (2, 13) once ran out of memory on dense d^(k+1)-square operators
+        argv = [suite, "--d", d, "--k", k, "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "true", cell.get("detail")
+
+    @pytest.mark.parametrize("suite", ["optimality", "sweep"])
+    def test_no_dense_operator_is_built(self, suite, forbid_dense_builders, capsys):
+        argv = [suite, "--d", "1..3", "--k", "1..5", "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        assert [cell["pass"] for cell in json.loads(capsys.readouterr().out)["cells"]] == ["true"] * 15
 
 
 class TestFailureReporting:
@@ -252,12 +271,12 @@ class TestOtherSuites:
             raise AssertionError("verify_theorem ran on a cell that skips")
 
         monkeypatch.setattr(teleport, "verify_theorem", unexpected)
-        argv = ["sweep", "--d", "5", "--k", "7", "--samples", "5", "--threads", "1",
+        argv = ["sweep", "--d", "5", "--k", "15", "--samples", "5", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
-        assert "ambient dimension 390625" in cell["detail"]
+        assert "measurement factor of 19380 x 3060 entries exceeds cap" in cell["detail"]
 
     def test_sweep_runs_past_the_group_budget(self):
         result = run_cli("sweep", "--d", "2", "--k", "9", "--samples", "5", "--format", "json",
@@ -268,7 +287,7 @@ class TestOtherSuites:
         assert cell["c1"] == pytest.approx(11 / 10, abs=1e-10)  # (d + k)/(k + 1)
         assert cell["c2"] == pytest.approx(1 / 10, abs=1e-10)  # 1/(k + 1)
 
-    @pytest.mark.parametrize("suite,k", [("optimality", 14), ("lemmas", 12)])
+    @pytest.mark.parametrize("suite,k", [("lemmas", 12)])
     def test_group_budget_skips_before_any_dense_operator(self, suite, k, forbid_dense_builders, capsys):
         argv = [suite, "--d", "2", "--k", str(k), "--samples", "1", "--threads", "1",
                 "--format", "json", "--no-timestamp"]

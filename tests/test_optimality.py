@@ -7,11 +7,9 @@ from mcteleport import (
     CapacityError,
     Operator,
     Permutation,
-    ReducedMeasurement,
     VerificationError,
     absorption_residual,
     build_measurement,
-    commutant_projection,
     conjugate_by_permutation,
     equality_residual,
     f_projector,
@@ -30,11 +28,17 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport import optimality, symgroup
+from mcteleport import optimality, teleport
 
+import oracles
 from oracles import (
+    commutant_blocks,
     commutant_orbit_sums,
+    commutant_projection,
+    dense_coefficients,
     dense_falsifier_candidate,
+    dense_family_traces,
+    dense_generator,
     copy_average,
     covariant_unitary,
     dense_permutation_matrix,
@@ -42,6 +46,10 @@ from oracles import (
     haar_twirl,
     haar_unitary_by_qr,
     partially_transposed_overlap,
+    sym_basis_by_loop,
+    success_projector,
+    sym_with_identity,
+    transposed_symmetriser,
 )
 
 
@@ -178,11 +186,58 @@ class TestReducedOptimum:
 
     def test_violated_equality_raises(self, monkeypatch):
         # Mixing in some of Q - F puts weight where the equality has a gap.
-        f = optimality._success_projector(2, 2)
-        q = optimality._sym_with_identity(2, 2)
-        monkeypatch.setattr(optimality, "_success_projector", lambda d, k: f + 0.1 * (q - f))
+        classes = optimality._weight_classes(2, 2)
+        mixed = classes._replace(f=classes.f + 0.1 * (classes.q - classes.f))
+        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: mixed)
         with pytest.raises(VerificationError, match="violates the equality"):
             reduced_optimum(2, 2)
+
+    @pytest.mark.parametrize("d,k", [(2, 1), (2, 5), (3, 3), (1, 4), (4, 2)])
+    def test_reports_the_reduction_margin(self, d, k):
+        # K's eigenvalues are integers, so the smallest nonzero one is at least 1
+        report = reduced_optimum(d, k)
+        if d == 1:
+            assert report.reduction_margin is None
+        else:
+            assert report.reduction_margin >= 1.0 - 1e-12
+            assert abs(report.reduction_margin - round(report.reduction_margin)) <= 1e-12
+
+    def test_flipped_generator_fails_the_covariance_certificate(self, monkeypatch):
+        # J_01 (x) 1 + 1 (x) E_10 generates no symmetry of F
+        exact = optimality._generator
+
+        def flipped(d, k, p, q):
+            tgt, coef = exact(d, k, p, q)
+            return tgt, coef * [1.0, -1.0] if (p, q) == (0, 1) else coef
+
+        monkeypatch.setattr(optimality, "_generator", flipped)
+        with pytest.raises(VerificationError, match="does not commute"):
+            reduced_optimum(2, 2)
+
+    def test_mixed_f_fails_the_reduction_certificate(self):
+        # F + (Q - F)/10 is covariant, but not the projector onto one component
+        classes = optimality._weight_classes(2, 2)
+        mixed = classes._replace(f=classes.f + 0.1 * (classes.q - classes.f))
+        with pytest.raises(VerificationError, match="is not the commutant"):
+            optimality._certify(mixed, 2, 2)
+
+    def test_leaking_factor_fails_on_entry(self, monkeypatch):
+        # an entry of the factor outside its column's weight class is checked, not assumed
+        exact = optimality.build_measurement
+
+        def leaking(d, k):
+            meas = exact(d, k)
+            factor = meas.factor.copy()
+            factor[-1, 0] = 1e-6
+            return teleport.Measurement(d, k, factor)
+
+        monkeypatch.setattr(optimality, "build_measurement", leaking)
+        optimality._weight_classes.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match="1 entries outside its weight classes"):
+                optimality._weight_classes(2, 3)
+        finally:
+            optimality._weight_classes.cache_clear()
 
 
 def _projection_by_least_squares(op, d, k):
@@ -190,6 +245,11 @@ def _projection_by_least_squares(op, d, k):
     basis = np.array([b.reshape(-1) for b in commutant_orbit_sums(d, k)]).T
     coefficients, *_ = np.linalg.lstsq(basis, op.mat.reshape(-1), rcond=None)
     return float(np.linalg.norm(basis @ coefficients - op.mat.reshape(-1)))
+
+
+def _distance_from_commutant(op, d, k):
+    """||P(op) - op||_F with P the dense commutant projection (test oracle)."""
+    return float(np.linalg.norm(commutant_projection(op.mat, d, k) - op.mat))
 
 
 class TestCovarianceResidual:
@@ -202,7 +262,7 @@ class TestCovarianceResidual:
         op = Operator(np.outer(v, v), (d,) * (k + 1))
         swap = Permutation((1, 0) + tuple(range(2, k + 1)))
         assert np.linalg.norm(conjugate_by_permutation(swap, op).mat - op.mat) == 0.0
-        residual = optimality._covariance_residual(op, d, k)
+        residual = _distance_from_commutant(op, d, k)
         assert residual > 1e-11
         assert residual == pytest.approx(_projection_by_least_squares(op, d, k), abs=1e-12)
 
@@ -210,19 +270,19 @@ class TestCovarianceResidual:
         v = np.zeros(8)
         v[0b010] = 1.0  # |0 1>|0> is moved by the one nontrivial permutation
         op = Operator(np.outer(v, v), (2, 2, 2))
-        assert optimality._covariance_residual(op, 2, 2) == pytest.approx(
+        assert _distance_from_commutant(op, 2, 2) == pytest.approx(
             _projection_by_least_squares(op, 2, 2), abs=1e-12
         )
-        assert optimality._covariance_residual(op, 2, 2) > 1e-11
+        assert _distance_from_commutant(op, 2, 2) > 1e-11
         # S_1 is trivial: only U (x) conj(U) acts, which fixes span{1, Phi}
         # and moves |0 1><0 1|
         phi = max_entangled_state(2).projector()
-        assert optimality._covariance_residual(phi, 2, 1) <= 1e-12
-        assert optimality._covariance_residual(identity_operator((2, 2)), 2, 1) <= 1e-12
+        assert _distance_from_commutant(phi, 2, 1) <= 1e-12
+        assert _distance_from_commutant(identity_operator((2, 2)), 2, 1) <= 1e-12
         w = np.zeros(4)
         w[0b01] = 1.0
         moved = Operator(np.outer(w, w), (2, 2))
-        assert optimality._covariance_residual(moved, 2, 1) > 1e-11
+        assert _distance_from_commutant(moved, 2, 1) > 1e-11
 
     @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (2, 4)])
     def test_copy_permutations_alone_are_not_enough(self, d, k):
@@ -232,13 +292,14 @@ class TestCovarianceResidual:
         v[0] = 1.0
         op = Operator(np.outer(v, v), (d,) * (k + 1))
         assert np.linalg.norm(copy_average(op.mat, d, k) - op.mat) == 0.0
-        residual = optimality._covariance_residual(op, d, k)
+        residual = _distance_from_commutant(op, d, k)
         assert residual > 1e-11
         assert residual == pytest.approx(_projection_by_least_squares(op, d, k), abs=1e-12)
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 3), (2, 5)])
     def test_optimum_is_covariant(self, d, k):
-        assert optimality._covariance_residual(build_measurement(d, k).op, d, k) <= 1e-11
+        assert _distance_from_commutant(build_measurement(d, k).op, d, k) <= 1e-11
+        assert reduced_optimum(d, k).covariance_residual <= 1e-11
 
 
 #: The cells whose span of partially transposed permutations is linearly
@@ -279,24 +340,24 @@ class TestFalsifier:
             perturbation_falsifier(2, 2, trials=1)
 
     def test_candidate_outside_the_unit_interval_raises(self, monkeypatch):
-        # With no step the shielded candidate is F, whose block on Q - F is
-        # zero.  A gap of one on every block gives F and Q - F the same gap,
-        # so the correction subtracts all of Q - F: coefficient -1, and a
-        # lower objective, so only the spectrum check can catch it.
-        tables = optimality._block_tables
+        # With no step the candidate is F: coefficient 0 on Q - F.  A gap of
+        # one on both coefficients gives F and Q - F the same gap, so the
+        # correction subtracts all of Q - F: coefficient -1, and a lower
+        # objective, so only the spectrum check can catch it.
+        tables = optimality._family
 
         def unit_gaps(d, k):
-            blocks = tables(d, k)
-            return blocks._replace(gap=np.ones_like(blocks.gap))
+            family = tables(d, k)
+            return family._replace(gap=np.ones_like(family.gap))
 
         monkeypatch.setattr(optimality, "PERTURBATION_SCALE", 0.0)
-        monkeypatch.setattr(optimality, "_block_tables", unit_gaps)
+        monkeypatch.setattr(optimality, "_family", unit_gaps)
         with pytest.raises(VerificationError, match=r"leaves \[0, 1\] by 1\.000e\+00"):
             perturbation_falsifier(2, 2, trials=1)
 
     def test_infeasible_optimum_raises(self, monkeypatch):
-        f = optimality._success_projector(2, 2)
-        monkeypatch.setattr(optimality, "_success_projector", lambda d, k: 1.5 * f)
+        classes = optimality._weight_classes(2, 2)
+        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: classes._replace(f=1.5 * classes.f))
         with pytest.raises(VerificationError, match="optimal element"):
             perturbation_falsifier(2, 2, trials=1)
 
@@ -320,35 +381,28 @@ class TestFalsifier:
         assert calls == {"eigh": 0, "eigvalsh": 1}
 
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
-    def test_block_candidate_matches_the_dense_trial(self, d, k):
-        blocks = optimality._block_tables(d, k)
-        positions, values, _ = symgroup._commutant_blocks(d, k)
-        dim = d ** (k + 1)
-
-        def dense(coefficients):
-            out = np.zeros(dim * dim)
-            out[positions] = coefficients @ values
-            return out.reshape(dim, dim)
-
-        f = optimality._success_projector(d, k)
-        q = optimality._sym_with_identity(d, k)
-        x = optimality._transposed_symmetriser(d, k)
-        rng = np.random.default_rng(7 * d + k)
-        for _ in range(3):
-            direction = rng.standard_normal(len(blocks.ranks)) / np.sqrt(blocks.ranks)
-            target = optimality._block_candidate(blocks, direction, d)
-            oracle, value, step, spectrum = dense_falsifier_candidate(
-                f, q, x, dense(direction), d, optimality.PERTURBATION_SCALE
-            )
-            assert np.linalg.norm(dense(target) - oracle) <= 1e-12
-            assert abs(target @ blocks.objective - value) <= 1e-12
-            assert abs(np.sqrt(blocks.ranks @ (target - blocks.f) ** 2) - step) <= 1e-12
-            assert abs(spectrum[0] - target.min()) <= 1e-12
-            assert abs(spectrum[-1] - target.max()) <= 1e-12
+    def test_two_coefficient_trial_matches_the_dense_trial(self, d, k):
+        # the dense oracle keeps the shield 1 - (Q - F), which the trial drops
+        family = optimality._family(d, k)
+        live = family.ranks > 0
+        family = optimality._Family(*(column[live] for column in family))
+        f, q, x = success_projector(d, k), sym_with_identity(d, k), transposed_symmetriser(d, k)
+        parts = [f, q - f][: len(family.ranks)]
+        direction = np.random.default_rng(7 * d + k).standard_normal(len(family.ranks)) / np.sqrt(family.ranks)
+        target = optimality._trial(family, direction, d)
+        oracle, value, step, spectrum = dense_falsifier_candidate(
+            f, q, x, sum(c * part for c, part in zip(direction, parts)), d, optimality.PERTURBATION_SCALE
+        )
+        assert np.linalg.norm(sum(c * part for c, part in zip(target, parts)) - oracle) <= 1e-12
+        assert abs(target @ family.objective - value) <= 1e-12
+        assert abs(np.sqrt(family.ranks @ (target - family.f) ** 2) - step) <= 1e-12
+        # the rest of the space, outside Q, keeps eigenvalue 0
+        outside = [0.0] if len(f) > d * mult_semistandard(sym_partition(k), d) else []
+        assert abs(spectrum[0] - min([*target, *outside])) <= 1e-12
+        assert abs(spectrum[-1] - max([*target, *outside])) <= 1e-12
 
     def test_eight_copies_still_run(self):
-        # The commutant blocks sum over the copy group S_8, the largest
-        # within GROUP_BUDGET = 8, and over S_7.
+        # at d = 1 the family is F alone
         report = perturbation_falsifier(1, 8, trials=1)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
@@ -417,7 +471,7 @@ class TestCommutantProjection:
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (3, 4), (3, 2), (4, 2)])
     def test_blocks_span_the_commutant(self, d, k):
-        positions, values, ranks = symgroup._commutant_blocks(d, k)
+        positions, values, ranks = commutant_blocks(d, k)
         dim = d ** (k + 1)
         blocks = []
         for row in values:
@@ -436,7 +490,7 @@ class TestCommutantProjection:
     def test_blocks_vanish_between_kets_of_different_weights(self, d, k):
         # rebuilt densely from f_projector and the Young projectors, so a
         # wrong weight (say, one that ignores the level of A) shows
-        positions, _, _ = symgroup._commutant_blocks(d, k)
+        positions, _, _ = commutant_blocks(d, k)
         dim = d ** (k + 1)
         off = np.ones(dim * dim, dtype=bool)
         off[positions] = False
@@ -453,48 +507,49 @@ class TestCommutantProjection:
             commutant_projection(np.eye(4), 2, 2)
 
     def test_corrupted_blocks_fail_the_certificate(self, monkeypatch):
-        build = symgroup.f_projector
+        build = oracles.f_projector
 
         def scaled(mu, alpha, d):
             return Operator(1.01 * build(mu, alpha, d).mat, (d,) * (sum(mu) + 1))
 
-        monkeypatch.setattr(symgroup, "f_projector", scaled)
-        symgroup._commutant_blocks.cache_clear()
+        monkeypatch.setattr(oracles, "f_projector", scaled)
+        commutant_blocks.cache_clear()
         try:
             with pytest.raises(VerificationError, match="not orthogonal projectors"):
-                symgroup._commutant_blocks(2, 3)
+                commutant_blocks(2, 3)
         finally:
-            symgroup._commutant_blocks.cache_clear()
+            commutant_blocks.cache_clear()
 
 
 class TestReducedFamily:
     def test_components_are_orthogonal_projectors(self):
-        family = ReducedMeasurement.build(2, 2)
-        assert family.f.projector_defect() < 1e-12
-        assert family.ps.projector_defect() < 1e-12
-        assert np.linalg.norm(family.f.mat @ family.ps.mat) < 1e-12
+        classes = optimality._weight_classes(2, 2)
+        f = _dense(classes, classes.f)
+        ps = _dense(classes, classes.q - classes.f)
+        assert np.linalg.norm(f @ f - f) < 1e-12
+        assert np.linalg.norm(ps @ ps - ps) < 1e-12
+        assert np.linalg.norm(f @ ps) < 1e-12
 
     def test_bounds_hold_exactly_on_the_unit_square(self):
-        family = ReducedMeasurement.build(2, 2)
-        inside = family.operator(0.7, 0.2)
-        vals = np.linalg.eigvalsh(inside.mat)
+        classes = optimality._weight_classes(2, 2)
+
+        def operator(a1, a2):
+            return _dense(classes, a1 * classes.f + a2 * (classes.q - classes.f))
+
+        vals = np.linalg.eigvalsh(operator(0.7, 0.2))
         assert vals[0] > -1e-12 and vals[-1] < 1 + 1e-12
-        above = family.operator(1.2, 0.0)
-        assert np.linalg.eigvalsh(above.mat)[-1] > 1 + 1e-3
-        below = family.operator(1.0, -0.1)
-        assert np.linalg.eigvalsh(below.mat)[0] < -1e-3
+        assert np.linalg.eigvalsh(operator(1.2, 0.0))[-1] > 1 + 1e-3
+        assert np.linalg.eigvalsh(operator(1.0, -0.1))[0] < -1e-3
 
 
 class TestStructuralIdentities:
     def test_weighted_overlap_identity(self):
         # tr(X F)/m_{k+1} = k/(k-1+d) with X the transposed symmetriser:
         # the F side of the equality carries exactly the optimal weight.
-        from mcteleport.optimality import _success_projector, _transposed_symmetriser
-
         for d in (2, 3):
             for k in (1, 2, 3):
-                x = _transposed_symmetriser(d, k)
-                f = _success_projector(d, k)
+                x = transposed_symmetriser(d, k)
+                f = success_projector(d, k)
                 m_k1 = mult_semistandard(sym_partition(k + 1), d)
                 overlap = np.einsum("ij,ji->", x, f).real / m_k1
                 assert abs(overlap - k / (k - 1 + d)) < 1e-12
@@ -514,31 +569,14 @@ class TestStructuralIdentities:
         assert np.linalg.norm(f.mat - m.mat) <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "layer",
-    [
-        decomposition_coefficients,
-        reduced_optimum,
-        lambda d, k: perturbation_falsifier(d, k, trials=1),
-        absorption_residual,
-    ],
-)
-def test_dense_layers_check_capacity_on_entry(layer):
+def test_dense_layers_check_capacity_on_entry():
     with pytest.raises(CapacityError, match="ambient dimension 390625"):
-        layer(5, 7)  # 5^8 entries per row, S_7 within the group budget
+        absorption_residual(5, 7)  # 5^8 entries per row, S_7 within the group budget
 
 
-@pytest.mark.parametrize(
-    "layer",
-    [
-        reduced_optimum,
-        lambda d, k: perturbation_falsifier(d, k, trials=1),
-        absorption_residual,
-    ],
-)
-def test_group_layers_check_the_budget_before_any_dense_operator(layer, forbid_dense_builders):
+def test_group_layers_check_the_budget_before_any_dense_operator(forbid_dense_builders):
     with pytest.raises(CapacityError, match="symmetric group on 9 letters"):
-        layer(2, 9)  # 2^10 entries per row is within the dense cap
+        absorption_residual(2, 9)  # 2^10 entries per row is within the dense cap
 
 
 SUCCESS_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 10) if d ** (k + 1) <= 1024]
@@ -547,7 +585,7 @@ SUCCESS_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 10) if d ** (k +
 class TestDenseSuccessElement:
     @pytest.mark.parametrize("d,k", SUCCESS_CELLS)
     def test_matches_the_written_out_formula(self, d, k):
-        f = optimality._success_projector(d, k)
+        f = success_projector(d, k)
         assert np.linalg.norm(f - dense_success_element(d, k)) <= 1e-12
 
     def test_permutation_algebra_is_real(self):
@@ -556,8 +594,113 @@ class TestDenseSuccessElement:
             sym_projector(k, d).mat,
             young_projector((2, 1), d).mat,
             f_projector(sym_partition(k), sym_partition(k - 1), d).mat,
-            optimality._success_projector(d, k),
-            optimality._sym_with_identity(d, k),
-            optimality._transposed_symmetriser(d, k),
+            success_projector(d, k),
+            sym_with_identity(d, k),
+            transposed_symmetriser(d, k),
+            *optimality._weight_classes(d, k)[3:6],
         ]
         assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+
+
+def _dense(classes, a):
+    """The (m d)-square matrix of an operator held class by class."""
+    size, d = a.shape
+    out = np.zeros((size, size))
+    live = classes.slots >= 0
+    out[np.repeat(np.arange(size), d).reshape(size, d)[live], classes.slots[live]] = a[live]
+    return out
+
+
+def _class_held(classes, dense):
+    """The inverse of ``_dense`` on operators that keep each weight class."""
+    live = classes.slots >= 0
+    return np.where(live, dense[np.arange(len(dense))[:, None], np.maximum(classes.slots, 0)], 0.0)
+
+
+def _sym_generator(d, k, p, q):
+    """L_pq on Sym^k (x) C^d as a dense (m d)-square matrix, from ``optimality._generator``."""
+    tgt, coef = optimality._generator(d, k, p, q)
+    out = np.zeros((len(tgt),) * 2)
+    for t in range(tgt.shape[1]):
+        np.add.at(out, (tgt[:, t], np.arange(len(tgt))), coef[:, t])
+    return out
+
+
+def _isometry(d, k):
+    """B (x) 1 from the loop-built symmetric basis: columns in the row order index(n) d + a."""
+    return np.kron(sym_basis_by_loop(k, d), np.eye(d))
+
+
+#: Small cells for the checks that build every generator densely.
+GENERATOR_CELLS = [(1, 3), (2, 1), (2, 3), (2, 6), (3, 2), (3, 3), (4, 2), (5, 1)]
+
+
+class TestSymmetricCoordinates:
+    @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
+    def test_classes_match_the_compressed_dense_operators(self, d, k):
+        # X_sym is the closed form; F comes from the factor; Q is 1
+        classes = optimality._weight_classes(d, k)
+        iso = _isometry(d, k)
+        for held, dense in [(classes.x, transposed_symmetriser(d, k)), (classes.f, success_projector(d, k))]:
+            assert np.linalg.norm(_dense(classes, held) - iso.conj().T @ dense @ iso) <= 1e-12
+        assert np.array_equal(_dense(classes, classes.q), np.eye(len(iso.T)))
+
+    @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
+    def test_coefficients_match_the_dense_projections(self, d, k):
+        report = decomposition_coefficients(d, k)
+        c1, c2, residual = dense_coefficients(d, k)
+        assert abs(report.c1 - c1) <= 1e-12
+        assert (report.c2 is None) == (c2 is None) and (c2 is None or abs(report.c2 - c2) <= 1e-12)
+        assert abs(report.residual_on_support - residual) <= 1e-12
+
+    @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
+    def test_family_traces_match_the_dense_traces(self, d, k):
+        family = optimality._family(d, k)
+        assert np.abs(np.concatenate([family.objective, family.gap]) - dense_family_traces(d, k)).max() <= 1e-12
+        report = reduced_optimum(d, k)
+        assert (report.objective_value, report.equality_residual) == (family.objective[0], abs(family.gap[0]))
+
+    @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
+    def test_generators_are_the_compressed_lie_algebra(self, d, k):
+        iso = _isometry(d, k)
+        for p in range(d):
+            for q in range(d):
+                dense = iso.conj().T @ dense_generator(d, k, p, q) @ iso
+                assert np.linalg.norm(_sym_generator(d, k, p, q) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
+    def test_commutators_match_dense_products(self, d, k):
+        # F, and a symmetric operator on the same classes that is not covariant
+        classes = optimality._weight_classes(d, k)
+        noise = _dense(classes, np.random.default_rng(d + 10 * k).standard_normal(classes.f.shape))
+        worst = []
+        for held in (classes.f, _class_held(classes, noise + noise.T)):
+            m = _dense(classes, held)
+            worst.append(0.0)
+            for p in range(d):
+                for q in range(d):
+                    tgt, coef = optimality._generator(d, k, p, q)
+                    ell = _sym_generator(d, k, p, q)
+                    norm = optimality._commutator_norm(classes._replace(f=held), tgt, coef)
+                    assert abs(norm - np.linalg.norm(ell @ m - m @ ell)) <= 1e-12
+                    if np.linalg.norm(ell):
+                        worst[-1] = max(worst[-1], norm / np.linalg.norm(ell))
+        assert optimality._certify(classes, d, k)[0] == pytest.approx(worst[0], abs=1e-15)
+        if d > 1:  # at d = 1 every operator on the one row commutes
+            assert worst[1] > 1e-3
+            with pytest.raises(VerificationError, match="does not commute"):
+                optimality._certify(classes._replace(f=_class_held(classes, noise + noise.T)), d, k)
+
+    @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
+    def test_kernel_and_margin_match_a_dense_eigensolve(self, d, k):
+        total = np.zeros((d * mult_semistandard(sym_partition(k), d),) * 2)
+        for p in range(d):
+            for q in range(p + 1, d):
+                ell = _sym_generator(d, k, p, q)
+                total += ell.T @ ell
+        values = np.linalg.eigvalsh(total)
+        assert np.abs(values - np.round(values)).max() <= 1e-12  # integer spectrum
+        assert (values < optimality.KERNEL_CUT).sum() == (2 if d > 1 else 1)
+        margin = reduced_optimum(d, k).reduction_margin
+        rest = values[values >= optimality.KERNEL_CUT]
+        assert margin is None if d == 1 else abs(margin - rest.min()) <= 1e-12
