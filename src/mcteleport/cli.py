@@ -97,7 +97,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     try:
         if config.suite in ("verify", "sweep"):
             if config.suite == "sweep":
-                # First, so a cell over the factor cap skips before sampling.
+                # First, so a cell whose weight-class tables pass CLASS_CAP skips before sampling.
                 coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
                 record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             report = teleport.verify_theorem(d, k, config.samples, config.tol, seed)

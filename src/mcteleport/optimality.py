@@ -34,6 +34,7 @@ from .symgroup import (
 )
 from .tensor import (
     DEFAULT_ATOL,
+    CapacityError,
     Operator,
     VerificationError,
     as_rng,
@@ -55,6 +56,8 @@ MARGIN = 1e-7
 EIG_SLACK = 1e-10
 #: The raising operators' sum K has integer eigenvalues, so one below this is zero.
 KERNEL_CUT = 0.5
+#: Largest weight-class table, in entries (m d x d); every cell with k >= 2 and m d <= DIM_CAP (so d <= 50) is under it.
+CLASS_CAP = 2**22
 
 
 def _check_layout(m: Operator, d: int, k: int) -> None:
@@ -108,12 +111,13 @@ def _weight_classes(d: int, k: int) -> _Classes:
     class has d rows when n - e_a >= 0 (``rows[j]``, of weight
     occupations(k - 1, d)[j]) and one row otherwise (``singles``).  X is
     delta(n + e_b, n' + e_a) sqrt((n_b + 1)(n'_a + 1)) / (k + 1); F is g g^T
-    on class j, g the entries of column j of the measurement factor on its
-    rows, and a factor with any other nonzero entry raises.
+    on class j, g the values of column j of the measurement, whose rows must
+    be those of class j, or it raises; over CLASS_CAP entries it refuses first.
     """
-    factor = build_measurement(d, k).factor
+    if (size := math.comb(k + d - 1, k) * d) * d > CLASS_CAP:
+        raise CapacityError(f"weight-class tables of {size} x {d} entries exceed cap {CLASS_CAP}")
+    meas = build_measurement(d, k)
     n = np.repeat(occupations(k, d), d, axis=0)
-    size = len(n)
     level = np.arange(size) % d
     eye = np.eye(d, dtype=n.dtype)
     slots = np.empty((size, d), dtype=np.intp)
@@ -125,12 +129,10 @@ def _weight_classes(d: int, k: int) -> _Classes:
         x[:, b] = live * np.sqrt((n[:, b] + 1) * (partner[np.arange(size), level] + 1)) / (k + 1)
     whole = slots.min(axis=1) >= 0
     rows = slots[whole & (level == 0)]
-    g = factor[rows, np.arange(len(rows))[:, None]]
-    stray = np.count_nonzero(factor) - np.count_nonzero(g)
-    if stray:
-        raise VerificationError(f"measurement factor has {stray} entries outside its weight classes at d={d}, k={k}")
+    if not np.array_equal(meas.rows, rows):
+        raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
     f = np.zeros((size, d))
-    f[rows] = g[:, :, None] * g[:, None, :]
+    f[rows] = meas.values[:, :, None] * meas.values[:, None, :]
     classes = _Classes(rows, np.flatnonzero(~whole), slots, (slots == np.arange(size)[:, None]) * 1.0, f, x)
     for array in classes:
         array.setflags(write=False)
@@ -178,28 +180,29 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     """Certify that F is covariant and that span{F, 1 - F} holds every covariant operator, or raise.
 
     Covariance: the d^2 generators L_pq span the Lie algebra of U^(x k) (x)
-    conj(U), and U(d) is connected, so every ||[L_pq, F]||_F / ||L_pq||_F
-    must be within DEFAULT_ATOL (a diagonal L_pp is constant on each class
-    and sees only F's mass outside its classes).  Reduction: the kernel of
-    K = sum_(p<q) L_pq^dagger L_pq, which keeps each class, holds one
-    highest-weight vector per irreducible component; it must meet two
-    classes, one vector each, so the commutant is spanned by two projectors,
-    and <v, F v> on them must be 0 and 1, so F is one of them (at d = 1, one
-    vector and 1).  Returns the largest ratio and K's smallest nonzero
-    eigenvalue, None at d = 1 where K = 0.
+    conj(U), U(d) is connected, and brackets of the 2(d-1) simple roots
+    L_(p,p+1), L_(p+1,p) give every other L_pq with p != q and each
+    L_pp - L_(p+1,p+1), while sum_p L_pp = k - 1 is a scalar; so each
+    ||[L, F]||_F / ||L||_F of a simple root must be within DEFAULT_ATOL.
+    Only a zero ratio implies covariance exactly: a ratio eps bounds the
+    commutator with a root of height h only through h - 1 nested brackets.
+    Reduction: the kernel of K = sum_(p<q) L_pq^dagger L_pq, which keeps each
+    class, holds one highest-weight vector per irreducible component; it must
+    meet two classes, one vector each, so the commutant is spanned by two
+    projectors, and <v, F v> on them must be 0 and 1, so F is one of them (at
+    d = 1, one vector and 1, and no simple root).  Returns the largest ratio
+    and K's smallest nonzero eigenvalue, None at d = 1 where K = 0.
     """
     covariance, sums = 0.0, np.zeros(classes.f.shape)
-    for p in range(d):
-        for q in range(d):
-            tgt, coef = _generator(d, k, p, q)
-            size = np.linalg.norm(coef.sum(axis=1) if p == q else coef)  # only L_pp's terms share rows
-            if size:  # L_00 = k - 1 vanishes at d = k = 1
-                covariance = max(covariance, _commutator_norm(classes, tgt, coef) / size)
-            for t in range(2 if p < q else 0):
-                src = np.flatnonzero(coef[:, t])
-                near = np.maximum(classes.slots[src], 0)
-                for u in range(2):  # <L e_r, L e_s> for s = slots[r, b]: terms that land on the same row
-                    sums[src] += coef[src, t, None] * coef[near, u] * (tgt[src, t, None] == tgt[near, u])
+    for p, q in [(p, q) for p in range(d) for q in range(d) if q > p or q == p - 1]:  # raising, or a simple root
+        tgt, coef = _generator(d, k, p, q)
+        if abs(p - q) == 1:  # the two terms of L_pq land on different rows, so ||L||_F = ||coef||
+            covariance = max(covariance, _commutator_norm(classes, tgt, coef) / np.linalg.norm(coef))
+        for t in range(2 if p < q else 0):
+            src = np.flatnonzero(coef[:, t])
+            near = np.maximum(classes.slots[src], 0)
+            for u in range(2):  # <L e_r, L e_s> for s = slots[r, b]: terms that land on the same row
+                sums[src] += coef[src, t, None] * coef[near, u] * (tgt[src, t, None] == tgt[near, u])
     if covariance > DEFAULT_ATOL:
         raise VerificationError(
             f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
@@ -338,7 +341,8 @@ class SdpReport:
     ``grid_a1``, ``grid_a2`` and ``grid_p_max`` are the best feasible vertex
     and its objective, taken from the raw traces; ``covariance_residual`` and
     ``reduction_margin`` are the largest relative commutator of F with a
-    generator and the smallest nonzero eigenvalue of K (see ``_certify``).
+    simple-root generator (exact covariance only at 0) and the smallest
+    nonzero eigenvalue of K (see ``_certify``).
     """
 
     d: int

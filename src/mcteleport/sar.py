@@ -16,6 +16,7 @@ import numpy as np
 
 from .tensor import (
     DEFAULT_ATOL,
+    CapacityError,
     Operator,
     StateVector,
     VerificationError,
@@ -120,12 +121,23 @@ class ProgramState:
     d_out: int
 
 
+#: Largest stored program, in entries of its (d d_out)-square density matrix (512 MiB).
+PROGRAM_CAP = 2**25
+
+
+def _check_program(d: int, d_out: int) -> None:
+    if (d * d_out) ** 2 > PROGRAM_CAP:
+        raise CapacityError(f"program state of {d * d_out} x {d * d_out} entries exceeds cap {PROGRAM_CAP}")
+
+
 def store(channel: Channel, tol: float = DEFAULT_ATOL) -> ProgramState:
     """Apply the channel to the second half of the entangled resource.
 
     (1 (x) K) sum_i |ii>/sqrt(d) = sum_i |i> (x) K|i>/sqrt(d) is vec(K^T)/sqrt(d),
     so with one such row per Kraus operator stacked in B, rho = B^T conj(B).
+    A program over PROGRAM_CAP entries is refused before it is built.
     """
+    _check_program(channel.d_in, channel.d_out)
     defect = channel.cptp_defect()
     if defect > tol:
         raise ValueError(f"channel is not trace preserving: defect {defect:.3e}")
@@ -189,9 +201,10 @@ def verify_sar(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> SarReport:
-    """Monte-Carlo retrieval check over random channels and Haar inputs."""
+    """Monte-Carlo retrieval check over random channels and Haar inputs, refused first over PROGRAM_CAP."""
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_program(d, d_out)
     meas = build_measurement(d, k, form="eigen")
     p_formula = success_probability_formula(d, k)
     child_seeds = np.random.SeedSequence(seed).spawn(samples)
@@ -215,18 +228,6 @@ def verify_sar(
         worst_state = max(worst_state, state_dev)
     passed = bool(worst_p <= tol and worst_state <= tol)
     return SarReport(
-        d=d,
-        d_out=d_out,
-        k=k,
-        kraus_rank=kraus_rank,
-        samples=samples,
-        seed=seed,
-        p_formula=p_formula,
-        p_mean=float(probs.mean()),
-        p_std=float(probs.std()),
-        max_probability_deviation=worst_p,
-        max_state_deviation=worst_state,
-        tol=tol,
-        passed=passed,
-        worst_channel_index=worst_index,
+        d, d_out, k, kraus_rank, samples, seed, p_formula, float(probs.mean()), float(probs.std()),
+        worst_p, worst_state, tol, passed, worst_index,
     )

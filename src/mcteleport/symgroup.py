@@ -270,10 +270,9 @@ def occupation_rank(occ: np.ndarray) -> np.ndarray:
     tails = np.cumsum(occ[..., :0:-1], axis=-1)[..., ::-1]  # t_j for j = 0 .. d-2
     if tails.size == 0:
         return np.zeros(occ.shape[:-1], dtype=np.intp)
-    top = int(tails.max()) + d
-    table = np.array([[math.comb(t, r) for t in range(top)] for r in range(d - 1, 0, -1)], dtype=np.intp)
-    shifted = tails + np.arange(d - 2, -1, -1)
-    return table[np.arange(d - 1), shifted].sum(axis=-1)
+    span = range(int(tails.max()) + 1)  # table[j, t] = C(t + d - j - 2, d - j - 1), at most C(n + d - 2, n - 1)
+    table = np.array([[math.comb(t + r - 1, r) for t in span] for r in range(d - 1, 0, -1)], dtype=np.intp)
+    return table[np.arange(d - 1), tails].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -352,16 +351,18 @@ def absorption_residual(d: int, k: int) -> float:
     """Worst ||Psym_(k+1) (P_mu (x) 1) - delta_(mu, sym) Psym_(k+1)||_F over frames mu of k.
 
     The symmetriser on k+1 factors absorbs the one-row Young projector on
-    the first k factors and annihilates every other one.
+    the first k factors and annihilates every other one.  With Psym_(k+1) =
+    B B^dagger, B an isometry, each norm is that of B^dagger (P_mu (x) 1) -
+    delta B^dagger, each row of B^dagger split by the last factor into d rows.
     """
     check_capacity(d ** (k + 1))
-    check_group_budget(k)  # the frames' group sums need S_k; check before Psym_(k+1) is built
-    big = sym_projector(k + 1, d).mat
+    check_group_budget(k)  # the frames' group sums need S_k; check before the basis is built
+    rows = np.stack([s.vec for s in sym_basis(k + 1, d)])
+    rows = rows.reshape(-1, d**k, d).transpose(0, 2, 1).reshape(-1, d**k)
     worst = 0.0
     for mu in partitions(k):
         if len(mu) > d:
             continue  # its Young projector is exactly zero, and so is its term
-        projector = np.kron(young_projector(mu, d).mat, np.eye(d))
         delta = 1.0 if mu == sym_partition(k) else 0.0
-        worst = max(worst, float(np.linalg.norm(big @ projector - delta * big)))
+        worst = max(worst, float(np.linalg.norm(rows @ young_projector(mu, d).mat - delta * rows)))
     return worst

@@ -11,21 +11,19 @@ symmetric-subspace basis of k-1 factors entangled into each copy slot in
 turn.  Conditioned on the success outcome Bob holds the input state exactly,
 with probability k / (d (k - 1 + d)) independent of the input.
 
-M lives on Sym^k (x) C^d, of dimension m d with m = C(k+d-1, k), so the
-measurement is held as a factor on the coordinates |n>_sym (x) |a> (n an
-occupation vector of k factors, a a level of A) and the simulation, the
-residual between the two constructions and retrieval never touch the
-d^(k+1) coordinates of the full space.  The eigen and projector forms
-share no helper, so their residual certifies one against the other.  A
-factor over FACTOR_CAP entries is refused before it is built.
-``r_vectors`` still lives on the full space, for ``gram_residual`` in the
-lemma suite, and ``Measurement.op`` embeds the factor there for the tests.
+M lives on Sym^k (x) C^d as F F^dagger with F = (B (x) 1) G, and column j
+of G is nonzero only on the d coordinates |n'_j + e_a>_sym (x) |a> of one
+weight class, so G is held as those coordinates and its values there.
+Simulation, retrieval and the residual between the eigen and projector
+forms, which share no helper and so certify each other, never touch the
+d^(k+1) coordinates of the full space.  A cell whose insertion table would
+pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
+``gram_residual``) and ``Measurement.op`` (for the tests) live there.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -50,11 +48,10 @@ from .tensor import (
 #: Success probabilities below this are treated as a degenerate outcome.
 P_FLOOR = 1e-14
 
-#: Largest thin factor, in entries (rows times columns), that
-#: ``build_measurement`` allocates.  The QRs of the projector form and of the
-#: residual work on arrays of about this size; every cell with
-#: d^(k+1) <= DIM_CAP stays under it (the largest, d = 16 and k = 3, has
-#: 1.8 million entries).
+#: Largest insertion table, in entries (width x d x d), that ``build_measurement``
+#: allocates.  It is the largest array of a build and of the residual, and never
+#: smaller than the m d entries of the occupation table, since d width >= m.
+#: Every cell with d^(k+1) <= DIM_CAP stays under it, as width <= d^(k-1).
 FACTOR_CAP = 2**21
 
 
@@ -100,37 +97,45 @@ def r_vectors(d: int, k: int) -> list[RVector]:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """The success POVM element M for (d, k), held as a thin factor in symmetric coordinates.
+    """The success POVM element M for (d, k), held as the entries of a thin factor in symmetric coordinates.
 
     M is supported on Sym^k (x) C^d, so M = F F^dagger with F = (B (x) 1) G,
-    where B stacks ``sym_basis(k, d)``.  ``factor`` is G, an (m d) x r
-    matrix with m = C(k+d-1, k); its row index(n) d + a is the
-    coordinate |n>_sym (x) |a>, with index(n) the row of the occupation n in
-    ``occupations(k, d)``.  It is kept as a read-only view, so the caller's
-    array stays writable.  The dense ``op`` on (C^d)^(x (k+1)) is formed on
-    first access and kept.
+    where B stacks ``sym_basis(k, d)``.  Column j of G, one per eigenvector,
+    holds ``values[j, a]`` in row ``rows[j, a]`` = index(n) d + a, the
+    coordinate |n>_sym (x) |a> with index(n) the row of n in
+    ``occupations(k, d)``, and zero elsewhere.  Both arrays are width x d,
+    width = C(k+d-2, k-1), and kept as read-only views; rows of the wrong
+    level, out of range or repeated are refused.  The dense ``op`` on
+    (C^d)^(x (k+1)) is formed on first access and kept.
     """
 
     d: int
     k: int
-    factor: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        view = np.asarray(self.factor).view()
-        rows = self.d * math.comb(self.k + self.d - 1, self.k)
-        if view.ndim != 2 or view.shape[0] != rows:
-            raise ValueError(
-                f"factor of shape {view.shape} needs m d = {rows} rows at d={self.d}, k={self.k}"
-            )
-        view.setflags(write=False)
-        object.__setattr__(self, "factor", view)
+        d, k = self.d, self.k
+        rows, values = np.asarray(self.rows).view(), np.asarray(self.values).view()
+        shape = (math.comb(k + d - 2, k - 1), d)
+        if rows.shape != shape or values.shape != shape or rows.dtype.kind != "i":
+            raise ValueError(f"need {shape} integer rows and values at d={d}, k={k}, got {rows.shape} {rows.dtype}")
+        if rows.min() < 0 or rows.max() >= d * math.comb(k + d - 1, k) or ((rows - np.arange(d)) % d).max():
+            raise ValueError(f"rows[j, a] must be a coordinate index(n) d + a of Sym^{k} (x) C^{d}")
+        if np.bincount(rows.ravel()).max() > 1:
+            raise ValueError("rows hold a coordinate twice")
+        for name, view in (("rows", rows), ("values", values)):
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @cached_property
     def op(self) -> Operator:
         dims = (self.d,) * (self.k + 1)
         check_capacity(math.prod(dims))
         b = np.column_stack([s.vec for s in sym_basis(self.k, self.d)])
-        full = (b @ self.factor.reshape(b.shape[1], -1)).reshape(math.prod(dims), -1)
+        g = np.zeros((b.shape[1] * self.d, len(self.rows)), dtype=self.values.dtype)
+        g[self.rows, np.arange(len(self.rows))[:, None]] = self.values
+        full = (b @ g.reshape(b.shape[1], -1)).reshape(math.prod(dims), -1)
         return Operator(full @ full.conj().T, dims)
 
 
@@ -155,7 +160,7 @@ def _multinomial(counts) -> int:
     return out
 
 
-def _sandwich_rows(d: int, k: int) -> np.ndarray:
+def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The P+ sandwich Z^dagger compressed to one row per occupation of k-1 factors.
 
     With Psym = B B^dagger, M = c (B (x) 1) Z Z^dagger (B (x) 1)^dagger
@@ -163,54 +168,52 @@ def _sandwich_rows(d: int, k: int) -> np.ndarray:
     k-1 factors: Z[(n, a), y] = <n|_sym (|y> (x) |a>) / sqrt(d) is
     1/sqrt(d mult(n)) when occ(y) + e_a = n.  Columns of kets with one
     occupation n'' agree, so Z Z^dagger = C^dagger C with one row per n'',
-    weighted by sqrt(mult(n'')).  The rows come from multisets of levels,
-    the columns from a lookup of n'' + e_a and the entries from the
+    weighted by sqrt(mult(n'')).  Row n'' is nonzero only in the d columns
+    (n'' + e_a, a), so the rows are orthogonal, and each is returned as
+    those columns and its entries there.  The rows come from multisets of
+    levels, the columns from a lookup of n'' + e_a and the entries from the
     multinomials themselves, so nothing is shared with the eigen form.
     """
     column = {occ: i * d for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
-    rows = list(combinations_with_replacement(range(d), k - 1))
-    c = np.zeros((len(rows), d * len(column)))
-    for row, levels in enumerate(rows):
-        counts = Counter(levels)
-        base = [counts[a] for a in range(d)]
+    width = math.comb(k - 2 + d, k - 1)
+    columns, entries = np.empty((width, d), dtype=np.intp), np.empty((width, d))
+    for row, levels in enumerate(combinations_with_replacement(range(d), k - 1)):
+        base = [levels.count(a) for a in range(d)]
         mult = _multinomial(base)
         for a in range(d):
             grown = base[:a] + [base[a] + 1] + base[a + 1 :]
-            c[row, column[tuple(grown)] + a] = math.sqrt(mult / (d * _multinomial(grown)))
-    return c
+            columns[row, a] = column[tuple(grown)] + a
+            entries[row, a] = math.sqrt(mult / (d * _multinomial(grown)))
+    return columns, entries
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
-    """Construct the success element as a thin factor G on Sym^k (x) C^d.
+    """Construct the success element as the entries of its thin factor G on Sym^k (x) C^d.
 
     ``form="eigen"`` is the eigenbasis of ``r_vectors`` in symmetric
     coordinates: Psym_k(|n'>_sym (x) |a>) = sqrt((n'_a + 1)/k) |n' + e_a>_sym
     puts the eigenvector of index n' at sqrt((n'_a + 1)/(k - 1 + d)) in
-    coordinate (n' + e_a, a), for each level a.  ``form="projector"``
-    factors the sandwiched-projector formula through a QR decomposition of
-    ``_sandwich_rows`` (C = Q R gives Z Z^dagger = R^dagger R, so
-    G = sqrt(c) R^dagger); it is coded independently of the eigen form and
-    kept for cross-checks.
+    coordinate (n' + e_a, a), for each level a.  ``form="projector"`` is
+    G = sqrt(c) C^dagger for the rows C of ``_sandwich_rows``: they are
+    orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It is
+    coded independently of the eigen form and kept for cross-checks.
 
     A cell is refused with ``CapacityError`` before anything is allocated
-    when G would have more than DIM_CAP rows or FACTOR_CAP entries, or when
-    its sqrt-multinomial weights leave the float range.
+    when its width x d x d insertion table would pass FACTOR_CAP entries, or
+    when its sqrt-multinomial weights leave the float range.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    rows, width = d * math.comb(k + d - 1, k), math.comb(k - 2 + d, k - 1)
-    check_capacity(rows)
-    if rows * width > FACTOR_CAP:
-        raise CapacityError(f"measurement factor of {rows} x {width} entries exceeds cap {FACTOR_CAP}")
+    width = math.comb(k - 2 + d, k - 1)
+    if width * d * d > FACTOR_CAP:
+        raise CapacityError(f"insertion table of {width} x {d} x {d} entries exceeds cap {FACTOR_CAP}")
     _sqrt_multinomials(d, k)
     if form == "eigen":
         coords, counts = _insertions(d, k)
-        g = np.zeros((rows, width))
-        g[coords, np.arange(width)[:, None]] = np.sqrt(counts / (k - 1 + d))
-        return Measurement(d, k, g)
+        return Measurement(d, k, coords, np.sqrt(counts / (k - 1 + d)))
     if form == "projector":
-        r_dag = np.linalg.qr(_sandwich_rows(d, k), mode="r").conj().T
-        return Measurement(d, k, math.sqrt(d * k / (k - 1 + d)) * r_dag)
+        columns, entries = _sandwich_rows(d, k)
+        return Measurement(d, k, columns, math.sqrt(d * k / (k - 1 + d)) * entries)
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -220,26 +223,24 @@ def gram_residual(d: int, k: int) -> float:
     return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
-def _factor_distance(f_a: np.ndarray, f_b: np.ndarray) -> float:
-    """||F_a F_a^dagger - F_b F_b^dagger||_F from the thin factors alone.
+def _factor_distance(a: Measurement, b: Measurement) -> float:
+    """||M_a - M_b||_F from the entries of the thin factors alone.
 
-    With [F_a, F_b] = Q S and S = [S1, S2], F_a F_a^dagger - F_b F_b^dagger
-    = Q (S1 S1^dagger - S2 S2^dagger) Q^dagger, and Q has orthonormal
-    columns, so the distance is taken on the small triangular factor.  For
-    the same reason the symmetric-coordinate factors G give the distance
-    between the full operators: the isometry B (x) 1 cancels.
+    Sorted by rows[:, 0] (no coordinate is held twice) and with the same
+    rows, M_a - M_b is a direct sum over the columns j of g_j g_j^dagger -
+    h_j h_j^dagger on the coordinates rows[j], so its squared norm is the
+    sum of theirs; B (x) 1 cancels.  Different rows raise VerificationError.
     """
-    s = np.linalg.qr(np.hstack([f_a, f_b]), mode="r")
-    s1, s2 = s[:, : f_a.shape[1]], s[:, f_a.shape[1] :]
-    return float(np.linalg.norm(s1 @ s1.conj().T - s2 @ s2.conj().T))
+    order_a, order_b = np.argsort(a.rows[:, 0]), np.argsort(b.rows[:, 0])
+    if not np.array_equal(a.rows[order_a], b.rows[order_b]):
+        raise VerificationError(f"measurement constructions hold different coordinates at d={a.d}, k={a.k}")
+    g, h = a.values[order_a], b.values[order_b]
+    return float(np.linalg.norm(g[:, :, None] * g[:, None, :].conj() - h[:, :, None] * h[:, None, :].conj()))
 
 
 def eigendecomposition_residual(d: int, k: int) -> float:
     """Frobenius distance between the two independent constructions."""
-    return _factor_distance(
-        build_measurement(d, k, form="eigen").factor,
-        build_measurement(d, k, form="projector").factor,
-    )
+    return _factor_distance(build_measurement(d, k, form="eigen"), build_measurement(d, k, form="projector"))
 
 
 @dataclass(frozen=True)
@@ -293,8 +294,9 @@ def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
     Bob's success-conditioned output depends on Alice's measurement only
     through E.  In symmetric coordinates <psi^(x k)|n>_sym = sqrt(k!/prod
     n_j!) prod_j conj(psi_j)^n_j =: w_n, so with M = F F^dagger and
-    F = (B (x) 1) G, E = t t^dagger for t[a] = sum_n w_n G[(n, a)]; E is PSD
-    by construction.
+    F = (B (x) 1) G, E = t^T conj(t) for t[j, a] = sum_n w_n G[(n, a), j],
+    which is the one term w_n ``values[j, a]`` at (n, a) = ``rows[j, a]``;
+    E is PSD by construction.
     """
     _check_input(psi, meas.d)
     d, k = meas.d, meas.k
@@ -302,8 +304,8 @@ def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
     powers[:, 1:] = psi.vec.conj()[:, None]
     powers = np.cumprod(powers, axis=1)  # powers[j, c] = conj(psi_j)^c
     w = _sqrt_multinomials(d, k) * powers[np.arange(d), occupations(k, d)].prod(axis=1)
-    t = (w @ meas.factor.reshape(len(w), -1)).reshape(d, -1)
-    return t @ t.conj().T
+    t = w[meas.rows // d] * meas.values
+    return t.T @ t.conj()
 
 
 def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
@@ -368,20 +370,9 @@ def verify_theorem(
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
-    eig_residual = _factor_distance(meas.factor, build_measurement(d, k, form="projector").factor)
+    eig_residual = _factor_distance(meas, build_measurement(d, k, form="projector"))
     passed = bool(deviations.max() <= tol and fids.min() >= 1.0 - tol and eig_residual <= tol)
     return TheoremReport(
-        d=d,
-        k=k,
-        samples=samples,
-        seed=seed,
-        p_formula=p_formula,
-        p_mean=float(probs.mean()),
-        p_std=float(probs.std()),
-        max_probability_deviation=float(deviations.max()),
-        min_fidelity=float(fids.min()),
-        eig_residual=eig_residual,
-        tol=tol,
-        passed=passed,
-        worst_sample_index=worst,
+        d, k, samples, seed, p_formula, float(probs.mean()), float(probs.std()), float(deviations.max()),
+        float(fids.min()), eig_residual, tol, passed, worst,
     )

@@ -137,7 +137,7 @@ class TestVerifySuite:
         assert cell["pass"] == "true"
 
     @pytest.mark.parametrize("suite", ["verify", "sar"])
-    @pytest.mark.parametrize("d,k", [("3", "200"), ("5", "15"), ("2", "1010")])
+    @pytest.mark.parametrize("d,k", [("16", "7"), ("2", "1100")])
     def test_cells_over_the_factor_cap_skip_unbuilt(self, suite, d, k, monkeypatch, capsys):
         def unexpected(*args, **kwargs):
             raise AssertionError("factor built for a cell over the cap")
@@ -150,6 +150,41 @@ class TestVerifySuite:
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
         assert "exceed" in cell["detail"]
+
+    @pytest.mark.parametrize("suite", ["verify", "sar", "sweep", "optimality"])
+    def test_cells_once_over_the_factor_cap_run(self, suite, capsys):
+        # a dense factor at (5, 15) has 19380 x 3060 entries; its insertion table has 76500
+        argv = [suite, "--d", "5", "--k", "15", "--samples", "3", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "true", cell.get("detail")
+
+    @pytest.mark.parametrize("suite", ["sweep", "optimality"])
+    @pytest.mark.parametrize("d,k", [("300", "1"), ("128", "2")])
+    def test_cells_over_the_weight_class_cap_skip_unbuilt(self, suite, d, k, monkeypatch, capsys):
+        # the insertion table fits here, but the m d x d weight-class tables do not
+        def unexpected(*args, **kwargs):
+            raise AssertionError("weight-class table built for a cell over the cap")
+
+        monkeypatch.setattr(optimality, "build_measurement", unexpected)
+        monkeypatch.setattr(optimality, "occupations", unexpected)
+        argv = [suite, "--d", d, "--k", k, "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert "weight-class tables" in cell["detail"]
+
+    def test_sar_over_the_program_cap_skips_unbuilt(self, monkeypatch, capsys):
+        # the insertion table and the weight-class tables are not needed; the 90000-square program is too big
+        monkeypatch.setattr(teleport, "_insertions", lambda *args: pytest.fail("factor built"))
+        argv = ["sar", "--d", "300", "--k", "1", "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert "program state of 90000 x 90000" in cell["detail"]
 
     def test_capacity_cells_are_skipped(self):
         result = run_cli(
@@ -271,12 +306,12 @@ class TestOtherSuites:
             raise AssertionError("verify_theorem ran on a cell that skips")
 
         monkeypatch.setattr(teleport, "verify_theorem", unexpected)
-        argv = ["sweep", "--d", "5", "--k", "15", "--samples", "5", "--threads", "1",
+        argv = ["sweep", "--d", "16", "--k", "7", "--samples", "5", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
-        assert "measurement factor of 19380 x 3060 entries exceeds cap" in cell["detail"]
+        assert "weight-class tables of 2728704 x 16 entries exceed cap" in cell["detail"]
 
     def test_sweep_runs_past_the_group_budget(self):
         result = run_cli("sweep", "--d", "2", "--k", "9", "--samples", "5", "--format", "json",

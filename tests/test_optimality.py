@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from mcteleport import (
     young_projector,
 )
 from mcteleport import optimality, teleport
+from mcteleport.tensor import DIM_CAP
 
 import oracles
 from oracles import (
@@ -227,14 +229,14 @@ class TestReducedOptimum:
 
         def leaking(d, k):
             meas = exact(d, k)
-            factor = meas.factor.copy()
-            factor[-1, 0] = 1e-6
-            return teleport.Measurement(d, k, factor)
+            rows = meas.rows.copy()
+            rows[[0, -1], 0] = rows[[-1, 0], 0]  # columns 0 and -1 trade their level-0 coordinates
+            return teleport.Measurement(d, k, rows, meas.values)
 
         monkeypatch.setattr(optimality, "build_measurement", leaking)
         optimality._weight_classes.cache_clear()
         try:
-            with pytest.raises(VerificationError, match="1 entries outside its weight classes"):
+            with pytest.raises(VerificationError, match="rows differ from the weight classes"):
                 optimality._weight_classes(2, 3)
         finally:
             optimality._weight_classes.cache_clear()
@@ -572,6 +574,29 @@ class TestStructuralIdentities:
 def test_dense_layers_check_capacity_on_entry():
     with pytest.raises(CapacityError, match="ambient dimension 390625"):
         absorption_residual(5, 7)  # 5^8 entries per row, S_7 within the group budget
+
+
+@pytest.mark.parametrize("d,k", [(300, 1), (162, 1), (128, 2), (56, 2), (16, 7)])
+def test_weight_class_layers_check_capacity_on_entry(d, k, monkeypatch):
+    # the tables hold m d x d entries, more than CLASS_CAP here although the measurement's
+    # own width x d x d insertion table is within FACTOR_CAP at every cell but (16, 7)
+    def unexpected(*args, **kwargs):
+        raise AssertionError("weight-class table built for a cell over the cap")
+
+    monkeypatch.setattr(optimality, "build_measurement", unexpected)
+    monkeypatch.setattr(optimality, "occupations", unexpected)
+    for layer in (decomposition_coefficients, reduced_optimum, perturbation_falsifier):
+        with pytest.raises(CapacityError, match="weight-class tables"):
+            layer(d, k)
+
+
+def test_weight_class_cap_admits_every_cell_of_at_most_dim_cap_rows():
+    for k in range(2, 17):
+        for d in range(2, 51):
+            if math.comb(k + d - 1, k) * d <= DIM_CAP:
+                assert math.comb(k + d - 1, k) * d * d <= optimality.CLASS_CAP
+    for d, k in [(161, 1), (8, 10), (5, 15)]:
+        assert math.comb(k + d - 1, k) * d * d <= optimality.CLASS_CAP
 
 
 def test_group_layers_check_the_budget_before_any_dense_operator(forbid_dense_builders):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcteleport import (
+    CapacityError,
     Channel,
     StateVector,
     depolarizing_channel,
@@ -17,6 +18,7 @@ from mcteleport import (
     unitary_channel,
     verify_sar,
 )
+from mcteleport import sar
 from mcteleport.sar import ProgramState
 
 from oracles import kron_program_state
@@ -111,6 +113,11 @@ class TestStore:
         with pytest.raises(ValueError):
             store(broken)
 
+    def test_store_refuses_a_program_over_the_cap(self):
+        wide = Channel((np.eye(3000, 2),), 2, 3000)  # a 6000-square program, 3.6e7 entries
+        with pytest.raises(CapacityError, match="program state of 6000 x 6000"):
+            store(wide)
+
 
 class TestRetrieve:
     def test_identity_program_single_copy(self):
@@ -191,6 +198,17 @@ class TestVerifySar:
     def test_formula_limit(self):
         for d in (2, 5):
             assert abs(success_probability_formula(d, 10**6) - 1 / d) < 1e-5
+
+
+@pytest.mark.parametrize("d,d_out", [(300, 300), (2, 3000), (80, 80)])
+def test_verify_sar_checks_the_program_cap_on_entry(d, d_out, monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("built for a cell over the program cap")
+
+    monkeypatch.setattr(sar, "build_measurement", unexpected)
+    monkeypatch.setattr(sar, "random_channel", unexpected)
+    with pytest.raises(CapacityError, match="program state"):
+        verify_sar(d, d_out, 1, 1, samples=2)
 
 
 class TestProgramStateType:

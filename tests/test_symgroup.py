@@ -276,6 +276,12 @@ class TestOccupations:
         stacked = np.stack([occ[::-1], occ])
         assert np.array_equal(occupation_rank(stacked), [np.arange(10)[::-1], np.arange(10)])
 
+    @pytest.mark.parametrize("n,d", [(1, 300), (2, 128), (0, 80), (3, 70)])
+    def test_ranks_at_many_levels_stay_in_range(self, n, d):
+        # C(d, d // 2) passes the int64 range at these d; no rank needs it
+        occ = occupations(n, d)
+        assert np.array_equal(occupation_rank(occ), np.arange(len(occ)))
+
     def test_listing_is_read_only(self):
         with pytest.raises(ValueError):
             occupations(2, 2)[0, 0] = 5
@@ -362,7 +368,24 @@ class TestAlgebraIdentities:
             return build(mu, d)
 
         monkeypatch.setattr(symgroup, "young_projector", short_frames_only)
-        assert absorption_residual(d, k) == expected
+        assert abs(absorption_residual(d, k) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_absorption_matches_the_dense_formula_without_a_symmetriser(self, d, monkeypatch):
+        expected = {}
+        for k in range(1, 6):
+            big = sym_projector(k + 1, d).mat
+            expected[k] = max(
+                float(np.linalg.norm(big @ np.kron(young_projector(mu, d).mat, np.eye(d)) - (mu == (k,)) * big))
+                for mu in partitions(k)
+            )
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("dense symmetriser built")
+
+        monkeypatch.setattr(symgroup, "sym_projector", unexpected)
+        for k, want in expected.items():
+            assert abs(absorption_residual(d, k) - want) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_transposed_swap_is_entangled_projector(self, d):

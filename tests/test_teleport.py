@@ -52,6 +52,14 @@ FORMULA_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 7) if d ** (k + 
 CONTRACTION_CELLS = [(d, k) for d in range(1, 33) for k in range(1, 10) if d ** (k + 1) <= 1024]
 
 
+def dense_factor(meas):
+    """G as an (m d) x width array: column j holds values[j, a] in row rows[j, a]."""
+    g = np.zeros((meas.d * math.comb(meas.k + meas.d - 1, meas.k), len(meas.rows)), dtype=meas.values.dtype)
+    for j, (rows, values) in enumerate(zip(meas.rows, meas.values)):
+        g[rows, j] = values
+    return g
+
+
 class TestFormula:
     def test_single_copy_baseline(self):
         for d in (2, 3, 4, 7):
@@ -184,7 +192,7 @@ class TestSimulate:
     def test_degenerate_outcome_guard(self):
         from mcteleport.teleport import Measurement
 
-        zero = Measurement(2, 1, np.zeros((2 * math.comb(2, 1), 1)))  # m d rows
+        zero = Measurement(2, 1, build_measurement(2, 1).rows, np.zeros((1, 2)))  # width x d
         with pytest.raises(VerificationError):
             simulate(StateVector(np.array([1.0, 0.0]), (2,)), zero)
 
@@ -197,12 +205,14 @@ class TestSimulate:
 class TestConditionedOutput:
     @pytest.mark.parametrize("d,k", CONTRACTION_CELLS)
     def test_general_measurement_matches_dense_oracle(self, d, k):
-        # A random rank-3 factor gives a conditioned element of rank > 1,
-        # unlike the optimal measurement, whose element is rank one.
+        # Random complex values on the eigen rows give a conditioned element
+        # of rank min(width, d), unlike the optimal measurement, whose element
+        # is rank one.
         rng = np.random.default_rng([d, k])
-        rows = d * math.comb(k + d - 1, k)
-        g = (rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))) / math.sqrt(6)
-        meas = teleport.Measurement(d, k, g)
+        shape = build_measurement(d, k).rows.shape
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2 * shape[0])
+        meas = teleport.Measurement(d, k, build_measurement(d, k).rows, values)
+        g = dense_factor(meas)
         b = sym_basis_by_loop(k, d)
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)  # F = (B (x) 1) G
         m = f @ f.conj().T
@@ -292,32 +302,47 @@ class TestThinFactor:
             assert frobenius_distance(build_measurement(d, k, form=form).op.mat, f @ f.conj().T) < 1e-12
 
     def test_factor_widths(self):
-        for d, k in [(3, 3), (2, 10), (6, 5), (2, 200)]:  # m d rows, one column per eigenvector
-            shape = (d * math.comb(k + d - 1, k), math.comb(k - 2 + d, k - 1))
-            assert build_measurement(d, k).factor.shape == shape
-            assert build_measurement(d, k, form="projector").factor.shape == shape
+        for d, k in [(3, 3), (2, 10), (6, 5), (2, 200)]:  # one row per eigenvector, one column per level
+            shape = (math.comb(k - 2 + d, k - 1), d)
+            for form in ("eigen", "projector"):
+                meas = build_measurement(d, k, form)
+                assert meas.rows.shape == meas.values.shape == shape
 
     @pytest.mark.parametrize("d,k", [(1, 4), (2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (5, 2), (7, 1)])
     def test_eigen_factor_entries(self, d, k):
         # column n' holds sqrt((n'_a + 1)/(k - 1 + d)) in row index(n' + e_a) d + a, and nothing else
         index = {occ: i for i, occ in enumerate(occupations_by_sorting(k, d))}
-        want = np.zeros((d * len(index), math.comb(k - 2 + d, k - 1)))
+        want_rows = np.zeros((math.comb(k - 2 + d, k - 1), d), dtype=int)
+        want_values = np.zeros(want_rows.shape)
         for col, occ in enumerate(occupations_by_sorting(k - 1, d)):
             for a in range(d):
                 grown = occ[:a] + (occ[a] + 1,) + occ[a + 1 :]
-                want[index[grown] * d + a, col] = math.sqrt(grown[a] / (k - 1 + d))
-        assert np.array_equal(build_measurement(d, k).factor, want)
+                want_rows[col, a] = index[grown] * d + a
+                want_values[col, a] = math.sqrt(grown[a] / (k - 1 + d))
+        meas = build_measurement(d, k)
+        assert np.array_equal(meas.rows, want_rows)
+        assert np.array_equal(meas.values, want_values)
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 4), (3, 3), (4, 2)])
     def test_eigen_factor_embeds_to_the_stacked_r_vectors(self, d, k):
-        g = build_measurement(d, k).factor
+        g = dense_factor(build_measurement(d, k))
         b = sym_basis_by_loop(k, d)
         stacked = np.column_stack([r.vector.vec for r in r_vectors(d, k)])
         assert np.abs((b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1) - stacked).max() < 1e-13
 
     def test_factor_needs_symmetric_rows(self):
+        rows, values = build_measurement(2, 3).rows, np.ones((3, 2))  # m d = 8 coordinates
+        for bad in (
+            np.zeros((2**4, 1), dtype=int),  # d^(k+1) rows, not width x d
+            rows + 0.0,  # not integer
+            rows + 2,  # one past index(n) = m - 1
+            rows[:, ::-1],  # rows[j, a] at level 1 - a
+            np.stack([rows[0], rows[0], rows[2]]),  # a coordinate twice
+        ):
+            with pytest.raises(ValueError):
+                teleport.Measurement(2, 3, bad, values)
         with pytest.raises(ValueError):
-            teleport.Measurement(2, 3, np.zeros((2**4, 1)))  # d^(k+1) rows, not m d = 8
+            teleport.Measurement(2, 3, rows, np.ones((2, 2)))
 
     def test_verify_paths_need_no_full_basis(self, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -332,7 +357,7 @@ class TestThinFactor:
         with pytest.raises(CapacityError):  # C(1100, 550) > 2^1000
             teleport._sqrt_multinomials(2, 1100)
 
-    @pytest.mark.parametrize("d,k", [(3, 200), (2, 30000), (8, 8), (5, 15), (16, 7), (2, 1010)])
+    @pytest.mark.parametrize("d,k", [(2, 30000), (16, 7), (2, 1010), (2, 1100)])
     def test_oversized_cells_are_refused_before_allocation(self, d, k, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("factor built for a cell over the cap")
@@ -348,8 +373,8 @@ class TestThinFactor:
             for k in range(1, 17):
                 if d ** (k + 1) > DIM_CAP:
                     break
-                rows, width = d * math.comb(k + d - 1, k), math.comb(k - 2 + d, k - 1)
-                assert rows <= DIM_CAP and rows * width <= teleport.FACTOR_CAP
+                width = math.comb(k - 2 + d, k - 1)
+                assert width * d * d <= teleport.FACTOR_CAP
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 2), (5, 1)])
     def test_projector_form_shares_no_helper_with_the_eigen_form(self, d, k, monkeypatch):
@@ -359,15 +384,24 @@ class TestThinFactor:
         monkeypatch.setattr(teleport, "_insertions", unexpected)
         monkeypatch.setattr(teleport, "occupation_rank", unexpected)
         monkeypatch.setattr(symgroup, "occupation_rank", unexpected)
-        g = build_measurement(d, k, form="projector").factor
+        g = dense_factor(build_measurement(d, k, form="projector"))
         b = sym_basis_by_loop(k, d)
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)
         assert frobenius_distance(f @ f.conj().T, dense_success_element(d, k)) < 1e-12
 
+    @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2), (3, 6)])
+    def test_residual_ignores_the_column_order(self, d, k):
+        eigen, proj = (build_measurement(d, k, form) for form in ("eigen", "projector"))
+        order = np.random.default_rng(d * k).permutation(len(proj.rows))
+        shuffled = teleport.Measurement(d, k, proj.rows[order], proj.values[order])
+        assert teleport._factor_distance(eigen, shuffled) == teleport._factor_distance(eigen, proj)
+        assert teleport._factor_distance(shuffled, eigen) < 1e-14
+
     def test_residual_sees_a_broken_occupation_rank(self, monkeypatch):
         m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
         monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
-        assert eigendecomposition_residual(3, 2) > 0.1
+        with pytest.raises(VerificationError, match="different coordinates"):
+            eigendecomposition_residual(3, 2)
         with pytest.raises(VerificationError):
             assert_eigendecomposition(3, 2)
 
