@@ -18,6 +18,8 @@ from functools import lru_cache
 import numpy as np
 
 from .tensor import (
+    FACTOR_CAP,
+    CapacityError,
     Operator,
     Permutation,
     StateVector,
@@ -171,7 +173,9 @@ def _young_projectors(k: int, d: int) -> dict[Partition, Operator]:
     V_sigma has its one in column j at row sum_m d^(k-1-sigma(m)) j_m, so each
     chunk of the group is remapped by one integer product and added into every
     frame, weighted by its characters, by ``np.bincount``.  A chunk has at most
-    max(d^(2k), k!) keys.  The sums are exact integers until the scale.
+    max(d^(2k), k!) keys.  The sums are exact integers until the scale.  Each
+    frame has its own sum, released once its operator holds a copy, so at most
+    one frame beyond the store is alive.
     """
     frames = [mu for mu in partitions(k) if len(mu) <= d]
     group = symmetric_group(k)  # checks the group budget before anything is allocated
@@ -184,14 +188,15 @@ def _young_projectors(k: int, d: int) -> dict[Partition, Operator]:
     chars = np.array([[_character_of_class(mu, ct) for ct in classes] for mu in frames], dtype=float)
     places = (d ** np.arange(k - 1, -1, -1))[np.array(images)]
     digits = np.indices((d,) * k).reshape(k, total)
-    sums = np.zeros((len(frames), total * total))
+    sums = [np.zeros(total * total) for _ in frames]
     step = max(total, len(images) // total)
     for start in range(0, len(images), step):
         keys = (places[start : start + step] @ digits * total + np.arange(total)).reshape(-1)
         for acc, weight in zip(sums, chars[:, label[start : start + step]]):
             acc += np.bincount(keys, np.repeat(weight, total), total * total)
     out = {}
-    for mu, acc in zip(frames, sums):
+    for mu in frames:
+        acc = sums.pop(0)  # wrapping copies it, so the sum is released before the next frame is copied
         acc *= dim_standard(mu) / math.factorial(k)
         out[mu] = Operator(acc.reshape(total, total), (d,) * k)
     return out
@@ -241,11 +246,14 @@ def occupations(n: int, d: int) -> np.ndarray:
 
     Row i counts how many factors sit at each level in the i-th symmetric
     basis vector; rows run lexicographically decreasing, so the first is
-    (n, 0, ..., 0).  There are C(n + d - 1, n) of them.
+    (n, 0, ..., 0).  There are C(n + d - 1, n) of them; a table of more than
+    FACTOR_CAP entries is refused before it is built.
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    check_capacity(math.comb(n + d - 1, n))
+    count = math.comb(n + d - 1, n)
+    if count * d > FACTOR_CAP:
+        raise CapacityError(f"occupation table of {count} x {d} entries exceeds cap {FACTOR_CAP}")
     if d == 1:
         out = np.array([[n]])
     else:

@@ -19,6 +19,13 @@ forms, which share no helper and so certify each other, never touch the
 d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
 ``gram_residual``) and ``Measurement.op`` (for the tests) live there.
+
+``verify_theorem`` draws each input from its own child seed, then simulates
+the samples together: every array of ``conditioned_elements`` and
+``simulations`` carries them on a leading axis, and a cell runs in chunks
+whose largest array, the width x d table t of each sample, stays within
+FACTOR_CAP entries.  ``conditioned_element`` and ``simulate`` are the
+one-sample case of the same kernels.
 """
 
 from __future__ import annotations
@@ -33,26 +40,28 @@ import numpy as np
 from .symgroup import occupation_rank, occupations, sym_basis
 from .tensor import (
     DEFAULT_ATOL,
+    FACTOR_CAP,
     CapacityError,
     Operator,
     Permutation,
     StateVector,
     VerificationError,
+    batch_slices,
     check_capacity,
-    haar_state,
+    gaussian_vector,
     kron,
     max_entangled_state,
     permute_state,
+    unit_rows,
 )
 
 #: Success probabilities below this are treated as a degenerate outcome.
 P_FLOOR = 1e-14
 
-#: Largest insertion table, in entries (width x d x d), that ``build_measurement``
-#: allocates.  It is the largest array of a build and of the residual, and never
-#: smaller than the m d entries of the occupation table, since d width >= m.
-#: Every cell with d^(k+1) <= DIM_CAP stays under it, as width <= d^(k-1).
-FACTOR_CAP = 2**21
+# FACTOR_CAP bounds the insertion table (width x d x d entries), the largest
+# array of a build and of the residual.  It is never smaller than the m d
+# entries of the occupation table, since d width >= m, and every cell with
+# d^(k+1) <= DIM_CAP stays under it, as width <= d^(k-1).
 
 
 def success_probability_formula(d: int, k: int) -> float:
@@ -264,11 +273,23 @@ def assert_eigendecomposition(d: int, k: int, tol: float = 1e-10) -> EigenReport
 
 
 def _check_input(psi: StateVector, d: int) -> None:
-    """Reject an input that is not one normalised factor of dim d."""
+    """Reject an input that is not one factor of dim d; the stacked kernels check its norm."""
     if psi.dims != (d,):
         raise ValueError(f"input state must be a single factor of dim {d}")
-    if abs(psi.norm() - 1.0) > DEFAULT_ATOL:
+
+
+def _check_normalised(psis: np.ndarray) -> None:
+    """Reject a stack of input vectors (one per row) unless every one is normalised."""
+    if np.abs(np.linalg.norm(psis, axis=-1) - 1.0).max() > DEFAULT_ATOL:
         raise ValueError("input state must be normalised")
+
+
+def _check_floor(probs: np.ndarray) -> None:
+    """Raise on the first success probability below P_FLOOR, carrying it."""
+    low = np.flatnonzero(probs < P_FLOOR)
+    if low.size:
+        p_est = float(probs[low[0]])
+        raise VerificationError(f"success probability {p_est:.3e} below floor", p_est)
 
 
 @lru_cache(maxsize=None)
@@ -288,38 +309,63 @@ def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
     return out
 
 
-def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
-    """E = (<psi|^(x k) (x) 1_A) M (|psi>^(x k) (x) 1_A), a d x d matrix.
+def _sample_entries(d: int, k: int) -> int:
+    """Entries per sample of the largest stacked array of ``conditioned_elements``: the
+    width x d table t (never smaller than the m overlaps), or the d x (k + 1) power table.
+    """
+    return d * max(math.comb(k + d - 2, k - 1), k + 1)
+
+
+def conditioned_elements(meas: Measurement, psis: np.ndarray) -> np.ndarray:
+    """E = (<psi|^(x k) (x) 1_A) M (|psi>^(x k) (x) 1_A) for each row psi of ``psis``, as S x d x d.
 
     Bob's success-conditioned output depends on Alice's measurement only
     through E.  In symmetric coordinates <psi^(x k)|n>_sym = sqrt(k!/prod
     n_j!) prod_j conj(psi_j)^n_j =: w_n, so with M = F F^dagger and
     F = (B (x) 1) G, E = t^T conj(t) for t[j, a] = sum_n w_n G[(n, a), j],
     which is the one term w_n ``values[j, a]`` at (n, a) = ``rows[j, a]``;
-    E is PSD by construction.
+    E is PSD by construction.  Every array carries the samples on its
+    leading axis.
     """
-    _check_input(psi, meas.d)
+    _check_normalised(psis)
     d, k = meas.d, meas.k
-    powers = np.ones((d, k + 1), dtype=complex)
-    powers[:, 1:] = psi.vec.conj()[:, None]
-    powers = np.cumprod(powers, axis=1)  # powers[j, c] = conj(psi_j)^c
-    w = _sqrt_multinomials(d, k) * powers[np.arange(d), occupations(k, d)].prod(axis=1)
-    t = w[meas.rows // d] * meas.values
-    return t.T @ t.conj()
+    powers = np.ones((len(psis), d, k + 1), dtype=complex)
+    powers[:, :, 1:] = psis.conj()[:, :, None]
+    powers = np.cumprod(powers, axis=2)  # powers[s, j, c] = conj(psi_sj)^c
+    occ = occupations(k, d)
+    w = powers[:, 0, occ[:, 0]]  # prod_j powers[:, j, occ[:, j]], one level at a time
+    for j in range(1, d):
+        w *= powers[:, j, occ[:, j]]
+    w *= _sqrt_multinomials(d, k)
+    t = w[:, meas.rows // d]
+    t *= meas.values
+    return np.swapaxes(t, 1, 2) @ t.conj()
 
 
-def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
-    """Run the protocol on k copies of psi; return (p_est, Bob's state).
+def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
+    """``conditioned_elements`` of the one input psi, a d x d matrix."""
+    _check_input(psi, meas.d)
+    return conditioned_elements(meas, psi.vec[None])[0]
+
+
+def simulations(meas: Measurement, psis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run the protocol on k copies of each row psi of ``psis``; return (p_est, Bob's states), stacked.
 
     With the shared pair |phi>, tr_Alice[(E (x) 1)|phi><phi|] = E^T / d, so
     the success probability is tr E / d and Bob's normalised state E^T / tr E.
     """
-    e = conditioned_element(meas, psi)
-    trace = float(e.trace().real)
-    p_est = trace / meas.d
-    if p_est < P_FLOOR:
-        raise VerificationError(f"success probability {p_est:.3e} below floor", p_est)
-    return p_est, Operator(e.T / trace, (meas.d,))
+    e = conditioned_elements(meas, psis)
+    traces = np.trace(e, axis1=1, axis2=2).real
+    probs = traces / meas.d
+    _check_floor(probs)
+    return probs, np.swapaxes(e, 1, 2) / traces[:, None, None]
+
+
+def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
+    """``simulations`` of the one input psi: (p_est, Bob's state)."""
+    _check_input(psi, meas.d)
+    probs, bob = simulations(meas, psi.vec[None])
+    return float(probs[0]), Operator(bob[0], (meas.d,))
 
 
 @dataclass(frozen=True)
@@ -350,23 +396,24 @@ def verify_theorem(
 ) -> TheoremReport:
     """Sample Haar inputs, simulate, and compare against the formula.
 
-    Passes iff every sampled probability matches k/(d(k-1+d)) within tol,
-    every conditional output has fidelity at least 1 - tol with the input,
-    and the residual between the two measurement constructions (reusing the
-    eigen form it sampled with) is at most tol.
+    Each sample draws its input from its own child of ``SeedSequence(seed)``;
+    the samples are then simulated together, in chunks whose stacked arrays
+    stay within FACTOR_CAP.  Passes iff every sampled probability matches
+    k/(d(k-1+d)) within tol, every conditional output has fidelity at least
+    1 - tol with the input, and the residual between the two measurement
+    constructions (reusing the eigen form it sampled with) is at most tol.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     meas = build_measurement(d, k, form="eigen")
     p_formula = success_probability_formula(d, k)
-    child_seeds = np.random.SeedSequence(seed).spawn(samples)
+    children = np.random.SeedSequence(seed).spawn(samples)
     probs = np.empty(samples)
     fids = np.empty(samples)
-    for i, child in enumerate(child_seeds):
-        psi = haar_state(d, np.random.default_rng(child))
-        p_est, bob = simulate(psi, meas)
-        probs[i] = p_est
-        fids[i] = float(np.real(psi.vec.conj() @ bob.mat @ psi.vec))
+    for part in batch_slices(samples, _sample_entries(d, k)):
+        psis = unit_rows(np.stack([gaussian_vector(d, np.random.default_rng(child)) for child in children[part]]))
+        probs[part], bob = simulations(meas, psis)
+        fids[part] = np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))

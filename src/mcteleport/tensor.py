@@ -29,6 +29,9 @@ DEFAULT_ATOL = 1e-9
 DIM_CAP = 65536
 #: Largest factorial group iterated when assembling group averages.
 GROUP_BUDGET = 8
+#: Largest array, in entries, of the symmetric-coordinate layers: a measurement's
+#: insertion table, an occupation table, and each chunk of stacked samples.
+FACTOR_CAP = 2**21
 
 
 class CapacityError(ValueError):
@@ -54,6 +57,14 @@ def check_group_budget(n: int) -> None:
             f"symmetric group on {n} letters ({math.factorial(n)} elements) "
             f"exceeds budget {GROUP_BUDGET}"
         )
+
+
+def batch_slices(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of ``count`` samples whose stacked arrays of ``entries`` entries
+    per sample stay within FACTOR_CAP; one sample per slice when one is already larger.
+    """
+    step = max(1, FACTOR_CAP // entries)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -313,27 +324,50 @@ def max_entangled_state(d: int) -> StateVector:
     return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
 
 
-def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix, phases fixed.
+def ginibre(d: int, rng: int | np.random.Generator) -> np.ndarray:
+    """The d x d complex Ginibre draw behind ``haar_unitary``: real parts first, variance 1."""
+    gen = as_rng(rng)
+    return (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / math.sqrt(2)
 
-    The diagonal of R is normalised to unit modulus so the distribution is
-    left-invariant, not merely unitary.
+
+def haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of Ginibre matrices: QR, phases fixed.
+
+    The diagonal of each R is normalised to unit modulus so the distribution
+    is left-invariant, not merely unitary.  numpy runs LAPACK on each matrix
+    of the stack in turn, so each comes out as from a QR of its own.
     """
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
+    """Haar-distributed unitary: ``haar_unitaries`` of one ``ginibre`` draw."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
+    return Operator(haar_unitaries(ginibre(d, rng)), (d,))
+
+
+def gaussian_vector(d: int, rng: int | np.random.Generator) -> np.ndarray:
+    """The complex Gaussian draw behind ``haar_state``: real parts first."""
     gen = as_rng(rng)
-    z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return Operator(q, (d,))
+    return gen.standard_normal(d) + 1j * gen.standard_normal(d)
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each real row, as BLAS dot products (the rounding of ``np.linalg.norm`` on one vector)."""
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
+
+def unit_rows(v: np.ndarray) -> np.ndarray:
+    """Each complex vector along the last axis over its norm, rounded as ``np.linalg.norm`` rounds one vector."""
+    return v / np.sqrt(_sq_norms(v.real) + _sq_norms(v.imag))[..., None]
 
 
 def haar_state(d: int, rng: int | np.random.Generator) -> StateVector:
     """Haar-uniform pure state: a normalised complex Gaussian vector."""
-    gen = as_rng(rng)
-    v = gen.standard_normal(d) + 1j * gen.standard_normal(d)
-    return StateVector(v / np.linalg.norm(v), (d,))
+    return StateVector(unit_rows(gaussian_vector(d, rng)), (d,))
 
 
 def hermitian_eig(x: Operator, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, Operator]:

@@ -1,11 +1,14 @@
 """Independent brute-force oracles the library tests check against.
 
 Nearly everything here is deliberately naive: different algorithms, different
-data representations, no shared code with the package under test.  The
-exception is the dense optimality path at the end of the file: F, Q and X on
-(C^d)^(x (k+1)) and the commutant projection, built from the package's own
+data representations, no shared code with the package under test.  There are
+two exceptions.  The per-sample loops of ``verify_theorem`` and ``verify_sar``
+call the package's one-sample ``simulate``, ``store`` and ``retrieve`` once
+per child seed, as the suites did before they stacked their samples.  The
+dense optimality path at the end of the file, F, Q and X on
+(C^d)^(x (k+1)) and the commutant projection, is built from the package's own
 operators (each checked against a naive construction elsewhere in the
-suite), which cross-check the symmetric-coordinate optimality layer.
+suite) and cross-checks the symmetric-coordinate optimality layer.
 """
 
 from __future__ import annotations
@@ -21,11 +24,18 @@ from mcteleport import (
     VerificationError,
     build_measurement,
     dim_standard,
+    eigendecomposition_residual,
     f_projector,
+    haar_state,
     mult_semistandard,
     partial_transpose,
     partitions,
+    random_channel,
     removable_boxes,
+    retrieve,
+    simulate,
+    store,
+    success_probability_formula,
     sym_partition,
     sym_projector,
     young_projector,
@@ -275,6 +285,47 @@ def kron_program_state(kraus: list[np.ndarray], d: int) -> np.ndarray:
         branch = np.kron(np.eye(d), op) @ phi
         total = total + np.outer(branch, branch.conj())
     return total
+
+
+def verify_theorem_by_loop(d: int, k: int, samples: int, tol: float, seed: int) -> dict:
+    """``verify_theorem`` as a loop over samples: one ``haar_state`` and one ``simulate`` per child seed."""
+    meas = build_measurement(d, k)
+    p_formula = success_probability_formula(d, k)
+    probs, fids = [], []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        psi = haar_state(d, np.random.default_rng(child))
+        p_est, bob = simulate(psi, meas)
+        probs.append(p_est)
+        fids.append(float(np.real(psi.vec.conj() @ bob.mat @ psi.vec)))
+    deviation = max(abs(p - p_formula) for p in probs)
+    passed = deviation <= tol and min(fids) >= 1.0 - tol and eigendecomposition_residual(d, k) <= tol
+    return {
+        "p_mean": float(np.mean(probs)),
+        "max_probability_deviation": deviation,
+        "min_fidelity": min(fids),
+        "passed": passed,
+    }
+
+
+def verify_sar_by_loop(d: int, d_out: int, k: int, kraus_rank: int, samples: int, tol: float, seed: int) -> dict:
+    """``verify_sar`` as a loop over samples: one channel, input, ``store`` and ``retrieve`` per child seed."""
+    meas = build_measurement(d, k)
+    p_formula = success_probability_formula(d, k)
+    probs, state_devs = [], []
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        channel = random_channel(d, d_out, kraus_rank, rng)
+        psi = haar_state(d, rng)
+        p_est, out = retrieve(store(channel), psi, k, meas)
+        probs.append(p_est)
+        state_devs.append(float(np.linalg.norm(out.mat - channel.apply(np.outer(psi.vec, psi.vec.conj())))))
+    p_dev = max(abs(p - p_formula) for p in probs)
+    return {
+        "p_mean": float(np.mean(probs)),
+        "max_probability_deviation": p_dev,
+        "max_state_deviation": max(state_devs),
+        "passed": p_dev <= tol and max(state_devs) <= tol,
+    }
 
 
 def haar_unitary_by_qr(d: int, rng: np.random.Generator) -> np.ndarray:

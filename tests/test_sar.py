@@ -61,6 +61,10 @@ class TestChannels:
         with pytest.raises(ValueError):
             Channel((np.eye(2),), 2, 3)
 
+    def test_empty_kraus_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            Channel((), 2, 2)
+
 
 #: (d, d_out, Kraus rank) with d <= 4 and d_out, rank <= 3 whose Stinespring
 #: isometry exists, so the channel is trace preserving.
@@ -206,7 +210,7 @@ def test_verify_sar_checks_the_program_cap_on_entry(d, d_out, monkeypatch):
         raise AssertionError("built for a cell over the program cap")
 
     monkeypatch.setattr(sar, "build_measurement", unexpected)
-    monkeypatch.setattr(sar, "random_channel", unexpected)
+    monkeypatch.setattr(sar, "ginibre", unexpected)
     with pytest.raises(CapacityError, match="program state"):
         verify_sar(d, d_out, 1, 1, samples=2)
 

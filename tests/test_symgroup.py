@@ -26,6 +26,7 @@ from mcteleport import (
 )
 from mcteleport import symgroup
 from mcteleport.symgroup import occupation_rank
+from mcteleport.tensor import FACTOR_CAP
 
 from oracles import (
     group_average_symmetriser,
@@ -276,7 +277,7 @@ class TestOccupations:
         stacked = np.stack([occ[::-1], occ])
         assert np.array_equal(occupation_rank(stacked), [np.arange(10)[::-1], np.arange(10)])
 
-    @pytest.mark.parametrize("n,d", [(1, 300), (2, 128), (0, 80), (3, 70)])
+    @pytest.mark.parametrize("n,d", [(1, 300), (2, 128), (0, 80), (2, 70)])
     def test_ranks_at_many_levels_stay_in_range(self, n, d):
         # C(d, d // 2) passes the int64 range at these d; no rank needs it
         occ = occupations(n, d)
@@ -287,8 +288,14 @@ class TestOccupations:
             occupations(2, 2)[0, 0] = 5
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="occupation table of 170544 x 16 entries"):
             occupations(7, 16)  # C(22, 7) = 170544 rows
+
+    def test_capacity_bounds_the_table_entries(self):
+        # the m x d table, not the row count: 65703 rows pass at d = 3, 59640 do not at d = 70
+        assert occupations(361, 3).shape == (65703, 3)
+        with pytest.raises(CapacityError, match=f"occupation table of 59640 x 70 entries exceeds cap {FACTOR_CAP}"):
+            occupations(3, 70)
 
 
 def valid_f_pairs(k, d):
