@@ -58,11 +58,6 @@ from .tensor import (
 #: Success probabilities below this are treated as a degenerate outcome.
 P_FLOOR = 1e-14
 
-# FACTOR_CAP bounds the insertion table (width x d x d entries), the largest
-# array of a build and of the residual.  It is never smaller than the m d
-# entries of the occupation table, since d width >= m, and every cell with
-# d^(k+1) <= DIM_CAP stays under it, as width <= d^(k-1).
-
 
 def success_probability_formula(d: int, k: int) -> float:
     """k / (d (k - 1 + d)): 1/d^2 at k = 1, approaching 1/d as k grows."""
@@ -209,7 +204,10 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
 
     A cell is refused with ``CapacityError`` before anything is allocated
     when its width x d x d insertion table would pass FACTOR_CAP entries, or
-    when its sqrt-multinomial weights leave the float range.
+    when its sqrt-multinomial weights leave the float range.  That table is
+    the largest array of a build and of the residual, never smaller than the
+    m d entries of the occupation table (d width >= m), and every cell with
+    d^(k+1) <= DIM_CAP fits, as width <= d^(k-1).
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
