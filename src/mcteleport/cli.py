@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -24,18 +25,29 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import optimality, sar, symgroup, teleport
 from .tensor import CapacityError, VerificationError
+
+if TYPE_CHECKING:
+    from . import optimality, sar, symgroup, teleport
 
 CSV_COLUMNS = ["d", "k", "p_formula", "p_mean", "p_std", "eig_residual", "c1", "c2", "pass", "seconds"]
 
-SUITES = ("verify", "sweep", "lemmas", "optimality", "sar")
+#: Each suite and the library modules its cells call.  ``run`` imports and binds them here
+#: before the first cell, so a run compiles and loads no other suite's code.
+SUITE_MODULES = {
+    "verify": ("teleport",),
+    "sweep": ("optimality", "teleport"),
+    "lemmas": ("symgroup", "optimality", "teleport"),
+    "optimality": ("optimality",),
+    "sar": ("sar",),
+}
+SUITES = tuple(SUITE_MODULES)
 
 
 @dataclass
@@ -155,12 +167,21 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     return record
 
 
+def import_suite(suite: str) -> None:
+    """Import the library modules of ``suite`` and bind each here under its own name."""
+    for name in SUITE_MODULES[suite]:
+        globals()[name] = importlib.import_module(f"{__package__}.{name}")
+
+
 def run(config: RunConfig) -> list[dict]:
+    import_suite(config.suite)
     cells = config.cells()
     seeds = _cell_seeds(config.seed, len(cells))
     workers = max(1, config.threads)
     if workers == 1:
         return [run_cell(config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
+    from concurrent.futures import ThreadPoolExecutor  # imports logging; a one-thread run needs neither
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(run_cell, config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
         return [f.result() for f in futures]

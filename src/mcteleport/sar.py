@@ -6,14 +6,13 @@ together with the untouched half, leaving the channel output on the final
 register with the teleportation probability k / (d (k - 1 + d)), channel
 independent.
 
-``verify_sar`` draws each sample's channel (a Ginibre matrix) and input from
-its own child seed, then stores, retrieves and checks the samples together:
-one QR over the stacked Ginibre matrices, and every later array carries the
-samples on a leading axis.  A cell runs in chunks whose largest array (the
-table t of ``conditioned_elements``, the Stinespring unitaries or the stored
-programs) stays within FACTOR_CAP entries, or one sample at a time past it.
-``store`` and ``retrieve`` are the one-channel case of ``programs`` and
-``retrievals``.
+``verify_sar`` draws each sample's channel (a Ginibre matrix) and input with
+one call on its own child seed, then stores, retrieves and checks the
+samples together: one QR over the stacked Ginibre matrices, and every later
+array carries the samples on a leading axis.  A cell runs in chunks whose
+arrays, all counted together (``_sar_sample_entries``), stay within
+FACTOR_CAP entries, or one sample at a time past it.  ``store`` and
+``retrieve`` are the one-channel case of ``programs`` and ``retrievals``.
 """
 
 from __future__ import annotations
@@ -29,9 +28,11 @@ from .tensor import (
     Operator,
     StateVector,
     batch_slices,
-    gaussian_vector,
+    gaussian_vectors,
     ginibre,
+    ginibres,
     haar_unitaries,
+    seeded_normals,
     unit_rows,
 )
 from .teleport import (
@@ -213,6 +214,39 @@ def retrieve(
     return float(probs[0]), Operator(out[0], (prog.d_out,))
 
 
+def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
+    """Entries per sample of every array a chunk of ``verify_sar`` can hold at once, all counted as
+    if alive together: those of ``_sample_entries``, the rest of the draw row and the Haar step on
+    w = d_out kraus_rank (the row's 2 w^2, the Ginibre matrix, LAPACK's copy of it, Q, R and the
+    unitaries), the Kraus stack's conjugate, the two copies of its branches and their conjugate
+    (4 w d), the products and sums of the CPTP defect (rank d^2 + 2 d^2), the program, and the
+    retrieved and expected outputs with K|psi> (4 d_out^2 + w).
+    """
+    w = d_out * kraus_rank
+    kraus = 4 * w * d + kraus_rank * d * d + 2 * d * d
+    return _sample_entries(d, k) + 7 * w * w + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
+
+
+def _sar_chunk(
+    meas: Measurement, seeds: list[np.random.SeedSequence], d_out: int, kraus_rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Success probabilities and output deviations of the channels and inputs drawn from ``seeds``, together.
+
+    Its arrays are released on return, so no two chunks are alive at once.
+    """
+    d = meas.d
+    width = d_out * kraus_rank
+    split = 2 * width * width
+    x = seeded_normals(seeds, split + 2 * d)
+    kraus = _stinespring_kraus(haar_unitaries(ginibres(x[:, :split], width)), d, d_out, kraus_rank)
+    psis = unit_rows(gaussian_vectors(x[:, split:], d))
+    e = conditioned_elements(meas, psis)  # before the programs, so that their arrays are not alive together
+    probs, out = retrievals(e, programs(kraus))
+    branches = (kraus @ psis[:, None, :, None])[..., 0]  # K_i |psi>, S x rank x d_out
+    expected = np.swapaxes(branches, 1, 2) @ branches.conj()
+    return probs, np.linalg.norm(out - expected, axis=(1, 2))
+
+
 @dataclass(frozen=True)
 class SarReport:
     d: int
@@ -242,10 +276,13 @@ def verify_sar(
 ) -> SarReport:
     """Monte-Carlo retrieval check over random channels and Haar inputs, refused first over PROGRAM_CAP.
 
-    Each sample draws its channel's Ginibre matrix and then its input from
-    its own child of ``SeedSequence(seed)``; the samples are then stored,
-    retrieved and compared with the direct Kraus action together, in chunks
-    whose stacked arrays stay within FACTOR_CAP.
+    Each sample fills one row of 2 w^2 + 2 d standard normals (w = d_out
+    kraus_rank) with one draw from its own child of ``SeedSequence(seed)``:
+    the real and imaginary parts of its channel's Ginibre matrix, then those
+    of its input, the numbers ``random_channel`` and then ``haar_state`` take
+    from that child.  The samples are then stored, retrieved and compared
+    with the direct Kraus action together, one chunk at a time, so that every
+    array a chunk holds (``_sar_sample_entries``) stays within FACTOR_CAP.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -256,16 +293,8 @@ def verify_sar(
     children = np.random.SeedSequence(seed).spawn(samples)
     probs = np.empty(samples)
     state_devs = np.empty(samples)
-    width = d_out * kraus_rank
-    for part in batch_slices(samples, max(_sample_entries(d, k), width * width, (d * d_out) ** 2)):
-        gens = [np.random.default_rng(child) for child in children[part]]
-        kraus = _stinespring_kraus(haar_unitaries(np.stack([ginibre(width, gen) for gen in gens])), d, d_out, kraus_rank)
-        psis = unit_rows(np.stack([gaussian_vector(d, gen) for gen in gens]))
-        e = conditioned_elements(meas, psis)  # before the programs, so that their arrays are not alive together
-        probs[part], out = retrievals(e, programs(kraus))
-        branches = (kraus @ psis[:, None, :, None])[..., 0]  # K_i |psi>, S x rank x d_out
-        expected = np.swapaxes(branches, 1, 2) @ branches.conj()
-        state_devs[part] = np.linalg.norm(out - expected, axis=(1, 2))
+    for part in batch_slices(samples, _sar_sample_entries(d, d_out, k, kraus_rank)):
+        probs[part], state_devs[part] = _sar_chunk(meas, children[part], d_out, kraus_rank)
     p_devs = np.abs(probs - p_formula)
     worst_p, worst_state = float(p_devs.max()), float(state_devs.max())
     passed = bool(worst_p <= tol and worst_state <= tol)

@@ -20,10 +20,10 @@ d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
 ``gram_residual``) and ``Measurement.op`` (for the tests) live there.
 
-``verify_theorem`` draws each input from its own child seed, then simulates
-the samples together: every array of ``conditioned_elements`` and
-``simulations`` carries them on a leading axis, and a cell runs in chunks
-whose largest array, the width x d table t of each sample, stays within
+``verify_theorem`` draws each input with one call on its own child seed,
+then forms and simulates the samples together: every array of
+``conditioned_elements`` and ``simulations`` carries them on a leading axis,
+and a cell runs in chunks whose arrays, all counted together, stay within
 FACTOR_CAP entries.  ``conditioned_element`` and ``simulate`` are the
 one-sample case of the same kernels.
 """
@@ -31,9 +31,11 @@ one-sample case of the same kernels.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 
@@ -48,10 +50,11 @@ from .tensor import (
     VerificationError,
     batch_slices,
     check_capacity,
-    gaussian_vector,
+    gaussian_vectors,
     kron,
     max_entangled_state,
     permute_state,
+    seeded_normals,
     unit_rows,
 )
 
@@ -174,21 +177,32 @@ def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     occupation n'' agree, so Z Z^dagger = C^dagger C with one row per n'',
     weighted by sqrt(mult(n'')).  Row n'' is nonzero only in the d columns
     (n'' + e_a, a), so the rows are orthogonal, and each is returned as
-    those columns and its entries there.  The rows come from multisets of
-    levels, the columns from a lookup of n'' + e_a and the entries from the
-    multinomials themselves, so nothing is shared with the eigen form.
+    those columns and its entries there.  The rows come from sorted
+    multisets of levels, counted by bisection, the columns from a lookup of
+    n'' + e_a and the entries from the multinomials themselves, each taken
+    once per occupation from one table of exact factorials, so nothing is
+    shared with the eigen form.
     """
-    column = {occ: i * d for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
-    width = math.comb(k - 2 + d, k - 1)
-    columns, entries = np.empty((width, d), dtype=np.intp), np.empty((width, d))
-    for row, levels in enumerate(combinations_with_replacement(range(d), k - 1)):
-        base = [levels.count(a) for a in range(d)]
-        mult = _multinomial(base)
+    factorial = list(accumulate(range(1, k + 1), operator.mul, initial=1))  # factorial[c] = c!
+
+    def multinomial(occ: tuple[int, ...]) -> int:
+        den = 1
+        for c in occ:
+            den *= factorial[c]
+        return factorial[sum(occ)] // den
+
+    column = {occ: (i * d, multinomial(occ)) for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
+    columns, entries = [], []
+    for levels in combinations_with_replacement(range(d), k - 1):
+        edges = [bisect_left(levels, a) for a in range(1, d)]
+        base = tuple(hi - lo for lo, hi in zip([0] + edges, edges + [k - 1]))
+        mult = multinomial(base)
         for a in range(d):
-            grown = base[:a] + [base[a] + 1] + base[a + 1 :]
-            columns[row, a] = column[tuple(grown)] + a
-            entries[row, a] = math.sqrt(mult / (d * _multinomial(grown)))
-    return columns, entries
+            index, grown = column[base[:a] + (base[a] + 1,) + base[a + 1 :]]
+            columns.append(index + a)
+            entries.append(math.sqrt(mult / (d * grown)))
+    shape = (math.comb(k - 2 + d, k - 1), d)
+    return np.array(columns, dtype=np.intp).reshape(shape), np.array(entries).reshape(shape)
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
@@ -308,10 +322,13 @@ def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
 
 
 def _sample_entries(d: int, k: int) -> int:
-    """Entries per sample of the largest stacked array of ``conditioned_elements``: the
-    width x d table t (never smaller than the m overlaps), or the d x (k + 1) power table.
+    """Entries per sample of every array a chunk of ``verify_theorem`` can hold at once, all counted
+    as if alive together: the draw row and the input (3 d), and in ``conditioned_elements`` the power
+    table with the array it accumulates (2 d (k + 1)), the m weights with a gather of them, the
+    width x d table t with its conjugate, and E with Bob's state (2 d^2).
     """
-    return d * max(math.comb(k + d - 2, k - 1), k + 1)
+    m, width = math.comb(k + d - 1, k), math.comb(k + d - 2, k - 1)
+    return 3 * d + 2 * d * (k + 1) + 2 * m + 2 * width * d + 2 * d * d
 
 
 def conditioned_elements(meas: Measurement, psis: np.ndarray) -> np.ndarray:
@@ -366,6 +383,16 @@ def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
     return float(probs[0]), Operator(bob[0], (meas.d,))
 
 
+def _theorem_chunk(meas: Measurement, seeds: list[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Success probabilities and fidelities of the inputs drawn from ``seeds``, simulated together.
+
+    Its arrays are released on return, so no two chunks are alive at once.
+    """
+    psis = unit_rows(gaussian_vectors(seeded_normals(seeds, 2 * meas.d), meas.d))
+    probs, bob = simulations(meas, psis)
+    return probs, np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real
+
+
 @dataclass(frozen=True)
 class TheoremReport:
     """Aggregate of Haar-sampled protocol runs against the closed formula."""
@@ -394,12 +421,15 @@ def verify_theorem(
 ) -> TheoremReport:
     """Sample Haar inputs, simulate, and compare against the formula.
 
-    Each sample draws its input from its own child of ``SeedSequence(seed)``;
-    the samples are then simulated together, in chunks whose stacked arrays
-    stay within FACTOR_CAP.  Passes iff every sampled probability matches
-    k/(d(k-1+d)) within tol, every conditional output has fidelity at least
-    1 - tol with the input, and the residual between the two measurement
-    constructions (reusing the eigen form it sampled with) is at most tol.
+    Each sample fills one row of 2 d standard normals, the real and then the
+    imaginary parts of its input, with one draw from its own child of
+    ``SeedSequence(seed)``: the numbers ``haar_state`` takes from that child.
+    The inputs are then formed and simulated together, one chunk at a time,
+    so that every array a chunk holds (``_sample_entries``) stays within
+    FACTOR_CAP.  Passes iff every sampled probability matches k/(d(k-1+d))
+    within tol, every conditional output has fidelity at least 1 - tol with
+    the input, and the residual between the two measurement constructions
+    (reusing the eigen form it sampled with) is at most tol.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -409,9 +439,7 @@ def verify_theorem(
     probs = np.empty(samples)
     fids = np.empty(samples)
     for part in batch_slices(samples, _sample_entries(d, k)):
-        psis = unit_rows(np.stack([gaussian_vector(d, np.random.default_rng(child)) for child in children[part]]))
-        probs[part], bob = simulations(meas, psis)
-        fids[part] = np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real
+        probs[part], fids[part] = _theorem_chunk(meas, children[part])
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
@@ -421,3 +449,4 @@ def verify_theorem(
         d, k, samples, seed, p_formula, float(probs.mean()), float(probs.std()), float(deviations.max()),
         float(fids.min()), eig_residual, tol, passed, worst,
     )
+

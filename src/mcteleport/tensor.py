@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations as _sn_iter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +30,8 @@ DIM_CAP = 65536
 #: Largest factorial group iterated when assembling group averages.
 GROUP_BUDGET = 8
 #: Largest array, in entries, of the symmetric-coordinate layers: a measurement's
-#: insertion table, an occupation table, and each chunk of stacked samples.
+#: insertion table, an occupation table, and the arrays a chunk of stacked samples
+#: holds at once, counted together.
 FACTOR_CAP = 2**21
 
 
@@ -60,8 +61,8 @@ def check_group_budget(n: int) -> None:
 
 
 def batch_slices(count: int, entries: int) -> list[slice]:
-    """Consecutive slices of ``count`` samples whose stacked arrays of ``entries`` entries
-    per sample stay within FACTOR_CAP; one sample per slice when one is already larger.
+    """Consecutive slices of ``count`` samples whose working sets of ``entries`` entries
+    per sample stay within FACTOR_CAP together; one sample per slice when one is already larger.
     """
     step = max(1, FACTOR_CAP // entries)
     return [slice(start, start + step) for start in range(0, count, step)]
@@ -324,10 +325,34 @@ def max_entangled_state(d: int) -> StateVector:
     return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
 
 
+def seeded_normals(seeds: Sequence[np.random.SeedSequence], width: int) -> np.ndarray:
+    """One row of ``width`` standard normals per seed, filled by one call on ``default_rng(seed)``.
+
+    A Generator yields the same numbers in the same order however they are
+    split between calls, so a row holds exactly what successive ``ginibre``
+    and ``gaussian_vector`` draws from that seed would take; ``ginibres`` and
+    ``gaussian_vectors`` read them back in that layout.
+    """
+    rows = np.empty((len(seeds), width))
+    for seed, row in zip(seeds, rows):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return rows
+
+
+def _complex_normals(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex normals of ``shape`` from the first 2 prod(shape) floats of each row of x: real parts, then imaginary parts."""
+    n, lead = math.prod(shape), x.shape[:-1]
+    return x[..., :n].reshape(lead + shape) + 1j * x[..., n : 2 * n].reshape(lead + shape)
+
+
+def ginibres(x: np.ndarray, d: int) -> np.ndarray:
+    """The d x d complex Ginibre matrix, variance 1, of each row of at least 2 d^2 standard normals."""
+    return _complex_normals(x, (d, d)) / math.sqrt(2)
+
+
 def ginibre(d: int, rng: int | np.random.Generator) -> np.ndarray:
-    """The d x d complex Ginibre draw behind ``haar_unitary``: real parts first, variance 1."""
-    gen = as_rng(rng)
-    return (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / math.sqrt(2)
+    """The d x d complex Ginibre draw behind ``haar_unitary``: ``ginibres`` of 2 d^2 normals."""
+    return ginibres(as_rng(rng).standard_normal(2 * d * d), d)
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
@@ -349,10 +374,14 @@ def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
     return Operator(haar_unitaries(ginibre(d, rng)), (d,))
 
 
+def gaussian_vectors(x: np.ndarray, d: int) -> np.ndarray:
+    """The complex Gaussian d-vector of each row of at least 2 d standard normals."""
+    return _complex_normals(x, (d,))
+
+
 def gaussian_vector(d: int, rng: int | np.random.Generator) -> np.ndarray:
-    """The complex Gaussian draw behind ``haar_state``: real parts first."""
-    gen = as_rng(rng)
-    return gen.standard_normal(d) + 1j * gen.standard_normal(d)
+    """The complex Gaussian draw behind ``haar_state``: ``gaussian_vectors`` of 2 d normals."""
+    return gaussian_vectors(as_rng(rng).standard_normal(2 * d), d)
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from itertools import permutations
-from math import factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport.symgroup import occupation_rank
+from mcteleport.symgroup import occupation_rank, occupations
+from mcteleport.teleport import _multinomial
 from mcteleport.tensor import DEFAULT_ATOL
 
 
@@ -448,6 +449,23 @@ def sym_basis_by_loop(n: int, d: int) -> np.ndarray:
         v[members] = 1.0 / np.sqrt(len(members))
         columns.append(v)
     return np.column_stack(columns)
+
+
+def sandwich_rows_by_count(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``teleport._sandwich_rows`` as first written: each row counts its levels with ``tuple.count``
+    and recomputes the multinomial of its occupation and of every grown one with ``math.comb``.
+    """
+    column = {occ: i * d for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
+    width = comb(k - 2 + d, k - 1)
+    columns, entries = np.empty((width, d), dtype=np.intp), np.empty((width, d))
+    for row, levels in enumerate(itertools.combinations_with_replacement(range(d), k - 1)):
+        base = [levels.count(a) for a in range(d)]
+        mult = _multinomial(base)
+        for a in range(d):
+            grown = base[:a] + [base[a] + 1] + base[a + 1 :]
+            columns[row, a] = column[tuple(grown)] + a
+            entries[row, a] = sqrt(mult / (d * _multinomial(grown)))
+    return columns, entries
 
 
 def full_eigen_factor(d: int, k: int) -> np.ndarray:

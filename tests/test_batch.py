@@ -1,8 +1,11 @@
 """Stacked sampling in ``verify_theorem`` and ``verify_sar``, and the capacity fixes around it.
 
-Both suites draw each sample from its own child seed, then compute a chunk
-of samples as stacked arrays.  The oracles in ``oracles.py`` run the same
-cells one ``simulate``, or one ``store`` and ``retrieve``, per child seed.
+Both suites fill one row of standard normals per sample with a single draw
+from its own child seed, then form and compute a chunk of samples as
+stacked arrays.  The draws must equal, bit for bit, what ``haar_state`` and
+``ginibre`` take from the same child; the oracles in ``oracles.py`` run the
+same cells one ``simulate``, or one ``store`` and ``retrieve``, per child
+seed; and a chunk's arrays, all counted together, bound its memory.
 """
 
 import hashlib
@@ -13,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from mcteleport import VerificationError, cli, sar, teleport, tensor, verify_sar, verify_theorem
+from mcteleport import VerificationError, cli, haar_state, sar, teleport, tensor, verify_sar, verify_theorem
 from mcteleport.tensor import FACTOR_CAP, batch_slices
 
 from oracles import verify_sar_by_loop, verify_theorem_by_loop
@@ -61,6 +64,77 @@ def test_one_sample_chunks_equal_one_chunk(d, k, monkeypatch):
                 assert getattr(many, field) == value, field
 
 
+@pytest.mark.parametrize("cap", [FACTOR_CAP, 1])
+@pytest.mark.parametrize("d,k", CELLS)
+def test_verify_draws_each_input_as_haar_state_does(d, k, cap, monkeypatch):
+    inputs = []
+
+    def capture(v):
+        inputs.append(tensor.unit_rows(v))
+        return inputs[-1].copy()
+
+    monkeypatch.setattr(tensor, "FACTOR_CAP", cap)
+    monkeypatch.setattr(teleport, "unit_rows", capture)
+    verify_theorem(d, k, samples=6, seed=100 * d + k)
+    want = [haar_state(d, np.random.default_rng(child)).vec for child in np.random.SeedSequence(100 * d + k).spawn(6)]
+    assert np.array_equal(np.concatenate(inputs), np.stack(want))
+
+
+@pytest.mark.parametrize("cap", [FACTOR_CAP, 1])
+@pytest.mark.parametrize("d,d_out,k,rank", [(d, d, k, 2) for d, k in CELLS] + SAR_SHAPES)
+def test_sar_draws_each_channel_and_input_as_the_one_sample_draws_do(d, d_out, k, rank, cap, monkeypatch):
+    inputs, stacks = [], []
+
+    def capture_inputs(v):
+        inputs.append(tensor.unit_rows(v))
+        return inputs[-1].copy()
+
+    def capture_ginibres(z):
+        stacks.append(z.copy())
+        return tensor.haar_unitaries(z)
+
+    monkeypatch.setattr(tensor, "FACTOR_CAP", cap)
+    monkeypatch.setattr(sar, "unit_rows", capture_inputs)
+    monkeypatch.setattr(sar, "haar_unitaries", capture_ginibres)
+    verify_sar(d, d_out, k, rank, samples=6, seed=100 * d + k)
+    want_stacks, want_inputs = [], []
+    for child in np.random.SeedSequence(100 * d + k).spawn(6):
+        rng = np.random.default_rng(child)
+        want_stacks.append(tensor.ginibre(d_out * rank, rng))
+        want_inputs.append(haar_state(d, rng).vec)
+    assert np.array_equal(np.concatenate(stacks), np.stack(want_stacks))
+    assert np.array_equal(np.concatenate(inputs), np.stack(want_inputs))
+
+
+@pytest.mark.parametrize("suite", ["verify", "sar"])
+def test_working_set_chunks_equal_one_chunk_at_a_thousand_copies(suite, monkeypatch):
+    def run():
+        return verify_theorem(2, 1000, samples=600, seed=4) if suite == "verify" else verify_sar(2, 2, 1000, 2, samples=600, seed=4)
+
+    assert len(batch_slices(600, teleport._sample_entries(2, 1000))) > 1
+    chunked = run()
+    monkeypatch.setattr(tensor, "FACTOR_CAP", 2**40)
+    assert chunked == run()
+
+
+@pytest.mark.parametrize("suite", ["verify", "sar"])
+def test_a_cell_of_many_chunks_stays_within_its_memory_bound(suite):
+    # At the old count, which sized only the table t, this cell peaked at about 175 MiB,
+    # and one sample alone peaks near 38 MiB.  A process's peak RSS counts that of the
+    # process it was forked from, so the CLI runs under a small launcher, not under pytest.
+    argv = [suite, "--d", "2", "--k", "1000", "--samples", "20000", "--threads", "1", "--format", "json", "--no-timestamp"]
+    code = (
+        "import json, resource, subprocess, sys\n"
+        f"run = subprocess.run([sys.executable, '-m', 'mcteleport'] + {argv!r}, capture_output=True, check=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+        "print(json.dumps({'peak_mib': peak, 'cell': json.loads(run.stdout)['cells'][0]}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=300)
+    result = json.loads(out.stdout)
+    assert result["cell"]["pass"] == "true"
+    assert result["peak_mib"] < 80
+
+
 @pytest.mark.parametrize("count,entries", [(20000, 2002), (200, 197109), (7, 1), (3, FACTOR_CAP + 1)])
 def test_chunks_stay_within_the_factor_cap(count, entries):
     parts = batch_slices(count, entries)
@@ -96,7 +170,6 @@ def test_an_unnormalised_input_fails_the_batch(module, suite, monkeypatch):
 def test_a_probability_under_the_floor_fails_the_batch(module, suite, monkeypatch):
     # With the level-1 entries of G zeroed, the input |1> succeeds with probability 0.
     build = teleport.build_measurement
-    draws = []
 
     def level_zero_only(d, k, form="eigen"):
         meas = build(d, k, form)
@@ -104,12 +177,13 @@ def test_a_probability_under_the_floor_fails_the_batch(module, suite, monkeypatc
         values[:, 1:] = 0.0
         return teleport.Measurement(d, k, meas.rows, values)
 
-    def third_is_level_one(d, rng):
-        draws.append(tensor.gaussian_vector(d, rng))
-        return np.eye(d, dtype=complex)[1] if len(draws) == 3 else draws[-1]
+    def third_is_level_one(v):
+        rows = tensor.unit_rows(v)
+        rows[2] = np.eye(rows.shape[-1])[1]
+        return rows
 
     monkeypatch.setattr(module, "build_measurement", level_zero_only)
-    monkeypatch.setattr(module, "gaussian_vector", third_is_level_one)
+    monkeypatch.setattr(module, "unit_rows", third_is_level_one)
     with pytest.raises(VerificationError, match="below floor") as err:
         verify_theorem(2, 1, samples=5, seed=1) if suite == "verify" else verify_sar(2, 2, 1, 2, samples=5, seed=1)
     assert err.value.residual == 0.0

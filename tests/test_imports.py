@@ -1,0 +1,97 @@
+"""The package binds its names on first access, and a CLI run imports only its suite's modules."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import mcteleport
+
+#: The public names of each submodule, as the package exported them when it imported every submodule up front.
+PUBLIC = {
+    "tensor": (
+        "DEFAULT_ATOL DIM_CAP GROUP_BUDGET CapacityError Operator Permutation StateVector VerificationError "
+        "conjugate_by_permutation haar_state haar_unitary hermitian_eig identity_operator kron "
+        "max_entangled_state partial_trace partial_transpose permutation_operator permute_state symmetric_group"
+    ),
+    "symgroup": (
+        "IrrepData Partition absorption_residual character dim_standard f_projector irrep_data "
+        "mult_semistandard occupations partitions removable_boxes sym_basis sym_partition sym_projector "
+        "young_projector"
+    ),
+    "teleport": (
+        "Measurement RVector assert_eigendecomposition build_measurement conditioned_element "
+        "eigendecomposition_residual gram_residual r_vectors simulate success_probability_formula verify_theorem"
+    ),
+    "optimality": (
+        "equality_residual haar_moment_check decomposition_coefficients objective perturbation_falsifier "
+        "reduced_optimum"
+    ),
+    "sar": (
+        "Channel ProgramState depolarizing_channel identity_channel mix_channels random_channel retrieve "
+        "store unitary_channel verify_sar"
+    ),
+}
+SUBMODULES = ("cli", "optimality", "sar", "symgroup", "teleport", "tensor")
+
+
+@pytest.mark.parametrize("module,name", [(module, name) for module, names in PUBLIC.items() for name in names.split()])
+def test_a_public_name_resolves_to_its_module_object(module, name):
+    assert getattr(mcteleport, name) is getattr(importlib.import_module(f"mcteleport.{module}"), name)
+    assert name in dir(mcteleport) and name in mcteleport.__all__
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_a_submodule_resolves_by_attribute(name):
+    assert getattr(mcteleport, name) is importlib.import_module(f"mcteleport.{name}")
+    assert name in dir(mcteleport)
+
+
+def test_the_exports_are_exactly_the_public_names():
+    assert sorted(mcteleport.__all__) == sorted(name for names in PUBLIC.values() for name in names.split())
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'verify_everything'"):
+        mcteleport.verify_everything
+    assert not hasattr(mcteleport, "_sandwich_rows")
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``, which prints nothing else to stderr."""
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys, json; print(json.dumps(sorted(sys.modules)), file=sys.stderr)"],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return set(json.loads(out.stderr.splitlines()[-1]))
+
+
+def test_importing_the_package_loads_no_numpy():
+    loaded = _modules_after("import mcteleport")
+    assert "mcteleport" in loaded
+    assert "numpy" not in loaded and not any(name.startswith("mcteleport.") for name in loaded)
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["verify", "--d", "2", "--k", "1..3"], {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures"}),
+        (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures"}),
+    ],
+    ids=["verify", "sar"],
+)
+def test_a_one_thread_run_imports_only_its_suite(argv, absent):
+    argv = argv + ["--samples", "3", "--threads", "1", "--no-timestamp"]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = ['mcteleport'] + {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('mcteleport', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+    )
+    loaded = _modules_after(code)
+    assert "mcteleport.cli" in loaded and "mcteleport.teleport" in loaded
+    assert not absent & loaded, absent & loaded

@@ -36,6 +36,7 @@ from oracles import (
     full_eigen_factor,
     full_projector_factor,
     occupations_by_sorting,
+    sandwich_rows_by_count,
     sym_basis_by_loop,
 )
 
@@ -388,6 +389,13 @@ class TestThinFactor:
         b = sym_basis_by_loop(k, d)
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)
         assert frobenius_distance(f @ f.conj().T, dense_success_element(d, k)) < 1e-12
+
+    @pytest.mark.parametrize("d,k", [(2, 10), (3, 5), (4, 6), (3, 40), (1, 4), (5, 1)])
+    def test_sandwich_rows_keep_the_bits_of_the_per_row_count(self, d, k):
+        columns, entries = teleport._sandwich_rows(d, k)
+        want_columns, want_entries = sandwich_rows_by_count(d, k)
+        assert columns.dtype == want_columns.dtype and np.array_equal(columns, want_columns)
+        assert entries.dtype == want_entries.dtype and np.array_equal(entries, want_entries)
 
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2), (3, 6)])
     def test_residual_ignores_the_column_order(self, d, k):
