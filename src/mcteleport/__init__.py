@@ -81,6 +81,7 @@ _EXPORTS = {
         "unitary_channel",
         "verify_sar",
     ),
+    "streams": (),
     "cli": (),
 }
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import seeded_normals, spawn_keys
 from .tensor import (
     DEFAULT_ATOL,
     CapacityError,
@@ -32,7 +33,6 @@ from .tensor import (
     ginibre,
     ginibres,
     haar_unitaries,
-    seeded_normals,
     unit_rows,
 )
 from .teleport import (
@@ -228,16 +228,16 @@ def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
 
 
 def _sar_chunk(
-    meas: Measurement, seeds: list[np.random.SeedSequence], d_out: int, kraus_rank: int
+    meas: Measurement, keys: np.ndarray, d_out: int, kraus_rank: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Success probabilities and output deviations of the channels and inputs drawn from ``seeds``, together.
+    """Success probabilities and output deviations of the channels and inputs drawn from the children's ``keys``, together.
 
     Its arrays are released on return, so no two chunks are alive at once.
     """
     d = meas.d
     width = d_out * kraus_rank
     split = 2 * width * width
-    x = seeded_normals(seeds, split + 2 * d)
+    x = seeded_normals(keys, split + 2 * d)
     kraus = _stinespring_kraus(haar_unitaries(ginibres(x[:, :split], width)), d, d_out, kraus_rank)
     psis = unit_rows(gaussian_vectors(x[:, split:], d))
     e = conditioned_elements(meas, psis)  # before the programs, so that their arrays are not alive together
@@ -280,7 +280,9 @@ def verify_sar(
     kraus_rank) with one draw from its own child of ``SeedSequence(seed)``:
     the real and imaginary parts of its channel's Ginibre matrix, then those
     of its input, the numbers ``random_channel`` and then ``haar_state`` take
-    from that child.  The samples are then stored, retrieved and compared
+    from that child.  The children's generator keys come from ``spawn_keys``
+    in one pass, and ``seeded_normals`` seeds one reused generator from each
+    chunk's keys.  The samples are then stored, retrieved and compared
     with the direct Kraus action together, one chunk at a time, so that every
     array a chunk holds (``_sar_sample_entries``) stays within FACTOR_CAP.
     """
@@ -290,11 +292,11 @@ def verify_sar(
     meas = build_measurement(d, k, form="eigen")
     _check_dilation(d, d_out, kraus_rank)
     p_formula = success_probability_formula(d, k)
-    children = np.random.SeedSequence(seed).spawn(samples)
+    keys = spawn_keys(seed, samples)
     probs = np.empty(samples)
     state_devs = np.empty(samples)
     for part in batch_slices(samples, _sar_sample_entries(d, d_out, k, kraus_rank)):
-        probs[part], state_devs[part] = _sar_chunk(meas, children[part], d_out, kraus_rank)
+        probs[part], state_devs[part] = _sar_chunk(meas, keys[part], d_out, kraus_rank)
     p_devs = np.abs(probs - p_formula)
     worst_p, worst_state = float(p_devs.max()), float(state_devs.max())
     passed = bool(worst_p <= tol and worst_state <= tol)

@@ -247,21 +247,23 @@ def occupations(n: int, d: int) -> np.ndarray:
     Row i counts how many factors sit at each level in the i-th symmetric
     basis vector; rows run lexicographically decreasing, so the first is
     (n, 0, ..., 0).  There are C(n + d - 1, n) of them; a table of more than
-    FACTOR_CAP entries is refused before it is built.
+    FACTOR_CAP entries is refused before it is built.  The table grows one
+    level at a time: a row with r factors left is repeated r + 1 times and
+    its next level takes r, r - 1, .., 0 of them.
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     count = math.comb(n + d - 1, n)
     if count * d > FACTOR_CAP:
         raise CapacityError(f"occupation table of {count} x {d} entries exceeds cap {FACTOR_CAP}")
-    if d == 1:
-        out = np.array([[n]])
-    else:
-        blocks = []
-        for first in range(n, -1, -1):
-            rest = occupations(n - first, d - 1)
-            blocks.append(np.column_stack([np.full(len(rest), first), rest]))
-        out = np.concatenate(blocks)
+    columns, rest = [], np.array([n])
+    for _ in range(d - 1):
+        sizes = rest + 1
+        parent = np.repeat(np.arange(rest.size), sizes)
+        left = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 0 .. r within each parent
+        columns = [column[parent] for column in columns] + [rest[parent] - left]
+        rest = left
+    out = np.column_stack(columns + [rest])
     out.setflags(write=False)
     return out
 

@@ -40,6 +40,7 @@ from itertools import accumulate, combinations_with_replacement
 import numpy as np
 
 from .symgroup import occupation_rank, occupations, sym_basis
+from .streams import seeded_normals, spawn_keys
 from .tensor import (
     DEFAULT_ATOL,
     FACTOR_CAP,
@@ -54,7 +55,6 @@ from .tensor import (
     kron,
     max_entangled_state,
     permute_state,
-    seeded_normals,
     unit_rows,
 )
 
@@ -156,15 +156,6 @@ def _insertions(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     base = occupations(k - 1, d)
     grown = base[:, None, :] + np.eye(d, dtype=base.dtype)
     return occupation_rank(grown) * d + np.arange(d), base + 1
-
-
-def _multinomial(counts) -> int:
-    """(sum of counts)! / prod of counts!, exactly: how many kets share the occupation ``counts``."""
-    out, total = 1, 0
-    for c in counts:
-        total += c
-        out *= math.comb(total, c)
-    return out
 
 
 def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,11 +303,25 @@ def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
     stays under 2^500, so the power products of a weight that matters stay
     far above the float underflow; larger multinomials are refused, from
     the largest one (the most even occupation) before the others are formed.
+    They are grown level by level in the order of ``occupations``: a row
+    with r copies left takes n = r, .., 0 of them at the next level, times
+    C(r, n) = C(r, r - n) from the row of Pascal's triangle of r, made once
+    per r by the exact recurrence C(r, j + 1) = C(r, j) (r - j) / (j + 1).
     """
     q, extra = divmod(k, d)
-    if _multinomial([q + 1] * extra + [q] * (d - extra)).bit_length() > 1000:
+    most_even = math.factorial(k) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
+    if most_even.bit_length() > 1000:
         raise CapacityError(f"multinomial weights of k={k} copies at d={d} exceed the float range")
-    out = np.sqrt(np.array([float(_multinomial(occ)) for occ in occupations(k, d).tolist()]))
+    pascal: dict[int, list[int]] = {}
+    mults, rest = [1], [k]
+    for _ in range(d - 1):
+        for r in set(rest) - pascal.keys():
+            row = pascal[r] = [1]
+            for j in range(r):
+                row.append(row[-1] * (r - j) // (j + 1))
+        mults = [m * c for m, r in zip(mults, rest) for c in pascal[r]]
+        rest = [left for r in rest for left in range(r + 1)]
+    out = np.sqrt(np.array([float(m) for m in mults]))
     out.setflags(write=False)
     return out
 
@@ -383,12 +388,12 @@ def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
     return float(probs[0]), Operator(bob[0], (meas.d,))
 
 
-def _theorem_chunk(meas: Measurement, seeds: list[np.random.SeedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Success probabilities and fidelities of the inputs drawn from ``seeds``, simulated together.
+def _theorem_chunk(meas: Measurement, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Success probabilities and fidelities of the inputs drawn from the children's ``keys``, simulated together.
 
     Its arrays are released on return, so no two chunks are alive at once.
     """
-    psis = unit_rows(gaussian_vectors(seeded_normals(seeds, 2 * meas.d), meas.d))
+    psis = unit_rows(gaussian_vectors(seeded_normals(keys, 2 * meas.d), meas.d))
     probs, bob = simulations(meas, psis)
     return probs, np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real
 
@@ -424,6 +429,8 @@ def verify_theorem(
     Each sample fills one row of 2 d standard normals, the real and then the
     imaginary parts of its input, with one draw from its own child of
     ``SeedSequence(seed)``: the numbers ``haar_state`` takes from that child.
+    The children's generator keys come from ``spawn_keys`` in one pass, and
+    ``seeded_normals`` seeds one reused generator from each chunk's keys.
     The inputs are then formed and simulated together, one chunk at a time,
     so that every array a chunk holds (``_sample_entries``) stays within
     FACTOR_CAP.  Passes iff every sampled probability matches k/(d(k-1+d))
@@ -435,11 +442,11 @@ def verify_theorem(
         raise ValueError("need at least one sample")
     meas = build_measurement(d, k, form="eigen")
     p_formula = success_probability_formula(d, k)
-    children = np.random.SeedSequence(seed).spawn(samples)
+    keys = spawn_keys(seed, samples)
     probs = np.empty(samples)
     fids = np.empty(samples)
     for part in batch_slices(samples, _sample_entries(d, k)):
-        probs[part], fids[part] = _theorem_chunk(meas, children[part])
+        probs[part], fids[part] = _theorem_chunk(meas, keys[part])
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))

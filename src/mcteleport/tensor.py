@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations as _sn_iter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -323,20 +323,6 @@ def max_entangled_state(d: int) -> StateVector:
     if d < 1:
         raise ValueError("local dimension must be at least 1")
     return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
-
-
-def seeded_normals(seeds: Sequence[np.random.SeedSequence], width: int) -> np.ndarray:
-    """One row of ``width`` standard normals per seed, filled by one call on ``default_rng(seed)``.
-
-    A Generator yields the same numbers in the same order however they are
-    split between calls, so a row holds exactly what successive ``ginibre``
-    and ``gaussian_vector`` draws from that seed would take; ``ginibres`` and
-    ``gaussian_vectors`` read them back in that layout.
-    """
-    rows = np.empty((len(seeds), width))
-    for seed, row in zip(seeds, rows):
-        np.random.default_rng(seed).standard_normal(out=row)
-    return rows
 
 
 def _complex_normals(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -41,7 +41,6 @@ from mcteleport import (
     young_projector,
 )
 from mcteleport.symgroup import occupation_rank, occupations
-from mcteleport.teleport import _multinomial
 from mcteleport.tensor import DEFAULT_ATOL
 
 
@@ -430,6 +429,31 @@ def occupations_by_sorting(n: int, d: int) -> list[tuple[int, ...]]:
     return sorted(counts, reverse=True)
 
 
+def occupations_by_recursion(n: int, d: int) -> np.ndarray:
+    """``symgroup.occupations`` as first written: one block per leading occupation, the rest recursively."""
+    if d == 1:
+        return np.array([[n]])
+    blocks = []
+    for first in range(n, -1, -1):
+        rest = occupations_by_recursion(n - first, d - 1)
+        blocks.append(np.column_stack([np.full(len(rest), first), rest]))
+    return np.concatenate(blocks)
+
+
+def multinomial_by_combs(counts) -> int:
+    """(sum of counts)! / prod of counts!, exactly, as one chain of ``math.comb`` factors."""
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= comb(total, c)
+    return out
+
+
+def sqrt_multinomials_by_combs(d: int, k: int) -> np.ndarray:
+    """``teleport._sqrt_multinomials`` as first written: one ``multinomial_by_combs`` per occupation."""
+    return np.sqrt(np.array([float(multinomial_by_combs(occ)) for occ in occupations_by_recursion(k, d).tolist()]))
+
+
 def sym_basis_by_loop(n: int, d: int) -> np.ndarray:
     """Occupation-number basis of the symmetric subspace as columns, one Python step per ket.
 
@@ -460,11 +484,11 @@ def sandwich_rows_by_count(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     columns, entries = np.empty((width, d), dtype=np.intp), np.empty((width, d))
     for row, levels in enumerate(itertools.combinations_with_replacement(range(d), k - 1)):
         base = [levels.count(a) for a in range(d)]
-        mult = _multinomial(base)
+        mult = multinomial_by_combs(base)
         for a in range(d):
             grown = base[:a] + [base[a] + 1] + base[a + 1 :]
             columns[row, a] = column[tuple(grown)] + a
-            entries[row, a] = sqrt(mult / (d * _multinomial(grown)))
+            entries[row, a] = sqrt(mult / (d * multinomial_by_combs(grown)))
     return columns, entries
 
 

@@ -215,15 +215,20 @@ FROZEN_DIGESTS_6_4 = {
 
 
 def test_young_projectors_at_six_copies_keep_their_bits_within_one_frame_of_the_store():
-    # Nine frames of 4096^2 float64 (128 MiB each) make a 1.125 GiB store; the
-    # build runs in a child so that its peak RSS is its own.
-    code = (
-        "import hashlib, json, resource\n"
+    # Nine frames of 4096^2 float64 (128 MiB each) make a 1.125 GiB store.  A process's
+    # peak RSS counts that of the process it was forked from, so the build runs under a
+    # small launcher, not under pytest, and its peak is read as the launcher's child's.
+    build = (
+        "import hashlib, json\n"
         "from mcteleport import symgroup\n"
         "store = symgroup._young_projectors(6, 4)\n"
-        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
-        "digests = {str(mu): hashlib.sha256(op.mat.astype('<f8', copy=False).data).hexdigest() for mu, op in store.items()}\n"
-        "print(json.dumps({'peak_mib': peak, 'digests': digests}))\n"
+        "print(json.dumps({str(mu): hashlib.sha256(op.mat.astype('<f8', copy=False).data).hexdigest() for mu, op in store.items()}))\n"
+    )
+    code = (
+        "import json, resource, subprocess, sys\n"
+        f"run = subprocess.run([sys.executable, '-c', {build!r}], capture_output=True, check=True)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+        "print(json.dumps({'peak_mib': peak, 'digests': json.loads(run.stdout)}))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, timeout=600)
     result = json.loads(out.stdout)

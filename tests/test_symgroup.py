@@ -30,6 +30,7 @@ from mcteleport.tensor import FACTOR_CAP
 
 from oracles import (
     group_average_symmetriser,
+    occupations_by_recursion,
     occupations_by_sorting,
     partitions_by_sieve,
     semistandard_tableaux_count,
@@ -265,6 +266,11 @@ class TestOccupations:
     def test_order_matches_sorted_digit_counts(self, d):
         for n in range(6):
             assert [tuple(row) for row in occupations(n, d).tolist()] == occupations_by_sorting(n, d)
+
+    @pytest.mark.parametrize("n,d", [(361, 3), (10, 2), (5, 4), (1, 5), (0, 3), (4, 1)])
+    def test_levelwise_table_keeps_the_rows_of_the_recursion(self, n, d):
+        occ, want = occupations(n, d), occupations_by_recursion(n, d)
+        assert occ.dtype == want.dtype and np.array_equal(occ, want)
 
     def test_rank_inverts_the_listing(self):
         for n, d in [(0, 3), (1, 1), (4, 1), (3, 4), (6, 3), (200, 2), (5, 6), (2, 16)]:

@@ -37,6 +37,7 @@ from oracles import (
     full_projector_factor,
     occupations_by_sorting,
     sandwich_rows_by_count,
+    sqrt_multinomials_by_combs,
     sym_basis_by_loop,
 )
 
@@ -396,6 +397,11 @@ class TestThinFactor:
         want_columns, want_entries = sandwich_rows_by_count(d, k)
         assert columns.dtype == want_columns.dtype and np.array_equal(columns, want_columns)
         assert entries.dtype == want_entries.dtype and np.array_equal(entries, want_entries)
+
+    @pytest.mark.parametrize("d,k", [(3, 361), (2, 10), (4, 5), (5, 1), (1, 4)])
+    def test_sqrt_multinomials_keep_the_bits_of_one_comb_chain_per_occupation(self, d, k):
+        roots, want = teleport._sqrt_multinomials(d, k), sqrt_multinomials_by_combs(d, k)
+        assert roots.dtype == want.dtype and np.array_equal(roots, want)
 
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2), (3, 6)])
     def test_residual_ignores_the_column_order(self, d, k):

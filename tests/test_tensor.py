@@ -21,6 +21,10 @@ from mcteleport import (
     permute_state,
 )
 
+from mcteleport import tensor
+from mcteleport.streams import pcg64_state, seeded_normals, spawn_keys
+from mcteleport.tensor import FACTOR_CAP, batch_slices
+
 from oracles import dense_permutation_matrix
 
 
@@ -223,6 +227,39 @@ class TestHaar:
         variance = 2 / (d * (d + 1)) - 1 / d**2
         band = 3 * math.sqrt(variance / samples)
         assert abs(values.mean() - 1 / d) < band
+
+
+class TestSpawnKeys:
+    #: the seed's 32-bit words fill the pool of 4 exactly, or not, or overflow it
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**200 + 12345]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_keys_are_the_spawned_childrens_states(self, seed, n):
+        want = [child.generate_state(4, np.uint64) for child in np.random.SeedSequence(seed).spawn(n)]
+        keys = spawn_keys(seed, n)
+        assert keys.dtype == np.uint64 and np.array_equal(keys, np.stack(want))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pcg64_is_seeded_as_default_rng_seeds_it(self, seed):
+        children = np.random.SeedSequence(seed).spawn(50)
+        for key, child in zip(spawn_keys(seed, 50).tolist(), children):
+            assert pcg64_state(key) == np.random.default_rng(child).bit_generator.state["state"]
+
+    @pytest.mark.parametrize("cap", [FACTOR_CAP, 1])
+    @pytest.mark.parametrize("seed,width", [(0, 1), (7, 4), (2**64 - 1, 40)])
+    def test_rows_are_the_childrens_normals(self, seed, width, cap, monkeypatch):
+        monkeypatch.setattr(tensor, "FACTOR_CAP", cap)
+        keys = spawn_keys(seed, 30)
+        rows = np.concatenate([seeded_normals(keys[part], width) for part in batch_slices(30, width)])
+        want = [np.random.default_rng(child).standard_normal(width) for child in np.random.SeedSequence(seed).spawn(30)]
+        assert np.array_equal(rows, np.stack(want))
+
+    def test_a_negative_seed_is_refused_as_seed_sequence_refuses_it(self):
+        with pytest.raises(ValueError) as want:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match=f"^{want.value}$"):
+            spawn_keys(-1, 3)
 
 
 class TestHermitianEig:
