@@ -2,22 +2,32 @@
 
 The public names and the submodules are bound on first access (PEP 562), so
 ``import mcteleport`` loads neither numpy nor any submodule, and a CLI run
-compiles and imports only the modules its suite calls.
+compiles and imports only the modules its suite calls.  ``core`` holds what
+every suite shares; the dense layer, ``tensor`` and ``symgroup``, is loaded
+only by ``lemmas``, by the one-sample entry points (``simulate``, ``store``,
+``retrieve``, ``random_channel``, ``r_vectors``, ``Measurement.op``) and by
+the names it exports.
 """
 
 import importlib
 
 #: Each submodule and the public names it defines.
 _EXPORTS = {
-    "tensor": (
+    "core": (
         "DEFAULT_ATOL",
+        "CapacityError",
+        "Partition",
+        "VerificationError",
+        "mult_semistandard",
+        "occupations",
+        "sym_partition",
+    ),
+    "tensor": (
         "DIM_CAP",
         "GROUP_BUDGET",
-        "CapacityError",
         "Operator",
         "Permutation",
         "StateVector",
-        "VerificationError",
         "conjugate_by_permutation",
         "haar_state",
         "haar_unitary",
@@ -33,18 +43,14 @@ _EXPORTS = {
     ),
     "symgroup": (
         "IrrepData",
-        "Partition",
         "absorption_residual",
         "character",
         "dim_standard",
         "f_projector",
         "irrep_data",
-        "mult_semistandard",
-        "occupations",
         "partitions",
         "removable_boxes",
         "sym_basis",
-        "sym_partition",
         "sym_projector",
         "young_projector",
     ),
@@ -62,10 +68,7 @@ _EXPORTS = {
         "verify_theorem",
     ),
     "optimality": (
-        "equality_residual",
-        "haar_moment_check",
         "decomposition_coefficients",
-        "objective",
         "perturbation_falsifier",
         "reduced_optimum",
     ),

@@ -16,7 +16,6 @@ the timestamp (and with it the wall-time column) is suppressed.
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import io
 import json
@@ -24,14 +23,13 @@ import math
 import os
 import sys
 import time
-import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tensor import CapacityError, VerificationError
+from .core import CapacityError, VerificationError
 
 if TYPE_CHECKING:
     from . import optimality, sar, symgroup, teleport
@@ -160,6 +158,8 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
         record["pass"] = "false"
         record["detail"] = str(exc)
     except Exception as exc:
+        import traceback  # only a cell that errors needs it
+
         traceback.print_exc()
         record["pass"] = "error"
         record["detail"] = f"error:{type(exc).__name__}: {exc}"
@@ -202,6 +202,8 @@ def _format_value(column: str, value) -> str:
 
 
 def render_csv(config: RunConfig, records: list[dict]) -> str:
+    import csv  # a JSON report needs no csv
+
     buffer = io.StringIO()
     if config.timestamp:
         buffer.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")

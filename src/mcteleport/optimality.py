@@ -12,7 +12,8 @@ U^(x k) (x) conj(U) certify that F is covariant, and the kernel of the
 raising operators that the covariant operators are span{F, 1 - F} (two
 irreducible components, Pieri rule).  ``reduced_optimum`` reads the optimum
 off the four traces of that family; the perturbation search draws on its
-two coefficients.
+two coefficients.  Nothing here builds a d^(k+1)-square operator, so this
+module loads neither ``tensor`` nor ``symgroup``.
 """
 
 from __future__ import annotations
@@ -20,27 +21,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .symgroup import (
+from .core import (
+    DEFAULT_ATOL,
+    CapacityError,
+    VerificationError,
     mult_semistandard,
     occupation_rank,
     occupations,
-    sym_basis,
     sym_partition,
-    sym_projector,
-)
-from .tensor import (
-    DEFAULT_ATOL,
-    CapacityError,
-    Operator,
-    VerificationError,
-    as_rng,
-    haar_state,
-    partial_trace,
-    partial_transpose,
 )
 from .teleport import build_measurement, success_probability_formula
 
@@ -58,34 +50,6 @@ EIG_SLACK = 1e-10
 KERNEL_CUT = 0.5
 #: Largest weight-class table, in entries (m d x d); every cell with k >= 2 and m d <= DIM_CAP (so d <= 50) is under it.
 CLASS_CAP = 2**22
-
-
-def _check_layout(m: Operator, d: int, k: int) -> None:
-    if m.dims != (d,) * (k + 1):
-        raise ValueError(f"operator layout {m.dims} does not match (d,)*{k + 1} for d={d}")
-
-
-def _sym_overlap(mat: np.ndarray, n: int, d: int) -> float:
-    """Re tr(Psym_n A) = Re tr(B^T A B), B the vectors of ``sym_basis(n, d)`` as columns."""
-    b = np.column_stack([s.vec for s in sym_basis(n, d)])
-    return float(np.sum(b * (mat @ b)).real)
-
-
-def objective(m: Operator, d: int, k: int) -> float:
-    """(1/d) tr[(Psym/m_sym_k (x) 1_A) M]; equals p(d,k) at the optimum."""
-    _check_layout(m, d, k)
-    return _sym_overlap(partial_trace(m, {k}).mat, k, d) / (d * mult_semistandard(sym_partition(k), d))
-
-
-def equality_residual(m: Operator, d: int, k: int) -> float:
-    """|LHS - RHS| of the feasibility equality tying the two Haar averages: tr(Q M)/m_k - tr(X M)/m_(k+1).
-
-    X is Psym on k+1 factors partially transposed on A, so tr(X M) = tr(Psym_(k+1) M^(t_A)).
-    """
-    _check_layout(m, d, k)
-    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
-    lhs = _sym_overlap(partial_trace(m, {k}).mat, k, d) / m_k
-    return abs(lhs - _sym_overlap(partial_transpose(m, {k}).mat, k + 1, d) / m_k1)
 
 
 #: Operators on Sym^k (x) C^d that keep each weight class, as (m d) x d arrays; see ``_weight_classes``.
@@ -221,40 +185,6 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
         )
     rest = np.concatenate([values[~kernel], single[~alone]])
     return covariance, (float(rest.min()) if rest.size else None)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    d: int
-    k: int
-    samples: int
-    mc_residual: float
-    exact_residual: float
-
-
-def haar_moment_check(k: int, d: int, samples: int, seed: int = 0) -> MomentReport:
-    """Monte-Carlo check that the k-th Haar moment is Psym/m_sym_k.
-
-    The sample mean of |psi><psi|^(x k) converges to the target at the usual
-    N^(-1/2) rate; the exact part re-projects the target onto the symmetric
-    subspace, which must reproduce it to machine precision.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = as_rng(seed)
-    m_sym = mult_semistandard(sym_partition(k), d)
-    target = sym_projector(k, d).mat / m_sym
-    total = d**k
-    acc = np.zeros((total, total), dtype=complex)
-    for _ in range(samples):
-        psi = haar_state(d, rng).vec
-        copies = reduce(np.kron, [psi] * k)
-        acc += np.outer(copies, copies.conj())
-    acc /= samples
-    mc_residual = float(np.linalg.norm(acc - target))
-    sym = sym_projector(k, d).mat
-    exact_residual = float(np.linalg.norm(sym @ target @ sym - target))
-    return MomentReport(d, k, samples, mc_residual, exact_residual)
 
 
 @dataclass(frozen=True)

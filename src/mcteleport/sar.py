@@ -12,7 +12,9 @@ samples together: one QR over the stacked Ginibre matrices, and every later
 array carries the samples on a leading axis.  A cell runs in chunks whose
 arrays, all counted together (``_sar_sample_entries``), stay within
 FACTOR_CAP entries, or one sample at a time past it.  ``store`` and
-``retrieve`` are the one-channel case of ``programs`` and ``retrievals``.
+``retrieve`` are the one-channel case of ``programs`` and ``retrievals``;
+they and ``random_channel`` import ``tensor`` when called, so ``verify_sar``
+loads no dense module.
 """
 
 from __future__ import annotations
@@ -22,19 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import DEFAULT_ATOL, CapacityError, batch_slices, gaussian_vectors, ginibres, haar_unitaries, unit_rows
 from .streams import seeded_normals, spawn_keys
-from .tensor import (
-    DEFAULT_ATOL,
-    CapacityError,
-    Operator,
-    StateVector,
-    batch_slices,
-    gaussian_vectors,
-    ginibre,
-    ginibres,
-    haar_unitaries,
-    unit_rows,
-)
 from .teleport import (
     Measurement,
     _check_floor,
@@ -125,6 +116,8 @@ def _stinespring_kraus(unitaries: np.ndarray, d_in: int, d_out: int, kraus_rank:
 
 def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: int | np.random.Generator) -> Channel:
     """Haar-random channel via a Stinespring isometry of the given rank."""
+    from .tensor import ginibre
+
     _check_dilation(d_in, d_out, kraus_rank)
     kraus = _stinespring_kraus(haar_unitaries(ginibre(d_out * kraus_rank, seed)), d_in, d_out, kraus_rank)[0]
     return Channel(tuple(kraus), d_in, d_out)
@@ -175,6 +168,8 @@ def store(channel: Channel, tol: float = DEFAULT_ATOL) -> ProgramState:
 
     A program over PROGRAM_CAP entries is refused before it is built.
     """
+    from .tensor import Operator
+
     _check_program(channel.d_in, channel.d_out)
     rho = programs(np.stack(channel.kraus)[None], tol)[0]
     return ProgramState(Operator(rho, (channel.d_in, channel.d_out)), channel.d_in, channel.d_out)
@@ -205,6 +200,8 @@ def retrieve(
 
     Returns the success probability estimate and the conditioned output.
     """
+    from .tensor import Operator
+
     _check_input(psi, prog.d)
     if meas is None:
         meas = build_measurement(prog.d, k, form="eigen")

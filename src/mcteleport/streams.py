@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import CapacityError
+from .core import CapacityError
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1

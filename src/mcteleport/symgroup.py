@@ -2,11 +2,13 @@
 
 Partitions are tuples of weakly decreasing positive integers; the empty
 tuple is the (trivial) partition of 0, needed as the removed-box companion
-of the single-box frame.  Young frames, tableau counts, irreducible
-characters, the character-weighted group projectors (every frame of k from
-one pass over S_k), the occupation-number basis of the symmetric subspace
-and the projectors F_mu(alpha) of the partially transposed permutation
-algebra all live here.
+of the single-box frame.  Young frames, standard tableau counts,
+irreducible characters, the character-weighted group projectors (every
+frame of k from one pass over S_k), the occupation-number basis of the
+symmetric subspace and the projectors F_mu(alpha) of the partially
+transposed permutation algebra live here.  The partition type, the
+semistandard counts and the occupation tables, which the suites in
+symmetric coordinates use without the dense layer, live in ``core``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import Partition, _hook_lengths, check_partition, mult_semistandard, occupation_rank, sym_partition
 from .tensor import (
-    FACTOR_CAP,
-    CapacityError,
     Operator,
     Permutation,
     StateVector,
@@ -29,15 +30,6 @@ from .tensor import (
     permutation_index_map,
     symmetric_group,
 )
-
-Partition = tuple[int, ...]
-
-
-def check_partition(mu: Partition) -> None:
-    if any(p < 1 for p in mu):
-        raise ValueError(f"partition parts must be positive: {mu}")
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {mu}")
 
 
 def partitions(k: int) -> list[Partition]:
@@ -59,17 +51,6 @@ def partitions(k: int) -> list[Partition]:
     return out
 
 
-def sym_partition(k: int) -> Partition:
-    """The one-row frame with k boxes; the empty frame for k = 0."""
-    return (k,) if k > 0 else ()
-
-
-def conjugate(mu: Partition) -> Partition:
-    if not mu:
-        return ()
-    return tuple(sum(1 for p in mu if p > j) for j in range(mu[0]))
-
-
 def removable_boxes(mu: Partition) -> list[Partition]:
     """All frames obtained from mu by removing a single box."""
     check_partition(mu)
@@ -82,36 +63,12 @@ def removable_boxes(mu: Partition) -> list[Partition]:
     return out
 
 
-def _hook_lengths(mu: Partition) -> list[int]:
-    co = conjugate(mu)
-    return [mu[i] - j + co[j] - i - 1 for i in range(len(mu)) for j in range(mu[i])]
-
-
 def dim_standard(mu: Partition) -> int:
     """Number of standard Young tableaux (hook-length formula)."""
     check_partition(mu)
     if not mu:
         return 1
     return math.factorial(sum(mu)) // math.prod(_hook_lengths(mu))
-
-
-def mult_semistandard(mu: Partition, d: int) -> int:
-    """Number of semistandard tableaux with entries in 1..d (hook content).
-
-    Zero whenever the frame is taller than d.
-    """
-    check_partition(mu)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if not mu:
-        return 1
-    if len(mu) > d:
-        return 0
-    numerator = math.prod(d + j - i for i in range(len(mu)) for j in range(mu[i]))
-    denominator = math.prod(_hook_lengths(mu))
-    quotient, rem = divmod(numerator, denominator)
-    assert rem == 0
-    return quotient
 
 
 @dataclass(frozen=True)
@@ -238,51 +195,6 @@ def sym_projector(n: int, d: int) -> Operator:
         raise ValueError("n must be at least 1")
     b = np.column_stack([s.vec for s in sym_basis(n, d)])
     return Operator(b @ b.conj().T, (d,) * n)
-
-
-@lru_cache(maxsize=None)
-def occupations(n: int, d: int) -> np.ndarray:
-    """Occupation vectors of n factors over d levels, one per row, in ``sym_basis`` order.
-
-    Row i counts how many factors sit at each level in the i-th symmetric
-    basis vector; rows run lexicographically decreasing, so the first is
-    (n, 0, ..., 0).  There are C(n + d - 1, n) of them; a table of more than
-    FACTOR_CAP entries is refused before it is built.  The table grows one
-    level at a time: a row with r factors left is repeated r + 1 times and
-    its next level takes r, r - 1, .., 0 of them.
-    """
-    if n < 0 or d < 1:
-        raise ValueError("need n >= 0 and d >= 1")
-    count = math.comb(n + d - 1, n)
-    if count * d > FACTOR_CAP:
-        raise CapacityError(f"occupation table of {count} x {d} entries exceeds cap {FACTOR_CAP}")
-    columns, rest = [], np.array([n])
-    for _ in range(d - 1):
-        sizes = rest + 1
-        parent = np.repeat(np.arange(rest.size), sizes)
-        left = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 0 .. r within each parent
-        columns = [column[parent] for column in columns] + [rest[parent] - left]
-        rest = left
-    out = np.column_stack(columns + [rest])
-    out.setflags(write=False)
-    return out
-
-
-def occupation_rank(occ: np.ndarray) -> np.ndarray:
-    """Row index in ``occupations(n, d)`` of each occupation vector along the last axis.
-
-    The vectors ahead of c are those larger at the first level j where they
-    differ; counting them by j gives sum_(j < d-1) C(t_j + d - j - 2, d - j - 1)
-    with t_j the occupation of the levels after j.
-    """
-    occ = np.asarray(occ)
-    d = occ.shape[-1]
-    tails = np.cumsum(occ[..., :0:-1], axis=-1)[..., ::-1]  # t_j for j = 0 .. d-2
-    if tails.size == 0:
-        return np.zeros(occ.shape[:-1], dtype=np.intp)
-    span = range(int(tails.max()) + 1)  # table[j, t] = C(t + d - j - 2, d - j - 1), at most C(n + d - 2, n - 1)
-    table = np.array([[math.comb(t + r - 1, r) for t in span] for r in range(d - 1, 0, -1)], dtype=np.intp)
-    return table[np.arange(d - 1), tails].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,10 @@ Simulation, retrieval and the residual between the eigen and projector
 forms, which share no helper and so certify each other, never touch the
 d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
-``gram_residual``) and ``Measurement.op`` (for the tests) live there.
+``gram_residual``) and ``Measurement.op`` (for the tests) live there.  They
+and ``simulate`` import the dense layer (``tensor``, ``symgroup``) when
+called, and the sampling imports ``streams`` when called, so ``verify`` and
+``sar`` load neither dense module and ``optimality`` loads no ``streams``.
 
 ``verify_theorem`` draws each input with one call on its own child seed,
 then forms and simulates the samples together: every array of
@@ -39,22 +42,15 @@ from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 
-from .symgroup import occupation_rank, occupations, sym_basis
-from .streams import seeded_normals, spawn_keys
-from .tensor import (
+from .core import (
     DEFAULT_ATOL,
     FACTOR_CAP,
     CapacityError,
-    Operator,
-    Permutation,
-    StateVector,
     VerificationError,
     batch_slices,
-    check_capacity,
     gaussian_vectors,
-    kron,
-    max_entangled_state,
-    permute_state,
+    occupation_rank,
+    occupations,
     unit_rows,
 )
 
@@ -85,6 +81,9 @@ class RVector:
 
 def r_vectors(d: int, k: int) -> list[RVector]:
     """Orthonormal eigenbasis of the success element on (C^d)^(x (k+1))."""
+    from .symgroup import sym_basis
+    from .tensor import Permutation, StateVector, check_capacity, kron, max_entangled_state, permute_state
+
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
     check_capacity(d ** (k + 1))
@@ -137,6 +136,9 @@ class Measurement:
 
     @cached_property
     def op(self) -> Operator:
+        from .symgroup import sym_basis
+        from .tensor import Operator, check_capacity
+
         dims = (self.d,) * (self.k + 1)
         check_capacity(math.prod(dims))
         b = np.column_stack([s.vec for s in sym_basis(self.k, self.d)])
@@ -383,6 +385,8 @@ def simulations(meas: Measurement, psis: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
     """``simulations`` of the one input psi: (p_est, Bob's state)."""
+    from .tensor import Operator
+
     _check_input(psi, meas.d)
     probs, bob = simulations(meas, psi.vec[None])
     return float(probs[0]), Operator(bob[0], (meas.d,))
@@ -393,6 +397,8 @@ def _theorem_chunk(meas: Measurement, keys: np.ndarray) -> tuple[np.ndarray, np.
 
     Its arrays are released on return, so no two chunks are alive at once.
     """
+    from .streams import seeded_normals
+
     psis = unit_rows(gaussian_vectors(seeded_normals(keys, 2 * meas.d), meas.d))
     probs, bob = simulations(meas, psis)
     return probs, np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real
@@ -438,6 +444,8 @@ def verify_theorem(
     the input, and the residual between the two measurement constructions
     (reusing the eigen form it sampled with) is at most tol.
     """
+    from .streams import spawn_keys
+
     if samples < 1:
         raise ValueError("need at least one sample")
     meas = build_measurement(d, k, form="eigen")

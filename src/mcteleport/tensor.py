@@ -23,28 +23,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Default tolerance for identity-style checks (Frobenius residuals).
-DEFAULT_ATOL = 1e-9
+from .core import DEFAULT_ATOL, CapacityError, gaussian_vectors, ginibres, haar_unitaries, unit_rows
+
 #: Largest ambient dimension constructed without raising CapacityError.
 DIM_CAP = 65536
 #: Largest factorial group iterated when assembling group averages.
 GROUP_BUDGET = 8
-#: Largest array, in entries, of the symmetric-coordinate layers: a measurement's
-#: insertion table, an occupation table, and the arrays a chunk of stacked samples
-#: holds at once, counted together.
-FACTOR_CAP = 2**21
-
-
-class CapacityError(ValueError):
-    """Requested object exceeds the configured dimension or group budget."""
-
-
-class VerificationError(RuntimeError):
-    """A numerical certification failed.  Carries the offending residual."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
 
 
 def check_capacity(dim: int) -> None:
@@ -58,14 +42,6 @@ def check_group_budget(n: int) -> None:
             f"symmetric group on {n} letters ({math.factorial(n)} elements) "
             f"exceeds budget {GROUP_BUDGET}"
         )
-
-
-def batch_slices(count: int, entries: int) -> list[slice]:
-    """Consecutive slices of ``count`` samples whose working sets of ``entries`` entries
-    per sample stay within FACTOR_CAP together; one sample per slice when one is already larger.
-    """
-    step = max(1, FACTOR_CAP // entries)
-    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -325,32 +301,9 @@ def max_entangled_state(d: int) -> StateVector:
     return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
 
 
-def _complex_normals(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex normals of ``shape`` from the first 2 prod(shape) floats of each row of x: real parts, then imaginary parts."""
-    n, lead = math.prod(shape), x.shape[:-1]
-    return x[..., :n].reshape(lead + shape) + 1j * x[..., n : 2 * n].reshape(lead + shape)
-
-
-def ginibres(x: np.ndarray, d: int) -> np.ndarray:
-    """The d x d complex Ginibre matrix, variance 1, of each row of at least 2 d^2 standard normals."""
-    return _complex_normals(x, (d, d)) / math.sqrt(2)
-
-
 def ginibre(d: int, rng: int | np.random.Generator) -> np.ndarray:
     """The d x d complex Ginibre draw behind ``haar_unitary``: ``ginibres`` of 2 d^2 normals."""
     return ginibres(as_rng(rng).standard_normal(2 * d * d), d)
-
-
-def haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack of Ginibre matrices: QR, phases fixed.
-
-    The diagonal of each R is normalised to unit modulus so the distribution
-    is left-invariant, not merely unitary.  numpy runs LAPACK on each matrix
-    of the stack in turn, so each comes out as from a QR of its own.
-    """
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
@@ -360,24 +313,9 @@ def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
     return Operator(haar_unitaries(ginibre(d, rng)), (d,))
 
 
-def gaussian_vectors(x: np.ndarray, d: int) -> np.ndarray:
-    """The complex Gaussian d-vector of each row of at least 2 d standard normals."""
-    return _complex_normals(x, (d,))
-
-
 def gaussian_vector(d: int, rng: int | np.random.Generator) -> np.ndarray:
     """The complex Gaussian draw behind ``haar_state``: ``gaussian_vectors`` of 2 d normals."""
     return gaussian_vectors(as_rng(rng).standard_normal(2 * d), d)
-
-
-def _sq_norms(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each real row, as BLAS dot products (the rounding of ``np.linalg.norm`` on one vector)."""
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
-
-
-def unit_rows(v: np.ndarray) -> np.ndarray:
-    """Each complex vector along the last axis over its norm, rounded as ``np.linalg.norm`` rounds one vector."""
-    return v / np.sqrt(_sq_norms(v.real) + _sq_norms(v.imag))[..., None]
 
 
 def haar_state(d: int, rng: int | np.random.Generator) -> StateVector:

@@ -5,7 +5,8 @@ data representations, no shared code with the package under test.  There are
 two exceptions.  The per-sample loops of ``verify_theorem`` and ``verify_sar``
 call the package's one-sample ``simulate``, ``store`` and ``retrieve`` once
 per child seed, as the suites did before they stacked their samples.  The
-dense optimality path at the end of the file, F, Q and X on
+dense optimality path at the end of the file, the feasibility functionals
+``objective`` and ``equality_residual``, the Haar-moment check, F, Q and X on
 (C^d)^(x (k+1)) and the commutant projection, is built from the package's own
 operators (each checked against a naive construction elsewhere in the
 suite) and cross-checks the symmetric-coordinate optimality layer.
@@ -15,12 +16,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial, sqrt
 
 import numpy as np
 
 from mcteleport import (
+    Operator,
     VerificationError,
     build_measurement,
     dim_standard,
@@ -28,6 +31,7 @@ from mcteleport import (
     f_projector,
     haar_state,
     mult_semistandard,
+    partial_trace,
     partial_transpose,
     partitions,
     random_channel,
@@ -36,12 +40,13 @@ from mcteleport import (
     simulate,
     store,
     success_probability_formula,
+    sym_basis,
     sym_partition,
     sym_projector,
     young_projector,
 )
-from mcteleport.symgroup import occupation_rank, occupations
-from mcteleport.tensor import DEFAULT_ATOL
+from mcteleport.core import DEFAULT_ATOL, occupation_rank, occupations
+from mcteleport.tensor import as_rng
 
 
 def partitions_by_sieve(k: int) -> set[tuple[int, ...]]:
@@ -557,6 +562,68 @@ def dense_falsifier_candidate(
         target -= gap(target) / gap(ps) * ps
     objective = float(np.sum(q * target.T)) / q_trace
     return target, objective, float(np.linalg.norm(target - f)), np.linalg.eigvalsh(target)
+
+
+def _check_layout(m: Operator, d: int, k: int) -> None:
+    if m.dims != (d,) * (k + 1):
+        raise ValueError(f"operator layout {m.dims} does not match (d,)*{k + 1} for d={d}")
+
+
+def _sym_overlap(mat: np.ndarray, n: int, d: int) -> float:
+    """Re tr(Psym_n A) = Re tr(B^T A B), B the vectors of ``sym_basis(n, d)`` as columns."""
+    b = np.column_stack([s.vec for s in sym_basis(n, d)])
+    return float(np.sum(b * (mat @ b)).real)
+
+
+def objective(m: Operator, d: int, k: int) -> float:
+    """(1/d) tr[(Psym/m_sym_k (x) 1_A) M]; equals p(d,k) at the optimum."""
+    _check_layout(m, d, k)
+    return _sym_overlap(partial_trace(m, {k}).mat, k, d) / (d * mult_semistandard(sym_partition(k), d))
+
+
+def equality_residual(m: Operator, d: int, k: int) -> float:
+    """|LHS - RHS| of the feasibility equality tying the two Haar averages: tr(Q M)/m_k - tr(X M)/m_(k+1).
+
+    X is Psym on k+1 factors partially transposed on A, so tr(X M) = tr(Psym_(k+1) M^(t_A)).
+    """
+    _check_layout(m, d, k)
+    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
+    lhs = _sym_overlap(partial_trace(m, {k}).mat, k, d) / m_k
+    return abs(lhs - _sym_overlap(partial_transpose(m, {k}).mat, k + 1, d) / m_k1)
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    d: int
+    k: int
+    samples: int
+    mc_residual: float
+    exact_residual: float
+
+
+def haar_moment_check(k: int, d: int, samples: int, seed: int = 0) -> MomentReport:
+    """Monte-Carlo check that the k-th Haar moment is Psym/m_sym_k.
+
+    The sample mean of |psi><psi|^(x k) converges to the target at the usual
+    N^(-1/2) rate; the exact part re-projects the target onto the symmetric
+    subspace, which must reproduce it to machine precision.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    rng = as_rng(seed)
+    m_sym = mult_semistandard(sym_partition(k), d)
+    target = sym_projector(k, d).mat / m_sym
+    total = d**k
+    acc = np.zeros((total, total), dtype=complex)
+    for _ in range(samples):
+        psi = haar_state(d, rng).vec
+        copies = functools.reduce(np.kron, [psi] * k)
+        acc += np.outer(copies, copies.conj())
+    acc /= samples
+    mc_residual = float(np.linalg.norm(acc - target))
+    sym = sym_projector(k, d).mat
+    exact_residual = float(np.linalg.norm(sym @ target @ sym - target))
+    return MomentReport(d, k, samples, mc_residual, exact_residual)
 
 
 @functools.lru_cache(maxsize=8)

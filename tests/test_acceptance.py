@@ -233,7 +233,7 @@ def test_criterion_10_cli_contract(tmp_path):
         capture_output=True, text=True, timeout=300,
     ).returncode == 0
     ok_fail = subprocess.run(
-        base + ["verify", "--d", "2", "--k", "1", "--samples", "2",
+        base + ["verify", "--d", "3", "--k", "4", "--samples", "2",
                 "--tol", "1e-30", "--no-timestamp"],
         capture_output=True, text=True, timeout=300,
     ).returncode == 1

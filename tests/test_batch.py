@@ -16,8 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from mcteleport import VerificationError, cli, haar_state, sar, teleport, tensor, verify_sar, verify_theorem
-from mcteleport.tensor import FACTOR_CAP, batch_slices
+from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, tensor, verify_sar, verify_theorem
+from mcteleport.core import FACTOR_CAP, batch_slices
 
 from oracles import verify_sar_by_loop, verify_theorem_by_loop
 
@@ -53,7 +53,7 @@ def test_an_impossible_tolerance_fails_like_the_loop():
 @pytest.mark.parametrize("d,k", [(1, 3), (2, 3), (3, 4), (4, 2), (2, 30)])
 def test_one_sample_chunks_equal_one_chunk(d, k, monkeypatch):
     whole = [verify_theorem(d, k, samples=30, seed=7), verify_sar(d, d + 1, k, 2, samples=30, seed=7)]
-    monkeypatch.setattr(tensor, "FACTOR_CAP", 1)
+    monkeypatch.setattr(core, "FACTOR_CAP", 1)
     assert len(batch_slices(30, teleport._sample_entries(d, k))) == 30
     chunked = [verify_theorem(d, k, samples=30, seed=7), verify_sar(d, d + 1, k, 2, samples=30, seed=7)]
     for one, many in zip(whole, chunked):
@@ -70,10 +70,10 @@ def test_verify_draws_each_input_as_haar_state_does(d, k, cap, monkeypatch):
     inputs = []
 
     def capture(v):
-        inputs.append(tensor.unit_rows(v))
+        inputs.append(core.unit_rows(v))
         return inputs[-1].copy()
 
-    monkeypatch.setattr(tensor, "FACTOR_CAP", cap)
+    monkeypatch.setattr(core, "FACTOR_CAP", cap)
     monkeypatch.setattr(teleport, "unit_rows", capture)
     verify_theorem(d, k, samples=6, seed=100 * d + k)
     want = [haar_state(d, np.random.default_rng(child)).vec for child in np.random.SeedSequence(100 * d + k).spawn(6)]
@@ -86,14 +86,14 @@ def test_sar_draws_each_channel_and_input_as_the_one_sample_draws_do(d, d_out, k
     inputs, stacks = [], []
 
     def capture_inputs(v):
-        inputs.append(tensor.unit_rows(v))
+        inputs.append(core.unit_rows(v))
         return inputs[-1].copy()
 
     def capture_ginibres(z):
         stacks.append(z.copy())
-        return tensor.haar_unitaries(z)
+        return core.haar_unitaries(z)
 
-    monkeypatch.setattr(tensor, "FACTOR_CAP", cap)
+    monkeypatch.setattr(core, "FACTOR_CAP", cap)
     monkeypatch.setattr(sar, "unit_rows", capture_inputs)
     monkeypatch.setattr(sar, "haar_unitaries", capture_ginibres)
     verify_sar(d, d_out, k, rank, samples=6, seed=100 * d + k)
@@ -113,7 +113,7 @@ def test_working_set_chunks_equal_one_chunk_at_a_thousand_copies(suite, monkeypa
 
     assert len(batch_slices(600, teleport._sample_entries(2, 1000))) > 1
     chunked = run()
-    monkeypatch.setattr(tensor, "FACTOR_CAP", 2**40)
+    monkeypatch.setattr(core, "FACTOR_CAP", 2**40)
     assert chunked == run()
 
 
@@ -145,7 +145,7 @@ def test_chunks_stay_within_the_factor_cap(count, entries):
 
 def test_a_draw_that_is_not_trace_preserving_fails_the_batch(monkeypatch):
     def shrink_the_fourth(z):
-        unitaries = tensor.haar_unitaries(z)
+        unitaries = core.haar_unitaries(z)
         unitaries[3] *= 0.5
         return unitaries
 
@@ -157,7 +157,7 @@ def test_a_draw_that_is_not_trace_preserving_fails_the_batch(monkeypatch):
 @pytest.mark.parametrize("module,suite", [(teleport, "verify"), (sar, "sar")])
 def test_an_unnormalised_input_fails_the_batch(module, suite, monkeypatch):
     def stretch_the_third(v):
-        rows = tensor.unit_rows(v)
+        rows = core.unit_rows(v)
         rows[2] *= 1.5
         return rows
 
@@ -178,7 +178,7 @@ def test_a_probability_under_the_floor_fails_the_batch(module, suite, monkeypatc
         return teleport.Measurement(d, k, meas.rows, values)
 
     def third_is_level_one(v):
-        rows = tensor.unit_rows(v)
+        rows = core.unit_rows(v)
         rows[2] = np.eye(rows.shape[-1])[1]
         return rows
 

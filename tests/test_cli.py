@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mcteleport import cli, optimality, teleport
-from mcteleport.tensor import VerificationError
+from mcteleport.core import VerificationError
 
 BASE = [sys.executable, "-m", "mcteleport"]
 

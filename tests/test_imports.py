@@ -1,40 +1,39 @@
 """The package binds its names on first access, and a CLI run imports only its suite's modules."""
 
+import ast
 import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mcteleport
 
-#: The public names of each submodule, as the package exported them when it imported every submodule up front.
+#: The public names of each submodule, by the module that defines them.
 PUBLIC = {
+    "core": "DEFAULT_ATOL CapacityError Partition VerificationError mult_semistandard occupations sym_partition",
     "tensor": (
-        "DEFAULT_ATOL DIM_CAP GROUP_BUDGET CapacityError Operator Permutation StateVector VerificationError "
+        "DIM_CAP GROUP_BUDGET Operator Permutation StateVector "
         "conjugate_by_permutation haar_state haar_unitary hermitian_eig identity_operator kron "
         "max_entangled_state partial_trace partial_transpose permutation_operator permute_state symmetric_group"
     ),
     "symgroup": (
-        "IrrepData Partition absorption_residual character dim_standard f_projector irrep_data "
-        "mult_semistandard occupations partitions removable_boxes sym_basis sym_partition sym_projector "
-        "young_projector"
+        "IrrepData absorption_residual character dim_standard f_projector irrep_data "
+        "partitions removable_boxes sym_basis sym_projector young_projector"
     ),
     "teleport": (
         "Measurement RVector assert_eigendecomposition build_measurement conditioned_element "
         "eigendecomposition_residual gram_residual r_vectors simulate success_probability_formula verify_theorem"
     ),
-    "optimality": (
-        "equality_residual haar_moment_check decomposition_coefficients objective perturbation_falsifier "
-        "reduced_optimum"
-    ),
+    "optimality": "decomposition_coefficients perturbation_falsifier reduced_optimum",
     "sar": (
         "Channel ProgramState depolarizing_channel identity_channel mix_channels random_channel retrieve "
         "store unitary_channel verify_sar"
     ),
 }
-SUBMODULES = ("cli", "optimality", "sar", "symgroup", "teleport", "tensor")
+SUBMODULES = ("cli", "core", "optimality", "sar", "streams", "symgroup", "teleport", "tensor")
 
 
 @pytest.mark.parametrize("module,name", [(module, name) for module, names in PUBLIC.items() for name in names.split()])
@@ -74,13 +73,21 @@ def test_importing_the_package_loads_no_numpy():
     assert "numpy" not in loaded and not any(name.startswith("mcteleport.") for name in loaded)
 
 
+#: The dense layer: d^(k+1)-square operators, their layouts and the permutation algebra.
+DENSE = {"mcteleport.symgroup", "mcteleport.tensor"}
+
+
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["verify", "--d", "2", "--k", "1..3"], {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures"}),
-        (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures"}),
+        (["verify", "--d", "2", "--k", "1..3"], {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures", *DENSE}),
+        (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures", *DENSE}),
+        (
+            ["optimality", "--d", "2..3", "--k", "1..3"],
+            {"mcteleport.sar", "mcteleport.streams", "concurrent.futures", *DENSE},
+        ),
     ],
-    ids=["verify", "sar"],
+    ids=["verify", "sar", "optimality"],
 )
 def test_a_one_thread_run_imports_only_its_suite(argv, absent):
     argv = argv + ["--samples", "3", "--threads", "1", "--no-timestamp"]
@@ -95,3 +102,18 @@ def test_a_one_thread_run_imports_only_its_suite(argv, absent):
     loaded = _modules_after(code)
     assert "mcteleport.cli" in loaded and "mcteleport.teleport" in loaded
     assert not absent & loaded, absent & loaded
+    assert mcteleport.Operator.__module__ not in loaded
+
+
+def test_every_traced_target_resolves_on_its_module():
+    """perfbench/traced.py wraps each ``module.name`` of its TARGETS by ``getattr`` and raises on a missing one."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "traced.py").read_text(encoding="utf-8")
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    assert targets
+    for target in targets:
+        module, name = target.split(".")
+        assert callable(getattr(importlib.import_module(f"mcteleport.{module}"), name)), target

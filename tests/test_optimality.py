@@ -12,14 +12,11 @@ from mcteleport import (
     absorption_residual,
     build_measurement,
     conjugate_by_permutation,
-    equality_residual,
     f_projector,
-    haar_moment_check,
     identity_operator,
     decomposition_coefficients,
     max_entangled_state,
     mult_semistandard,
-    objective,
     partitions,
     perturbation_falsifier,
     reduced_optimum,
@@ -34,6 +31,9 @@ from mcteleport.tensor import DIM_CAP
 
 import oracles
 from oracles import (
+    equality_residual,
+    haar_moment_check,
+    objective,
     commutant_blocks,
     commutant_orbit_sums,
     commutant_projection,

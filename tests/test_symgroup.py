@@ -25,8 +25,7 @@ from mcteleport import (
     young_projector,
 )
 from mcteleport import symgroup
-from mcteleport.symgroup import occupation_rank
-from mcteleport.tensor import FACTOR_CAP
+from mcteleport.core import FACTOR_CAP, occupation_rank
 
 from oracles import (
     group_average_symmetriser,

@@ -27,7 +27,7 @@ from mcteleport import (
     verify_theorem,
 )
 from mcteleport import cli, sar, symgroup, teleport
-from mcteleport.symgroup import occupation_rank
+from mcteleport.core import occupation_rank
 
 from oracles import (
     dense_conditional_output,
@@ -351,7 +351,6 @@ class TestThinFactor:
             raise AssertionError("basis on all d^k coordinates")
 
         monkeypatch.setattr(symgroup, "sym_basis", unexpected)
-        monkeypatch.setattr(teleport, "sym_basis", unexpected)
         assert verify_theorem(2, 30, samples=3, seed=2).passed
         assert sar.verify_sar(2, 2, 30, kraus_rank=2, samples=3, seed=2).passed
 

@@ -21,9 +21,9 @@ from mcteleport import (
     permute_state,
 )
 
-from mcteleport import tensor
+from mcteleport import core
+from mcteleport.core import FACTOR_CAP, batch_slices
 from mcteleport.streams import pcg64_state, seeded_normals, spawn_keys
-from mcteleport.tensor import FACTOR_CAP, batch_slices
 
 from oracles import dense_permutation_matrix
 
@@ -249,7 +249,7 @@ class TestSpawnKeys:
     @pytest.mark.parametrize("cap", [FACTOR_CAP, 1])
     @pytest.mark.parametrize("seed,width", [(0, 1), (7, 4), (2**64 - 1, 40)])
     def test_rows_are_the_childrens_normals(self, seed, width, cap, monkeypatch):
-        monkeypatch.setattr(tensor, "FACTOR_CAP", cap)
+        monkeypatch.setattr(core, "FACTOR_CAP", cap)
         keys = spawn_keys(seed, 30)
         rows = np.concatenate([seeded_normals(keys[part], width) for part in batch_slices(30, width)])
         want = [np.random.default_rng(child).standard_normal(width) for child in np.random.SeedSequence(seed).spawn(30)]
