@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .core import CapacityError, VerificationError
+from .core import CapacityError, VerificationError, spawn_keys
 
 if TYPE_CHECKING:
     from . import optimality, sar, symgroup, teleport
@@ -85,8 +83,12 @@ def parse_int_range(text: str) -> tuple[int, ...]:
 
 
 def _cell_seeds(seed: int, count: int) -> list[int]:
-    """One 64-bit seed per cell, each from its own child of one spawn of the base seed."""
-    return [int(child.generate_state(1, np.uint64)[0]) for child in np.random.SeedSequence(seed).spawn(count)]
+    """One 64-bit seed per cell, each from its own child of one spawn of the base seed.
+
+    It is the first word of the child's key: SeedSequence hashes each output
+    word on its own, so ``generate_state(1, np.uint64)[0]`` of the child.
+    """
+    return spawn_keys(seed, count)[:, 0].tolist()
 
 
 def _empty_record(d: int, k: int) -> dict:
@@ -256,20 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
         "optimality": "reduced-family optimiser and perturbation search",
         "sar": "store random channels and retrieve them on Haar inputs",
     }
-    for name in SUITES:
-        p = sub.add_parser(name, help=descriptions[name])
-        p.add_argument("--d", default="2", help="d range: N, A..B or comma list")
-        p.add_argument("--k", default="1..3", help="k range: N, A..B or comma list")
-        p.add_argument("--samples", type=int, default=25, help="samples (or trials) per cell")
-        p.add_argument("--tol", type=float, default=1e-9, help="pass tolerance")
-        p.add_argument("--seed", type=int, default=0, help="64-bit base seed")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--no-timestamp", action="store_true", help="suppress timestamp and wall times")
-        if name == "sar":
-            p.add_argument("--dout", type=int, default=None, help="channel output dimension")
-            p.add_argument("--rank", type=int, default=2, help="Kraus rank of sampled channels")
+    common = argparse.ArgumentParser(add_help=False)  # the options every suite takes, built once
+    common.add_argument("--d", default="2", help="d range: N, A..B or comma list")
+    common.add_argument("--k", default="1..3", help="k range: N, A..B or comma list")
+    common.add_argument("--samples", type=int, default=25, help="samples (or trials) per cell")
+    common.add_argument("--tol", type=float, default=1e-9, help="pass tolerance")
+    common.add_argument("--seed", type=int, default=0, help="64-bit base seed")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    common.add_argument("--out", default=None, help="output path (default: stdout)")
+    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    common.add_argument("--no-timestamp", action="store_true", help="suppress timestamp and wall times")
+    parsers = {name: sub.add_parser(name, help=descriptions[name], parents=[common]) for name in SUITES}
+    parsers["sar"].add_argument("--dout", type=int, default=None, help="channel output dimension")
+    parsers["sar"].add_argument("--rank", type=int, default=2, help="Kraus rank of sampled channels")
     return parser
 
 

@@ -13,7 +13,8 @@ raising operators that the covariant operators are span{F, 1 - F} (two
 irreducible components, Pieri rule).  ``reduced_optimum`` reads the optimum
 off the four traces of that family; the perturbation search draws on its
 two coefficients.  Nothing here builds a d^(k+1)-square operator, so this
-module loads neither ``tensor`` nor ``symgroup``.
+module loads neither ``tensor`` nor ``symgroup``, and nothing here draws
+random numbers, so it loads neither ``streams`` nor ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,11 @@ from .core import (
     DEFAULT_ATOL,
     CapacityError,
     VerificationError,
+    batch_slices,
     mult_semistandard,
     occupation_rank,
     occupations,
+    spawn_keys,
     sym_partition,
 )
 from .teleport import build_measurement, success_probability_formula
@@ -346,11 +349,11 @@ def _check_unit_interval(spectrum: np.ndarray, what: str) -> None:
 
 
 def _trial(family: _Family, direction: np.ndarray, d: int) -> np.ndarray:
-    """F moved PERTURBATION_SCALE along direction, clipped into [0, 1] and gap-corrected by Q - F."""
-    scale = PERTURBATION_SCALE / np.sqrt(family.ranks @ direction**2)
-    target = np.clip(family.f + scale * direction, 0.0, 1.0)
+    """F moved PERTURBATION_SCALE along each direction (last axis), clipped into [0, 1] and gap-corrected by Q - F."""
+    scale = PERTURBATION_SCALE / np.sqrt(direction**2 @ family.ranks)
+    target = np.clip(family.f + scale[..., None] * direction, 0.0, 1.0)
     if d > 1:  # at d = 1, Q - F is empty and the gap is structurally zero
-        target[1] -= (target @ family.gap) / family.gap[1]
+        target[..., 1] -= (target @ family.gap) / family.gap[1]
     return target
 
 
@@ -377,12 +380,19 @@ def perturbation_falsifier(
 
     The covariant operators are c_1 F + c_2 (Q - F), as ``reduced_optimum``
     certifies, with spectrum the c_b, so each trial works on those
-    coefficients (F alone at d = 1).  The direction, N(0, 1) per coefficient
-    over sqrt(rank), is uniform in the orthonormal basis F / sqrt(r_1),
-    (Q - F) / sqrt(r_2), as a projected Gaussian symmetric direction is.  A
+    coefficients (F alone at d = 1).  The trials sweep the unit circle of
+    the orthonormal basis F / sqrt(r_1), (Q - F) / sqrt(r_2) evenly, 2 pi /
+    trials apart, from an offset u = key / 2^64 hashed from the seed
+    (``spawn_keys``): trial j has direction (cos t_j, sin t_j) / sqrt(ranks),
+    t_j = 2 pi (j + u) / trials.  Each is uniform on that circle, as a
+    projected Gaussian symmetric direction is, and evenly spaced they leave
+    no arc wider than 2 pi / trials unsearched; at d = 1 the direction is
+    the sign of cos t_j, and both signs come up once trials >= 2.  A
     coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so does an
     objective above p* + MARGIN, as it would contradict the optimality
-    statement or expose a bug.  F is checked by one ``eigvalsh`` of its blocks.
+    statement or expose a bug; the first failing trial is named.  F is
+    checked by one ``eigvalsh`` of its blocks, the trials as stacked
+    arrays, in chunks of at most FACTOR_CAP entries.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -393,22 +403,28 @@ def perturbation_falsifier(
     _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
     family = _family(d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))
+    offset = int(spawn_keys(seed, 1)[0, 0]) / 2**64
     max_objective = p_star
     max_step = 0.0
-    for index, child in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        direction = np.random.default_rng(child).standard_normal(len(family.ranks)) / np.sqrt(family.ranks)
-        target = _trial(family, direction, d)
-        _check_unit_interval(target, f"candidate at d={d}, k={k} (trial {index}, seed {seed})")
-        value = float(target @ family.objective)
-        max_objective = max(max_objective, value)
-        max_step = max(max_step, float(np.sqrt(family.ranks @ (target - family.f) ** 2)))
-        if value > p_star + MARGIN:
+    for part in batch_slices(trials, 8):  # a trial's angle, direction, candidate and temporaries: under 8 floats
+        theta = 2 * np.pi * (np.arange(part.start, min(part.stop, trials)) + offset) / trials
+        directions = np.column_stack([np.cos(theta), np.sin(theta)])[:, : len(family.ranks)] / np.sqrt(family.ranks)
+        targets = _trial(family, directions, d)
+        values = targets @ family.objective
+        excess = np.maximum(-targets.min(axis=1), targets.max(axis=1) - 1.0)
+        failed = (excess > EIG_SLACK) | (values > p_star + MARGIN)
+        if failed.any():
+            first = int(np.argmax(failed))
+            trial, value = part.start + first, float(values[first])
+            _check_unit_interval(targets[first], f"candidate at d={d}, k={k} (trial {trial}, seed {seed})")
             raise VerificationError(
                 f"feasible candidate beats the optimum at d={d}, k={k}: "
                 f"objective {value} > {p_star} + {MARGIN} "
-                f"(trial {index}, seed {seed})",
+                f"(trial {trial}, seed {seed})",
                 value - p_star,
             )
+        max_objective = max(max_objective, float(values.max()))
+        max_step = max(max_step, float(np.sqrt(((targets - family.f) ** 2) @ family.ranks).max()))
     return FalsifierReport(
         d=d,
         k=k,

@@ -24,8 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, CapacityError, batch_slices, gaussian_vectors, ginibres, haar_unitaries, unit_rows
-from .streams import seeded_normals, spawn_keys
+from .core import (
+    DEFAULT_ATOL,
+    CapacityError,
+    batch_slices,
+    gaussian_vectors,
+    ginibres,
+    haar_unitaries,
+    spawn_keys,
+    unit_rows,
+)
+from .streams import seeded_normals
 from .teleport import (
     Measurement,
     _check_floor,

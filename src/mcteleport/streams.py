@@ -1,84 +1,23 @@
 """The PCG64 streams of the children of one ``SeedSequence``, reached without numpy objects per child.
 
 ``verify`` and ``sar`` draw sample i of a cell from child i of
-``SeedSequence(seed)``.  SeedSequence's hashing (numpy NEP 19) and PCG64's
-seeding (O'Neill 2014) are fixed algorithms, so ``spawn_keys`` computes the
-children's states in one pass and ``seeded_normals`` sets each on one reused
-generator: the numbers are those of ``default_rng(child)``, bit for bit.
+``SeedSequence(seed)``.  PCG64's seeding (O'Neill 2014) is a fixed
+algorithm, so ``pcg64_state`` turns each child's key from ``core.spawn_keys``
+into the state ``default_rng(child)`` starts from, and ``seeded_normals``
+sets each on one reused generator: the numbers are those of
+``default_rng(child)``, bit for bit.  ``verify`` and ``sar`` load
+``numpy.random`` through this module; ``optimality`` imports neither.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Sequence
 
 import numpy as np
 
-from .core import CapacityError
-
-_MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
-#: numpy's SeedSequence (NEP 19): pool size in 32-bit words and its hashing constants.
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 #: Multiplier of the 128-bit LCG under PCG64 (O'Neill 2014).
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
-    """init mult^j mod 2^32 for j = 0 .. count: the hash constants SeedSequence steps through, in order."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
-
-
-def spawn_keys(seed: int, n: int) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of each child of ``SeedSequence(seed).spawn(n)``, one uint64 row each.
-
-    Child i hashes the seed's 32-bit words, zero-padded to the pool of 4,
-    and then its spawn key i.  All but the key is shared, so that part is
-    hashed once with Python ints; the key, one word below 2^32 children, is
-    mixed in and the 8 output words hashed as uint32 array operations over
-    all children at once, which wrap as numpy's C code does.
-    """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    if n > 1 << 32:
-        raise CapacityError(f"{n} children need spawn keys of more than one 32-bit word")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + 1))
-    hashes = iter(zip(consts, consts[1:]))  # one (xor, multiplier) pair per hashmix
-
-    def hashmix(value: int) -> int:
-        xor, mult = next(hashes)
-        value = (value ^ xor) * mult & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    xor, mult = np.array([next(hashes) for _ in range(_POOL)], dtype=np.uint32).T
-    key = (np.arange(n, dtype=np.uint32)[:, None] ^ xor) * mult
-    key ^= key >> 16
-    pool = np.array([_MIX_L * p & _MASK32 for p in pool], dtype=np.uint32) - key * np.uint32(_MIX_R)  # one per child
-    pool ^= pool >> 16
-    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-    xor, mult = np.array([consts[:-1], consts[1:]], dtype=np.uint32).reshape(2, 2, _POOL)  # 8 words: the pool twice
-    state = (pool[:, None, :] ^ xor) * mult
-    state ^= state >> 16
-    return state.reshape(n, 2 * _POOL).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def pcg64_state(key: Sequence[int]) -> dict[str, int]:

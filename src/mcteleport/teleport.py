@@ -20,8 +20,9 @@ d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
 ``gram_residual``) and ``Measurement.op`` (for the tests) live there.  They
 and ``simulate`` import the dense layer (``tensor``, ``symgroup``) when
-called, and the sampling imports ``streams`` when called, so ``verify`` and
-``sar`` load neither dense module and ``optimality`` loads no ``streams``.
+called, and the sampling imports ``streams`` (PCG64 seeding, ``numpy.random``)
+when called, so ``verify`` and ``sar`` load neither dense module and
+``optimality`` loads no ``streams``.
 
 ``verify_theorem`` draws each input with one call on its own child seed,
 then forms and simulates the samples together: every array of
@@ -51,6 +52,7 @@ from .core import (
     gaussian_vectors,
     occupation_rank,
     occupations,
+    spawn_keys,
     unit_rows,
 )
 
@@ -444,8 +446,6 @@ def verify_theorem(
     the input, and the residual between the two measurement constructions
     (reusing the eigen form it sampled with) is at most tol.
     """
-    from .streams import spawn_keys
-
     if samples < 1:
         raise ValueError("need at least one sample")
     meas = build_measurement(d, k, form="eigen")

@@ -84,7 +84,7 @@ DENSE = {"mcteleport.symgroup", "mcteleport.tensor"}
         (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures", *DENSE}),
         (
             ["optimality", "--d", "2..3", "--k", "1..3"],
-            {"mcteleport.sar", "mcteleport.streams", "concurrent.futures", *DENSE},
+            {"mcteleport.sar", "mcteleport.streams", "numpy.random", "concurrent.futures", *DENSE},
         ),
     ],
     ids=["verify", "sar", "optimality"],

@@ -26,7 +26,7 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport import optimality, teleport
+from mcteleport import core, optimality, teleport
 from mcteleport.tensor import DIM_CAP
 
 import oracles
@@ -408,6 +408,71 @@ class TestFalsifier:
         report = perturbation_falsifier(1, 8, trials=1)
         assert report.passed
         assert report.max_objective <= report.p_star + 1e-7
+
+
+def _swept(monkeypatch, d, k, trials, seed=0):
+    """The directions perturbation_falsifier(d, k, trials, seed) tries, in the orthonormal basis of its family."""
+    seen, trial = [], optimality._trial
+
+    def recorded(family, direction, d):
+        seen.append(direction * np.sqrt(family.ranks))
+        return trial(family, direction, d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optimality, "_trial", recorded)
+        perturbation_falsifier(d, k, trials=trials, seed=seed)
+    return np.concatenate(seen)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("trials", [1, 2, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_directions_are_unit_and_evenly_spaced(self, monkeypatch, trials, seed):
+        coords = _swept(monkeypatch, 3, 2, trials, seed)
+        assert coords.shape == (trials, 2)
+        assert np.abs(np.linalg.norm(coords, axis=1) - 1.0).max() <= 1e-12
+        angles = np.sort(np.arctan2(coords[:, 1], coords[:, 0]) % (2 * np.pi))
+        gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+        assert np.abs(gaps - 2 * np.pi / trials).max() <= 1e-12
+
+    def test_two_seeds_turn_the_sweep_differently(self, monkeypatch):
+        first, second = (_swept(monkeypatch, 2, 2, 5, seed)[0] for seed in (0, 1))
+        assert np.abs(first - second).max() > 1e-6
+
+    @pytest.mark.parametrize("trials", [2, 3, 7, 200])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_both_signs_come_up_at_one_level(self, monkeypatch, trials, seed):
+        coords = _swept(monkeypatch, 1, 3, trials, seed)
+        assert coords.shape == (trials, 1)
+        assert set(np.sign(coords[:, 0])) == {-1.0, 1.0}
+
+    def test_a_failing_sweep_names_its_first_trial(self, monkeypatch):
+        monkeypatch.setattr(optimality, "MARGIN", -1.0)
+        with pytest.raises(VerificationError, match=r"beats the optimum.*\(trial 0, seed 0\)"):
+            perturbation_falsifier(2, 2, trials=200)
+
+    @pytest.mark.parametrize("cap", [core.FACTOR_CAP, 8 * 3])
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_stacked_checks_agree_with_one_trial_at_a_time(self, monkeypatch, cap, seed):
+        d, k, trials = 2, 3, 20
+        family = optimality._family(d, k)
+        p_star = success_probability_formula(d, k)
+        coords = _swept(monkeypatch, d, k, trials, seed)
+        targets = [optimality._trial(family, c / np.sqrt(family.ranks), d) for c in coords]
+        values = [float(target @ family.objective) for target in targets]
+        steps = [float(np.sqrt(family.ranks @ (target - family.f) ** 2)) for target in targets]
+        monkeypatch.setattr(core, "FACTOR_CAP", cap)  # 3 trials a chunk at the smaller cap
+        report = perturbation_falsifier(d, k, trials=trials, seed=seed)
+        assert report.max_objective == pytest.approx(max(p_star, *values), abs=1e-15)
+        assert report.max_step == pytest.approx(max(steps), abs=1e-15)
+        # Negated, the objective is highest on the trials that move F furthest,
+        # so the first trial to beat the margin is one in mid-sweep.
+        first = next(j for j, value in enumerate(values) if value < 0.2)
+        assert first > 2
+        monkeypatch.setattr(optimality, "_family", lambda d, k: family._replace(objective=-family.objective))
+        monkeypatch.setattr(optimality, "MARGIN", -p_star - 0.2)
+        with pytest.raises(VerificationError, match=rf"beats the optimum.*\(trial {first}, seed {seed}\)"):
+            perturbation_falsifier(d, k, trials=trials, seed=seed)
 
 
 def _unit_hermitian(dim, seed):

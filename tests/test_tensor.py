@@ -22,8 +22,8 @@ from mcteleport import (
 )
 
 from mcteleport import core
-from mcteleport.core import FACTOR_CAP, batch_slices
-from mcteleport.streams import pcg64_state, seeded_normals, spawn_keys
+from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
+from mcteleport.streams import pcg64_state, seeded_normals
 
 from oracles import dense_permutation_matrix
 
