@@ -31,23 +31,18 @@ _EXPORTS = {
         "conjugate_by_permutation",
         "haar_state",
         "haar_unitary",
-        "hermitian_eig",
-        "identity_operator",
         "kron",
         "max_entangled_state",
         "partial_trace",
         "partial_transpose",
-        "permutation_operator",
         "permute_state",
         "symmetric_group",
     ),
     "symgroup": (
-        "IrrepData",
         "absorption_residual",
         "character",
         "dim_standard",
         "f_projector",
-        "irrep_data",
         "partitions",
         "removable_boxes",
         "sym_basis",

@@ -6,10 +6,10 @@ together with the untouched half, leaving the channel output on the final
 register with the teleportation probability k / (d (k - 1 + d)), channel
 independent.
 
-``verify_sar`` draws each sample's channel (a Ginibre matrix) and input with
-one call on its own child seed, then stores, retrieves and checks the
-samples together: one QR over the stacked Ginibre matrices, and every later
-array carries the samples on a leading axis.  A cell runs in chunks whose
+``verify_sar`` draws each sample's channel (a Ginibre matrix) and input from
+one row of normals on its own child seed, then stores, retrieves and checks
+the samples together: one QR over the stacked Ginibre matrices, and every
+later array carries the samples on a leading axis.  A cell runs in chunks whose
 arrays, all counted together (``_sar_sample_entries``), stay within
 FACTOR_CAP entries, or one sample at a time past it.  ``store`` and
 ``retrieve`` are the one-channel case of ``programs`` and ``retrievals``;
@@ -223,14 +223,14 @@ def retrieve(
 def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
     """Entries per sample of every array a chunk of ``verify_sar`` can hold at once, all counted as
     if alive together: those of ``_sample_entries``, the rest of the draw row and the Haar step on
-    w = d_out kraus_rank (the row's 2 w^2, the Ginibre matrix, LAPACK's copy of it, Q, R and the
-    unitaries), the Kraus stack's conjugate, the two copies of its branches and their conjugate
-    (4 w d), the products and sums of the CPTP defect (rank d^2 + 2 d^2), the program, and the
+    w = d_out kraus_rank (the row's 2 w^2, the generator's 3 w^2 temporaries, the Ginibre matrix,
+    LAPACK's copy of it, Q, R and the unitaries), the Kraus stack's conjugate, the two copies of
+    its branches and their conjugate (4 w d), the products and sums of the CPTP defect (rank d^2 + 2 d^2), the program, and the
     retrieved and expected outputs with K|psi> (4 d_out^2 + w).
     """
     w = d_out * kraus_rank
     kraus = 4 * w * d + kraus_rank * d * d + 2 * d * d
-    return _sample_entries(d, k) + 7 * w * w + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
+    return _sample_entries(d, k) + 10 * w * w + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
 
 
 def _sar_chunk(
@@ -283,12 +283,13 @@ def verify_sar(
     """Monte-Carlo retrieval check over random channels and Haar inputs, refused first over PROGRAM_CAP.
 
     Each sample fills one row of 2 w^2 + 2 d standard normals (w = d_out
-    kraus_rank) with one draw from its own child of ``SeedSequence(seed)``:
-    the real and imaginary parts of its channel's Ginibre matrix, then those
-    of its input, the numbers ``random_channel`` and then ``haar_state`` take
-    from that child.  The children's generator keys come from ``spawn_keys``
-    in one pass, and ``seeded_normals`` seeds one reused generator from each
-    chunk's keys.  The samples are then stored, retrieved and compared
+    kraus_rank) from its own child of ``SeedSequence(seed)``: the real and
+    imaginary parts of its channel's Ginibre matrix, then those of its input.
+    The children's keys come from ``spawn_keys`` in one pass, and
+    ``seeded_normals`` draws each chunk's rows, one SplitMix64 stream per
+    key, with numpy array arithmetic; ``random_channel`` and then
+    ``haar_state`` form the same channel and input from a generator that
+    yields the same row.  The samples are then stored, retrieved and compared
     with the direct Kraus action together, one chunk at a time, so that every
     array a chunk holds (``_sar_sample_entries``) stays within FACTOR_CAP.
     """

@@ -1,54 +1,67 @@
-"""The PCG64 streams of the children of one ``SeedSequence``, reached without numpy objects per child.
+"""The standard normals of each sample, drawn from its child key with numpy array arithmetic alone.
 
-``verify`` and ``sar`` draw sample i of a cell from child i of
-``SeedSequence(seed)``.  PCG64's seeding (O'Neill 2014) is a fixed
-algorithm, so ``pcg64_state`` turns each child's key from ``core.spawn_keys``
-into the state ``default_rng(child)`` starts from, and ``seeded_normals``
-sets each on one reused generator: the numbers are those of
-``default_rng(child)``, bit for bit.  ``verify`` and ``sar`` load
-``numpy.random`` through this module; ``optimality`` imports neither.
+``verify`` and ``sar`` draw sample i of a cell from child i of the cell's
+seed: ``core.spawn_keys`` hashes every child's key in one pass, and
+``seeded_normals`` turns the first word of each key into one row of
+standard normals.  The row is the SplitMix64 stream (Steele, Lea and Flood,
+OOPSLA 2014) seeded with that word, each output made a uniform as numpy
+makes one (``seeded_uniforms``) and each pair of uniforms two normals by
+Box–Muller.  A row depends on its key alone, so neither chunking nor
+threads can change a report.  The theorem holds for every input and every
+channel, so a sample needs only to be generic and reproducible from the
+seed; the tests pin the stream to a scalar reference and check its
+distribution.  No ``numpy.random`` is loaded.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
 
 import numpy as np
 
-_MASK128 = (1 << 128) - 1
-#: Multiplier of the 128-bit LCG under PCG64 (O'Neill 2014).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: SplitMix64's increment, the odd integer nearest 2^64 over the golden ratio.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+#: Multipliers of its finaliser, Stafford's variant 13 of MurmurHash3's.
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def pcg64_state(key: Sequence[int]) -> dict[str, int]:
-    """The ``state`` and ``inc`` that PCG64 seeds from one row of ``spawn_keys``, as its ``state["state"]`` holds them.
+def seeded_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of SplitMix64 from the first word s of each row of ``spawn_keys``.
 
-    PCG64 takes the key's first and second 128-bit halves as its seed and
-    stream, (s, t): inc = 2 t + 1 and, after two steps of the LCG of
-    multiplier a from 0, state = (inc + s) a + inc mod 2^128.
+    Output j = 1 .. count is z_j = mix(s + j gamma mod 2^64), and
+    u_j = (z_j >> 11) 2^-53 is a uniform on [0, 1) as numpy's Generator
+    makes one.  Every step is a uint64 array operation over all rows at once
+    (uint64 arrays wrap mod 2^64 without a warning); besides the output, a
+    uint64 array of it and one shifted copy are alive at once.
     """
-    s_hi, s_lo, t_hi, t_lo = key
-    inc = (t_hi << 65 | t_lo << 1 | 1) & _MASK128
-    return {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
+    z = keys[:, :1] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
 
 
 def seeded_normals(keys: np.ndarray, width: int) -> np.ndarray:
-    """One row of ``width`` standard normals per row of ``spawn_keys``: what ``default_rng(child).standard_normal`` draws.
+    """One row of ``width`` standard normals per row of ``spawn_keys``: Box–Muller on its ``seeded_uniforms``.
 
-    Each row's ``pcg64_state`` is set on one reused PCG64, and the row is
-    filled by one call on one reused Generator, so no SeedSequence, bit
-    generator or Generator is made per row.  A Generator yields the same
-    numbers in the same order however they are split between calls, so a
-    row holds exactly what successive ``ginibre`` and ``gaussian_vector``
-    draws from that child would take; ``ginibres`` and ``gaussian_vectors``
-    read them back in that layout.
+    Each pair (u_(2i-1), u_(2i)) of a row's uniforms gives the normals
+    sqrt(-2 log(1 - u_(2i-1))) (cos, sin)(2 pi u_(2i)) at places 2i - 1 and
+    2i; the last is dropped when width is odd.  Besides its output the draw
+    holds at most 3 entries per pair, which the chunk counts of ``verify``
+    and ``sar`` include.  ``ginibres`` and ``gaussian_vectors`` read a row in
+    the layout successive one-sample draws take it.
     """
-    rows = np.empty((len(keys), width))
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).standard_normal
-    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for key, row in zip(keys.tolist(), rows):
-        state["state"] = pcg64_state(key)
-        bits.state = state
-        draw(out=row)
-    return rows
+    half = -(-width // 2)
+    out = seeded_uniforms(keys, 2 * half).reshape(len(keys), half, 2)
+    radius = np.log1p(-out[..., 0])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = out[..., 1] * (2 * math.pi)
+    np.multiply(radius, np.cos(angle), out=out[..., 0])
+    np.multiply(radius, np.sin(angle, out=angle), out=out[..., 1])
+    return out.reshape(len(keys), 2 * half)[:, :width]

@@ -14,7 +14,6 @@ symmetric coordinates use without the dense layer, live in ``core``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,19 +68,6 @@ def dim_standard(mu: Partition) -> int:
     if not mu:
         return 1
     return math.factorial(sum(mu)) // math.prod(_hook_lengths(mu))
-
-
-@dataclass(frozen=True)
-class IrrepData:
-    """Tableau counts attached to one frame at a fixed local dimension."""
-
-    partition: Partition
-    d_mu: int
-    m_mu: int
-
-
-def irrep_data(mu: Partition, d: int) -> IrrepData:
-    return IrrepData(mu, dim_standard(mu), mult_semistandard(mu, d))
 
 
 def _beta_to_partition(beta: tuple[int, ...]) -> Partition:

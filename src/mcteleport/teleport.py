@@ -20,12 +20,12 @@ d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
 ``gram_residual``) and ``Measurement.op`` (for the tests) live there.  They
 and ``simulate`` import the dense layer (``tensor``, ``symgroup``) when
-called, and the sampling imports ``streams`` (PCG64 seeding, ``numpy.random``)
-when called, so ``verify`` and ``sar`` load neither dense module and
+called, and the sampling imports ``streams`` (the samples' normals) when
+called, so ``verify`` and ``sar`` load neither dense module and
 ``optimality`` loads no ``streams``.
 
-``verify_theorem`` draws each input with one call on its own child seed,
-then forms and simulates the samples together: every array of
+``verify_theorem`` draws each input from one row of normals on its own
+child seed, then forms and simulates the samples together: every array of
 ``conditioned_elements`` and ``simulations`` carries them on a leading axis,
 and a cell runs in chunks whose arrays, all counted together, stay within
 FACTOR_CAP entries.  ``conditioned_element`` and ``simulate`` are the
@@ -332,12 +332,13 @@ def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
 
 def _sample_entries(d: int, k: int) -> int:
     """Entries per sample of every array a chunk of ``verify_theorem`` can hold at once, all counted
-    as if alive together: the draw row and the input (3 d), and in ``conditioned_elements`` the power
-    table with the array it accumulates (2 d (k + 1)), the m weights with a gather of them, the
-    width x d table t with its conjugate, and E with Bob's state (2 d^2).
+    as if alive together: the draw row, the generator's temporaries (3 per pair of normals) and the
+    input (6 d), and in ``conditioned_elements`` the power table with the array it accumulates
+    (2 d (k + 1)), the m weights with a gather of them, the width x d table t with its conjugate,
+    and E with Bob's state (2 d^2).
     """
     m, width = math.comb(k + d - 1, k), math.comb(k + d - 2, k - 1)
-    return 3 * d + 2 * d * (k + 1) + 2 * m + 2 * width * d + 2 * d * d
+    return 6 * d + 2 * d * (k + 1) + 2 * m + 2 * width * d + 2 * d * d
 
 
 def conditioned_elements(meas: Measurement, psis: np.ndarray) -> np.ndarray:
@@ -434,12 +435,13 @@ def verify_theorem(
 ) -> TheoremReport:
     """Sample Haar inputs, simulate, and compare against the formula.
 
-    Each sample fills one row of 2 d standard normals, the real and then the
-    imaginary parts of its input, with one draw from its own child of
-    ``SeedSequence(seed)``: the numbers ``haar_state`` takes from that child.
-    The children's generator keys come from ``spawn_keys`` in one pass, and
-    ``seeded_normals`` seeds one reused generator from each chunk's keys.
-    The inputs are then formed and simulated together, one chunk at a time,
+    Each sample's input is the unit vector of one row of 2 d standard
+    normals, the real and then the imaginary parts, drawn from its own child
+    of ``SeedSequence(seed)``: the children's keys come from ``spawn_keys``
+    in one pass, and ``seeded_normals`` draws each chunk's rows, one
+    SplitMix64 stream per key, with numpy array arithmetic.  ``haar_state``
+    forms the same input from a generator that yields the same row.  The
+    inputs are then formed and simulated together, one chunk at a time,
     so that every array a chunk holds (``_sample_entries``) stays within
     FACTOR_CAP.  Passes iff every sampled probability matches k/(d(k-1+d))
     within tol, every conditional output has fidelity at least 1 - tol with

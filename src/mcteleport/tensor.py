@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import DEFAULT_ATOL, CapacityError, gaussian_vectors, ginibres, haar_unitaries, unit_rows
+from .core import CapacityError, gaussian_vectors, ginibres, haar_unitaries, unit_rows
 
 #: Largest ambient dimension constructed without raising CapacityError.
 DIM_CAP = 65536
@@ -193,10 +193,6 @@ class Operator:
         return StateVector(self.mat @ state.vec, self.dims)
 
 
-def identity_operator(dims: tuple[int, ...]) -> Operator:
-    return Operator(np.eye(math.prod(dims)), dims)
-
-
 def kron(a: Operator | StateVector, b: Operator | StateVector):
     """Tensor product; the layout is the concatenation of the layouts."""
     dims = a.dims + b.dims
@@ -262,17 +258,6 @@ def permutation_index_map(sigma: Permutation, dims: tuple[int, ...]) -> np.ndarr
     return np.ravel_multi_index(tuple(multi[inv]), dims)
 
 
-def permutation_operator(sigma: Permutation, d: int) -> Operator:
-    """Dense 0/1 matrix of the factor permutation on ``n`` qudits of dim d."""
-    dims = (d,) * sigma.n
-    total = math.prod(dims)
-    check_capacity(total)
-    f = permutation_index_map(sigma, dims)
-    mat = np.zeros((total, total))
-    mat[f, np.arange(total)] = 1.0
-    return Operator(mat, dims)
-
-
 def permute_state(sigma: Permutation, state: StateVector) -> StateVector:
     """Apply the factor permutation to a state by axis remapping."""
     if not state.dims:
@@ -321,16 +306,3 @@ def gaussian_vector(d: int, rng: int | np.random.Generator) -> np.ndarray:
 def haar_state(d: int, rng: int | np.random.Generator) -> StateVector:
     """Haar-uniform pure state: a normalised complex Gaussian vector."""
     return StateVector(unit_rows(gaussian_vector(d, rng)), (d,))
-
-
-def hermitian_eig(x: Operator, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, Operator]:
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns ascending real eigenvalues and the unitary of eigenvectors
-    (columns), tagged with the input layout.
-    """
-    defect = x.hermiticity_defect()
-    if defect > atol:
-        raise ValueError(f"operator is not Hermitian: defect {defect:.3e} > {atol:.1e}")
-    vals, vecs = np.linalg.eigh(x.mat)
-    return vals, Operator(vecs, x.dims)

@@ -2,9 +2,14 @@
 
 Nearly everything here is deliberately naive: different algorithms, different
 data representations, no shared code with the package under test.  There are
-two exceptions.  The per-sample loops of ``verify_theorem`` and ``verify_sar``
-call the package's one-sample ``simulate``, ``store`` and ``retrieve`` once
-per child seed, as the suites did before they stacked their samples.  The
+three exceptions.  The per-sample loops of ``verify_theorem`` and
+``verify_sar`` call the package's one-sample ``simulate``, ``store`` and
+``retrieve`` once per child seed, as the suites did before they stacked their
+samples, each on the row of normals ``seeded_normals`` draws from that child's
+key alone (``child_streams``); the row itself is checked against the scalar
+SplitMix64 and Box–Muller reference ``box_muller_normals``.  The dense
+helpers no suite runs (``identity_operator``, ``permutation_operator``,
+``hermitian_eig``, ``irrep_data``) are built on the package's value types.  The
 dense optimality path at the end of the file, the feasibility functionals
 ``objective`` and ``equality_residual``, the Haar-moment check, F, Q and X on
 (C^d)^(x (k+1)) and the commutant projection, is built from the package's own
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb, factorial, sqrt
@@ -24,6 +30,7 @@ import numpy as np
 
 from mcteleport import (
     Operator,
+    Permutation,
     VerificationError,
     build_measurement,
     dim_standard,
@@ -45,8 +52,9 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport.core import DEFAULT_ATOL, occupation_rank, occupations
-from mcteleport.tensor import as_rng
+from mcteleport.core import DEFAULT_ATOL, Partition, occupation_rank, occupations
+from mcteleport.streams import seeded_normals
+from mcteleport.tensor import as_rng, check_capacity, permutation_index_map
 
 
 def partitions_by_sieve(k: int) -> set[tuple[int, ...]]:
@@ -292,13 +300,108 @@ def kron_program_state(kraus: list[np.ndarray], d: int) -> np.ndarray:
     return total
 
 
+def identity_operator(dims: tuple[int, ...]) -> Operator:
+    return Operator(np.eye(math.prod(dims)), dims)
+
+
+def permutation_operator(sigma: Permutation, d: int) -> Operator:
+    """Dense 0/1 matrix of the factor permutation on ``n`` qudits of dim d."""
+    dims = (d,) * sigma.n
+    total = math.prod(dims)
+    check_capacity(total)
+    f = permutation_index_map(sigma, dims)
+    mat = np.zeros((total, total))
+    mat[f, np.arange(total)] = 1.0
+    return Operator(mat, dims)
+
+
+def hermitian_eig(x: Operator, atol: float = DEFAULT_ATOL) -> tuple[np.ndarray, Operator]:
+    """Eigendecomposition of a Hermitian operator.
+
+    Returns ascending real eigenvalues and the unitary of eigenvectors
+    (columns), tagged with the input layout.
+    """
+    defect = x.hermiticity_defect()
+    if defect > atol:
+        raise ValueError(f"operator is not Hermitian: defect {defect:.3e} > {atol:.1e}")
+    vals, vecs = np.linalg.eigh(x.mat)
+    return vals, Operator(vecs, x.dims)
+
+
+@dataclass(frozen=True)
+class IrrepData:
+    """Tableau counts attached to one frame at a fixed local dimension."""
+
+    partition: Partition
+    d_mu: int
+    m_mu: int
+
+
+def irrep_data(mu: Partition, d: int) -> IrrepData:
+    return IrrepData(mu, dim_standard(mu), mult_semistandard(mu, d))
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_uniforms(seed: int, count: int) -> list[float]:
+    """The first ``count`` outputs of SplitMix64 from ``seed``, one Python int at a time, each made a
+    uniform on [0, 1) from its top 53 bits as numpy's Generator makes one."""
+    state, out = seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        out.append((z >> 11) / 2**53)
+    return out
+
+
+def box_muller_normals(seed: int, width: int) -> list[float]:
+    """``width`` standard normals from successive pairs (u1, u2) of ``splitmix64_uniforms``:
+    sqrt(-2 log(1 - u1)) times cos and then sin of 2 pi u2, with ``math``'s functions."""
+    uniforms = splitmix64_uniforms(seed, width + width % 2)
+    out = []
+    for u1, u2 in zip(uniforms[::2], uniforms[1::2]):
+        radius = math.sqrt(-2.0 * math.log1p(-u1))
+        out += [radius * math.cos(math.tau * u2), radius * math.sin(math.tau * u2)]
+    return out[:width]
+
+
+class RowStream(np.random.Generator):
+    """A Generator whose ``standard_normal(size)`` returns the next ``size`` entries of one row.
+
+    ``as_rng`` passes a Generator on as it is, so the one-sample kernels
+    (``haar_state``, ``ginibre``, ``random_channel``) take the row in order,
+    as the suites lay a sample's row out.
+    """
+
+    def __init__(self, row: np.ndarray):
+        super().__init__(np.random.PCG64(0))
+        self.row, self.used = row, 0
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        start, self.used = self.used, self.used + size
+        if self.used > len(self.row):
+            raise IndexError(f"drew {self.used} normals from a row of {len(self.row)}")
+        return self.row[start : self.used]
+
+
+def child_streams(seed: int, samples: int, width: int) -> list[RowStream]:
+    """One ``RowStream`` per child of ``SeedSequence(seed).spawn(samples)``: the row of ``width``
+    normals that ``seeded_normals`` draws from that child's key alone."""
+    keys = [child.generate_state(4, np.uint64)[None] for child in np.random.SeedSequence(seed).spawn(samples)]
+    return [RowStream(seeded_normals(key, width)[0]) for key in keys]
+
+
 def verify_theorem_by_loop(d: int, k: int, samples: int, tol: float, seed: int) -> dict:
     """``verify_theorem`` as a loop over samples: one ``haar_state`` and one ``simulate`` per child seed."""
     meas = build_measurement(d, k)
     p_formula = success_probability_formula(d, k)
     probs, fids = [], []
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        psi = haar_state(d, np.random.default_rng(child))
+    for rng in child_streams(seed, samples, 2 * d):
+        psi = haar_state(d, rng)
         p_est, bob = simulate(psi, meas)
         probs.append(p_est)
         fids.append(float(np.real(psi.vec.conj() @ bob.mat @ psi.vec)))
@@ -317,8 +420,7 @@ def verify_sar_by_loop(d: int, d_out: int, k: int, kraus_rank: int, samples: int
     meas = build_measurement(d, k)
     p_formula = success_probability_formula(d, k)
     probs, state_devs = [], []
-    for child in np.random.SeedSequence(seed).spawn(samples):
-        rng = np.random.default_rng(child)
+    for rng in child_streams(seed, samples, 2 * (d_out * kraus_rank) ** 2 + 2 * d):
         channel = random_channel(d, d_out, kraus_rank, rng)
         psi = haar_state(d, rng)
         p_est, out = retrieve(store(channel), psi, k, meas)

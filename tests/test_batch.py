@@ -1,15 +1,17 @@
 """Stacked sampling in ``verify_theorem`` and ``verify_sar``, and the capacity fixes around it.
 
-Both suites fill one row of standard normals per sample with a single draw
-from its own child seed, then form and compute a chunk of samples as
-stacked arrays.  The draws must equal, bit for bit, what ``haar_state`` and
-``ginibre`` take from the same child; the oracles in ``oracles.py`` run the
-same cells one ``simulate``, or one ``store`` and ``retrieve``, per child
-seed; and a chunk's arrays, all counted together, bound its memory.
+Both suites fill one row of standard normals per sample from its own child
+seed, then form and compute a chunk of samples as stacked arrays.  The
+stacked draws must equal, bit for bit, what ``haar_state`` and ``ginibre``
+form from that child's row drawn alone; the oracles in ``oracles.py`` run
+the same cells one ``simulate``, or one ``store`` and ``retrieve``, per
+child seed; the inputs meet the first Haar moment; and a chunk's arrays, all
+counted together, bound its memory.
 """
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -19,7 +21,7 @@ import pytest
 from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, tensor, verify_sar, verify_theorem
 from mcteleport.core import FACTOR_CAP, batch_slices
 
-from oracles import verify_sar_by_loop, verify_theorem_by_loop
+from oracles import child_streams, verify_sar_by_loop, verify_theorem_by_loop
 
 CELLS = [(d, k) for d in range(1, 5) for k in range(1, 6)] + [(2, 10), (2, 200)]
 
@@ -76,8 +78,29 @@ def test_verify_draws_each_input_as_haar_state_does(d, k, cap, monkeypatch):
     monkeypatch.setattr(core, "FACTOR_CAP", cap)
     monkeypatch.setattr(teleport, "unit_rows", capture)
     verify_theorem(d, k, samples=6, seed=100 * d + k)
-    want = [haar_state(d, np.random.default_rng(child)).vec for child in np.random.SeedSequence(100 * d + k).spawn(6)]
+    streams = child_streams(100 * d + k, 6, 2 * d)
+    want = [haar_state(d, rng).vec for rng in streams]
+    assert all(rng.used == len(rng.row) for rng in streams)
     assert np.array_equal(np.concatenate(inputs), np.stack(want))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_verify_inputs_meet_the_first_haar_moment(d, monkeypatch):
+    # |psi_0|^2 of a Haar state is Beta(1, d - 1), with mean 1/d and variance
+    # 2/(d(d+1)) - 1/d^2, giving an exact 3-sigma band for the mean.
+    inputs = []
+
+    def capture(v):
+        inputs.append(core.unit_rows(v))
+        return inputs[-1]
+
+    monkeypatch.setattr(teleport, "unit_rows", capture)
+    samples = 100_000
+    verify_theorem(d, 1, samples=samples, seed=40 + d)
+    values = np.abs(np.concatenate(inputs)[:, 0]) ** 2
+    assert len(values) == samples
+    variance = 2 / (d * (d + 1)) - 1 / d**2
+    assert abs(values.mean() - 1 / d) < 3 * math.sqrt(variance / samples)
 
 
 @pytest.mark.parametrize("cap", [FACTOR_CAP, 1])
@@ -98,10 +121,10 @@ def test_sar_draws_each_channel_and_input_as_the_one_sample_draws_do(d, d_out, k
     monkeypatch.setattr(sar, "haar_unitaries", capture_ginibres)
     verify_sar(d, d_out, k, rank, samples=6, seed=100 * d + k)
     want_stacks, want_inputs = [], []
-    for child in np.random.SeedSequence(100 * d + k).spawn(6):
-        rng = np.random.default_rng(child)
+    for rng in child_streams(100 * d + k, 6, 2 * (d_out * rank) ** 2 + 2 * d):
         want_stacks.append(tensor.ginibre(d_out * rank, rng))
         want_inputs.append(haar_state(d, rng).vec)
+        assert rng.used == len(rng.row)
     assert np.array_equal(np.concatenate(stacks), np.stack(want_stacks))
     assert np.array_equal(np.concatenate(inputs), np.stack(want_inputs))
 

@@ -15,13 +15,12 @@ import mcteleport
 PUBLIC = {
     "core": "DEFAULT_ATOL CapacityError Partition VerificationError mult_semistandard occupations sym_partition",
     "tensor": (
-        "DIM_CAP GROUP_BUDGET Operator Permutation StateVector "
-        "conjugate_by_permutation haar_state haar_unitary hermitian_eig identity_operator kron "
-        "max_entangled_state partial_trace partial_transpose permutation_operator permute_state symmetric_group"
+        "DIM_CAP GROUP_BUDGET Operator Permutation StateVector conjugate_by_permutation haar_state haar_unitary "
+        "kron max_entangled_state partial_trace partial_transpose permute_state symmetric_group"
     ),
     "symgroup": (
-        "IrrepData absorption_residual character dim_standard f_projector irrep_data "
-        "partitions removable_boxes sym_basis sym_projector young_projector"
+        "absorption_residual character dim_standard f_projector partitions removable_boxes sym_basis "
+        "sym_projector young_projector"
     ),
     "teleport": (
         "Measurement RVector assert_eigendecomposition build_measurement conditioned_element "
@@ -75,13 +74,18 @@ def test_importing_the_package_loads_no_numpy():
 
 #: The dense layer: d^(k+1)-square operators, their layouts and the permutation algebra.
 DENSE = {"mcteleport.symgroup", "mcteleport.tensor"}
+#: ``numpy.random`` and what it loads with it: ``secrets`` and OpenSSL's hashes (``_hashlib``).
+RANDOM = {"numpy.random", "secrets", "_hashlib"}
 
 
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["verify", "--d", "2", "--k", "1..3"], {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures", *DENSE}),
-        (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures", *DENSE}),
+        (
+            ["verify", "--d", "2", "--k", "1..3"],
+            {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures", *DENSE, *RANDOM},
+        ),
+        (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures", *DENSE, *RANDOM}),
         (
             ["optimality", "--d", "2..3", "--k", "1..3"],
             {"mcteleport.sar", "mcteleport.streams", "numpy.random", "concurrent.futures", *DENSE},

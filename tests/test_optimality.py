@@ -13,7 +13,6 @@ from mcteleport import (
     build_measurement,
     conjugate_by_permutation,
     f_projector,
-    identity_operator,
     decomposition_coefficients,
     max_entangled_state,
     mult_semistandard,
@@ -47,6 +46,7 @@ from oracles import (
     dense_success_element,
     haar_twirl,
     haar_unitary_by_qr,
+    identity_operator,
     partially_transposed_overlap,
     sym_basis_by_loop,
     success_projector,

@@ -210,6 +210,7 @@ def test_verify_sar_checks_the_program_cap_on_entry(d, d_out, monkeypatch):
         raise AssertionError("built for a cell over the program cap")
 
     monkeypatch.setattr(sar, "build_measurement", unexpected)
+    monkeypatch.setattr(sar, "spawn_keys", unexpected)
     monkeypatch.setattr(sar, "seeded_normals", unexpected)
     with pytest.raises(CapacityError, match="program state"):
         verify_sar(d, d_out, 1, 1, samples=2)

@@ -10,13 +10,11 @@ from mcteleport import (
     character,
     dim_standard,
     f_projector,
-    irrep_data,
     mult_semistandard,
     max_entangled_state,
     occupations,
     partial_transpose,
     partitions,
-    permutation_operator,
     removable_boxes,
     sym_basis,
     sym_partition,
@@ -29,9 +27,11 @@ from mcteleport.core import FACTOR_CAP, occupation_rank
 
 from oracles import (
     group_average_symmetriser,
+    irrep_data,
     occupations_by_recursion,
     occupations_by_sorting,
     partitions_by_sieve,
+    permutation_operator,
     semistandard_tableaux_count,
     sign_of_permutation,
     standard_tableaux_count,

@@ -17,7 +17,6 @@ from mcteleport import (
     gram_residual,
     haar_state,
     haar_unitary,
-    hermitian_eig,
     max_entangled_state,
     r_vectors,
     simulate,
@@ -35,6 +34,7 @@ from oracles import (
     frobenius_distance,
     full_eigen_factor,
     full_projector_factor,
+    hermitian_eig,
     occupations_by_sorting,
     sandwich_rows_by_count,
     sqrt_multinomials_by_combs,

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import permutations as sn_iter
 
 import numpy as np
@@ -11,21 +12,25 @@ from mcteleport import (
     StateVector,
     haar_state,
     haar_unitary,
-    hermitian_eig,
-    identity_operator,
     kron,
     max_entangled_state,
     partial_trace,
     partial_transpose,
-    permutation_operator,
     permute_state,
 )
 
 from mcteleport import core
 from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
-from mcteleport.streams import pcg64_state, seeded_normals
+from mcteleport.streams import seeded_normals, seeded_uniforms
 
-from oracles import dense_permutation_matrix
+from oracles import (
+    box_muller_normals,
+    dense_permutation_matrix,
+    hermitian_eig,
+    identity_operator,
+    permutation_operator,
+    splitmix64_uniforms,
+)
 
 
 def random_operator(dims, rng, hermitian=False):
@@ -240,26 +245,74 @@ class TestSpawnKeys:
         keys = spawn_keys(seed, n)
         assert keys.dtype == np.uint64 and np.array_equal(keys, np.stack(want))
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_pcg64_is_seeded_as_default_rng_seeds_it(self, seed):
-        children = np.random.SeedSequence(seed).spawn(50)
-        for key, child in zip(spawn_keys(seed, 50).tolist(), children):
-            assert pcg64_state(key) == np.random.default_rng(child).bit_generator.state["state"]
-
-    @pytest.mark.parametrize("cap", [FACTOR_CAP, 1])
-    @pytest.mark.parametrize("seed,width", [(0, 1), (7, 4), (2**64 - 1, 40)])
-    def test_rows_are_the_childrens_normals(self, seed, width, cap, monkeypatch):
-        monkeypatch.setattr(core, "FACTOR_CAP", cap)
-        keys = spawn_keys(seed, 30)
-        rows = np.concatenate([seeded_normals(keys[part], width) for part in batch_slices(30, width)])
-        want = [np.random.default_rng(child).standard_normal(width) for child in np.random.SeedSequence(seed).spawn(30)]
-        assert np.array_equal(rows, np.stack(want))
-
     def test_a_negative_seed_is_refused_as_seed_sequence_refuses_it(self):
         with pytest.raises(ValueError) as want:
             np.random.SeedSequence(-1)
         with pytest.raises(ValueError, match=f"^{want.value}$"):
             spawn_keys(-1, 3)
+
+
+#: First words 0, 1, 2^64 - 1 and 2^64 - gamma: SplitMix64's sums wrap mod 2^64 at the first step, later or never.
+EDGE_KEYS = np.array([[0, 5, 6, 7], [1, 2, 3, 4], [2**64 - 1] * 4, [2**64 - 0x9E3779B97F4A7C15, 0, 0, 0]], dtype=np.uint64)
+
+
+def _keys(seed):
+    return EDGE_KEYS if seed is None else spawn_keys(seed, 50)
+
+
+class TestSeededNormals:
+    @pytest.mark.parametrize("seed", [None, *TestSpawnKeys.SEEDS])
+    @pytest.mark.parametrize("count", [1, 2, 9])
+    def test_uniforms_are_the_scalar_splitmix64_stream_bit_for_bit(self, seed, count):
+        keys = _keys(seed)
+        want = np.array([splitmix64_uniforms(int(word), count) for word in keys[:, 0]])
+        assert np.array_equal(seeded_uniforms(keys, count), want)
+
+    @pytest.mark.parametrize("seed", [None, 0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("width", [1, 2, 7, 40])
+    def test_normals_are_the_scalar_box_muller_normals_to_a_few_ulp(self, seed, width):
+        # numpy's vectorised log1p, cos and sin may round otherwise than the C library's
+        keys = _keys(seed)
+        rows = seeded_normals(keys, width)
+        want = np.array([box_muller_normals(int(word), width) for word in keys[:, 0]])
+        assert rows.shape == want.shape
+        assert np.all(np.abs(rows - want) <= 4 * np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("step", [30, 7, 1])
+    @pytest.mark.parametrize("seed,width", [(0, 1), (7, 4), (2**64 - 1, 40)])
+    def test_rows_do_not_depend_on_the_chunks(self, seed, width, step, monkeypatch):
+        monkeypatch.setattr(core, "FACTOR_CAP", step * width)  # step rows a chunk
+        keys = spawn_keys(seed, 30)
+        rows = np.concatenate([seeded_normals(keys[part], width) for part in batch_slices(30, width)])
+        assert np.array_equal(rows, seeded_normals(keys, width))
+        assert np.array_equal(rows, np.concatenate([seeded_normals(key[None], width) for key in keys]))
+
+    def test_wrapping_mod_two_to_the_64_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeded_normals(EDGE_KEYS, 41)
+            seeded_normals(EDGE_KEYS[2:3], 1)
+
+
+class TestNormalLaw:
+    """The stream's normals against N(0, 1), in 5-sigma bands over 10^5 of them."""
+
+    @pytest.fixture(scope="class")
+    def normals(self):
+        return seeded_normals(spawn_keys(2024, 25_000), 4)
+
+    def test_mean_and_variance(self, normals):
+        n = normals.size
+        assert abs(normals.mean()) < 5 / math.sqrt(n)
+        assert abs(normals.var() - 1) < 5 * math.sqrt(2 / n)  # a normal's 4th moment is 3
+
+    def test_share_below_one_is_phi_of_one(self, normals):
+        phi = 0.5 * (1 + math.erf(1 / math.sqrt(2)))
+        assert abs((normals < 1.0).mean() - phi) < 5 * math.sqrt(phi * (1 - phi) / normals.size)
+
+    def test_the_cos_and_sin_halves_are_uncorrelated(self, normals):
+        cos, sin = normals[:, 0::2].ravel(), normals[:, 1::2].ravel()
+        assert abs(np.corrcoef(cos, sin)[0, 1]) < 5 / math.sqrt(cos.size)
 
 
 class TestHermitianEig:
