@@ -23,9 +23,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import CapacityError, VerificationError, spawn_keys
 
@@ -46,8 +45,7 @@ SUITE_MODULES = {
 SUITES = tuple(SUITE_MODULES)
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     suite: str
     d_values: tuple[int, ...]
     k_values: tuple[int, ...]
@@ -85,10 +83,9 @@ def parse_int_range(text: str) -> tuple[int, ...]:
 def _cell_seeds(seed: int, count: int) -> list[int]:
     """One 64-bit seed per cell, each from its own child of one spawn of the base seed.
 
-    It is the first word of the child's key: SeedSequence hashes each output
-    word on its own, so ``generate_state(1, np.uint64)[0]`` of the child.
+    It is the child's key, ``generate_state(1, np.uint64)[0]`` of the child.
     """
-    return spawn_keys(seed, count)[:, 0].tolist()
+    return spawn_keys(seed, count).tolist()
 
 
 def _empty_record(d: int, k: int) -> dict:

@@ -4,7 +4,7 @@ The errors are those a cell ends on; ``spawn_keys`` hashes a seed's
 spawned children as numpy's ``SeedSequence`` does (NEP 19), with no
 ``numpy.random``, for the cell seeds, the falsifier's sweep and the
 samples' streams; the draws turn rows of standard normals into stacks of
-Haar unitaries and unit vectors; the partition counts are the
+Haar unitaries or isometries and unit vectors; the partition counts are the
 semistandard ones.  ``verify``, ``sar`` and ``optimality``
 work in symmetric coordinates and on stacks of samples, so they load this
 module and never the dense layer (``tensor``'s layouts and operators,
@@ -54,17 +54,21 @@ def _complex_normals(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return x[..., :n].reshape(lead + shape) + 1j * x[..., n : 2 * n].reshape(lead + shape)
 
 
-def ginibres(x: np.ndarray, d: int) -> np.ndarray:
-    """The d x d complex Ginibre matrix, variance 1, of each row of at least 2 d^2 standard normals."""
-    return _complex_normals(x, (d, d)) / math.sqrt(2)
+def ginibres(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols complex Ginibre matrix, variance 1, of each row of at least 2 rows cols standard normals."""
+    return _complex_normals(x, (rows, cols)) / math.sqrt(2)
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack of Ginibre matrices: QR, phases fixed.
+    """Haar isometries from a stack of w x d Ginibre matrices, w >= d: reduced QR, phases fixed.
 
-    The diagonal of each R is normalised to unit modulus so the distribution
-    is left-invariant, not merely unitary.  numpy runs LAPACK on each matrix
-    of the stack in turn, so each comes out as from a QR of its own.
+    Each Q has d orthonormal columns, and the diagonal of each R is
+    normalised to unit modulus so the distribution is left-invariant, not
+    merely isometric (Mezzadri, Notices AMS 54, 2007).  A square z gives Haar
+    unitaries; a w x d one gives the first d columns of a Haar unitary on
+    C^w, as the first d columns of Z determine those of Q and the first d
+    entries of R's diagonal.  numpy runs LAPACK on each matrix of the stack
+    in turn, so each comes out as from a QR of its own.
     """
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -102,13 +106,14 @@ def _hash_consts(init: int, mult: int, count: int) -> list[int]:
 
 
 def spawn_keys(seed: int, n: int) -> np.ndarray:
-    """``generate_state(4, np.uint64)`` of each child of ``SeedSequence(seed).spawn(n)``, one uint64 row each.
+    """``generate_state(1, np.uint64)[0]`` of each child of ``SeedSequence(seed).spawn(n)``, one uint64 each.
 
     Child i hashes the seed's 32-bit words, zero-padded to the pool of 4,
     and then its spawn key i.  All but the key is shared, so that part is
     hashed once with Python ints; the key, one word below 2^32 children, is
-    mixed in and the 8 output words hashed as uint32 array operations over
-    all children at once, which wrap as numpy's C code does.
+    mixed into the pool's first 2 words, which alone make the first output
+    word, and those 2 hashed, as uint32 array operations over all children
+    at once, which wrap as numpy's C code does.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -136,16 +141,15 @@ def spawn_keys(seed: int, n: int) -> np.ndarray:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
     for word in words[_POOL:]:
         pool = [mix(p, hashmix(word)) for p in pool]
-    xor, mult = np.array([next(hashes) for _ in range(_POOL)], dtype=np.uint32).T
+    xor, mult = np.array([next(hashes) for _ in range(2)], dtype=np.uint32).T  # the key's hashes into words 0, 1
     key = (np.arange(n, dtype=np.uint32)[:, None] ^ xor) * mult
     key ^= key >> 16
-    pool = np.array([_MIX_L * p & _MASK32 for p in pool], dtype=np.uint32) - key * np.uint32(_MIX_R)  # one per child
+    pool = np.array([_MIX_L * p & _MASK32 for p in pool[:2]], dtype=np.uint32) - key * np.uint32(_MIX_R)
     pool ^= pool >> 16
-    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
-    xor, mult = np.array([consts[:-1], consts[1:]], dtype=np.uint32).reshape(2, 2, _POOL)  # 8 words: the pool twice
-    state = (pool[:, None, :] ^ xor) * mult
+    consts = _hash_consts(_INIT_B, _MULT_B, 2)
+    state = (pool ^ np.array(consts[:-1], dtype=np.uint32)) * np.array(consts[1:], dtype=np.uint32)
     state ^= state >> 16
-    return state.reshape(n, 2 * _POOL).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False).reshape(n)
 
 
 @lru_cache(maxsize=None)

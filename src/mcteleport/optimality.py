@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,8 +190,7 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     return covariance, (float(rest.min()) if rest.size else None)
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """Projection of the transposed symmetriser onto the reduced family.
 
     ``c1_row_form`` records the alternative closed form (d+k)/k that floats
@@ -267,8 +266,7 @@ def _family(d: int, k: int) -> _Family:
     return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)
 
 
-@dataclass(frozen=True)
-class SdpReport:
+class SdpReport(NamedTuple):
     """Exact optimum of the reduced two-parameter family.
 
     ``grid_a1``, ``grid_a2`` and ``grid_p_max`` are the best feasible vertex
@@ -357,8 +355,7 @@ def _trial(family: _Family, direction: np.ndarray, d: int) -> np.ndarray:
     return target
 
 
-@dataclass(frozen=True)
-class FalsifierReport:
+class FalsifierReport(NamedTuple):
     d: int
     k: int
     trials: int
@@ -403,7 +400,7 @@ def perturbation_falsifier(
     _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
     family = _family(d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))
-    offset = int(spawn_keys(seed, 1)[0, 0]) / 2**64
+    offset = int(spawn_keys(seed, 1)[0]) / 2**64
     max_objective = p_star
     max_step = 0.0
     for part in batch_slices(trials, 8):  # a trial's angle, direction, candidate and temporaries: under 8 floats

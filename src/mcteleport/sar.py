@@ -6,12 +6,15 @@ together with the untouched half, leaving the channel output on the final
 register with the teleportation probability k / (d (k - 1 + d)), channel
 independent.
 
-``verify_sar`` draws each sample's channel (a Ginibre matrix) and input from
-one row of normals on its own child seed, then stores, retrieves and checks
-the samples together: one QR over the stacked Ginibre matrices, and every
-later array carries the samples on a leading axis.  A cell runs in chunks whose
-arrays, all counted together (``_sar_sample_entries``), stay within
-FACTOR_CAP entries, or one sample at a time past it.  ``store`` and
+``verify_sar`` draws each sample's channel and input from one row of normals
+on its own child seed.  A channel enters only through its Stinespring
+isometry V: C^d -> C^d_out (x) C^rank, so the row holds a w x d Ginibre
+matrix (w = d_out rank), not a w x w one, and its reduced QR is V.  The
+samples are then stored, retrieved and checked together: one QR over the
+stacked Ginibre matrices, and every later array carries the samples on a
+leading axis.  A cell runs in chunks whose arrays, all counted together
+(``_sar_sample_entries``), stay within FACTOR_CAP entries, or one sample at
+a time past it.  ``store`` and
 ``retrieve`` are the one-channel case of ``programs`` and ``retrievals``;
 they and ``random_channel`` import ``tensor`` when called, so ``verify_sar``
 loads no dense module.
@@ -20,7 +23,7 @@ loads no dense module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,25 +49,22 @@ from .teleport import (
 )
 
 
-@dataclass(frozen=True)
 class Channel:
-    """CPTP map as a finite Kraus list of d_out x d_in matrices."""
+    """CPTP map as a finite Kraus list of d_out x d_in matrices, each held as a read-only complex copy."""
 
-    kraus: tuple[np.ndarray, ...]
-    d_in: int
-    d_out: int
+    __slots__ = ("kraus", "d_in", "d_out")
 
-    def __post_init__(self):
-        if not self.kraus:
+    def __init__(self, kraus: tuple[np.ndarray, ...], d_in: int, d_out: int):
+        if not kraus:
             raise ValueError("a channel needs at least one Kraus operator")
         frozen = []
-        for op in self.kraus:
+        for op in kraus:
             arr = np.array(op, dtype=complex)
-            if arr.shape != (self.d_out, self.d_in):
-                raise ValueError(f"Kraus shape {arr.shape} != ({self.d_out}, {self.d_in})")
+            if arr.shape != (d_out, d_in):
+                raise ValueError(f"Kraus shape {arr.shape} != ({d_out}, {d_in})")
             arr.setflags(write=False)
             frozen.append(arr)
-        object.__setattr__(self, "kraus", tuple(frozen))
+        self.kraus, self.d_in, self.d_out = tuple(frozen), d_in, d_out
 
     def cptp_defect(self) -> float:
         return float(_cptp_defects(np.stack(self.kraus)[None])[0])
@@ -114,26 +114,27 @@ def _check_dilation(d_in: int, d_out: int, kraus_rank: int) -> None:
         )
 
 
-def _stinespring_kraus(unitaries: np.ndarray, d_in: int, d_out: int, kraus_rank: int) -> np.ndarray:
-    """Kraus stacks S x rank x d_out x d_in from S unitaries on d_out * rank dimensions.
+def _stinespring_kraus(isometries: np.ndarray, d_out: int, kraus_rank: int) -> np.ndarray:
+    """Kraus stacks S x rank x d_out x d_in from S isometries V, each (d_out rank) x d_in.
 
-    The first d_in columns of each unitary form an isometry; slicing its rows
-    into rank blocks yields Kraus operators which are exactly trace preserving.
+    V^dagger V = 1, and slicing the rows of V into rank blocks of d_out
+    yields Kraus operators K_i with sum_i K_i^dagger K_i = V^dagger V, so
+    the channel is trace preserving to the rounding of V's columns.
     """
-    return unitaries[..., :d_in].reshape(-1, kraus_rank, d_out, d_in)
+    return isometries.reshape(-1, kraus_rank, d_out, isometries.shape[-1])
 
 
 def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: int | np.random.Generator) -> Channel:
-    """Haar-random channel via a Stinespring isometry of the given rank."""
+    """Haar-random channel via a Stinespring isometry of the given rank: ``haar_unitaries`` of a
+    (d_out rank) x d_in ``ginibre`` draw, the 2 d_out rank d_in normals one sample of ``verify_sar`` takes."""
     from .tensor import ginibre
 
     _check_dilation(d_in, d_out, kraus_rank)
-    kraus = _stinespring_kraus(haar_unitaries(ginibre(d_out * kraus_rank, seed)), d_in, d_out, kraus_rank)[0]
+    kraus = _stinespring_kraus(haar_unitaries(ginibre(d_out * kraus_rank, d_in, seed)), d_out, kraus_rank)[0]
     return Channel(tuple(kraus), d_in, d_out)
 
 
-@dataclass(frozen=True)
-class ProgramState:
+class ProgramState(NamedTuple):
     """Stored program: the channel applied to half of the entangled pair."""
 
     rho: Operator
@@ -222,15 +223,17 @@ def retrieve(
 
 def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
     """Entries per sample of every array a chunk of ``verify_sar`` can hold at once, all counted as
-    if alive together: those of ``_sample_entries``, the rest of the draw row and the Haar step on
-    w = d_out kraus_rank (the row's 2 w^2, the generator's 3 w^2 temporaries, the Ginibre matrix,
-    LAPACK's copy of it, Q, R and the unitaries), the Kraus stack's conjugate, the two copies of
-    its branches and their conjugate (4 w d), the products and sums of the CPTP defect (rank d^2 + 2 d^2), the program, and the
-    retrieved and expected outputs with K|psi> (4 d_out^2 + w).
+    if alive together: those of ``_sample_entries``, the rest of the draw row and the isometry step
+    on w = d_out kraus_rank (the row's 2 w d, the generator's 3 w d temporaries, the w x d Ginibre
+    matrix, LAPACK's copy of it, Q and the isometry, each w d, R with LAPACK's scalar factors and
+    the phases, d^2 + 2 d), the Kraus stack's conjugate, the two copies of its branches and their
+    conjugate (4 w d), the products and sums of the CPTP defect (rank d^2 + 2 d^2), the program,
+    and the retrieved and expected outputs with K|psi> (4 d_out^2 + w).
     """
     w = d_out * kraus_rank
+    isometry = 9 * w * d + d * d + 2 * d
     kraus = 4 * w * d + kraus_rank * d * d + 2 * d * d
-    return _sample_entries(d, k) + 10 * w * w + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
+    return _sample_entries(d, k) + isometry + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
 
 
 def _sar_chunk(
@@ -238,13 +241,16 @@ def _sar_chunk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Success probabilities and output deviations of the channels and inputs drawn from the children's ``keys``, together.
 
-    Its arrays are released on return, so no two chunks are alive at once.
+    Each row of normals holds a w x d Ginibre matrix, w = d_out kraus_rank,
+    and then the input; the reduced QR of the matrix is the channel's
+    Stinespring isometry.  Its arrays are released on return, so no two
+    chunks are alive at once.
     """
     d = meas.d
     width = d_out * kraus_rank
-    split = 2 * width * width
+    split = 2 * width * d
     x = seeded_normals(keys, split + 2 * d)
-    kraus = _stinespring_kraus(haar_unitaries(ginibres(x[:, :split], width)), d, d_out, kraus_rank)
+    kraus = _stinespring_kraus(haar_unitaries(ginibres(x[:, :split], width, d)), d_out, kraus_rank)
     psis = unit_rows(gaussian_vectors(x[:, split:], d))
     e = conditioned_elements(meas, psis)  # before the programs, so that their arrays are not alive together
     probs, out = retrievals(e, programs(kraus))
@@ -253,8 +259,7 @@ def _sar_chunk(
     return probs, np.linalg.norm(out - expected, axis=(1, 2))
 
 
-@dataclass(frozen=True)
-class SarReport:
+class SarReport(NamedTuple):
     d: int
     d_out: int
     k: int
@@ -282,9 +287,10 @@ def verify_sar(
 ) -> SarReport:
     """Monte-Carlo retrieval check over random channels and Haar inputs, refused first over PROGRAM_CAP.
 
-    Each sample fills one row of 2 w^2 + 2 d standard normals (w = d_out
+    Each sample fills one row of 2 w d + 2 d standard normals (w = d_out
     kraus_rank) from its own child of ``SeedSequence(seed)``: the real and
-    imaginary parts of its channel's Ginibre matrix, then those of its input.
+    imaginary parts of the w x d Ginibre matrix whose reduced QR is its
+    channel's Stinespring isometry, then those of its input.
     The children's keys come from ``spawn_keys`` in one pass, and
     ``seeded_normals`` draws each chunk's rows, one SplitMix64 stream per
     key, with numpy array arithmetic; ``random_channel`` and then

@@ -1,10 +1,10 @@
 """The standard normals of each sample, drawn from its child key with numpy array arithmetic alone.
 
 ``verify`` and ``sar`` draw sample i of a cell from child i of the cell's
-seed: ``core.spawn_keys`` hashes every child's key in one pass, and
-``seeded_normals`` turns the first word of each key into one row of
-standard normals.  The row is the SplitMix64 stream (Steele, Lea and Flood,
-OOPSLA 2014) seeded with that word, each output made a uniform as numpy
+seed: ``core.spawn_keys`` hashes every child's key, one 64-bit word, in one
+pass, and ``seeded_normals`` turns each key into one row of standard
+normals.  The row is the SplitMix64 stream (Steele, Lea and Flood, OOPSLA
+2014) seeded with that word, each output made a uniform as numpy
 makes one (``seeded_uniforms``) and each pair of uniforms two normals by
 Box–Muller.  A row depends on its key alone, so neither chunking nor
 threads can change a report.  The theorem holds for every input and every
@@ -26,7 +26,7 @@ _MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
 def seeded_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of SplitMix64 from the first word s of each row of ``spawn_keys``.
+    """The first ``count`` uniforms of SplitMix64 from each key s of ``spawn_keys``, one row per key.
 
     Output j = 1 .. count is z_j = mix(s + j gamma mod 2^64), and
     u_j = (z_j >> 11) 2^-53 is a uniform on [0, 1) as numpy's Generator
@@ -34,7 +34,7 @@ def seeded_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
     (uint64 arrays wrap mod 2^64 without a warning); besides the output, a
     uint64 array of it and one shifted copy are alive at once.
     """
-    z = keys[:, :1] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    z = keys[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -47,7 +47,7 @@ def seeded_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def seeded_normals(keys: np.ndarray, width: int) -> np.ndarray:
-    """One row of ``width`` standard normals per row of ``spawn_keys``: Box–Muller on its ``seeded_uniforms``.
+    """One row of ``width`` standard normals per key of ``spawn_keys``: Box–Muller on its ``seeded_uniforms``.
 
     Each pair (u_(2i-1), u_(2i)) of a row's uniforms gives the normals
     sqrt(-2 log(1 - u_(2i-1))) (cos, sin)(2 pi u_(2i)) at places 2i - 1 and

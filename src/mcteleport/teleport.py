@@ -18,11 +18,10 @@ Simulation, retrieval and the residual between the eigen and projector
 forms, which share no helper and so certify each other, never touch the
 d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
-``gram_residual``) and ``Measurement.op`` (for the tests) live there.  They
-and ``simulate`` import the dense layer (``tensor``, ``symgroup``) when
-called, and the sampling imports ``streams`` (the samples' normals) when
-called, so ``verify`` and ``sar`` load neither dense module and
-``optimality`` loads no ``streams``.
+``gram_residual``) lives there.  It and ``simulate`` import the dense layer
+(``tensor``, ``symgroup``) when called, and the sampling imports ``streams``
+(the samples' normals) when called, so ``verify`` and ``sar`` load neither
+dense module and ``optimality`` loads no ``streams``.
 
 ``verify_theorem`` draws each input from one row of normals on its own
 child seed, then forms and simulates the samples together: every array of
@@ -37,9 +36,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +66,7 @@ def success_probability_formula(d: int, k: int) -> float:
     return k / (d * (k - 1 + d))
 
 
-@dataclass(frozen=True)
-class RVector:
+class RVector(NamedTuple):
     """One eigenvector of the success element, with its k summands.
 
     ``constituents[a]`` carries the symmetric-basis vector on all copy slots
@@ -103,7 +101,6 @@ def r_vectors(d: int, k: int) -> list[RVector]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class Measurement:
     """The success POVM element M for (d, k), held as the entries of a thin factor in symmetric coordinates.
 
@@ -113,18 +110,13 @@ class Measurement:
     coordinate |n>_sym (x) |a> with index(n) the row of n in
     ``occupations(k, d)``, and zero elsewhere.  Both arrays are width x d,
     width = C(k+d-2, k-1), and kept as read-only views; rows of the wrong
-    level, out of range or repeated are refused.  The dense ``op`` on
-    (C^d)^(x (k+1)) is formed on first access and kept.
+    level, out of range or repeated are refused.
     """
 
-    d: int
-    k: int
-    rows: np.ndarray
-    values: np.ndarray
+    __slots__ = ("d", "k", "rows", "values")
 
-    def __post_init__(self):
-        d, k = self.d, self.k
-        rows, values = np.asarray(self.rows).view(), np.asarray(self.values).view()
+    def __init__(self, d: int, k: int, rows: np.ndarray, values: np.ndarray):
+        rows, values = np.asarray(rows).view(), np.asarray(values).view()
         shape = (math.comb(k + d - 2, k - 1), d)
         if rows.shape != shape or values.shape != shape or rows.dtype.kind != "i":
             raise ValueError(f"need {shape} integer rows and values at d={d}, k={k}, got {rows.shape} {rows.dtype}")
@@ -132,22 +124,9 @@ class Measurement:
             raise ValueError(f"rows[j, a] must be a coordinate index(n) d + a of Sym^{k} (x) C^{d}")
         if np.bincount(rows.ravel()).max() > 1:
             raise ValueError("rows hold a coordinate twice")
-        for name, view in (("rows", rows), ("values", values)):
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
-
-    @cached_property
-    def op(self) -> Operator:
-        from .symgroup import sym_basis
-        from .tensor import Operator, check_capacity
-
-        dims = (self.d,) * (self.k + 1)
-        check_capacity(math.prod(dims))
-        b = np.column_stack([s.vec for s in sym_basis(self.k, self.d)])
-        g = np.zeros((b.shape[1] * self.d, len(self.rows)), dtype=self.values.dtype)
-        g[self.rows, np.arange(len(self.rows))[:, None]] = self.values
-        full = (b @ g.reshape(b.shape[1], -1)).reshape(math.prod(dims), -1)
-        return Operator(full @ full.conj().T, dims)
+        rows.setflags(write=False)
+        values.setflags(write=False)
+        self.d, self.k, self.rows, self.values = d, k, rows, values
 
 
 def _insertions(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +238,7 @@ def eigendecomposition_residual(d: int, k: int) -> float:
     return _factor_distance(build_measurement(d, k, form="eigen"), build_measurement(d, k, form="projector"))
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     d: int
     k: int
     residual: float
@@ -407,8 +385,7 @@ def _theorem_chunk(meas: Measurement, keys: np.ndarray) -> tuple[np.ndarray, np.
     return probs, np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Aggregate of Haar-sampled protocol runs against the closed formula."""
 
     d: int

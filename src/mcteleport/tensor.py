@@ -286,16 +286,17 @@ def max_entangled_state(d: int) -> StateVector:
     return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
 
 
-def ginibre(d: int, rng: int | np.random.Generator) -> np.ndarray:
-    """The d x d complex Ginibre draw behind ``haar_unitary``: ``ginibres`` of 2 d^2 normals."""
-    return ginibres(as_rng(rng).standard_normal(2 * d * d), d)
+def ginibre(rows: int, cols: int, rng: int | np.random.Generator) -> np.ndarray:
+    """The rows x cols complex Ginibre draw behind ``haar_unitary`` (square) and ``random_channel``
+    (tall): ``ginibres`` of 2 rows cols normals."""
+    return ginibres(as_rng(rng).standard_normal(2 * rows * cols), rows, cols)
 
 
 def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
     """Haar-distributed unitary: ``haar_unitaries`` of one ``ginibre`` draw."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return Operator(haar_unitaries(ginibre(d, rng)), (d,))
+    return Operator(haar_unitaries(ginibre(d, d, rng)), (d,))
 
 
 def gaussian_vector(d: int, rng: int | np.random.Generator) -> np.ndarray:

@@ -19,8 +19,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PY
 def forbid_dense_builders(monkeypatch):
     """Make every builder of a d^(k+1)-square operator raise, in every module that binds it.
 
-    These are ``sym_projector``, ``young_projector``, ``f_projector`` and
-    ``Measurement.op``, so a test under this fixture proves that it builds none.
+    These are ``sym_projector``, ``young_projector`` and ``f_projector``, so a
+    test under this fixture proves that it builds none; a ``Measurement``
+    holds only its thin factor, and only the tests' ``measurement_op`` makes
+    it dense.
     """
     import mcteleport
     from mcteleport import cli, optimality, sar, symgroup, teleport, tensor
@@ -32,4 +34,3 @@ def forbid_dense_builders(monkeypatch):
         for module in (mcteleport, cli, optimality, sar, symgroup, teleport, tensor):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, unexpected)
-    monkeypatch.setattr(teleport.Measurement, "op", property(unexpected))

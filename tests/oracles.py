@@ -9,12 +9,13 @@ samples, each on the row of normals ``seeded_normals`` draws from that child's
 key alone (``child_streams``); the row itself is checked against the scalar
 SplitMix64 and Box–Muller reference ``box_muller_normals``.  The dense
 helpers no suite runs (``identity_operator``, ``permutation_operator``,
-``hermitian_eig``, ``irrep_data``) are built on the package's value types.  The
-dense optimality path at the end of the file, the feasibility functionals
-``objective`` and ``equality_residual``, the Haar-moment check, F, Q and X on
-(C^d)^(x (k+1)) and the commutant projection, is built from the package's own
-operators (each checked against a naive construction elsewhere in the
-suite) and cross-checks the symmetric-coordinate optimality layer.
+``hermitian_eig``, ``irrep_data``, ``measurement_op``) are built on the
+package's value types.  The dense optimality path at the end of the file,
+the feasibility functionals ``objective`` and ``equality_residual``, the
+Haar-moment check, F, Q and X on (C^d)^(x (k+1)) and the commutant
+projection, is built from the package's own operators (each checked
+against a naive construction elsewhere in the suite) and cross-checks the
+symmetric-coordinate optimality layer.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from math import comb, factorial, sqrt
 import numpy as np
 
 from mcteleport import (
+    Measurement,
     Operator,
     Permutation,
     VerificationError,
@@ -341,6 +343,18 @@ def irrep_data(mu: Partition, d: int) -> IrrepData:
     return IrrepData(mu, dim_standard(mu), mult_semistandard(mu, d))
 
 
+def measurement_op(meas: Measurement) -> Operator:
+    """The dense success element M = F F^dagger on (C^d)^(x (k+1)) of a ``Measurement``'s thin factor,
+    F = (B (x) 1) G with B the stacked ``sym_basis(k, d)``; refused past DIM_CAP."""
+    dims = (meas.d,) * (meas.k + 1)
+    check_capacity(math.prod(dims))
+    b = np.column_stack([s.vec for s in sym_basis(meas.k, meas.d)])
+    g = np.zeros((b.shape[1] * meas.d, len(meas.rows)), dtype=meas.values.dtype)
+    g[meas.rows, np.arange(len(meas.rows))[:, None]] = meas.values
+    full = (b @ g.reshape(b.shape[1], -1)).reshape(math.prod(dims), -1)
+    return Operator(full @ full.conj().T, dims)
+
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -391,7 +405,7 @@ class RowStream(np.random.Generator):
 def child_streams(seed: int, samples: int, width: int) -> list[RowStream]:
     """One ``RowStream`` per child of ``SeedSequence(seed).spawn(samples)``: the row of ``width``
     normals that ``seeded_normals`` draws from that child's key alone."""
-    keys = [child.generate_state(4, np.uint64)[None] for child in np.random.SeedSequence(seed).spawn(samples)]
+    keys = [child.generate_state(1, np.uint64) for child in np.random.SeedSequence(seed).spawn(samples)]
     return [RowStream(seeded_normals(key, width)[0]) for key in keys]
 
 
@@ -420,7 +434,7 @@ def verify_sar_by_loop(d: int, d_out: int, k: int, kraus_rank: int, samples: int
     meas = build_measurement(d, k)
     p_formula = success_probability_formula(d, k)
     probs, state_devs = [], []
-    for rng in child_streams(seed, samples, 2 * (d_out * kraus_rank) ** 2 + 2 * d):
+    for rng in child_streams(seed, samples, 2 * d_out * kraus_rank * d + 2 * d):
         channel = random_channel(d, d_out, kraus_rank, rng)
         psi = haar_state(d, rng)
         p_est, out = retrieve(store(channel), psi, k, meas)
@@ -730,8 +744,8 @@ def haar_moment_check(k: int, d: int, samples: int, seed: int = 0) -> MomentRepo
 
 @functools.lru_cache(maxsize=8)
 def success_projector(d: int, k: int) -> np.ndarray:
-    """F = F_(k)((k-1)), the optimal measurement, as the dense ``Measurement.op``."""
-    return build_measurement(d, k).op.mat
+    """F = F_(k)((k-1)), the optimal measurement, as the dense ``measurement_op``."""
+    return measurement_op(build_measurement(d, k)).mat
 
 
 @functools.lru_cache(maxsize=8)

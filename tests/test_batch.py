@@ -3,10 +3,11 @@
 Both suites fill one row of standard normals per sample from its own child
 seed, then form and compute a chunk of samples as stacked arrays.  The
 stacked draws must equal, bit for bit, what ``haar_state`` and ``ginibre``
-form from that child's row drawn alone; the oracles in ``oracles.py`` run
-the same cells one ``simulate``, or one ``store`` and ``retrieve``, per
-child seed; the inputs meet the first Haar moment; and a chunk's arrays, all
-counted together, bound its memory.
+form from that child's row drawn alone; a channel's thin isometry must be
+the first columns of the unitary the square draw gives; the oracles in
+``oracles.py`` run the same cells one ``simulate``, or one ``store`` and
+``retrieve``, per child seed; the inputs meet the first Haar moment; and a
+chunk's arrays, all counted together, bound its memory.
 """
 
 import hashlib
@@ -14,12 +15,14 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, tensor, verify_sar, verify_theorem
-from mcteleport.core import FACTOR_CAP, batch_slices
+from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
+from mcteleport.streams import seeded_normals
 
 from oracles import child_streams, verify_sar_by_loop, verify_theorem_by_loop
 
@@ -59,7 +62,7 @@ def test_one_sample_chunks_equal_one_chunk(d, k, monkeypatch):
     assert len(batch_slices(30, teleport._sample_entries(d, k))) == 30
     chunked = [verify_theorem(d, k, samples=30, seed=7), verify_sar(d, d + 1, k, 2, samples=30, seed=7)]
     for one, many in zip(whole, chunked):
-        for field, value in vars(one).items():
+        for field, value in one._asdict().items():
             if isinstance(value, float):
                 assert abs(getattr(many, field) - value) <= 1e-15, field
             elif field not in ("worst_sample_index", "worst_channel_index"):  # ties at rounding level
@@ -121,12 +124,49 @@ def test_sar_draws_each_channel_and_input_as_the_one_sample_draws_do(d, d_out, k
     monkeypatch.setattr(sar, "haar_unitaries", capture_ginibres)
     verify_sar(d, d_out, k, rank, samples=6, seed=100 * d + k)
     want_stacks, want_inputs = [], []
-    for rng in child_streams(100 * d + k, 6, 2 * (d_out * rank) ** 2 + 2 * d):
-        want_stacks.append(tensor.ginibre(d_out * rank, rng))
+    for rng in child_streams(100 * d + k, 6, 2 * d_out * rank * d + 2 * d):
+        want_stacks.append(tensor.ginibre(d_out * rank, d, rng))
         want_inputs.append(haar_state(d, rng).vec)
         assert rng.used == len(rng.row)
     assert np.array_equal(np.concatenate(stacks), np.stack(want_stacks))
     assert np.array_equal(np.concatenate(inputs), np.stack(want_inputs))
+
+
+#: (d, d_out, Kraus rank) of isometries with w = d_out rank equal to d, so unitaries, and larger than d.
+ISOMETRY_SHAPES = [(3, 1, 3), (1, 1, 1), (2, 5, 1), (3, 2, 2), (4, 3, 3)]
+
+
+@pytest.mark.parametrize("d,d_out,rank", ISOMETRY_SHAPES)
+def test_thin_isometries_are_the_first_columns_of_the_square_unitaries(d, d_out, rank):
+    w = d_out * rank
+    z = core.ginibres(seeded_normals(spawn_keys(10 * d + w, 40), 2 * w * w), w, w)
+    thin, square = core.haar_unitaries(z[..., :d]), core.haar_unitaries(z)
+    assert thin.shape == (40, w, d)
+    assert np.abs(thin - square[..., :d]).max() <= 1e-14
+    assert np.abs(np.swapaxes(thin.conj(), 1, 2) @ thin - np.eye(d)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d,d_out,k,rank", [(2, 2, 3, 2), (3, 1, 2, 3)] + SAR_SHAPES)
+def test_sar_chunks_of_several_samples_equal_one_chunk(d, d_out, k, rank, monkeypatch):
+    whole = verify_sar(d, d_out, k, rank, samples=30, seed=9)
+    entries = sar._sar_sample_entries(d, d_out, k, rank)
+    monkeypatch.setattr(core, "FACTOR_CAP", 4 * entries + 1)
+    assert [len(range(30)[part]) for part in batch_slices(30, entries)] == [4] * 7 + [2]
+    assert verify_sar(d, d_out, k, rank, samples=30, seed=9) == whole
+
+
+@pytest.mark.parametrize("d,d_out,k,rank", [(2, 2, 3, 2), (3, 1, 2, 3), (2, 40, 2, 3), (5, 2, 4, 3)] + SAR_SHAPES)
+def test_a_sar_chunk_allocates_within_its_entry_count(d, d_out, k, rank):
+    # An entry is at most a complex128, 16 bytes; numpy reports its buffers to tracemalloc.
+    meas = teleport.build_measurement(d, k)
+    keys = spawn_keys(5, 64)
+    tracemalloc.start()
+    try:
+        sar._sar_chunk(meas, keys, d_out, rank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 64 * sar._sar_sample_entries(d, d_out, k, rank)
 
 
 @pytest.mark.parametrize("suite", ["verify", "sar"])

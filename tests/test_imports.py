@@ -83,12 +83,15 @@ RANDOM = {"numpy.random", "secrets", "_hashlib"}
     [
         (
             ["verify", "--d", "2", "--k", "1..3"],
-            {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures", *DENSE, *RANDOM},
+            {"mcteleport.optimality", "mcteleport.sar", "concurrent.futures", "dataclasses", *DENSE, *RANDOM},
         ),
-        (["sar", "--d", "2", "--k", "1..2"], {"mcteleport.optimality", "concurrent.futures", *DENSE, *RANDOM}),
+        (
+            ["sar", "--d", "2", "--k", "1..2"],
+            {"mcteleport.optimality", "concurrent.futures", "dataclasses", *DENSE, *RANDOM},
+        ),
         (
             ["optimality", "--d", "2..3", "--k", "1..3"],
-            {"mcteleport.sar", "mcteleport.streams", "numpy.random", "concurrent.futures", *DENSE},
+            {"mcteleport.sar", "mcteleport.streams", "numpy.random", "concurrent.futures", "dataclasses", *DENSE},
         ),
     ],
     ids=["verify", "sar", "optimality"],
@@ -107,6 +110,18 @@ def test_a_one_thread_run_imports_only_its_suite(argv, absent):
     assert "mcteleport.cli" in loaded and "mcteleport.teleport" in loaded
     assert not absent & loaded, absent & loaded
     assert mcteleport.Operator.__module__ not in loaded
+
+
+@pytest.mark.parametrize("name", ["cli", "core", "optimality", "sar", "streams", "teleport"])
+def test_the_suite_modules_define_no_dataclass(name):
+    """Their records are NamedTuples and their validated types plain classes: ``dataclasses`` is neither
+    imported nor named, so no suite run generates dataclass code."""
+    source = (Path(mcteleport.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            assert all(alias.name != "dataclasses" for alias in node.names)
+        assert not (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        assert getattr(node, "id", getattr(node, "attr", None)) not in ("dataclass", "dataclasses")
 
 
 def test_every_traced_target_resolves_on_its_module():

@@ -47,6 +47,7 @@ from oracles import (
     haar_twirl,
     haar_unitary_by_qr,
     identity_operator,
+    measurement_op,
     partially_transposed_overlap,
     sym_basis_by_loop,
     success_projector,
@@ -77,7 +78,7 @@ class TestObjective:
         assert objective(zero, 2, 2) == 0.0
 
     def test_optimal_measurement(self):
-        m = build_measurement(2, 2).op
+        m = measurement_op(build_measurement(2, 2))
         assert abs(objective(m, 2, 2) - 1 / 3) < 1e-12
 
     def test_identity_is_one_but_infeasible(self):
@@ -93,7 +94,7 @@ class TestObjective:
 class TestEqualityResidual:
     @pytest.mark.parametrize("d,k", [(2, 2), (2, 3), (3, 2)])
     def test_optimal_measurement_is_feasible(self, d, k):
-        m = build_measurement(d, k).op
+        m = measurement_op(build_measurement(d, k))
         assert equality_residual(m, d, k) <= 1e-11
 
     def test_zero_operator(self):
@@ -102,7 +103,7 @@ class TestEqualityResidual:
 
     def test_sym_complement_violates(self):
         # Q - F carries mismatched weights on the two sides of the equality.
-        m = build_measurement(2, 2).op
+        m = measurement_op(build_measurement(2, 2))
         q = np.kron(np.array([[1, 0, 0, 0], [0, 0.5, 0.5, 0], [0, 0.5, 0.5, 0], [0, 0, 0, 1]]), np.eye(2))
         complement = Operator(q - m.mat, (2, 2, 2))
         assert equality_residual(complement, 2, 2) > 1e-3
@@ -300,7 +301,7 @@ class TestCovarianceResidual:
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 3), (2, 5)])
     def test_optimum_is_covariant(self, d, k):
-        assert _distance_from_commutant(build_measurement(d, k).op, d, k) <= 1e-11
+        assert _distance_from_commutant(measurement_op(build_measurement(d, k)), d, k) <= 1e-11
         assert reduced_optimum(d, k).covariance_residual <= 1e-11
 
 
@@ -316,7 +317,7 @@ PROJECTION_CELLS = sorted(
 class TestFalsifier:
     def test_zero_perturbation_objective_is_exact(self):
         for d, k in [(2, 2), (3, 2)]:
-            f = build_measurement(d, k).op
+            f = measurement_op(build_measurement(d, k))
             assert abs(objective(f, d, k) - success_probability_formula(d, k)) < 1e-12
 
     def test_small_search_finds_no_improvement(self):
@@ -503,7 +504,7 @@ class TestCommutantProjection:
         y = _unit_hermitian(dim, 10 * d + k + 5)
         assert abs(np.vdot(p, y) - np.vdot(x, commutant_projection(y, d, k))) <= 1e-12
         # the optimal measurement lies in the commutant
-        m = build_measurement(d, k).op.mat
+        m = measurement_op(build_measurement(d, k)).mat
         assert np.linalg.norm(commutant_projection(m, d, k) - m) <= 1e-12 * max(1.0, np.linalg.norm(m))
 
     @pytest.mark.parametrize("d,k", [cell for cell in PROJECTION_CELLS if cell[1] <= 6])
@@ -632,7 +633,7 @@ class TestStructuralIdentities:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_algebra_projector_equals_measurement(self, d, k):
         f = f_projector(sym_partition(k), sym_partition(k - 1), d)
-        m = build_measurement(d, k).op
+        m = measurement_op(build_measurement(d, k))
         assert np.linalg.norm(f.mat - m.mat) <= 1e-10
 
 
