@@ -53,7 +53,6 @@ class RunConfig(NamedTuple):
     tol: float
     seed: int
     fmt: str
-    out: str | None
     threads: int
     timestamp: bool
     d_out: int | None
@@ -176,12 +175,11 @@ def run(config: RunConfig) -> list[dict]:
     import_suite(config.suite)
     cells = config.cells()
     seeds = _cell_seeds(config.seed, len(cells))
-    workers = max(1, config.threads)
-    if workers == 1:
+    if config.threads == 1:
         return [run_cell(config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
     from concurrent.futures import ThreadPoolExecutor  # imports logging; a one-thread run needs neither
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
         futures = [pool.submit(run_cell, config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
         return [f.result() for f in futures]
 
@@ -283,6 +281,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("need samples >= 1 and a finite tol > 0")
     if args.seed < 0:
         parser.error("need seed >= 0")
+    if args.threads < 1:
+        parser.error("need threads >= 1")
     if args.suite == "sar":
         if args.rank < 1 or (args.dout is not None and args.dout < 1):
             parser.error("need --rank >= 1 and --dout >= 1")
@@ -299,21 +299,23 @@ def main(argv: list[str] | None = None) -> int:
         tol=args.tol,
         seed=args.seed,
         fmt=args.fmt,
-        out=args.out,
         threads=args.threads,
         timestamp=not args.no_timestamp,
         d_out=getattr(args, "dout", None),
         kraus_rank=getattr(args, "rank", 2),
     )
-    records = run(config)
-    outcomes = {record["pass"] for record in records}
-    all_pass = not outcomes & {"false", "error"}
-    text = render_csv(config, records) if config.fmt == "csv" else render_json(config, records, all_pass)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    try:  # before the first cell, so an unwritable path costs no run
+        handle = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except OSError as exc:
+        parser.error(f"cannot write --out: {exc}")
+    try:
+        records = run(config)
+        outcomes = {record["pass"] for record in records}
+        all_pass = not outcomes & {"false", "error"}
+        handle.write(render_csv(config, records) if config.fmt == "csv" else render_json(config, records, all_pass))
+    finally:
+        if args.out:
+            handle.close()
     return 1 if "false" in outcomes else 3 if "error" in outcomes else 0
 
 

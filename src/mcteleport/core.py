@@ -4,12 +4,12 @@ The errors are those a cell ends on; ``spawn_keys`` hashes a seed's
 spawned children as numpy's ``SeedSequence`` does (NEP 19), with no
 ``numpy.random``, for the cell seeds, the falsifier's sweep and the
 samples' streams; the draws turn rows of standard normals into stacks of
-Haar unitaries or isometries and unit vectors; the partition counts are the
-semistandard ones.  ``verify``, ``sar`` and ``optimality``
-work in symmetric coordinates and on stacks of samples, so they load this
-module and never the dense layer (``tensor``'s layouts and operators,
-``symgroup``'s characters and projectors).  ``tensor`` and ``symgroup``
-import what they use from here.
+Haar unitaries or isometries, by Gram–Schmidt with no LAPACK call, and unit
+vectors; the partition counts are the semistandard ones.  ``verify``, ``sar``
+and ``optimality`` work in symmetric coordinates and on stacks of samples, so
+they load this module and never the dense layer (``tensor``'s layouts and
+operators, ``symgroup``'s characters and projectors).  ``tensor`` and
+``symgroup`` import what they use from here.
 """
 
 from __future__ import annotations
@@ -60,19 +60,23 @@ def ginibres(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def haar_unitaries(z: np.ndarray) -> np.ndarray:
-    """Haar isometries from a stack of w x d Ginibre matrices, w >= d: reduced QR, phases fixed.
+    """Haar isometries from a stack of w x d Ginibre matrices, w >= d: Gram–Schmidt, twice per column.
 
-    Each Q has d orthonormal columns, and the diagonal of each R is
-    normalised to unit modulus so the distribution is left-invariant, not
-    merely isometric (Mezzadri, Notices AMS 54, 2007).  A square z gives Haar
-    unitaries; a w x d one gives the first d columns of a Haar unitary on
-    C^w, as the first d columns of Z determine those of Q and the first d
-    entries of R's diagonal.  numpy runs LAPACK on each matrix of the stack
-    in turn, so each comes out as from a QR of its own.
+    Each column of Z loses its projections onto Q's earlier columns twice, by
+    batched matmuls, and is then normalised: classical Gram–Schmidt run twice
+    keeps Q orthonormal to rounding (Giraud, Langou and Rozložník, Comput.
+    Math. Appl. 50, 2005).  Q is that of Z = QR with R's diagonal positive, so
+    it is Haar with no phase fix (Mezzadri, Notices AMS 54, 2007).  Column j
+    needs only Z's first j + 1 columns, so a w x d z gives the first d columns
+    of the unitary of any square z that extends it.
     """
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    q = np.empty_like(z)
+    for j in range(z.shape[-1]):
+        v, done = z[..., None, :, j], q[..., :j]  # column j as a 1 x w row, and Q's columns before it
+        for _ in range(2 if j else 0):
+            v = v - (v.conj() @ done).conj() @ np.swapaxes(done, -1, -2)
+        q[..., j] = unit_rows(v[..., 0, :])
+    return q
 
 
 def gaussian_vectors(x: np.ndarray, d: int) -> np.ndarray:

@@ -9,15 +9,15 @@ independent.
 ``verify_sar`` draws each sample's channel and input from one row of normals
 on its own child seed.  A channel enters only through its Stinespring
 isometry V: C^d -> C^d_out (x) C^rank, so the row holds a w x d Ginibre
-matrix (w = d_out rank), not a w x w one, and its reduced QR is V.  The
-samples are then stored, retrieved and checked together: one QR over the
-stacked Ginibre matrices, and every later array carries the samples on a
-leading axis.  A cell runs in chunks whose arrays, all counted together
+matrix (w = d_out rank), not a w x w one, and Gram–Schmidt of its columns
+is V.  The samples are then stored, retrieved and checked together: one
+Gram–Schmidt over the stacked Ginibre matrices, as batched matmuls with no
+LAPACK call, and every later array carries the samples on a leading axis.
+A cell runs in chunks whose arrays, all counted together
 (``_sar_sample_entries``), stay within FACTOR_CAP entries, or one sample at
-a time past it.  ``store`` and
-``retrieve`` are the one-channel case of ``programs`` and ``retrievals``;
-they and ``random_channel`` import ``tensor`` when called, so ``verify_sar``
-loads no dense module.
+a time past it.  ``store`` and ``retrieve`` are the one-channel case of
+``programs`` and ``retrievals``; they and ``random_channel`` import
+``tensor`` when called, so ``verify_sar`` loads no dense module.
 """
 
 from __future__ import annotations
@@ -125,8 +125,9 @@ def _stinespring_kraus(isometries: np.ndarray, d_out: int, kraus_rank: int) -> n
 
 
 def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: int | np.random.Generator) -> Channel:
-    """Haar-random channel via a Stinespring isometry of the given rank: ``haar_unitaries`` of a
-    (d_out rank) x d_in ``ginibre`` draw, the 2 d_out rank d_in normals one sample of ``verify_sar`` takes."""
+    """Haar-random channel via a Stinespring isometry of the given rank: ``haar_unitaries`` (Gram–Schmidt,
+    twice per column) of a (d_out rank) x d_in ``ginibre`` draw, the 2 d_out rank d_in normals one
+    sample of ``verify_sar`` takes."""
     from .tensor import ginibre
 
     _check_dilation(d_in, d_out, kraus_rank)
@@ -225,13 +226,14 @@ def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
     """Entries per sample of every array a chunk of ``verify_sar`` can hold at once, all counted as
     if alive together: those of ``_sample_entries``, the rest of the draw row and the isometry step
     on w = d_out kraus_rank (the row's 2 w d, the generator's 3 w d temporaries, the w x d Ginibre
-    matrix, LAPACK's copy of it, Q and the isometry, each w d, R with LAPACK's scalar factors and
-    the phases, d^2 + 2 d), the Kraus stack's conjugate, the two copies of its branches and their
-    conjugate (4 w d), the products and sums of the CPTP defect (rank d^2 + 2 d^2), the program,
-    and the retrieved and expected outputs with K|psi> (4 d_out^2 + w).
+    matrix and the isometry, each w d, and Gram–Schmidt's column in hand, its projection and their
+    difference, 3 w, with the column's d coefficients and its 2 norm sums), the Kraus stack's
+    conjugate, the two copies of its branches and their conjugate (4 w d), the products and sums
+    of the CPTP defect (rank d^2 + 2 d^2), the program, and the retrieved and expected outputs
+    with K|psi> (4 d_out^2 + w).
     """
     w = d_out * kraus_rank
-    isometry = 9 * w * d + d * d + 2 * d
+    isometry = 7 * w * d + 3 * w + d + 2
     kraus = 4 * w * d + kraus_rank * d * d + 2 * d * d
     return _sample_entries(d, k) + isometry + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
 
@@ -242,9 +244,9 @@ def _sar_chunk(
     """Success probabilities and output deviations of the channels and inputs drawn from the children's ``keys``, together.
 
     Each row of normals holds a w x d Ginibre matrix, w = d_out kraus_rank,
-    and then the input; the reduced QR of the matrix is the channel's
-    Stinespring isometry.  Its arrays are released on return, so no two
-    chunks are alive at once.
+    and then the input; Gram–Schmidt of the matrix's columns
+    (``haar_unitaries``) is the channel's Stinespring isometry.  Its arrays
+    are released on return, so no two chunks are alive at once.
     """
     d = meas.d
     width = d_out * kraus_rank
@@ -289,7 +291,7 @@ def verify_sar(
 
     Each sample fills one row of 2 w d + 2 d standard normals (w = d_out
     kraus_rank) from its own child of ``SeedSequence(seed)``: the real and
-    imaginary parts of the w x d Ginibre matrix whose reduced QR is its
+    imaginary parts of the w x d Ginibre matrix whose Gram–Schmidt is its
     channel's Stinespring isometry, then those of its input.
     The children's keys come from ``spawn_keys`` in one pass, and
     ``seeded_normals`` draws each chunk's rows, one SplitMix64 stream per

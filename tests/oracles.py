@@ -449,11 +449,21 @@ def verify_sar_by_loop(d: int, d_out: int, k: int, kraus_rank: int, samples: int
     }
 
 
-def haar_unitary_by_qr(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar unitary: QR of a complex Ginibre matrix with R's diagonal phases divided out."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def haar_isometries_by_qr(z: np.ndarray) -> np.ndarray:
+    """Haar isometries from a stack of w x d Ginibre matrices, w >= d: LAPACK's reduced QR of each, phases fixed.
+
+    Each R's diagonal is divided out to unit modulus, so each Q is the one of
+    Z = QR with R's diagonal positive (Mezzadri, Notices AMS 54, 2007), by
+    Householder reflections rather than Gram–Schmidt.
+    """
     q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diagonal(r) / np.abs(np.diagonal(r)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def haar_unitary_by_qr(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar unitary: ``haar_isometries_by_qr`` of one d x d complex Ginibre matrix."""
+    return haar_isometries_by_qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
 
 
 def covariant_unitary(u: np.ndarray, k: int) -> np.ndarray:

@@ -4,7 +4,9 @@ Both suites fill one row of standard normals per sample from its own child
 seed, then form and compute a chunk of samples as stacked arrays.  The
 stacked draws must equal, bit for bit, what ``haar_state`` and ``ginibre``
 form from that child's row drawn alone; a channel's thin isometry must be
-the first columns of the unitary the square draw gives; the oracles in
+the first columns of the unitary the square draw gives, and match
+LAPACK's QR while staying orthonormal on ill-conditioned draws; a ``sar``
+run calls no LAPACK routine; the oracles in
 ``oracles.py`` run the same cells one ``simulate``, or one ``store`` and
 ``retrieve``, per child seed; the inputs meet the first Haar moment; and a
 chunk's arrays, all counted together, bound its memory.
@@ -24,7 +26,7 @@ from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, 
 from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
 from mcteleport.streams import seeded_normals
 
-from oracles import child_streams, verify_sar_by_loop, verify_theorem_by_loop
+from oracles import child_streams, haar_isometries_by_qr, verify_sar_by_loop, verify_theorem_by_loop
 
 CELLS = [(d, k) for d in range(1, 5) for k in range(1, 6)] + [(2, 10), (2, 200)]
 
@@ -144,6 +146,49 @@ def test_thin_isometries_are_the_first_columns_of_the_square_unitaries(d, d_out,
     assert thin.shape == (40, w, d)
     assert np.abs(thin - square[..., :d]).max() <= 1e-14
     assert np.abs(np.swapaxes(thin.conj(), 1, 2) @ thin - np.eye(d)).max() <= 1e-14
+
+
+#: (w, d) of Ginibre stacks: square ones, which give unitaries, and tall ones, up to 16 columns.
+GINIBRE_SHAPES = [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (16, 16), (2, 1), (4, 2), (8, 3), (12, 5), (24, 16), (40, 6)]
+
+
+@pytest.mark.parametrize("w,d", GINIBRE_SHAPES)
+def test_gram_schmidt_isometries_match_the_qr_oracle(w, d):
+    # Q's sensitivity to rounding grows with Z's condition number, so only well-conditioned draws are compared.
+    z = core.ginibres(seeded_normals(spawn_keys(100 * w + d, 200), 2 * w * d), w, d)
+    z = z[np.linalg.cond(z) <= 100]
+    assert len(z) >= 150
+    assert np.abs(core.haar_unitaries(z) - haar_isometries_by_qr(z)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("w,d", [(2, 2), (4, 4), (8, 8), (16, 16), (24, 16), (40, 6)])
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8])
+def test_gram_schmidt_isometries_stay_orthonormal_on_ill_conditioned_stacks(w, d, kappa):
+    # Z = U diag(s) V^dagger, its d singular values spread evenly in log from 1 down to 1/kappa.
+    x = seeded_normals(spawn_keys(10 * w + d, 50), 2 * w * d + 2 * d * d)
+    u = haar_isometries_by_qr(core.ginibres(x, w, d))
+    v = haar_isometries_by_qr(core.ginibres(x[:, 2 * w * d :], d, d))
+    z = (u * np.logspace(0, -math.log10(kappa), d)) @ np.swapaxes(v.conj(), 1, 2)
+    assert np.allclose(np.linalg.cond(z), kappa, rtol=1e-6)
+    q = core.haar_unitaries(z)
+    assert np.abs(np.swapaxes(q.conj(), 1, 2) @ q - np.eye(d)).max() <= 1e-14
+    assert np.abs(q @ (np.swapaxes(q.conj(), 1, 2) @ z) - z).max() <= 1e-14  # Q spans Z's columns
+
+
+def test_a_sar_run_calls_no_lapack_routine(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in ("qr", "eigh", "eigvalsh", "svd", "cholesky", "inv", "solve", "det", "eig", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    core.occupations.cache_clear()  # so that no table a LAPACK call could have built is reused
+    teleport._sqrt_multinomials.cache_clear()
+    for d, d_out, k, rank in [(2, 2, 3, 2), (3, 1, 2, 3), (4, 3, 5, 2), (2, 5, 4, 1)]:
+        assert verify_sar(d, d_out, k, rank, samples=20, seed=d + k).passed
+    entries = sar._sar_sample_entries(3, 2, 3, 3)
+    monkeypatch.setattr(core, "FACTOR_CAP", 4 * entries)
+    assert len(batch_slices(20, entries)) == 5
+    assert verify_sar(3, 2, 3, 3, samples=20, seed=5).passed
 
 
 @pytest.mark.parametrize("d,d_out,k,rank", [(2, 2, 3, 2), (3, 1, 2, 3)] + SAR_SHAPES)

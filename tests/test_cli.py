@@ -101,6 +101,23 @@ class TestExitCodes:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_two(self, threads):
+        result = run_cli("verify", "--d", "2", "--k", "1", "--threads", threads)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("where", [("missing", "x.csv"), ()])
+    def test_an_unwritable_out_exits_two_before_any_cell(self, where, tmp_path, monkeypatch):
+        # A file in a missing directory, and a directory: each refused before the grid runs.
+        ran = []
+        monkeypatch.setattr(cli, "run_cell", lambda *args: ran.append(args))
+        out = tmp_path.joinpath(*where)
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["verify", "--d", "2", "--k", "1..3", "--threads", "1", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert ran == []
+
     @pytest.mark.parametrize(
         "options",
         [("--dout", "0"), ("--rank", "0"), ("--d", "4", "--dout", "1", "--rank", "2")],
