@@ -51,7 +51,6 @@ _EXPORTS = {
     "teleport": (
         "Measurement",
         "RVector",
-        "assert_eigendecomposition",
         "build_measurement",
         "conditioned_element",
         "eigendecomposition_residual",

@@ -99,6 +99,14 @@ def _or_empty(value: float | None) -> float | str:
     return "" if value is None else value
 
 
+def _judge(record: dict, passed: bool, tol: float, checks: list[tuple[str, float, bool]]) -> None:
+    """Set the cell's outcome; a cell that ends false names each quantity whose check failed, and its value."""
+    record["pass"] = "true" if passed else "false"
+    if not passed:
+        failed = ", ".join(f"{name} = {float(value)}" for name, value, ok in checks if not ok)
+        record["detail"] = f"failed at tol {tol:g}: {failed}"
+
+
 def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     record = _empty_record(d, k)
     start = time.perf_counter()
@@ -115,7 +123,12 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
                 p_std=report.p_std,
                 eig_residual=report.eig_residual,
             )
-            record["pass"] = "true" if report.passed else "false"
+            deviation, tol = report.max_probability_deviation, config.tol
+            _judge(record, report.passed, tol, [
+                ("max_probability_deviation", deviation, deviation <= tol),
+                ("min_fidelity", report.min_fidelity, report.min_fidelity >= 1.0 - tol),
+                ("eig_residual", report.eig_residual, report.eig_residual <= tol),
+            ])
         elif config.suite == "lemmas":
             # First, so a cell over the group budget or the dense cap skips before anything is built.
             absorption = symgroup.absorption_residual(d, k)
@@ -128,12 +141,14 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
                 c1=coeff.c1,
                 c2=_or_empty(coeff.c2),
             )
-            worst = max(gram, eig, absorption, coeff.residual_on_support)
-            record["pass"] = "true" if worst <= config.tol else "false"
+            residuals = {"gram_residual": gram, "eig_residual": eig, "absorption_residual": absorption,
+                         "residual_on_support": coeff.residual_on_support}
+            checks = [(name, value, value <= config.tol) for name, value in residuals.items()]
+            _judge(record, all(ok for *_, ok in checks), config.tol, checks)
         elif config.suite == "optimality":
             sdp = optimality.reduced_optimum(d, k)
             optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed)
-            record.update(p_formula=sdp.p_star, p_mean=sdp.grid_p_max)
+            record.update(p_formula=sdp.p_star, p_mean=sdp.objective_value)
             record["pass"] = "true"
         elif config.suite == "sar":
             report = sar.verify_sar(
@@ -146,7 +161,11 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
                 seed,
             )
             record.update(p_formula=report.p_formula, p_mean=report.p_mean, p_std=report.p_std)
-            record["pass"] = "true" if report.passed else "false"
+            deviation, tol = report.max_probability_deviation, config.tol
+            _judge(record, report.passed, tol, [
+                ("max_probability_deviation", deviation, deviation <= tol),
+                ("max_state_deviation", report.max_state_deviation, report.max_state_deviation <= tol),
+            ])
         else:
             raise ValueError(f"unknown suite {config.suite}")
     except CapacityError as exc:

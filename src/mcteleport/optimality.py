@@ -7,14 +7,17 @@ A, covariance under factor permutations and under U^(x k) (x) conj(U), and
 0 <= M <= 1.  Both traces see only the compression of M to Sym^k (x) C^d,
 where permutation covariance is automatic, so the layers here work in the
 coordinates (n, a) of that space, grouped by the weight n - e_a: F, Q = 1
-and X keep each weight class, of at most d rows.  The generators of
-U^(x k) (x) conj(U) certify that F is covariant, and the kernel of the
-raising operators that the covariant operators are span{F, 1 - F} (two
-irreducible components, Pieri rule).  ``reduced_optimum`` reads the optimum
-off the four traces of that family; the perturbation search draws on its
-two coefficients.  Nothing here builds a d^(k+1)-square operator, so this
-module loads neither ``tensor`` nor ``symgroup``, and nothing here draws
-random numbers, so it loads neither ``streams`` nor ``numpy.random``.
+and X keep each weight class, of at most d rows.  The simple-root
+generators of U^(x k) (x) conj(U) certify that F is covariant, and the
+kernel of K = sum_(p<q) L_pq^dagger L_pq that the covariant operators are
+span{F, 1 - F} (two irreducible components, Pieri rule).  The quadratic
+Casimir gives K = (alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads
+X, only covariance rests on the generators, and the tests compare K with
+their dense sum.  ``reduced_optimum`` finds F optimal in that family; the
+perturbation search draws on its two coefficients.  Nothing here builds a
+d^(k+1)-square operator, so this module loads neither ``tensor`` nor
+``symgroup``, and nothing here draws random numbers, so it loads neither
+``streams`` nor ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -39,9 +42,7 @@ from .core import (
 )
 from .teleport import build_measurement, success_probability_formula
 
-#: Largest allowed distance of the reduced optimum from the closed form.
-GRID_TOL = 1e-6
-#: Largest constraint gap of F that still counts as rounding of an exact zero.
+#: Largest constraint gap that still counts as rounding of an exact zero: F's must be within it, Q - F's beyond.
 FEASIBILITY_TOL = 1e-9
 #: Frobenius length of each normalised perturbation of the optimum.
 PERTURBATION_SCALE = 1.0
@@ -49,7 +50,7 @@ PERTURBATION_SCALE = 1.0
 MARGIN = 1e-7
 #: Eigenvalue slack of the [0, 1] feasibility test of F and of each candidate.
 EIG_SLACK = 1e-10
-#: The raising operators' sum K has integer eigenvalues, so one below this is zero.
+#: The raising operators' sum K has integer eigenvalues, so one within this of 0 is zero.
 KERNEL_CUT = 0.5
 #: Largest weight-class table, in entries (m d x d); every cell with k >= 2 and m d <= DIM_CAP (so d <= 50) is under it.
 CLASS_CAP = 2**22
@@ -129,7 +130,7 @@ def _commutator_norm(classes: _Classes, tgt: np.ndarray, coef: np.ndarray) -> fl
     L F moves row r of F to row tgt[r, t]; column r of F L gains coef[r, t]
     times column tgt[r, t] of F, which by symmetry is that row of F at the
     rows of its class.  [L, F] takes each class into one class, so an entry
-    is keyed by its row and the level of its column.
+    is keyed by its row r and the level b of its column, as r d + b < f.size.
     """
     f, slots = classes.f, np.maximum(classes.slots, 0)
     d = f.shape[1]
@@ -139,8 +140,19 @@ def _commutator_norm(classes: _Classes, tgt: np.ndarray, coef: np.ndarray) -> fl
         dst, c = tgt[src, t], coef[src, t, None]
         keys += [(dst[:, None] * d + np.arange(d)).ravel(), (slots[dst] * d + (src % d)[:, None]).ravel()]
         values += [(c * f[src]).ravel(), -(c * f[dst]).ravel()]
-    _, entry = np.unique(np.concatenate(keys), return_inverse=True)
-    return float(np.linalg.norm(np.bincount(entry, np.concatenate(values))))
+    return float(np.linalg.norm(np.bincount(np.concatenate(keys), np.concatenate(values), f.size)))
+
+
+def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """K = (alpha - 2 (k+1) X - s_r) / 2 on each class (see ``_certify``), split as by ``_class_blocks``."""
+    occ, tilt = occupations(k, d), d - 1 - 2 * np.arange(d)
+    # s_r of the row (n, a) is A(n) - 2 n_a + 1 - tilt_a, A(n) = sum_p n_p^2 + sum_p tilt_p n_p
+    s = np.repeat((occ**2).sum(axis=1) + occ @ tilt, d) - 2 * occ.ravel() + 1 - np.tile(tilt, len(occ))
+    diagonal = (k * (k + d - 1) + d + 2 - s) / 2
+    x_blocks, x_single = _class_blocks(classes, classes.x)
+    blocks = -(k + 1) * x_blocks
+    blocks[:, np.arange(d), np.arange(d)] += diagonal[classes.rows]
+    return blocks, diagonal[classes.singles] - (k + 1) * x_single
 
 
 def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
@@ -157,37 +169,42 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     class, holds one highest-weight vector per irreducible component; it must
     meet two classes, one vector each, so the commutant is spanned by two
     projectors, and <v, F v> on them must be 0 and 1, so F is one of them (at
-    d = 1, one vector and 1, and no simple root).  Returns the largest ratio
-    and K's smallest nonzero eigenvalue, None at d = 1 where K = 0.
+    d = 1, one vector and 1, and no simple root).  The quadratic Casimir
+    sum_(p,q) L_pq L_qp is sum_p L_pp^2 + 2 K + sum_(p<q) (L_pp - L_qq), and
+    alpha - 2 (k+1) X, as its cross term -2 sum_i (i A)^(t_A) is 2 - 2 (k+1) X;
+    L_pp is w_p on a row of weight w, so K = (alpha - 2 (k+1) X - s_r) / 2 with
+    alpha = k (k+d-1) + d + 2 and s_r = sum_p w_p^2 + sum_p (d-1-2p) w_p.  K
+    thus reads X's closed form, not the generators, which certify covariance
+    alone; the tests compare K with the dense generator sum.  So K >= 0 is no
+    longer built in: a kernel eigenvalue is one within KERNEL_CUT of 0, and
+    a negative one outside it raises.  Returns the largest ratio and K's
+    smallest nonzero eigenvalue, None at d = 1 (K = 0).
     """
-    covariance, sums = 0.0, np.zeros(classes.f.shape)
-    for p, q in [(p, q) for p in range(d) for q in range(d) if q > p or q == p - 1]:  # raising, or a simple root
+    covariance = 0.0
+    for p, q in [(p, p + 1) for p in range(d - 1)] + [(p + 1, p) for p in range(d - 1)]:
         tgt, coef = _generator(d, k, p, q)
-        if abs(p - q) == 1:  # the two terms of L_pq land on different rows, so ||L||_F = ||coef||
-            covariance = max(covariance, _commutator_norm(classes, tgt, coef) / np.linalg.norm(coef))
-        for t in range(2 if p < q else 0):
-            src = np.flatnonzero(coef[:, t])
-            near = np.maximum(classes.slots[src], 0)
-            for u in range(2):  # <L e_r, L e_s> for s = slots[r, b]: terms that land on the same row
-                sums[src] += coef[src, t, None] * coef[near, u] * (tgt[src, t, None] == tgt[near, u])
+        # the two terms of a simple root land on different rows, so ||L||_F = ||coef||
+        covariance = max(covariance, _commutator_norm(classes, tgt, coef) / np.linalg.norm(coef))
     if covariance > DEFAULT_ATOL:
         raise VerificationError(
             f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
         )
-    blocks, single = _class_blocks(classes, sums * (classes.slots >= 0))
+    blocks, single = _casimir_blocks(classes, d, k)
     values, vectors = np.linalg.eigh(blocks)
     f_blocks, f_single = _class_blocks(classes, classes.f)
-    kernel, alone = values < KERNEL_CUT, single < KERNEL_CUT
+    kernel, alone = np.abs(values) < KERNEL_CUT, np.abs(single) < KERNEL_CUT
     on_kernel = np.einsum("jai,jab,jbi->ji", vectors, f_blocks, vectors)[kernel]
     on_kernel = np.sort(np.concatenate([on_kernel, f_single[alone]]))
     met, expected = int(kernel.any(axis=1).sum() + alone.sum()), np.arange(2 - min(d, 2), 2.0)
-    if (met, len(on_kernel)) != (len(expected),) * 2 or np.abs(on_kernel - expected).max() > DEFAULT_ATOL:
-        raise VerificationError(
-            f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: the raising operators' kernel "
-            f"meets {met} classes, with <v, F v> = {on_kernel} on it where {expected} was expected"
-        )
     rest = np.concatenate([values[~kernel], single[~alone]])
-    return covariance, (float(rest.min()) if rest.size else None)
+    margin = float(rest.min()) if rest.size else None
+    wrong = (met, len(on_kernel)) != (len(expected),) * 2 or np.abs(on_kernel - expected).max() > DEFAULT_ATOL
+    if wrong or (margin or 0.0) < 0:
+        raise VerificationError(
+            f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: the kernel of K meets {met} classes, "
+            f"with <v, F v> = {on_kernel} on it where {expected} was expected, and K's least other eigenvalue {margin}"
+        )
+    return covariance, margin
 
 
 class CoefficientReport(NamedTuple):
@@ -267,10 +284,10 @@ def _family(d: int, k: int) -> _Family:
 
 
 class SdpReport(NamedTuple):
-    """Exact optimum of the reduced two-parameter family.
+    """Exact optimum of the reduced two-parameter family, attained at M = F.
 
-    ``grid_a1``, ``grid_a2`` and ``grid_p_max`` are the best feasible vertex
-    and its objective, taken from the raw traces; ``covariance_residual`` and
+    ``objective_value`` is F's objective and ``equality_residual`` its
+    constraint gap, both from the raw traces; ``covariance_residual`` and
     ``reduction_margin`` are the largest relative commutator of F with a
     simple-root generator (exact covariance only at 0) and the smallest
     nonzero eigenvalue of K (see ``_certify``).
@@ -278,16 +295,11 @@ class SdpReport(NamedTuple):
 
     d: int
     k: int
-    a1: float
-    a2: float
     p_star: float
     objective_value: float
     equality_residual: float
     covariance_residual: float
     reduction_margin: float | None
-    grid_a1: float
-    grid_a2: float
-    grid_p_max: float
 
 
 def reduced_optimum(d: int, k: int) -> SdpReport:
@@ -295,48 +307,35 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
 
     The constraint gap is linear, a1 gap(F) + a2 gap(Q - F), and gap(F) is
     zero: one larger than FEASIBILITY_TOL raises, a smaller one is rounding
-    and is taken as zero.  The feasible set is then the edge a2 = 0, or the
-    whole square at d = 1, where Q - F is empty and its gap vanishes.  The
-    objective is linear too, so its maximum over that set sits at a vertex;
-    ties go to a2 = 0.  Then ``_certify`` checks that the family holds every
-    covariant operator.
+    and is taken as zero.  When Q - F is nonempty (d > 1), its gap must be
+    larger than FEASIBILITY_TOL, or it raises, since Q would then be
+    feasible and beat F; the feasible set is then the edge a2 = 0, where the
+    linear objective peaks at F.  At d = 1, Q - F is empty and F = Q.  F's
+    objective must be within DEFAULT_ATOL of p*, or it raises.  Then
+    ``_certify`` checks that the family holds every covariant operator.
     """
     family = _family(d, k)
-    (obj_f, obj_ps), (gap_f, gap_ps) = family.objective, family.gap
+    obj_f, (gap_f, gap_ps) = family.objective[0], family.gap
     if abs(gap_f) > FEASIBILITY_TOL:
         raise VerificationError(
             f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}",
             abs(gap_f),
         )
-
-    vertices = [(0.0, 0.0), (1.0, 0.0)]
-    if abs(gap_ps) <= FEASIBILITY_TOL:
-        vertices += [(0.0, 1.0), (1.0, 1.0)]
-    grid_a1, grid_a2 = max(vertices, key=lambda a: (a[0] * obj_f + a[1] * obj_ps, -a[1]))
-    grid_p = grid_a1 * obj_f + grid_a2 * obj_ps
+    if family.ranks[1] and abs(gap_ps) <= FEASIBILITY_TOL:
+        raise VerificationError(
+            f"Q - F meets the equality at d={d}, k={k}: gap {gap_ps:.3e}, so Q would beat F",
+            abs(gap_ps),
+        )
 
     p_star = success_probability_formula(d, k)
-    if abs(grid_p - p_star) > GRID_TOL or abs(obj_f - p_star) > GRID_TOL:
+    if abs(obj_f - p_star) > DEFAULT_ATOL:
         raise VerificationError(
-            f"reduced optimum {grid_p} deviates from closed form {p_star} at d={d}, k={k}",
-            abs(grid_p - p_star),
+            f"reduced optimum {obj_f} deviates from closed form {p_star} at d={d}, k={k}",
+            abs(obj_f - p_star),
         )
 
     covariance, margin = _certify(_weight_classes(d, k), d, k)
-    return SdpReport(
-        d=d,
-        k=k,
-        a1=1.0,
-        a2=0.0,
-        p_star=p_star,
-        objective_value=obj_f,
-        equality_residual=abs(gap_f),
-        covariance_residual=covariance,
-        reduction_margin=margin,
-        grid_a1=grid_a1,
-        grid_a2=grid_a2,
-        grid_p_max=grid_p,
-    )
+    return SdpReport(d, k, p_star, obj_f, abs(gap_f), covariance, margin)
 
 
 def _check_unit_interval(spectrum: np.ndarray, what: str) -> None:

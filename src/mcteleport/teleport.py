@@ -238,25 +238,6 @@ def eigendecomposition_residual(d: int, k: int) -> float:
     return _factor_distance(build_measurement(d, k, form="eigen"), build_measurement(d, k, form="projector"))
 
 
-class EigenReport(NamedTuple):
-    d: int
-    k: int
-    residual: float
-    tol: float
-
-
-def assert_eigendecomposition(d: int, k: int, tol: float = 1e-10) -> EigenReport:
-    """Certify that both measurement constructions agree within tol."""
-    residual = eigendecomposition_residual(d, k)
-    if residual > tol:
-        raise VerificationError(
-            f"measurement constructions disagree at d={d}, k={k}: "
-            f"residual {residual:.3e} > {tol:.1e}",
-            residual,
-        )
-    return EigenReport(d, k, residual, tol)
-
-
 def _check_input(psi: StateVector, d: int) -> None:
     """Reject an input that is not one factor of dim d; the stacked kernels check its norm."""
     if psi.dims != (d,):

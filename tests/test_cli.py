@@ -259,6 +259,32 @@ class TestFailureReporting:
         assert cell["pass"] == "false"
         assert "detail" in cell
 
+    @pytest.mark.parametrize("suite,names", [
+        ("verify", ("max_probability_deviation", "min_fidelity")),
+        ("sar", ("max_probability_deviation", "max_state_deviation")),
+    ])
+    def test_a_cell_that_ends_false_names_what_failed(self, suite, names, capsys):
+        # no exception is raised here: the sampled deviations are rounding, far above 1e-300
+        argv = [suite, "--d", "2", "--k", "2", "--tol", "1e-300", "--threads", "1", "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 1
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "false"
+        assert cell["detail"].startswith("failed at tol 1e-300: ")
+        for name in names:
+            assert f"{name} = " in cell["detail"]
+
+    def test_a_lemmas_cell_that_ends_false_names_the_residual(self, monkeypatch, capsys):
+        monkeypatch.setattr(teleport, "gram_residual", lambda d, k: 0.25)
+        argv = ["lemmas", "--d", "2", "--k", "2", "--threads", "1", "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 1
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert (cell["pass"], cell["detail"]) == ("false", "failed at tol 1e-09: gram_residual = 0.25")
+
+    def test_a_passing_cell_has_no_detail(self, capsys):
+        assert cli.main(["verify", "--d", "2", "--k", "2", "--samples", "3", "--threads", "1", "--format", "json",
+                         "--no-timestamp"]) == 0
+        assert "detail" not in json.loads(capsys.readouterr().out)["cells"][0]
+
 
 class TestErrorContainment:
     ARGV = ["optimality", "--d", "2", "--k", "1,2", "--samples", "1", "--threads", "1",

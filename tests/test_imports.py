@@ -23,7 +23,7 @@ PUBLIC = {
         "sym_projector young_projector"
     ),
     "teleport": (
-        "Measurement RVector assert_eigendecomposition build_measurement conditioned_element "
+        "Measurement RVector build_measurement conditioned_element "
         "eigendecomposition_residual gram_residual r_vectors simulate success_probability_formula verify_theorem"
     ),
     "optimality": "decomposition_coefficients perturbation_falsifier reduced_optimum",

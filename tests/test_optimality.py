@@ -154,15 +154,13 @@ class TestCoefficients:
 class TestReducedOptimum:
     def test_two_qubit_two_copies(self):
         report = reduced_optimum(2, 2)
-        assert (report.a1, report.a2) == (1.0, 0.0)
         assert abs(report.p_star - 1 / 3) < 1e-12
-        assert abs(report.grid_p_max - report.p_star) <= 1e-6
-        assert (report.grid_a1, report.grid_a2) == (1.0, 0.0)
+        assert abs(report.objective_value - report.p_star) <= 1e-12
 
     def test_qutrit_three_copies(self):
         report = reduced_optimum(3, 3)
         assert abs(report.p_star - 0.2) < 1e-12
-        assert abs(report.grid_p_max - 0.2) <= 1e-6
+        assert abs(report.objective_value - 0.2) <= 1e-12
 
     def test_single_copy_reduces_to_plain_teleportation(self):
         report = reduced_optimum(2, 1)
@@ -180,12 +178,9 @@ class TestReducedOptimum:
         assert reduced_optimum(2, 7).covariance_residual <= 1e-11
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_trivial_dimension_takes_the_a2_zero_vertex(self, k):
-        # Q - F is empty at d = 1, so the whole square is feasible and the
-        # tie between (1, 0) and (1, 1) goes to a2 = 0.
-        report = reduced_optimum(1, k)
-        assert (report.grid_a1, report.grid_a2) == (1.0, 0.0)
-        assert report.grid_p_max == report.objective_value == 1.0
+    def test_trivial_dimension_has_objective_one(self, k):
+        # Q - F is empty at d = 1, so F = Q and its gap need not be checked
+        assert reduced_optimum(1, k).objective_value == 1.0
 
     def test_violated_equality_raises(self, monkeypatch):
         # Mixing in some of Q - F puts weight where the equality has a gap.
@@ -193,6 +188,18 @@ class TestReducedOptimum:
         mixed = classes._replace(f=classes.f + 0.1 * (classes.q - classes.f))
         monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: mixed)
         with pytest.raises(VerificationError, match="violates the equality"):
+            reduced_optimum(2, 2)
+
+    def test_feasible_complement_raises(self, monkeypatch):
+        # were the gap of Q - F zero, Q would be feasible and beat F
+        exact = optimality._family
+
+        def closed_gap(d, k):
+            family = exact(d, k)
+            return family._replace(gap=family.gap * [1.0, 0.0])
+
+        monkeypatch.setattr(optimality, "_family", closed_gap)
+        with pytest.raises(VerificationError, match="Q - F meets the equality"):
             reduced_optimum(2, 2)
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 5), (3, 3), (1, 4), (4, 2)])
@@ -223,6 +230,31 @@ class TestReducedOptimum:
         mixed = classes._replace(f=classes.f + 0.1 * (classes.q - classes.f))
         with pytest.raises(VerificationError, match="is not the commutant"):
             optimality._certify(mixed, 2, 2)
+
+    @pytest.mark.parametrize("block,scale", [(0, 0.5), (0, 1.5), (-1, 3.0)])
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 2)])
+    def test_perturbed_x_fails_the_reduction_certificate(self, d, k, block, scale):
+        # K reads X: scaling X's block on the class of F's highest weight takes that class off
+        # K's kernel, to a positive eigenvalue at 0.5 and to a negative one at 1.5; scaling the
+        # last class's block by 3 leaves the kernel as it is, and gives K a negative eigenvalue
+        classes = optimality._weight_classes(d, k)
+        x = classes.x.copy()
+        x[classes.rows[block]] *= scale
+        with pytest.raises(VerificationError, match="is not the commutant"):
+            optimality._certify(classes._replace(x=x), d, k)
+
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (3, 2), (5, 1)])
+    def test_only_the_simple_roots_are_built(self, d, k, monkeypatch):
+        built = []
+        exact = optimality._generator
+
+        def counting(d, k, p, q):
+            built.append((p, q))
+            return exact(d, k, p, q)
+
+        monkeypatch.setattr(optimality, "_generator", counting)
+        optimality._certify(optimality._weight_classes(d, k), d, k)
+        assert sorted(built) == sorted([(p, p + 1) for p in range(d - 1)] + [(p + 1, p) for p in range(d - 1)])
 
     def test_leaking_factor_fails_on_entry(self, monkeypatch):
         # an entry of the factor outside its column's weight class is checked, not assumed
@@ -781,6 +813,18 @@ class TestSymmetricCoordinates:
             assert worst[1] > 1e-3
             with pytest.raises(VerificationError, match="does not commute"):
                 optimality._certify(classes._replace(f=_class_held(classes, noise + noise.T)), d, k)
+
+    @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
+    def test_casimir_blocks_match_the_dense_raising_sum(self, d, k):
+        # K from the Casimir, placed back entry by entry, against sum_(p<q) L_pq^T L_pq
+        classes = optimality._weight_classes(d, k)
+        blocks, single = optimality._casimir_blocks(classes, d, k)
+        casimir = np.zeros((len(classes.slots),) * 2)
+        casimir[classes.rows[:, :, None], classes.rows[:, None, :]] = blocks
+        casimir[classes.singles, classes.singles] = single
+        total = sum(ell.T @ ell for ell in (_sym_generator(d, k, p, q) for p in range(d) for q in range(p + 1, d)))
+        assert np.abs(casimir - total).max() <= 1e-12
+        assert (len(classes.singles) > 0) == (d > 1)  # single-row classes are compared too
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_kernel_and_margin_match_a_dense_eigensolve(self, d, k):

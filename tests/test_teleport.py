@@ -10,7 +10,6 @@ from mcteleport import (
     Permutation,
     StateVector,
     VerificationError,
-    assert_eigendecomposition,
     build_measurement,
     conjugate_by_permutation,
     eigendecomposition_residual,
@@ -147,13 +146,21 @@ class TestBuildMeasurement:
 class TestEigendecomposition:
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 3), (3, 2)])
     def test_dual_constructions_agree(self, d, k):
-        report = assert_eigendecomposition(d, k, tol=1e-10)
-        assert report.residual <= 1e-12
+        assert eigendecomposition_residual(d, k) <= 1e-12
 
-    def test_failure_carries_residual(self):
-        with pytest.raises(VerificationError) as err:
-            assert_eigendecomposition(2, 2, tol=-1.0)
-        assert err.value.residual is not None
+    def test_a_moved_entry_shows_in_the_residual(self, monkeypatch):
+        exact = teleport.build_measurement
+
+        def moved(d, k, form="eigen"):
+            meas = exact(d, k, form)
+            if form == "eigen":
+                return meas
+            values = meas.values.copy()
+            values[0, 0] += 1e-3
+            return teleport.Measurement(d, k, meas.rows, values)
+
+        monkeypatch.setattr(teleport, "build_measurement", moved)
+        assert eigendecomposition_residual(2, 2) > 1e-4
 
 
 class TestSimulate:
@@ -416,8 +423,6 @@ class TestThinFactor:
         monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
         with pytest.raises(VerificationError, match="different coordinates"):
             eigendecomposition_residual(3, 2)
-        with pytest.raises(VerificationError):
-            assert_eigendecomposition(3, 2)
 
     def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
         built = []
