@@ -79,14 +79,6 @@ def parse_int_range(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _cell_seeds(seed: int, count: int) -> list[int]:
-    """One 64-bit seed per cell, each from its own child of one spawn of the base seed.
-
-    It is the child's key, ``generate_state(1, np.uint64)[0]`` of the child.
-    """
-    return spawn_keys(seed, count).tolist()
-
-
 def _empty_record(d: int, k: int) -> dict:
     record = {column: "" for column in CSV_COLUMNS}
     record["d"] = d
@@ -193,7 +185,7 @@ def import_suite(suite: str) -> None:
 def run(config: RunConfig) -> list[dict]:
     import_suite(config.suite)
     cells = config.cells()
-    seeds = _cell_seeds(config.seed, len(cells))
+    seeds = spawn_keys(config.seed, len(cells)).tolist()
     if config.threads == 1:
         return [run_cell(config, seed, d, k) for seed, (d, k) in zip(seeds, cells)]
     from concurrent.futures import ThreadPoolExecutor  # imports logging; a one-thread run needs neither
@@ -298,8 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     if args.samples < 1 or not (math.isfinite(args.tol) and args.tol > 0):
         parser.error("need samples >= 1 and a finite tol > 0")
-    if args.seed < 0:
-        parser.error("need seed >= 0")
+    if not 0 <= args.seed < 2**64:
+        parser.error("need 0 <= seed < 2^64")
     if args.threads < 1:
         parser.error("need threads >= 1")
     if args.suite == "sar":

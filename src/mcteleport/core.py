@@ -1,15 +1,16 @@
 """What every suite shares: tolerances, caps, errors, seed keys, stacked draws and occupation tables.
 
-The errors are those a cell ends on; ``spawn_keys`` hashes a seed's
-spawned children as numpy's ``SeedSequence`` does (NEP 19), with no
-``numpy.random``, for the cell seeds, the falsifier's sweep and the
-samples' streams; the draws turn rows of standard normals into stacks of
-Haar unitaries or isometries, by Gram–Schmidt with no LAPACK call, and unit
-vectors; the partition counts are the semistandard ones.  ``verify``, ``sar``
-and ``optimality`` work in symmetric coordinates and on stacks of samples, so
-they load this module and never the dense layer (``tensor``'s layouts and
-operators, ``symgroup``'s characters and projectors).  ``tensor`` and
-``symgroup`` import what they use from here.
+The errors are those a cell ends on; ``splitmix64`` is the one
+construction that turns a seed into numbers, with no ``numpy.random``:
+``spawn_keys`` takes a seed's child keys from it, for the cell seeds, the
+falsifier's sweep and the samples' streams, and ``streams`` makes each
+key's row of normals from it; the draws turn rows of standard normals into
+stacks of Haar unitaries or isometries, by Gram–Schmidt with no LAPACK
+call, and unit vectors; the partition counts are the semistandard ones.
+``verify``, ``sar`` and ``optimality`` work in symmetric coordinates and on
+stacks of samples, so they load this module and never the dense layer
+(``tensor``'s layouts and operators, ``symgroup``'s characters and
+projectors).  ``tensor`` and ``symgroup`` import what they use from here.
 """
 
 from __future__ import annotations
@@ -94,66 +95,38 @@ def unit_rows(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_sq_norms(v.real) + _sq_norms(v.imag))[..., None]
 
 
-_MASK32 = 0xFFFFFFFF
-#: numpy's SeedSequence (NEP 19): pool size in 32-bit words and its hashing constants.
-_POOL = 4
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+#: SplitMix64's increment, the odd integer nearest 2^64 over the golden ratio.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+#: Multipliers of its finaliser, Stafford's variant 13 of MurmurHash3's.
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
-    """init mult^j mod 2^32 for j = 0 .. count: the hash constants SeedSequence steps through, in order."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def splitmix64(states, count: int) -> np.ndarray:
+    """Outputs 1 .. count of SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) from each uint64 state s, a row each.
+
+    Output j is z_j = mix(s + j gamma mod 2^64), mix the finaliser, as uint64
+    array operations over all rows at once, which wrap without a warning.
+    """
+    z = np.asarray(states, dtype=np.uint64)[:, None] + np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def spawn_keys(seed: int, n: int) -> np.ndarray:
-    """``generate_state(1, np.uint64)[0]`` of each child of ``SeedSequence(seed).spawn(n)``, one uint64 each.
+    """n child keys of a seed, 0 <= seed < 2^64 or ValueError: outputs 1 .. n of ``splitmix64`` from the seed.
 
-    Child i hashes the seed's 32-bit words, zero-padded to the pool of 4,
-    and then its spawn key i.  All but the key is shared, so that part is
-    hashed once with Python ints; the key, one word below 2^32 children, is
-    mixed into the pool's first 2 words, which alone make the first output
-    word, and those 2 hashed, as uint32 array operations over all children
-    at once, which wrap as numpy's C code does.
+    They are distinct: gamma is odd, so the states seed + j gamma mod 2^64
+    are, and the finaliser is a bijection, each xorshift and odd multiplier
+    being invertible.  Child i's key does not depend on n.
     """
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    if n > 1 << 32:
-        raise CapacityError(f"{n} children need spawn keys of more than one 32-bit word")
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL - len(words))
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + 1))
-    hashes = iter(zip(consts, consts[1:]))  # one (xor, multiplier) pair per hashmix
-
-    def hashmix(value: int) -> int:
-        xor, mult = next(hashes)
-        value = (value ^ xor) * mult & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        value = (_MIX_L * x - _MIX_R * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:
-        pool = [mix(p, hashmix(word)) for p in pool]
-    xor, mult = np.array([next(hashes) for _ in range(2)], dtype=np.uint32).T  # the key's hashes into words 0, 1
-    key = (np.arange(n, dtype=np.uint32)[:, None] ^ xor) * mult
-    key ^= key >> 16
-    pool = np.array([_MIX_L * p & _MASK32 for p in pool[:2]], dtype=np.uint32) - key * np.uint32(_MIX_R)
-    pool ^= pool >> 16
-    consts = _hash_consts(_INIT_B, _MULT_B, 2)
-    state = (pool ^ np.array(consts[:-1], dtype=np.uint32)) * np.array(consts[1:], dtype=np.uint32)
-    state ^= state >> 16
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False).reshape(n)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"need a 64-bit seed, 0 <= seed < 2^64, got {seed}")
+    return splitmix64([seed], n)[0]
 
 
 @lru_cache(maxsize=None)

@@ -74,34 +74,34 @@ def _class_blocks(classes: _Classes, a: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _weight_classes(d: int, k: int) -> _Classes:
     """Q = 1, F and X on Sym^k (x) C^d, each held as A[r, b] = A[r, slots[r, b]].
 
-    Row r = (n, a) has the weight n - e_a; slots[r, b] is the row (n', b) of
-    its class, n' = n - e_a + e_b, or -1 when n' has a negative entry.  A
-    class has d rows when n - e_a >= 0 (``rows[j]``, of weight
-    occupations(k - 1, d)[j]) and one row otherwise (``singles``).  X is
-    delta(n + e_b, n' + e_a) sqrt((n_b + 1)(n'_a + 1)) / (k + 1); F is g g^T
-    on class j, g the values of column j of the measurement, whose rows must
-    be those of class j, or it raises; over CLASS_CAP entries it refuses first.
+    Row r = (n, a) has the weight n - e_a.  The classes of d rows are the
+    measurement's columns: column j holds the rows ``rows[j, b]`` = (w + e_b,
+    b) of one weight w >= 0, or it raises, and slots[r, b] is row b of r's
+    class.  Every other row, n_a = 0, is a class of one (``singles``) whose
+    slots hold only the row itself, and -1 elsewhere.  Within a class X is
+    sqrt((n_b + 1)(n'_a + 1)) / (k + 1) between rows (n, a) and (n', b),
+    and on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1); F is
+    g g^T on class j, g the values of column j of the measurement.  Over
+    CLASS_CAP entries it refuses first.
     """
     if (size := math.comb(k + d - 1, k) * d) * d > CLASS_CAP:
         raise CapacityError(f"weight-class tables of {size} x {d} entries exceed cap {CLASS_CAP}")
     meas = build_measurement(d, k)
-    n = np.repeat(occupations(k, d), d, axis=0)
-    level = np.arange(size) % d
-    eye = np.eye(d, dtype=n.dtype)
-    slots = np.empty((size, d), dtype=np.intp)
-    x = np.empty((size, d))
-    for b in range(d):
-        partner = n - eye[level] + eye[b]
-        live = partner.min(axis=1) >= 0
-        slots[:, b] = np.where(live, occupation_rank(np.where(live[:, None], partner, n)) * d + b, -1)
-        x[:, b] = live * np.sqrt((n[:, b] + 1) * (partner[np.arange(size), level] + 1)) / (k + 1)
-    whole = slots.min(axis=1) >= 0
-    rows = slots[whole & (level == 0)]
-    if not np.array_equal(meas.rows, rows):
+    rows = meas.rows
+    n = occupations(k, d)[rows // d]  # n[j, a] is the occupation of row rows[j, a]
+    weights = n - np.eye(d, dtype=n.dtype)
+    if weights.min() < 0 or np.any(weights != weights[:, :1]):
         raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
+    slots = np.full((size, d), -1, dtype=np.intp)
+    slots[rows] = rows[:, None, :]
+    singles = np.flatnonzero(slots[:, 0] < 0)
+    slots[singles, singles % d] = singles
+    x = np.zeros((size, d))
+    x[rows] = np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1)
+    x[singles, singles % d] = 1 / (k + 1)
     f = np.zeros((size, d))
     f[rows] = meas.values[:, :, None] * meas.values[:, None, :]
-    classes = _Classes(rows, np.flatnonzero(~whole), slots, (slots == np.arange(size)[:, None]) * 1.0, f, x)
+    classes = _Classes(rows, singles, slots, (slots == np.arange(size)[:, None]) * 1.0, f, x)
     for array in classes:
         array.setflags(write=False)
     return classes
@@ -378,9 +378,9 @@ def perturbation_falsifier(
     certifies, with spectrum the c_b, so each trial works on those
     coefficients (F alone at d = 1).  The trials sweep the unit circle of
     the orthonormal basis F / sqrt(r_1), (Q - F) / sqrt(r_2) evenly, 2 pi /
-    trials apart, from an offset u = key / 2^64 hashed from the seed
-    (``spawn_keys``): trial j has direction (cos t_j, sin t_j) / sqrt(ranks),
-    t_j = 2 pi (j + u) / trials.  Each is uniform on that circle, as a
+    trials apart, from an offset u = key / 2^64, key the seed's first
+    SplitMix64 output (``spawn_keys``): trial j has direction (cos t_j, sin
+    t_j) / sqrt(ranks), t_j = 2 pi (j + u) / trials.  Each is uniform on that circle, as a
     projected Gaussian symmetric direction is, and evenly spaced they leave
     no arc wider than 2 pi / trials unsearched; at d = 1 the direction is
     the sign of cos t_j, and both signs come up once trials >= 2.  A

@@ -290,10 +290,11 @@ def verify_sar(
     """Monte-Carlo retrieval check over random channels and Haar inputs, refused first over PROGRAM_CAP.
 
     Each sample fills one row of 2 w d + 2 d standard normals (w = d_out
-    kraus_rank) from its own child of ``SeedSequence(seed)``: the real and
+    kraus_rank) from its own child key of the seed: the real and
     imaginary parts of the w x d Ginibre matrix whose Gram–Schmidt is its
     channel's Stinespring isometry, then those of its input.
-    The children's keys come from ``spawn_keys`` in one pass, and
+    The children's keys, the seed's SplitMix64 outputs, come from
+    ``spawn_keys`` in one pass, and
     ``seeded_normals`` draws each chunk's rows, one SplitMix64 stream per
     key, with numpy array arithmetic; ``random_channel`` and then
     ``haar_state`` form the same channel and input from a generator that

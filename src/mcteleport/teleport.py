@@ -395,8 +395,8 @@ def verify_theorem(
 
     Each sample's input is the unit vector of one row of 2 d standard
     normals, the real and then the imaginary parts, drawn from its own child
-    of ``SeedSequence(seed)``: the children's keys come from ``spawn_keys``
-    in one pass, and ``seeded_normals`` draws each chunk's rows, one
+    key of the seed: the children's keys, the seed's SplitMix64 outputs, come
+    from ``spawn_keys`` in one pass, and ``seeded_normals`` draws each chunk's rows, one
     SplitMix64 stream per key, with numpy array arithmetic.  ``haar_state``
     forms the same input from a generator that yields the same row.  The
     inputs are then formed and simulated together, one chunk at a time,

@@ -358,18 +358,22 @@ def measurement_op(meas: Measurement) -> Operator:
 _MASK64 = (1 << 64) - 1
 
 
-def splitmix64_uniforms(seed: int, count: int) -> list[float]:
-    """The first ``count`` outputs of SplitMix64 from ``seed``, one Python int at a time, each made a
-    uniform on [0, 1) from its top 53 bits as numpy's Generator makes one."""
+def splitmix64(seed: int, count: int) -> list[int]:
+    """The first ``count`` outputs of SplitMix64 from ``seed``, one Python int at a time."""
     state, out = seed, []
     for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        out.append((z >> 11) / 2**53)
+        out.append(z ^ z >> 31)
     return out
+
+
+def splitmix64_uniforms(seed: int, count: int) -> list[float]:
+    """The first ``count`` outputs of ``splitmix64`` from ``seed``, each made a uniform on [0, 1)
+    from its top 53 bits as numpy's Generator makes one."""
+    return [(z >> 11) / 2**53 for z in splitmix64(seed, count)]
 
 
 def box_muller_normals(seed: int, width: int) -> list[float]:
@@ -403,10 +407,10 @@ class RowStream(np.random.Generator):
 
 
 def child_streams(seed: int, samples: int, width: int) -> list[RowStream]:
-    """One ``RowStream`` per child of ``SeedSequence(seed).spawn(samples)``: the row of ``width``
-    normals that ``seeded_normals`` draws from that child's key alone."""
-    keys = [child.generate_state(1, np.uint64) for child in np.random.SeedSequence(seed).spawn(samples)]
-    return [RowStream(seeded_normals(key, width)[0]) for key in keys]
+    """One ``RowStream`` per child key of ``seed``, output i of ``splitmix64`` for child i: the row
+    of ``width`` normals that ``seeded_normals`` draws from that key alone."""
+    keys = splitmix64(seed, samples)
+    return [RowStream(seeded_normals(np.array([key], dtype=np.uint64), width)[0]) for key in keys]
 
 
 def verify_theorem_by_loop(d: int, k: int, samples: int, tol: float, seed: int) -> dict:

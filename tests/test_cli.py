@@ -4,11 +4,10 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from mcteleport import cli, optimality, teleport
-from mcteleport.core import VerificationError
+from mcteleport.core import VerificationError, spawn_keys
 
 BASE = [sys.executable, "-m", "mcteleport"]
 
@@ -35,14 +34,19 @@ class TestDeterminism:
             assert result.returncode == 0, result.stderr
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_cell_seeds_come_from_one_spawn(self):
+    def test_cell_seeds_come_from_one_spawn(self, monkeypatch):
         # Cell i keeps the seed of child i of a spawn of any longer length,
         # so a report does not depend on how many cells follow it.
-        for base in (0, 7, 2**63 + 5):
-            seeds = cli._cell_seeds(base, 20)
+        monkeypatch.setattr(cli, "run_cell", lambda config, seed, d, k: seed)
+        for base in (0, 7, 2**63 + 5, 2**64 - 1):
+            config = cli.RunConfig(
+                suite="optimality", d_values=(1, 2, 3, 4), k_values=(1, 2, 3, 4, 5), samples=1, tol=1e-9,
+                seed=base, fmt="csv", threads=1, timestamp=False, d_out=None, kraus_rank=2,
+            )
+            seeds = cli.run(config)
+            assert len(seeds) == 20
             for i, seed in enumerate(seeds):
-                child = np.random.SeedSequence(base).spawn(i + 1)[i]
-                assert seed == int(child.generate_state(1, np.uint64)[0])
+                assert seed == int(spawn_keys(base, i + 1)[i])
 
     def test_timestamp_header_present_by_default(self):
         result = run_cli("verify", "--d", "2", "--k", "1", "--samples", "2")
@@ -99,6 +103,12 @@ class TestExitCodes:
     def test_negative_seed_exits_two(self):
         result = run_cli("verify", "--d", "2", "--k", "1", "--seed", "-1")
         assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("seed,code", [("18446744073709551616", 2), ("18446744073709551615", 0)])
+    def test_only_64_bit_seeds_are_accepted(self, seed, code):
+        result = run_cli("verify", "--d", "2", "--k", "1", "--samples", "2", "--seed", seed, "--no-timestamp")
+        assert result.returncode == code, result.stderr
         assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -17,6 +17,7 @@ from mcteleport import (
     partial_trace,
     partial_transpose,
     permute_state,
+    verify_theorem,
 )
 
 from mcteleport import core
@@ -29,6 +30,7 @@ from oracles import (
     hermitian_eig,
     identity_operator,
     permutation_operator,
+    splitmix64,
     splitmix64_uniforms,
 )
 
@@ -235,21 +237,28 @@ class TestHaar:
 
 
 class TestSpawnKeys:
-    #: the seed's 32-bit words fill the pool of 4 exactly, or not, or overflow it
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**200 + 12345]
+    #: the smallest seeds, the edges of the low 32-bit word and the largest 64-bit seed
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    OUTSIDE = [-1, 2**64, 2**200 + 12345]
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n", [1, 2, 1000])
-    def test_keys_are_the_spawned_childrens_states(self, seed, n):
-        want = [child.generate_state(1, np.uint64)[0] for child in np.random.SeedSequence(seed).spawn(n)]
+    def test_keys_are_the_scalar_splitmix64_outputs(self, seed, n):
         keys = spawn_keys(seed, n)
-        assert keys.dtype == np.uint64 and keys.shape == (n,) and np.array_equal(keys, want)
+        assert keys.dtype == np.uint64 and keys.shape == (n,) and keys.tolist() == splitmix64(seed, n)
 
-    def test_a_negative_seed_is_refused_as_seed_sequence_refuses_it(self):
-        with pytest.raises(ValueError) as want:
-            np.random.SeedSequence(-1)
-        with pytest.raises(ValueError, match=f"^{want.value}$"):
-            spawn_keys(-1, 3)
+    def test_keys_are_distinct(self):
+        assert np.unique(spawn_keys(2024, 10**5)).size == 10**5
+
+    @pytest.mark.parametrize("seed", OUTSIDE)
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match="need a 64-bit seed"):
+            spawn_keys(seed, 3)
+
+    @pytest.mark.parametrize("seed", OUTSIDE)
+    def test_verify_theorem_refuses_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match="need a 64-bit seed"):
+            verify_theorem(2, 1, samples=2, seed=seed)
 
 
 #: Keys 0, 1, 2^64 - 1 and 2^64 - gamma: SplitMix64's sums wrap mod 2^64 at the first step, later or never.
