@@ -5,7 +5,7 @@ The public names and the submodules are bound on first access (PEP 562), so
 compiles and imports only the modules its suite calls.  ``core`` holds what
 every suite shares; the dense layer, ``tensor`` and ``symgroup``, is loaded
 only by ``lemmas``, by the one-sample entry points (``simulate``, ``store``,
-``retrieve``, ``random_channel``, ``r_vectors``) and by the names it exports.
+``retrieve``, ``r_vectors``) and by the names it exports.
 """
 
 import importlib

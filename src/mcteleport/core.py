@@ -4,9 +4,11 @@ The errors are those a cell ends on; ``splitmix64`` is the one
 construction that turns a seed into numbers, with no ``numpy.random``:
 ``spawn_keys`` takes a seed's child keys from it, for the cell seeds, the
 falsifier's sweep and the samples' streams, and ``streams`` makes each
-key's row of normals from it; the draws turn rows of standard normals into
-stacks of Haar unitaries or isometries, by Gram–Schmidt with no LAPACK
-call, and unit vectors; the partition counts are the semistandard ones.
+key's row of normals from it, and ``check_seed`` refuses any other seed;
+the draws turn rows of standard normals into stacks of Haar unitaries or
+isometries, by Gram–Schmidt with no LAPACK call, and unit vectors, a
+one-sample draw being one on a stack of one key; the partition counts are
+the semistandard ones.
 ``verify``, ``sar`` and ``optimality`` work in symmetric coordinates and on
 stacks of samples, so they load this module and never the dense layer
 (``tensor``'s layouts and operators, ``symgroup``'s characters and
@@ -16,7 +18,6 @@ projectors).  ``tensor`` and ``symgroup`` import what they use from here.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
@@ -116,17 +117,21 @@ def splitmix64(states, count: int) -> np.ndarray:
     return z
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; ValueError unless it is an integer, 0 <= seed < 2^64."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 1 << 64:
+        raise ValueError(f"need a 64-bit seed, an integer 0 <= seed < 2^64, got {seed!r}")
+    return int(seed)
+
+
 def spawn_keys(seed: int, n: int) -> np.ndarray:
-    """n child keys of a seed, 0 <= seed < 2^64 or ValueError: outputs 1 .. n of ``splitmix64`` from the seed.
+    """n child keys of a seed (``check_seed``): outputs 1 .. n of ``splitmix64`` from the seed.
 
     They are distinct: gamma is odd, so the states seed + j gamma mod 2^64
     are, and the finaliser is a bijection, each xorshift and odd multiplier
     being invertible.  Child i's key does not depend on n.
     """
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"need a 64-bit seed, 0 <= seed < 2^64, got {seed}")
-    return splitmix64([seed], n)[0]
+    return splitmix64([check_seed(seed)], n)[0]
 
 
 @lru_cache(maxsize=None)

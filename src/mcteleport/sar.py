@@ -16,8 +16,8 @@ LAPACK call, and every later array carries the samples on a leading axis.
 A cell runs in chunks whose arrays, all counted together
 (``_sar_sample_entries``), stay within FACTOR_CAP entries, or one sample at
 a time past it.  ``store`` and ``retrieve`` are the one-channel case of
-``programs`` and ``retrievals``; they and ``random_channel`` import
-``tensor`` when called, so ``verify_sar`` loads no dense module.
+``programs`` and ``retrievals``; they import ``tensor`` when called, so
+``verify_sar`` loads no dense module, nor does ``random_channel``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     DEFAULT_ATOL,
     CapacityError,
     batch_slices,
+    check_seed,
     gaussian_vectors,
     ginibres,
     haar_unitaries,
@@ -124,15 +125,15 @@ def _stinespring_kraus(isometries: np.ndarray, d_out: int, kraus_rank: int) -> n
     return isometries.reshape(-1, kraus_rank, d_out, isometries.shape[-1])
 
 
-def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: int | np.random.Generator) -> Channel:
+def random_channel(d_in: int, d_out: int, kraus_rank: int, seed: int) -> Channel:
     """Haar-random channel via a Stinespring isometry of the given rank: ``haar_unitaries`` (Gram–Schmidt,
-    twice per column) of a (d_out rank) x d_in ``ginibre`` draw, the 2 d_out rank d_in normals one
-    sample of ``verify_sar`` takes."""
-    from .tensor import ginibre
-
+    twice per column) of the (d_out rank) x d_in ``ginibres`` of the first 2 d_out rank d_in normals of
+    ``seeded_normals`` on the one key ``seed``, so ``spawn_keys(cell_seed, n)[i]`` gives sample i's
+    channel in ``verify_sar``."""
     _check_dilation(d_in, d_out, kraus_rank)
-    kraus = _stinespring_kraus(haar_unitaries(ginibre(d_out * kraus_rank, d_in, seed)), d_out, kraus_rank)[0]
-    return Channel(tuple(kraus), d_in, d_out)
+    width = d_out * kraus_rank
+    z = ginibres(seeded_normals([check_seed(seed)], 2 * width * d_in), width, d_in)
+    return Channel(tuple(_stinespring_kraus(haar_unitaries(z), d_out, kraus_rank)[0]), d_in, d_out)
 
 
 class ProgramState(NamedTuple):
@@ -296,9 +297,8 @@ def verify_sar(
     The children's keys, the seed's SplitMix64 outputs, come from
     ``spawn_keys`` in one pass, and
     ``seeded_normals`` draws each chunk's rows, one SplitMix64 stream per
-    key, with numpy array arithmetic; ``random_channel`` and then
-    ``haar_state`` form the same channel and input from a generator that
-    yields the same row.  The samples are then stored, retrieved and compared
+    key, with numpy array arithmetic; ``random_channel`` on child i's key
+    forms sample i's channel bit for bit.  The samples are then stored, retrieved and compared
     with the direct Kraus action together, one chunk at a time, so that every
     array a chunk holds (``_sar_sample_entries``) stays within FACTOR_CAP.
     """

@@ -398,7 +398,7 @@ def verify_theorem(
     key of the seed: the children's keys, the seed's SplitMix64 outputs, come
     from ``spawn_keys`` in one pass, and ``seeded_normals`` draws each chunk's rows, one
     SplitMix64 stream per key, with numpy array arithmetic.  ``haar_state``
-    forms the same input from a generator that yields the same row.  The
+    on child i's key forms sample i's input bit for bit.  The
     inputs are then formed and simulated together, one chunk at a time,
     so that every array a chunk holds (``_sample_entries``) stays within
     FACTOR_CAP.  Passes iff every sampled probability matches k/(d(k-1+d))

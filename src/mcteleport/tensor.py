@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import CapacityError, gaussian_vectors, ginibres, haar_unitaries, unit_rows
+from .core import CapacityError, check_seed, gaussian_vectors, ginibres, haar_unitaries, unit_rows
 
 #: Largest ambient dimension constructed without raising CapacityError.
 DIM_CAP = 65536
@@ -42,13 +42,6 @@ def check_group_budget(n: int) -> None:
             f"symmetric group on {n} letters ({math.factorial(n)} elements) "
             f"exceeds budget {GROUP_BUDGET}"
         )
-
-
-def as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """Return a Generator; integers seed a fresh PCG64 stream."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _validate_dims(dims: tuple[int, ...]) -> None:
@@ -286,24 +279,20 @@ def max_entangled_state(d: int) -> StateVector:
     return StateVector(np.eye(d).reshape(-1) / math.sqrt(d), (d, d))
 
 
-def ginibre(rows: int, cols: int, rng: int | np.random.Generator) -> np.ndarray:
-    """The rows x cols complex Ginibre draw behind ``haar_unitary`` (square) and ``random_channel``
-    (tall): ``ginibres`` of 2 rows cols normals."""
-    return ginibres(as_rng(rng).standard_normal(2 * rows * cols), rows, cols)
+def haar_unitary(d: int, seed: int) -> Operator:
+    """Haar-distributed unitary: ``haar_unitaries`` of the d x d ``ginibres`` of the first 2 d^2 normals
+    of ``seeded_normals`` on the one key ``seed``, that 64-bit integer's own SplitMix64 row."""
+    from .streams import seeded_normals  # only a draw needs it
 
-
-def haar_unitary(d: int, rng: int | np.random.Generator) -> Operator:
-    """Haar-distributed unitary: ``haar_unitaries`` of one ``ginibre`` draw."""
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    return Operator(haar_unitaries(ginibre(d, d, rng)), (d,))
+    return Operator(haar_unitaries(ginibres(seeded_normals([check_seed(seed)], 2 * d * d), d, d))[0], (d,))
 
 
-def gaussian_vector(d: int, rng: int | np.random.Generator) -> np.ndarray:
-    """The complex Gaussian draw behind ``haar_state``: ``gaussian_vectors`` of 2 d normals."""
-    return gaussian_vectors(as_rng(rng).standard_normal(2 * d), d)
+def haar_state(d: int, seed: int) -> StateVector:
+    """Haar-uniform pure state: ``unit_rows`` of the ``gaussian_vectors`` of the first 2 d normals of
+    ``seeded_normals`` on the one key ``seed``, so ``spawn_keys(cell_seed, n)[i]`` gives sample i's
+    input in ``verify_theorem``."""
+    from .streams import seeded_normals
 
-
-def haar_state(d: int, rng: int | np.random.Generator) -> StateVector:
-    """Haar-uniform pure state: a normalised complex Gaussian vector."""
-    return StateVector(unit_rows(gaussian_vector(d, rng)), (d,))
+    return StateVector(unit_rows(gaussian_vectors(seeded_normals([check_seed(seed)], 2 * d), d))[0], (d,))

@@ -5,9 +5,9 @@ data representations, no shared code with the package under test.  There are
 three exceptions.  The per-sample loops of ``verify_theorem`` and
 ``verify_sar`` call the package's one-sample ``simulate``, ``store`` and
 ``retrieve`` once per child seed, as the suites did before they stacked their
-samples, each on the row of normals ``seeded_normals`` draws from that child's
-key alone (``child_streams``); the row itself is checked against the scalar
-SplitMix64 and Box–Muller reference ``box_muller_normals``.  The dense
+samples, each on the one-sample draws of that child's key, a scalar
+``splitmix64`` output; the row of normals itself is checked against the
+scalar SplitMix64 and Box–Muller reference ``box_muller_normals``.  The dense
 helpers no suite runs (``identity_operator``, ``permutation_operator``,
 ``hermitian_eig``, ``irrep_data``, ``measurement_op``) are built on the
 package's value types.  The dense optimality path at the end of the file,
@@ -33,6 +33,7 @@ from mcteleport import (
     Measurement,
     Operator,
     Permutation,
+    StateVector,
     VerificationError,
     build_measurement,
     dim_standard,
@@ -54,9 +55,9 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport.core import DEFAULT_ATOL, Partition, occupation_rank, occupations
+from mcteleport.core import DEFAULT_ATOL, Partition, gaussian_vectors, occupation_rank, occupations
 from mcteleport.streams import seeded_normals
-from mcteleport.tensor import as_rng, check_capacity, permutation_index_map
+from mcteleport.tensor import check_capacity, permutation_index_map
 
 
 def partitions_by_sieve(k: int) -> set[tuple[int, ...]]:
@@ -387,39 +388,13 @@ def box_muller_normals(seed: int, width: int) -> list[float]:
     return out[:width]
 
 
-class RowStream(np.random.Generator):
-    """A Generator whose ``standard_normal(size)`` returns the next ``size`` entries of one row.
-
-    ``as_rng`` passes a Generator on as it is, so the one-sample kernels
-    (``haar_state``, ``ginibre``, ``random_channel``) take the row in order,
-    as the suites lay a sample's row out.
-    """
-
-    def __init__(self, row: np.ndarray):
-        super().__init__(np.random.PCG64(0))
-        self.row, self.used = row, 0
-
-    def standard_normal(self, size: int) -> np.ndarray:
-        start, self.used = self.used, self.used + size
-        if self.used > len(self.row):
-            raise IndexError(f"drew {self.used} normals from a row of {len(self.row)}")
-        return self.row[start : self.used]
-
-
-def child_streams(seed: int, samples: int, width: int) -> list[RowStream]:
-    """One ``RowStream`` per child key of ``seed``, output i of ``splitmix64`` for child i: the row
-    of ``width`` normals that ``seeded_normals`` draws from that key alone."""
-    keys = splitmix64(seed, samples)
-    return [RowStream(seeded_normals(np.array([key], dtype=np.uint64), width)[0]) for key in keys]
-
-
 def verify_theorem_by_loop(d: int, k: int, samples: int, tol: float, seed: int) -> dict:
     """``verify_theorem`` as a loop over samples: one ``haar_state`` and one ``simulate`` per child seed."""
     meas = build_measurement(d, k)
     p_formula = success_probability_formula(d, k)
     probs, fids = [], []
-    for rng in child_streams(seed, samples, 2 * d):
-        psi = haar_state(d, rng)
+    for key in splitmix64(seed, samples):
+        psi = haar_state(d, key)
         p_est, bob = simulate(psi, meas)
         probs.append(p_est)
         fids.append(float(np.real(psi.vec.conj() @ bob.mat @ psi.vec)))
@@ -434,13 +409,18 @@ def verify_theorem_by_loop(d: int, k: int, samples: int, tol: float, seed: int) 
 
 
 def verify_sar_by_loop(d: int, d_out: int, k: int, kraus_rank: int, samples: int, tol: float, seed: int) -> dict:
-    """``verify_sar`` as a loop over samples: one channel, input, ``store`` and ``retrieve`` per child seed."""
+    """``verify_sar`` as a loop over samples: one channel, input, ``store`` and ``retrieve`` per child seed.
+
+    The channel is ``random_channel`` of the child's key, and the input the
+    unit vector of the Gaussian vector at the tail of that key's row."""
     meas = build_measurement(d, k)
     p_formula = success_probability_formula(d, k)
     probs, state_devs = [], []
-    for rng in child_streams(seed, samples, 2 * d_out * kraus_rank * d + 2 * d):
-        channel = random_channel(d, d_out, kraus_rank, rng)
-        psi = haar_state(d, rng)
+    head = 2 * d_out * kraus_rank * d
+    for key in splitmix64(seed, samples):
+        channel = random_channel(d, d_out, kraus_rank, key)
+        v = gaussian_vectors(seeded_normals([key], head + 2 * d)[0, head:], d)
+        psi = StateVector(v / np.linalg.norm(v), (d,))
         p_est, out = retrieve(store(channel), psi, k, meas)
         probs.append(p_est)
         state_devs.append(float(np.linalg.norm(out.mat - channel.apply(np.outer(psi.vec, psi.vec.conj())))))
@@ -740,13 +720,12 @@ def haar_moment_check(k: int, d: int, samples: int, seed: int = 0) -> MomentRepo
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = as_rng(seed)
     m_sym = mult_semistandard(sym_partition(k), d)
     target = sym_projector(k, d).mat / m_sym
     total = d**k
     acc = np.zeros((total, total), dtype=complex)
-    for _ in range(samples):
-        psi = haar_state(d, rng).vec
+    for key in splitmix64(seed, samples):
+        psi = haar_state(d, key).vec
         copies = functools.reduce(np.kron, [psi] * k)
         acc += np.outer(copies, copies.conj())
     acc /= samples

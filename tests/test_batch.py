@@ -2,9 +2,9 @@
 
 Both suites fill one row of standard normals per sample from its own child
 seed, then form and compute a chunk of samples as stacked arrays.  The
-stacked draws must equal, bit for bit, what ``haar_state`` and ``ginibre``
-form from that child's row drawn alone; a channel's thin isometry must be
-the first columns of the unitary the square draw gives, and match
+stacked draws must equal, bit for bit, what ``haar_state`` and
+``random_channel`` form from that child's key alone; a channel's thin
+isometry must be the first columns of the unitary the square draw gives, and match
 LAPACK's QR while staying orthonormal on ill-conditioned draws; a ``sar``
 run calls no LAPACK routine; the oracles in
 ``oracles.py`` run the same cells one ``simulate``, or one ``store`` and
@@ -22,11 +22,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, tensor, verify_sar, verify_theorem
+from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, verify_sar, verify_theorem
 from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
 from mcteleport.streams import seeded_normals
 
-from oracles import child_streams, haar_isometries_by_qr, verify_sar_by_loop, verify_theorem_by_loop
+from oracles import haar_isometries_by_qr, verify_sar_by_loop, verify_theorem_by_loop
 
 CELLS = [(d, k) for d in range(1, 5) for k in range(1, 6)] + [(2, 10), (2, 200)]
 
@@ -83,9 +83,7 @@ def test_verify_draws_each_input_as_haar_state_does(d, k, cap, monkeypatch):
     monkeypatch.setattr(core, "FACTOR_CAP", cap)
     monkeypatch.setattr(teleport, "unit_rows", capture)
     verify_theorem(d, k, samples=6, seed=100 * d + k)
-    streams = child_streams(100 * d + k, 6, 2 * d)
-    want = [haar_state(d, rng).vec for rng in streams]
-    assert all(rng.used == len(rng.row) for rng in streams)
+    want = [haar_state(d, key).vec for key in spawn_keys(100 * d + k, 6)]
     assert np.array_equal(np.concatenate(inputs), np.stack(want))
 
 
@@ -112,24 +110,26 @@ def test_verify_inputs_meet_the_first_haar_moment(d, monkeypatch):
 @pytest.mark.parametrize("d,d_out,k,rank", [(d, d, k, 2) for d, k in CELLS] + SAR_SHAPES)
 def test_sar_draws_each_channel_and_input_as_the_one_sample_draws_do(d, d_out, k, rank, cap, monkeypatch):
     inputs, stacks = [], []
+    stinespring = sar._stinespring_kraus
 
     def capture_inputs(v):
         inputs.append(core.unit_rows(v))
         return inputs[-1].copy()
 
-    def capture_ginibres(z):
-        stacks.append(z.copy())
-        return core.haar_unitaries(z)
+    def capture_kraus(isometries, d_out, rank):
+        stacks.append(stinespring(isometries, d_out, rank).copy())
+        return stacks[-1]
 
     monkeypatch.setattr(core, "FACTOR_CAP", cap)
     monkeypatch.setattr(sar, "unit_rows", capture_inputs)
-    monkeypatch.setattr(sar, "haar_unitaries", capture_ginibres)
+    monkeypatch.setattr(sar, "_stinespring_kraus", capture_kraus)
     verify_sar(d, d_out, k, rank, samples=6, seed=100 * d + k)
+    monkeypatch.undo()
+    head = 2 * d_out * rank * d
     want_stacks, want_inputs = [], []
-    for rng in child_streams(100 * d + k, 6, 2 * d_out * rank * d + 2 * d):
-        want_stacks.append(tensor.ginibre(d_out * rank, d, rng))
-        want_inputs.append(haar_state(d, rng).vec)
-        assert rng.used == len(rng.row)
+    for key in spawn_keys(100 * d + k, 6):
+        want_stacks.append(np.stack(sar.random_channel(d, d_out, rank, key).kraus))
+        want_inputs.append(core.unit_rows(core.gaussian_vectors(seeded_normals([key], head + 2 * d)[0, head:], d)))
     assert np.array_equal(np.concatenate(stacks), np.stack(want_stacks))
     assert np.array_equal(np.concatenate(inputs), np.stack(want_inputs))
 

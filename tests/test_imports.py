@@ -112,6 +112,25 @@ def test_a_one_thread_run_imports_only_its_suite(argv, absent):
     assert mcteleport.Operator.__module__ not in loaded
 
 
+def test_the_one_sample_draws_load_no_numpy_random():
+    loaded = _modules_after(
+        "import mcteleport as mt\nmt.haar_state(2, 0), mt.haar_unitary(2, 0), mt.random_channel(2, 3, 2, 0)"
+    )
+    assert "mcteleport.streams" in loaded and not RANDOM & loaded, RANDOM & loaded
+
+
+def test_random_channel_loads_no_dense_module():
+    loaded = _modules_after("from mcteleport import random_channel\nrandom_channel(2, 3, 2, 0)")
+    assert "mcteleport.sar" in loaded and not DENSE & loaded, DENSE & loaded
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in Path(mcteleport.__file__).parent.glob("*.py")))
+def test_every_module_parses_as_python_3_10(name):
+    """pyproject.toml declares requires-python >= 3.10, so no module may use a later grammar."""
+    source = (Path(mcteleport.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    ast.parse(source, filename=f"{name}.py", feature_version=(3, 10))
+
+
 @pytest.mark.parametrize("name", ["cli", "core", "optimality", "sar", "streams", "teleport"])
 def test_the_suite_modules_define_no_dataclass(name):
     """Their records are NamedTuples and their validated types plain classes: ``dataclasses`` is neither

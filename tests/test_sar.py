@@ -149,11 +149,10 @@ class TestRetrieve:
         assert np.linalg.norm(out.mat - expected) < 1e-10
 
     def test_probability_is_channel_and_input_independent(self):
-        rng = np.random.default_rng(21)
         probs = []
         for seed in range(10):
             ch = random_channel(2, 2, kraus_rank=3, seed=seed)
-            psi = haar_state(2, rng)
+            psi = haar_state(2, 21 + seed)
             p, _ = retrieve(store(ch), psi, k=2)
             probs.append(p)
         assert np.std(probs) <= 1e-10

@@ -25,7 +25,7 @@ from mcteleport import (
     verify_theorem,
 )
 from mcteleport import cli, sar, symgroup, teleport
-from mcteleport.core import occupation_rank
+from mcteleport.core import occupation_rank, spawn_keys
 
 from oracles import (
     dense_conditional_output,
@@ -179,9 +179,8 @@ class TestSimulate:
 
     def test_haar_samples_d3_k2(self):
         meas = build_measurement(3, 2)
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            psi = haar_state(3, rng)
+        for seed in spawn_keys(77, 100):
+            psi = haar_state(3, seed)
             p, bob = simulate(psi, meas)
             assert abs(p - 1 / 6) < 1e-10
             fidelity = float(np.real(psi.vec.conj() @ bob.mat @ psi.vec))
@@ -226,13 +225,13 @@ class TestConditionedOutput:
         b = sym_basis_by_loop(k, d)
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)  # F = (B (x) 1) G
         m = f @ f.conj().T
-        psi = haar_state(d, rng)
+        psi = haar_state(d, 10 * d + k)
         phi = max_entangled_state(d).vec
         want = dense_conditional_output(m, psi.vec, k, np.outer(phi, phi.conj()))
         p, bob = simulate(psi, meas)
         assert abs(p - want.trace().real) < 1e-12
         assert np.linalg.norm(p * bob.mat - want) < 1e-12
-        prog = sar.store(sar.random_channel(d, d + 1, kraus_rank=2, seed=rng))
+        prog = sar.store(sar.random_channel(d, d + 1, kraus_rank=2, seed=10 * d + k + 1))
         want = dense_conditional_output(m, psi.vec, k, prog.rho.mat)
         p, out = sar.retrieve(prog, psi, k, meas)
         assert abs(p - want.trace().real) < 1e-12
@@ -283,9 +282,8 @@ class TestCovariance:
     def test_unitary_covariance(self):
         d, k = 2, 3
         op = measurement_op(build_measurement(d, k)).mat
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            u = haar_unitary(d, rng).mat
+        for seed in spawn_keys(13, 20):
+            u = haar_unitary(d, seed).mat
             w = reduce(np.kron, [u] * k + [u.conj()])
             assert np.linalg.norm(w @ op @ w.conj().T - op) < 1e-9
 

@@ -17,6 +17,7 @@ from mcteleport import (
     partial_trace,
     partial_transpose,
     permute_state,
+    random_channel,
     verify_theorem,
 )
 
@@ -179,8 +180,7 @@ class TestPermutations:
                 assert np.array_equal(ops[a] @ ops[b], ops[composed])
 
     def test_permute_state_matches_matrix(self):
-        rng = np.random.default_rng(8)
-        x = StateVector(haar_state(8, rng).vec, (2, 2, 2))
+        x = StateVector(haar_state(8, 8).vec, (2, 2, 2))
         for images in sn_iter(range(3)):
             sigma = Permutation(images)
             via_matrix = permutation_operator(sigma, 2).mat @ x.vec
@@ -227,10 +227,9 @@ class TestHaar:
         # E|<0|U|0>|^2 = 1/d; |U00|^2 is Beta(1, d-1) so the variance is
         # 2/(d(d+1)) - 1/d^2, giving an exact 3-sigma band for the mean.
         d, samples = 2, 100_000
-        rng = np.random.default_rng(321)
         values = np.empty(samples)
-        for i in range(samples):
-            values[i] = abs(haar_unitary(d, rng).mat[0, 0]) ** 2
+        for i, seed in enumerate(spawn_keys(321, samples)):
+            values[i] = abs(haar_unitary(d, seed).mat[0, 0]) ** 2
         variance = 2 / (d * (d + 1)) - 1 / d**2
         band = 3 * math.sqrt(variance / samples)
         assert abs(values.mean() - 1 / d) < band
@@ -239,7 +238,9 @@ class TestHaar:
 class TestSpawnKeys:
     #: the smallest seeds, the edges of the low 32-bit word and the largest 64-bit seed
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-    OUTSIDE = [-1, 2**64, 2**200 + 12345]
+    #: seeds outside 64 bits, and what is not an integer; unchecked, a uint64 array would raise OverflowError
+    #: on the first two and wrap int64(-1) to 2^64 - 1
+    OUTSIDE = [-1, 2**64, 2**200 + 12345, 1.5, np.int64(-1)]
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n", [1, 2, 1000])
@@ -254,6 +255,16 @@ class TestSpawnKeys:
     def test_a_seed_outside_64_bits_is_refused(self, seed):
         with pytest.raises(ValueError, match="need a 64-bit seed"):
             spawn_keys(seed, 3)
+
+    @pytest.mark.parametrize("seed", OUTSIDE)
+    @pytest.mark.parametrize(
+        "draw",
+        [haar_state, haar_unitary, lambda d, seed: random_channel(d, 3, 2, seed)],
+        ids=["state", "unitary", "channel"],
+    )
+    def test_the_one_sample_draws_refuse_it_too(self, draw, seed):
+        with pytest.raises(ValueError, match="need a 64-bit seed"):
+            draw(2, seed)
 
     @pytest.mark.parametrize("seed", OUTSIDE)
     def test_verify_theorem_refuses_a_seed_outside_64_bits(self, seed):
@@ -354,11 +365,10 @@ class TestHermitianEig:
 
 class TestTeleportationTrick:
     def test_contraction_produces_scaled_input(self):
-        rng = np.random.default_rng(10)
         for d in (2, 3, 4):
             phi = max_entangled_state(d).vec
-            for _ in range(100):
-                psi = haar_state(d, rng).vec
+            for seed in spawn_keys(10 * d, 100):
+                psi = haar_state(d, seed).vec
                 state = np.kron(psi, phi)  # |psi>_1 (x) |phi+>_{AB}
                 projected = np.tensordot(
                     phi.conj().reshape(d, d), state.reshape(d, d, d), axes=([0, 1], [0, 1])
