@@ -141,7 +141,12 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
             sdp = optimality.reduced_optimum(d, k)
             optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed)
             record.update(p_formula=sdp.p_star, p_mean=sdp.objective_value)
-            record["pass"] = "true"
+            deviation, tol = abs(sdp.objective_value - sdp.p_star), config.tol
+            checks = [
+                ("objective_deviation", deviation, deviation <= tol),
+                ("covariance_residual", sdp.covariance_residual, sdp.covariance_residual <= tol),
+            ]
+            _judge(record, all(ok for *_, ok in checks), tol, checks)
         elif config.suite == "sar":
             report = sar.verify_sar(
                 d,

@@ -7,17 +7,19 @@ A, covariance under factor permutations and under U^(x k) (x) conj(U), and
 0 <= M <= 1.  Both traces see only the compression of M to Sym^k (x) C^d,
 where permutation covariance is automatic, so the layers here work in the
 coordinates (n, a) of that space, grouped by the weight n - e_a: F, Q = 1
-and X keep each weight class, of at most d rows.  The simple-root
-generators of U^(x k) (x) conj(U) certify that F is covariant, and the
-kernel of K = sum_(p<q) L_pq^dagger L_pq that the covariant operators are
-span{F, 1 - F} (two irreducible components, Pieri rule).  The quadratic
-Casimir gives K = (alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads
-X, only covariance rests on the generators, and the tests compare K with
-their dense sum.  ``reduced_optimum`` finds F optimal in that family; the
-perturbation search draws on its two coefficients.  Nothing here builds a
-d^(k+1)-square operator, so this module loads neither ``tensor`` nor
-``symgroup``, and nothing here draws random numbers, so it loads neither
-``streams`` nor ``numpy.random``.
+and X keep each weight class, and each is held as one d x d block per class
+of d rows and one value for every class of one row.  The simple-root
+generators of U^(x k) (x) conj(U), which move each class to one other,
+certify block by block that F is covariant, and the kernel of K = sum_(p<q)
+L_pq^dagger L_pq that the covariant operators are span{F, 1 - F} (two
+irreducible components, Pieri rule).  The quadratic Casimir gives K = (alpha
+- 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads X, only covariance rests
+on the generators, and the tests compare both with the dense generators.
+``reduced_optimum`` finds F optimal in that family; the perturbation search
+draws on its two coefficients.  Nothing here builds a d^(k+1)-square
+operator, so this module loads neither ``tensor`` nor ``symgroup``, and
+nothing here draws random numbers, so it loads neither ``streams`` nor
+``numpy.random``.
 """
 
 from __future__ import annotations
@@ -52,119 +54,88 @@ MARGIN = 1e-7
 EIG_SLACK = 1e-10
 #: The raising operators' sum K has integer eigenvalues, so one within this of 0 is zero.
 KERNEL_CUT = 0.5
-#: Largest weight-class table, in entries (m d x d); every cell with k >= 2 and m d <= DIM_CAP (so d <= 50) is under it.
+#: Bound on m d x d, which bounds every array of the weight classes (width d x d and m d entries); every cell
+#: with k >= 2 and m d <= DIM_CAP (so d <= 50) is under it.
 CLASS_CAP = 2**22
 
 
-#: Operators on Sym^k (x) C^d that keep each weight class, as (m d) x d arrays; see ``_weight_classes``.
-_Classes = namedtuple("_Classes", "rows singles slots q f x")
+#: An operator that keeps each weight class: a (width, d, d) stack of blocks, one per class of d rows, and
+#: its one value on every class of one row.
+_Held = namedtuple("_Held", "blocks single")
+#: The number of classes of one row, and Q = 1, F and X as ``_Held``; see ``_weight_classes``.
+_Classes = namedtuple("_Classes", "singles q f x")
 
 
-def _class_trace(a: np.ndarray, b: np.ndarray) -> float:
-    """tr(A B) for symmetric A and B held as in ``_Classes``: sum_r sum_b A[r, s_b] B[s_b, r]."""
-    return float(np.sum(a * b))
-
-
-def _class_blocks(classes: _Classes, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal blocks of A: a (width, d, d) stack for the classes of d rows, the values of the rest."""
-    return a[classes.rows], a[classes.singles, classes.singles % a.shape[1]]
+def _class_trace(classes: _Classes, a: _Held, b: _Held) -> float:
+    """tr(A B) for symmetric A and B held as in ``_Classes``: over the blocks, and over the classes of one row."""
+    return float(np.sum(a.blocks * b.blocks) + classes.singles * a.single * b.single)
 
 
 @lru_cache(maxsize=None)
 def _weight_classes(d: int, k: int) -> _Classes:
-    """Q = 1, F and X on Sym^k (x) C^d, each held as A[r, b] = A[r, slots[r, b]].
+    """Q = 1, F and X on Sym^k (x) C^d, on the weight classes of the rows.
 
-    Row r = (n, a) has the weight n - e_a.  The classes of d rows are the
-    measurement's columns: column j holds the rows ``rows[j, b]`` = (w + e_b,
-    b) of one weight w >= 0, or it raises, and slots[r, b] is row b of r's
-    class.  Every other row, n_a = 0, is a class of one (``singles``) whose
-    slots hold only the row itself, and -1 elsewhere.  Within a class X is
-    sqrt((n_b + 1)(n'_a + 1)) / (k + 1) between rows (n, a) and (n', b),
-    and on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1); F is
-    g g^T on class j, g the values of column j of the measurement.  Over
-    CLASS_CAP entries it refuses first.
+    Row (n, a) has the weight n - e_a.  The classes of d rows are the
+    measurement's columns: each column holds the rows (w + e_b, b) of one
+    weight w >= 0, or it raises.  Block j is the class whose weight w is row
+    j of occupations(k - 1, d), its rows in the order of b.  Every other row,
+    n_a = 0, is a class of one.  Within a class X is sqrt((n_b + 1)(n'_a +
+    1)) / (k + 1) between rows (n, a) and (n', b), and on a class of one it
+    is (n_a + 1) / (k + 1) = 1 / (k + 1); F is g g^T on the class of a
+    column, g the measurement's values there, and 0 on a class of one.  A
+    cell whose m d x d would pass CLASS_CAP is refused first.
     """
     if (size := math.comb(k + d - 1, k) * d) * d > CLASS_CAP:
         raise CapacityError(f"weight-class tables of {size} x {d} entries exceed cap {CLASS_CAP}")
     meas = build_measurement(d, k)
-    rows = meas.rows
-    n = occupations(k, d)[rows // d]  # n[j, a] is the occupation of row rows[j, a]
+    n = occupations(k, d)[meas.rows // d]  # n[j, b] is the occupation of row rows[j, b]
     weights = n - np.eye(d, dtype=n.dtype)
     if weights.min() < 0 or np.any(weights != weights[:, :1]):
         raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
-    slots = np.full((size, d), -1, dtype=np.intp)
-    slots[rows] = rows[:, None, :]
-    singles = np.flatnonzero(slots[:, 0] < 0)
-    slots[singles, singles % d] = singles
-    x = np.zeros((size, d))
-    x[rows] = np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1)
-    x[singles, singles % d] = 1 / (k + 1)
-    f = np.zeros((size, d))
-    f[rows] = meas.values[:, :, None] * meas.values[:, None, :]
-    classes = _Classes(rows, singles, slots, (slots == np.arange(size)[:, None]) * 1.0, f, x)
-    for array in classes:
-        array.setflags(write=False)
-    return classes
-
-
-def _generator(d: int, k: int, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """L_pq = J_pq (x) 1 - 1 (x) E_qp on Sym^k (x) C^d, two terms per row: L e_r = sum_t coef[r, t] e_tgt[r, t].
-
-    The d^2 generators of U^(x k) (x) conj(U), conj(U) acting as the dual
-    representation: J_pq |n> = sqrt(n_q (n_p + 1)) |n + e_p - e_q>, J_pp |n>
-    = n_p |n>, and E_qp moves A from level p to q.  A missing term has coefficient 0.
-    """
-    occ = occupations(k, d)
-    moved = occ + (np.arange(d) == p) - (np.arange(d) == q)
-    copies = occ[:, p].astype(float) if p == q else np.sqrt(occ[:, q] * (occ[:, p] + 1.0))
-    image = occupation_rank(np.where(moved.min(axis=1, keepdims=True) >= 0, moved, occ))
-    level = np.tile(np.arange(d), len(occ))
-    tgt = np.column_stack([np.repeat(image, d) * d + level, np.repeat(np.arange(len(occ)), d) * d + q])
-    coef = np.column_stack([np.repeat(copies, d), np.where(level == p, -1.0, 0.0)])
-    return tgt, coef
-
-
-def _commutator_norm(classes: _Classes, tgt: np.ndarray, coef: np.ndarray) -> float:
-    """||[L, F]||_F for F symmetric and held as in ``_Classes``, L given as by ``_generator``.
-
-    L F moves row r of F to row tgt[r, t]; column r of F L gains coef[r, t]
-    times column tgt[r, t] of F, which by symmetry is that row of F at the
-    rows of its class.  [L, F] takes each class into one class, so an entry
-    is keyed by its row r and the level b of its column, as r d + b < f.size.
-    """
-    f, slots = classes.f, np.maximum(classes.slots, 0)
-    d = f.shape[1]
-    keys, values = [], []
-    for t in range(tgt.shape[1]):
-        src = np.flatnonzero(coef[:, t])
-        dst, c = tgt[src, t], coef[src, t, None]
-        keys += [(dst[:, None] * d + np.arange(d)).ravel(), (slots[dst] * d + (src % d)[:, None]).ravel()]
-        values += [(c * f[src]).ravel(), -(c * f[dst]).ravel()]
-    return float(np.linalg.norm(np.bincount(np.concatenate(keys), np.concatenate(values), f.size)))
+    order = np.argsort(occupation_rank(weights[:, 0]))
+    n, values = n[order], meas.values[order]
+    width = len(n)
+    q = _Held(np.broadcast_to(np.eye(d), (width, d, d)), 1.0)
+    f = _Held(values[:, :, None] * values[:, None, :], 0.0)
+    x = _Held(np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1), 1 / (k + 1))
+    for held in (f, x):
+        held.blocks.setflags(write=False)
+    return _Classes(size - width * d, q, f, x)
 
 
 def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """K = (alpha - 2 (k+1) X - s_r) / 2 on each class (see ``_certify``), split as by ``_class_blocks``."""
-    occ, tilt = occupations(k, d), d - 1 - 2 * np.arange(d)
-    # s_r of the row (n, a) is A(n) - 2 n_a + 1 - tilt_a, A(n) = sum_p n_p^2 + sum_p tilt_p n_p
-    s = np.repeat((occ**2).sum(axis=1) + occ @ tilt, d) - 2 * occ.ravel() + 1 - np.tile(tilt, len(occ))
-    diagonal = (k * (k + d - 1) + d + 2 - s) / 2
-    x_blocks, x_single = _class_blocks(classes, classes.x)
-    blocks = -(k + 1) * x_blocks
-    blocks[:, np.arange(d), np.arange(d)] += diagonal[classes.rows]
-    return blocks, diagonal[classes.singles] - (k + 1) * x_single
+    """K = (alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): its blocks, and its value on each class of one row."""
+    alpha, tilt = k * (k + d - 1) + d + 2, d - 1 - 2 * np.arange(d)
+    weights, occ = occupations(k - 1, d), occupations(k, d)
+    blocks = -(k + 1) * classes.x.blocks
+    blocks[:, np.arange(d), np.arange(d)] += ((alpha - (weights**2).sum(axis=1) - weights @ tilt) / 2)[:, None]
+    # the class of one row (n, a), n_a = 0, has the weight n - e_a, so s_r = A(n) + 1 - tilt_a with
+    # A(n) = sum_p n_p^2 + sum_p tilt_p n_p
+    n, a = np.nonzero(occ == 0)
+    s = ((occ**2).sum(axis=1) + occ @ tilt)[n] + 1 - tilt[a]
+    return blocks, (alpha - s) / 2 - (k + 1) * classes.x.single
 
 
 def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     """Certify that F is covariant and that span{F, 1 - F} holds every covariant operator, or raise.
 
-    Covariance: the d^2 generators L_pq span the Lie algebra of U^(x k) (x)
-    conj(U), U(d) is connected, and brackets of the 2(d-1) simple roots
-    L_(p,p+1), L_(p+1,p) give every other L_pq with p != q and each
-    L_pp - L_(p+1,p+1), while sum_p L_pp = k - 1 is a scalar; so each
-    ||[L, F]||_F / ||L||_F of a simple root must be within DEFAULT_ATOL.
-    Only a zero ratio implies covariance exactly: a ratio eps bounds the
-    commutator with a root of height h only through h - 1 nested brackets.
+    Covariance: the d^2 generators L_pq = J_pq (x) 1 - 1 (x) E_qp span the
+    Lie algebra of U^(x k) (x) conj(U), with J_pq |n> = sqrt(n_q (n_p + 1))
+    |n + e_p - e_q> and E_qp moving A from level p to q.  U(d) is connected,
+    and brackets of the 2(d-1) simple roots L_(p,p+1), L_(p+1,p) give every
+    other L_pq with p != q and each L_pp - L_(p+1,p+1), while sum_p L_pp = k
+    - 1 is a scalar; so each ||[L, F]||_F / ||L||_F of a simple root must be
+    within DEFAULT_ATOL.  L_pq moves every weight by e_p - e_q.  On the class
+    of weight w it is L_w = diag(c) - E_qp, c_b = sqrt((w + e_b)_q ((w +
+    e_b)_p + 1)), into the class of w + e_p - e_q, which has one row, where
+    F is constant, when w_q = 0; and it takes the class of one row (w + e_q,
+    p), w_p = 0, to sqrt(w_q + 1) e_p - e_q in the class of w.  [L, 1] = 0,
+    so with F's value on the classes of one row taken off, ||[L, F]||^2 =
+    sum_w ||L_w F_w - F_(w+e_p-e_q) L_w||^2 + sum_(w: w_p = 0) ||F_w
+    (sqrt(w_q + 1) e_p - e_q)||^2, and ||L||^2 = d sum_n n_q (n_p + 1) + m
+    over the occupations n of k.  Only a zero ratio implies covariance
+    exactly: a ratio eps bounds the commutator with a root of height h only
+    through h - 1 nested brackets.
     Reduction: the kernel of K = sum_(p<q) L_pq^dagger L_pq, which keeps each
     class, holds one highest-weight vector per irreducible component; it must
     meet two classes, one vector each, so the commutant is spanned by two
@@ -180,21 +151,31 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     a negative one outside it raises.  Returns the largest ratio and K's
     smallest nonzero eigenvalue, None at d = 1 (K = 0).
     """
+    weights, occ, level = occupations(k - 1, d), occupations(k, d), np.arange(d)
+    padded = np.zeros((len(classes.f.blocks) + 1, d, d))  # the last block: the classes of one row, where f is 0
+    f = np.subtract(classes.f.blocks, classes.f.single * np.eye(d), out=padded[:-1])
     covariance = 0.0
     for p, q in [(p, p + 1) for p in range(d - 1)] + [(p + 1, p) for p in range(d - 1)]:
-        tgt, coef = _generator(d, k, p, q)
-        # the two terms of a simple root land on different rows, so ||L||_F = ||coef||
-        covariance = max(covariance, _commutator_norm(classes, tgt, coef) / np.linalg.norm(coef))
+        c = np.sqrt((weights[:, q, None] + (level == q)) * (weights[:, p, None] + (level == p) + 1.0))
+        moved = np.maximum(weights + (level == p) - (level == q), 0)  # taken only where w_q > 0
+        image = padded[np.where(weights[:, q] > 0, occupation_rank(moved), len(f))]
+        commutator = c[:, :, None] * f
+        commutator -= image * c[:, None, :]
+        commutator[:, q] -= f[:, p]
+        commutator[:, :, p] += image[:, :, q]
+        onto = weights[:, p] == 0  # the classes that the class of one row (w + e_q, p) goes to
+        lifted = np.sqrt(weights[onto, q, None] + 1.0) * f[onto, :, p] - f[onto, :, q]
+        squares = np.vdot(commutator, commutator) + np.vdot(lifted, lifted)
+        covariance = max(covariance, math.sqrt(squares / (d * (occ[:, q] * (occ[:, p] + 1.0)).sum() + len(occ))))
     if covariance > DEFAULT_ATOL:
         raise VerificationError(
             f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
         )
     blocks, single = _casimir_blocks(classes, d, k)
     values, vectors = np.linalg.eigh(blocks)
-    f_blocks, f_single = _class_blocks(classes, classes.f)
     kernel, alone = np.abs(values) < KERNEL_CUT, np.abs(single) < KERNEL_CUT
-    on_kernel = np.einsum("jai,jab,jbi->ji", vectors, f_blocks, vectors)[kernel]
-    on_kernel = np.sort(np.concatenate([on_kernel, f_single[alone]]))
+    on_kernel = np.einsum("jai,jab,jbi->ji", vectors, classes.f.blocks, vectors)[kernel]
+    on_kernel = np.sort(np.append(on_kernel, np.full(alone.sum(), classes.f.single)))
     met, expected = int(kernel.any(axis=1).sum() + alone.sum()), np.arange(2 - min(d, 2), 2.0)
     rest = np.concatenate([values[~kernel], single[~alone]])
     margin = float(rest.min()) if rest.size else None
@@ -235,14 +216,16 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     combined support Q = 1 on Sym^k (x) C^d.  At d = 1, Q - F is empty: c2
     is then None and left unchecked.
     """
-    *_, q, f, x = _weight_classes(d, k)
-    c1 = _class_trace(x, f) / _class_trace(q, f)
-    delta = x - c1 * f
+    classes = _weight_classes(d, k)
+    _, q, f, x = classes
+    c1 = _class_trace(classes, x, f) / _class_trace(classes, q, f)
+    blocks, single = x.blocks - c1 * f.blocks, x.single - c1 * f.single
     c2 = None
     if d > 1:  # at d = 1, Q - F is empty
-        c2 = _class_trace(x, q - f) / _class_trace(q, q - f)
-        delta -= c2 * (q - f)
-    residual = float(np.linalg.norm(delta))
+        rest = _Held(q.blocks - f.blocks, q.single - f.single)
+        c2 = _class_trace(classes, x, rest) / _class_trace(classes, q, rest)
+        blocks, single = blocks - c2 * rest.blocks, single - c2 * rest.single
+    residual = math.sqrt(np.sum(blocks**2) + classes.singles * single**2)
     c1_closed = (d + k) / (k + 1)
     c2_closed = 1.0 / (k + 1)
     c1_row_form = (d + k) / k
@@ -276,8 +259,9 @@ def _family(d: int, k: int) -> _Family:
     """
     classes = _weight_classes(d, k)
     m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
-    parts = (classes.f, classes.q - classes.f)
-    traces, overlaps = (np.array([_class_trace(a, part) for part in parts]) for a in (classes.q, classes.x))
+    _, q, f, x = classes
+    parts = (f, _Held(q.blocks - f.blocks, q.single - f.single))
+    traces, overlaps = (np.array([_class_trace(classes, a, part) for part in parts]) for a in (q, x))
     width = math.comb(k + d - 2, k - 1)
     ranks = np.array([width, d * m_k - width])
     return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)
@@ -394,8 +378,7 @@ def perturbation_falsifier(
         raise ValueError("need at least one trial")
     p_star = success_probability_formula(d, k)
     classes = _weight_classes(d, k)
-    blocks, single = _class_blocks(classes, classes.f)
-    spectrum = np.concatenate([np.linalg.eigvalsh(blocks).ravel(), single])
+    spectrum = np.append(np.linalg.eigvalsh(classes.f.blocks), [classes.f.single] if classes.singles else [])
     _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
     family = _family(d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))

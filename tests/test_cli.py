@@ -272,6 +272,7 @@ class TestFailureReporting:
     @pytest.mark.parametrize("suite,names", [
         ("verify", ("max_probability_deviation", "min_fidelity")),
         ("sar", ("max_probability_deviation", "max_state_deviation")),
+        ("optimality", ("covariance_residual",)),
     ])
     def test_a_cell_that_ends_false_names_what_failed(self, suite, names, capsys):
         # no exception is raised here: the sampled deviations are rounding, far above 1e-300

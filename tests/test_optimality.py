@@ -185,7 +185,7 @@ class TestReducedOptimum:
     def test_violated_equality_raises(self, monkeypatch):
         # Mixing in some of Q - F puts weight where the equality has a gap.
         classes = optimality._weight_classes(2, 2)
-        mixed = classes._replace(f=classes.f + 0.1 * (classes.q - classes.f))
+        mixed = classes._replace(f=_combined(classes, 1.0, 0.1))
         monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: mixed)
         with pytest.raises(VerificationError, match="violates the equality"):
             reduced_optimum(2, 2)
@@ -212,22 +212,19 @@ class TestReducedOptimum:
             assert report.reduction_margin >= 1.0 - 1e-12
             assert abs(report.reduction_margin - round(report.reduction_margin)) <= 1e-12
 
-    def test_flipped_generator_fails_the_covariance_certificate(self, monkeypatch):
-        # J_01 (x) 1 + 1 (x) E_10 generates no symmetry of F
-        exact = optimality._generator
-
-        def flipped(d, k, p, q):
-            tgt, coef = exact(d, k, p, q)
-            return tgt, coef * [1.0, -1.0] if (p, q) == (0, 1) else coef
-
-        monkeypatch.setattr(optimality, "_generator", flipped)
+    def test_flipped_generator_fails_the_covariance_certificate(self):
+        # J_01 (x) 1 + 1 (x) E_10 generates no symmetry of F: it is L_01 conjugated by 1 (x) Z,
+        # Z = diag(1, -1), so F's commutator with it is that of L_01 with (1 (x) Z) F (1 (x) Z),
+        # which is Z F_w Z on each class, Z acting on the levels b
+        classes = optimality._weight_classes(2, 2)
+        z = np.diag([1.0, -1.0])
         with pytest.raises(VerificationError, match="does not commute"):
-            reduced_optimum(2, 2)
+            optimality._certify(classes._replace(f=classes.f._replace(blocks=z @ classes.f.blocks @ z)), 2, 2)
 
     def test_mixed_f_fails_the_reduction_certificate(self):
         # F + (Q - F)/10 is covariant, but not the projector onto one component
         classes = optimality._weight_classes(2, 2)
-        mixed = classes._replace(f=classes.f + 0.1 * (classes.q - classes.f))
+        mixed = classes._replace(f=_combined(classes, 1.0, 0.1))
         with pytest.raises(VerificationError, match="is not the commutant"):
             optimality._certify(mixed, 2, 2)
 
@@ -238,23 +235,26 @@ class TestReducedOptimum:
         # K's kernel, to a positive eigenvalue at 0.5 and to a negative one at 1.5; scaling the
         # last class's block by 3 leaves the kernel as it is, and gives K a negative eigenvalue
         classes = optimality._weight_classes(d, k)
-        x = classes.x.copy()
-        x[classes.rows[block]] *= scale
+        x = classes.x.blocks.copy()
+        x[block] *= scale
         with pytest.raises(VerificationError, match="is not the commutant"):
-            optimality._certify(classes._replace(x=x), d, k)
+            optimality._certify(classes._replace(x=classes.x._replace(blocks=x)), d, k)
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (3, 2), (5, 1)])
     def test_only_the_simple_roots_are_built(self, d, k, monkeypatch):
-        built = []
-        exact = optimality._generator
+        # each commutator looks up the image classes of its root once: 2(d - 1) lookups, not d^2;
+        # which roots they are is pinned by the residual in test_commutators_match_dense_products
+        classes = optimality._weight_classes(d, k)
+        looked_up = []
+        exact = optimality.occupation_rank
 
-        def counting(d, k, p, q):
-            built.append((p, q))
-            return exact(d, k, p, q)
+        def counting(occ):
+            looked_up.append(occ)
+            return exact(occ)
 
-        monkeypatch.setattr(optimality, "_generator", counting)
-        optimality._certify(optimality._weight_classes(d, k), d, k)
-        assert sorted(built) == sorted([(p, p + 1) for p in range(d - 1)] + [(p + 1, p) for p in range(d - 1)])
+        monkeypatch.setattr(optimality, "occupation_rank", counting)
+        optimality._certify(classes, d, k)
+        assert len(looked_up) == 2 * (d - 1)
 
     def test_leaking_factor_fails_on_entry(self, monkeypatch):
         # an entry of the factor outside its column's weight class is checked, not assumed
@@ -392,7 +392,8 @@ class TestFalsifier:
 
     def test_infeasible_optimum_raises(self, monkeypatch):
         classes = optimality._weight_classes(2, 2)
-        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: classes._replace(f=1.5 * classes.f))
+        scaled = classes._replace(f=classes.f._replace(blocks=1.5 * classes.f.blocks))
+        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: scaled)
         with pytest.raises(VerificationError, match="optimal element"):
             perturbation_falsifier(2, 2, trials=1)
 
@@ -624,8 +625,8 @@ class TestCommutantProjection:
 class TestReducedFamily:
     def test_components_are_orthogonal_projectors(self):
         classes = optimality._weight_classes(2, 2)
-        f = _dense(classes, classes.f)
-        ps = _dense(classes, classes.q - classes.f)
+        f = _dense(classes.f, 2, 2)
+        ps = _dense(_combined(classes, 0.0, 1.0), 2, 2)
         assert np.linalg.norm(f @ f - f) < 1e-12
         assert np.linalg.norm(ps @ ps - ps) < 1e-12
         assert np.linalg.norm(f @ ps) < 1e-12
@@ -634,7 +635,7 @@ class TestReducedFamily:
         classes = optimality._weight_classes(2, 2)
 
         def operator(a1, a2):
-            return _dense(classes, a1 * classes.f + a2 * (classes.q - classes.f))
+            return _dense(_combined(classes, a1, a2), 2, 2)
 
         vals = np.linalg.eigvalsh(operator(0.7, 0.2))
         assert vals[0] > -1e-12 and vals[-1] < 1 + 1e-12
@@ -676,8 +677,8 @@ def test_dense_layers_check_capacity_on_entry():
 
 @pytest.mark.parametrize("d,k", [(300, 1), (162, 1), (128, 2), (56, 2), (16, 7)])
 def test_weight_class_layers_check_capacity_on_entry(d, k, monkeypatch):
-    # the tables hold m d x d entries, more than CLASS_CAP here although the measurement's
-    # own width x d x d insertion table is within FACTOR_CAP at every cell but (16, 7)
+    # m d x d passes CLASS_CAP here although the measurement's own width x d x d insertion
+    # table is within FACTOR_CAP at every cell but (16, 7)
     def unexpected(*args, **kwargs):
         raise AssertionError("weight-class table built for a cell over the cap")
 
@@ -695,6 +696,19 @@ def test_weight_class_cap_admits_every_cell_of_at_most_dim_cap_rows():
                 assert math.comb(k + d - 1, k) * d * d <= optimality.CLASS_CAP
     for d, k in [(161, 1), (8, 10), (5, 15)]:
         assert math.comb(k + d - 1, k) * d * d <= optimality.CLASS_CAP
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 4), (6, 4), (8, 10), (16, 5)])
+def test_weight_classes_hold_blocks_not_tables(d, k):
+    # d x d blocks on the width classes of d rows, a value for the classes of one row, and no (m d) x d table
+    def arrays(item):
+        if isinstance(item, np.ndarray):
+            return [item]
+        return [array for part in item for array in arrays(part)] if isinstance(item, tuple) else []
+
+    width, m = math.comb(k + d - 2, k - 1), math.comb(k + d - 1, k)
+    held = arrays(optimality._weight_classes(d, k))
+    assert held and max(array.size for array in held) <= max(width * d * d, m * d)
 
 
 def test_group_layers_check_the_budget_before_any_dense_operator(forbid_dense_builders):
@@ -720,33 +734,38 @@ class TestDenseSuccessElement:
             success_projector(d, k),
             sym_with_identity(d, k),
             transposed_symmetriser(d, k),
-            *optimality._weight_classes(d, k)[3:6],
+            *(held.blocks for held in optimality._weight_classes(d, k)[1:]),
         ]
         assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
-def _dense(classes, a):
+def _combined(classes, a1, a2):
+    """a1 F + a2 (Q - F), held class by class."""
+    q, f = classes.q, classes.f
+    return optimality._Held(a1 * f.blocks + a2 * (q.blocks - f.blocks), a1 * f.single + a2 * (q.single - f.single))
+
+
+def _class_rows(d, k):
+    """The rows index(n) d + a of each block, in the order of its levels b, and of the classes of one row."""
+    weights = core.occupations(k - 1, d)
+    rows = core.occupation_rank(weights[:, None, :] + np.eye(d, dtype=weights.dtype)) * d + np.arange(d)
+    n, a = np.nonzero(core.occupations(k, d) == 0)
+    return rows, n * d + a
+
+
+def _dense(held, d, k):
     """The (m d)-square matrix of an operator held class by class."""
-    size, d = a.shape
-    out = np.zeros((size, size))
-    live = classes.slots >= 0
-    out[np.repeat(np.arange(size), d).reshape(size, d)[live], classes.slots[live]] = a[live]
+    rows, singles = _class_rows(d, k)
+    out = np.zeros((d * math.comb(k + d - 1, k),) * 2)
+    out[rows[:, :, None], rows[:, None, :]] = held.blocks
+    out[singles, singles] = held.single
     return out
-
-
-def _class_held(classes, dense):
-    """The inverse of ``_dense`` on operators that keep each weight class."""
-    live = classes.slots >= 0
-    return np.where(live, dense[np.arange(len(dense))[:, None], np.maximum(classes.slots, 0)], 0.0)
 
 
 def _sym_generator(d, k, p, q):
-    """L_pq on Sym^k (x) C^d as a dense (m d)-square matrix, from ``optimality._generator``."""
-    tgt, coef = optimality._generator(d, k, p, q)
-    out = np.zeros((len(tgt),) * 2)
-    for t in range(tgt.shape[1]):
-        np.add.at(out, (tgt[:, t], np.arange(len(tgt))), coef[:, t])
-    return out
+    """L_pq on Sym^k (x) C^d as a dense (m d)-square matrix, compressed from ``oracles.dense_generator``."""
+    iso = _isometry(d, k).real  # the symmetric basis is real
+    return iso.T @ dense_generator(d, k, p, q) @ iso
 
 
 def _isometry(d, k):
@@ -765,8 +784,8 @@ class TestSymmetricCoordinates:
         classes = optimality._weight_classes(d, k)
         iso = _isometry(d, k)
         for held, dense in [(classes.x, transposed_symmetriser(d, k)), (classes.f, success_projector(d, k))]:
-            assert np.linalg.norm(_dense(classes, held) - iso.conj().T @ dense @ iso) <= 1e-12
-        assert np.array_equal(_dense(classes, classes.q), np.eye(len(iso.T)))
+            assert np.linalg.norm(_dense(held, d, k) - iso.conj().T @ dense @ iso) <= 1e-12
+        assert np.array_equal(_dense(classes.q, d, k), np.eye(len(iso.T)))
 
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
     def test_coefficients_match_the_dense_projections(self, d, k):
@@ -785,46 +804,66 @@ class TestSymmetricCoordinates:
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_generators_are_the_compressed_lie_algebra(self, d, k):
-        iso = _isometry(d, k)
-        for p in range(d):
-            for q in range(d):
-                dense = iso.conj().T @ dense_generator(d, k, p, q) @ iso
-                assert np.linalg.norm(_sym_generator(d, k, p, q) - dense) <= 1e-12
+        # what _certify reads of L_pq: the class of weight w goes to that of w + e_p - e_q by
+        # diag(c) - E_qp, into the one row (w + e_p, q) when w_q = 0, and the class of one row
+        # (w + e_q, p), w_p = 0, goes to sqrt(w_q + 1) e_p - e_q in the class of w; the rest of
+        # L_pq links classes of one row only, where every operator held here is constant
+        rows, singles = _class_rows(d, k)
+        weights, level = core.occupations(k - 1, d), np.arange(d)
+        for p, q in itertools.permutations(range(d), 2):
+            ell = _sym_generator(d, k, p, q)
+            expected = np.zeros(ell.shape)
+            for j, w in enumerate(weights):
+                block = np.diag(np.sqrt((w[q] + (level == q)) * (w[p] + (level == p) + 1.0)))
+                block[q, p] -= 1.0
+                if w[q]:
+                    expected[rows[core.occupation_rank(w + (level == p) - (level == q))][:, None], rows[j]] = block
+                else:
+                    expected[core.occupation_rank(w + (level == p)) * d + q, rows[j]] = block[q]
+                if not w[p]:
+                    expected[rows[j], core.occupation_rank(w + (level == q)) * d + p] = (
+                        np.sqrt(w[q] + 1.0) * (level == p) - (level == q)
+                    )
+            among = np.ix_(singles, singles)
+            expected[among] = ell[among]
+            assert np.abs(ell - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_commutators_match_dense_products(self, d, k):
-        # F, and a symmetric operator on the same classes that is not covariant
+        # F, and a symmetric operator on the same classes, with a value of its own on the classes
+        # of one row, that is not covariant: the residual is the largest dense ratio over the simple roots
         classes = optimality._weight_classes(d, k)
-        noise = _dense(classes, np.random.default_rng(d + 10 * k).standard_normal(classes.f.shape))
+        rng = np.random.default_rng(d + 10 * k)
+        noise = rng.standard_normal(classes.f.blocks.shape)
+        noisy = optimality._Held(noise + np.swapaxes(noise, 1, 2), rng.standard_normal())
+        roots = [(p, p + 1) for p in range(d - 1)] + [(p + 1, p) for p in range(d - 1)]
         worst = []
-        for held in (classes.f, _class_held(classes, noise + noise.T)):
-            m = _dense(classes, held)
-            worst.append(0.0)
-            for p in range(d):
-                for q in range(d):
-                    tgt, coef = optimality._generator(d, k, p, q)
-                    ell = _sym_generator(d, k, p, q)
-                    norm = optimality._commutator_norm(classes._replace(f=held), tgt, coef)
-                    assert abs(norm - np.linalg.norm(ell @ m - m @ ell)) <= 1e-12
-                    if np.linalg.norm(ell):
-                        worst[-1] = max(worst[-1], norm / np.linalg.norm(ell))
+        for held in (classes.f, noisy):
+            m = _dense(held, d, k)
+            ratios = [0.0]
+            for p, q in roots:
+                ell = _sym_generator(d, k, p, q)
+                ratios.append(np.linalg.norm(ell @ m - m @ ell) / np.linalg.norm(ell))
+            worst.append(max(ratios))
         assert optimality._certify(classes, d, k)[0] == pytest.approx(worst[0], abs=1e-15)
         if d > 1:  # at d = 1 every operator on the one row commutes
             assert worst[1] > 1e-3
-            with pytest.raises(VerificationError, match="does not commute"):
-                optimality._certify(classes._replace(f=_class_held(classes, noise + noise.T)), d, k)
+            with pytest.raises(VerificationError, match="does not commute") as raised:
+                optimality._certify(classes._replace(f=noisy), d, k)
+            assert raised.value.residual == pytest.approx(worst[1], rel=1e-12)
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_casimir_blocks_match_the_dense_raising_sum(self, d, k):
         # K from the Casimir, placed back entry by entry, against sum_(p<q) L_pq^T L_pq
         classes = optimality._weight_classes(d, k)
         blocks, single = optimality._casimir_blocks(classes, d, k)
-        casimir = np.zeros((len(classes.slots),) * 2)
-        casimir[classes.rows[:, :, None], classes.rows[:, None, :]] = blocks
-        casimir[classes.singles, classes.singles] = single
+        rows, singles = _class_rows(d, k)
+        casimir = np.zeros((d * math.comb(k + d - 1, k),) * 2)
+        casimir[rows[:, :, None], rows[:, None, :]] = blocks
+        casimir[singles, singles] = single
         total = sum(ell.T @ ell for ell in (_sym_generator(d, k, p, q) for p in range(d) for q in range(p + 1, d)))
         assert np.abs(casimir - total).max() <= 1e-12
-        assert (len(classes.singles) > 0) == (d > 1)  # single-row classes are compared too
+        assert (len(singles) > 0) == (d > 1)  # single-row classes are compared too
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_kernel_and_margin_match_a_dense_eigensolve(self, d, k):
