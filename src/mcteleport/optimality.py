@@ -8,13 +8,15 @@ A, covariance under factor permutations and under U^(x k) (x) conj(U), and
 where permutation covariance is automatic, so the layers here work in the
 coordinates (n, a) of that space, grouped by the weight n - e_a: F, Q = 1
 and X keep each weight class, and each is held as one d x d block per class
-of d rows and one value for every class of one row.  The simple-root
-generators of U^(x k) (x) conj(U), which move each class to one other,
-certify block by block that F is covariant, and the kernel of K = sum_(p<q)
-L_pq^dagger L_pq that the covariant operators are span{F, 1 - F} (two
-irreducible components, Pieri rule).  The quadratic Casimir gives K = (alpha
-- 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads X, only covariance rests
-on the generators, and the tests compare both with the dense generators.
+of d rows and one value for every class of one row.  One root generator
+L_01 of U^(x k) (x) conj(U), which moves each class to one other, and the
+two level permutations that generate S_d, which carry L_01 to every other
+root, certify block by block that F is covariant, and the kernel of K =
+sum_(p<q) L_pq^dagger L_pq that the covariant operators are span{F, 1 - F}
+(two irreducible components, Pieri rule).  The quadratic Casimir gives K =
+(alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads X, only
+covariance rests on the generators, and the tests compare both with the
+dense generators.
 ``reduced_optimum`` finds F optimal in that family; the perturbation search
 draws on its two coefficients.  Nothing here builds a d^(k+1)-square
 operator, so this module loads neither ``tensor`` nor ``symgroup``, and
@@ -26,14 +28,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
     DEFAULT_ATOL,
-    CapacityError,
     VerificationError,
     batch_slices,
     mult_semistandard,
@@ -54,21 +55,24 @@ MARGIN = 1e-7
 EIG_SLACK = 1e-10
 #: The raising operators' sum K has integer eigenvalues, so one within this of 0 is zero.
 KERNEL_CUT = 0.5
-#: Bound on m d x d, which bounds every array of the weight classes (width d x d and m d entries); every cell
-#: with k >= 2 and m d <= DIM_CAP (so d <= 50) is under it.
-CLASS_CAP = 2**22
 
 
 #: An operator that keeps each weight class: a (width, d, d) stack of blocks, one per class of d rows, and
 #: its one value on every class of one row.
 _Held = namedtuple("_Held", "blocks single")
-#: The number of classes of one row, and Q = 1, F and X as ``_Held``; see ``_weight_classes``.
-_Classes = namedtuple("_Classes", "singles q f x")
 
 
-def _class_trace(classes: _Classes, a: _Held, b: _Held) -> float:
-    """tr(A B) for symmetric A and B held as in ``_Classes``: over the blocks, and over the classes of one row."""
-    return float(np.sum(a.blocks * b.blocks) + classes.singles * a.single * b.single)
+class _Classes(namedtuple("_Classes", "singles q f x")):
+    """The number of classes of one row, and Q = 1, F and X as ``_Held``; see ``_weight_classes``."""
+
+    @cached_property
+    def traces(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(tr(Q F), tr(Q (Q - F))) and (tr(X F), tr(X (Q - F))), over the blocks and the classes of one row."""
+        parts = (self.f, _Held(self.q.blocks - self.f.blocks, self.q.single - self.f.single))
+        return tuple(
+            tuple(float(np.sum(a.blocks * b.blocks) + self.singles * a.single * b.single) for b in parts)
+            for a in (self.q, self.x)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -82,11 +86,11 @@ def _weight_classes(d: int, k: int) -> _Classes:
     n_a = 0, is a class of one.  Within a class X is sqrt((n_b + 1)(n'_a +
     1)) / (k + 1) between rows (n, a) and (n', b), and on a class of one it
     is (n_a + 1) / (k + 1) = 1 / (k + 1); F is g g^T on the class of a
-    column, g the measurement's values there, and 0 on a class of one.  A
-    cell whose m d x d would pass CLASS_CAP is refused first.
+    column, g the measurement's values there, and 0 on a class of one.
+    Every array kept is a (width, d, d) stack, as large as the insertion
+    table that ``build_measurement`` bounds by FACTOR_CAP before it builds
+    anything; ``occupations`` bounds the m d entries of the other table.
     """
-    if (size := math.comb(k + d - 1, k) * d) * d > CLASS_CAP:
-        raise CapacityError(f"weight-class tables of {size} x {d} entries exceed cap {CLASS_CAP}")
     meas = build_measurement(d, k)
     n = occupations(k, d)[meas.rows // d]  # n[j, b] is the occupation of row rows[j, b]
     weights = n - np.eye(d, dtype=n.dtype)
@@ -100,7 +104,7 @@ def _weight_classes(d: int, k: int) -> _Classes:
     x = _Held(np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1), 1 / (k + 1))
     for held in (f, x):
         held.blocks.setflags(write=False)
-    return _Classes(size - width * d, q, f, x)
+    return _Classes((math.comb(k + d - 1, k) - width) * d, q, f, x)
 
 
 def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,57 +120,81 @@ def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.n
     return blocks, (alpha - s) / 2 - (k + 1) * classes.x.single
 
 
+def _covariance(classes: _Classes, d: int, k: int) -> float:
+    """The largest of ||[L_01, F]||_F / ||L_01||_F and F's residuals under the swap and the cycle of levels.
+
+    L_pq, here L_01, moves every weight by e_p - e_q.  On the class of weight w it is L_w
+    = diag(c) - E_qp, c_b = sqrt((w + e_b)_q ((w + e_b)_p + 1)), into the
+    class of w + e_p - e_q, which has one row, where F is constant, when w_q
+    = 0; and it takes the class of one row (w + e_q, p), w_p = 0, to sqrt(w_q
+    + 1) e_p - e_q in the class of w.  [L, 1] = 0, so with F's value on the
+    classes of one row taken off, ||[L, F]||^2 = sum_w ||L_w F_w - F_(w+e_p-
+    e_q) L_w||^2 + sum_(w: w_p = 0) ||F_w (sqrt(w_q + 1) e_p - e_q)||^2, and
+    ||L||^2 = d sum_n n_q (n_p + 1) + m over the occupations n of k.
+    rho(P_sigma) takes the class of w to that of sigma.w, level b to
+    sigma(b), so ||rho(P_sigma)^dagger F rho(P_sigma) - F||_F is one gather
+    of the blocks; the classes of one row need none, F being constant on
+    them.  At d = 2 the swap is the cycle; at d = 1 there is nothing to check.
+    """
+    if d == 1:
+        return 0.0
+    weights, occ, level, (p, q) = occupations(k - 1, d), occupations(k, d), np.arange(d), (0, 1)
+    padded = np.zeros((len(classes.f.blocks) + 1, d, d))  # the last block: the classes of one row, where f is 0
+    f = np.subtract(classes.f.blocks, classes.f.single * np.eye(d), out=padded[:-1])
+    c = np.sqrt((weights[:, q, None] + (level == q)) * (weights[:, p, None] + (level == p) + 1.0))
+    moved = np.maximum(weights + (level == p) - (level == q), 0)  # taken only where w_q > 0
+    image = padded[np.where(weights[:, q] > 0, occupation_rank(moved), len(f))]
+    column = image[:, :, q].copy()
+    commutator = c[:, :, None] * f
+    commutator -= np.multiply(image, c[:, None, :], out=image)
+    commutator[:, q] -= f[:, p]
+    commutator[:, :, p] += column
+    onto = weights[:, p] == 0  # the classes that the class of one row (w + e_q, p) goes to
+    lifted = np.sqrt(weights[onto, q, None] + 1.0) * f[onto, :, p] - f[onto, :, q]
+    squares = np.vdot(commutator, commutator) + np.vdot(lifted, lifted)
+    residuals = [math.sqrt(squares / (d * (occ[:, q] * (occ[:, p] + 1.0)).sum() + len(occ)))]
+    del image, commutator
+    swap = np.array([1, 0, *level[2:]])
+    for sigma, inverse in [(swap, swap), (np.roll(level, -1), np.roll(level, 1))][: min(d - 1, 2)]:
+        # rho(P_sigma)^dagger F rho(P_sigma) on the class of w: F's block on sigma.w, rows and columns by sigma
+        moved = f[occupation_rank(weights[:, inverse])[:, None, None], sigma[:, None], sigma]
+        moved -= f
+        residuals.append(math.sqrt(np.vdot(moved, moved)))
+    return max(residuals)
+
+
 def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     """Certify that F is covariant and that span{F, 1 - F} holds every covariant operator, or raise.
 
     Covariance: the d^2 generators L_pq = J_pq (x) 1 - 1 (x) E_qp span the
     Lie algebra of U^(x k) (x) conj(U), with J_pq |n> = sqrt(n_q (n_p + 1))
     |n + e_p - e_q> and E_qp moving A from level p to q.  U(d) is connected,
-    and brackets of the 2(d-1) simple roots L_(p,p+1), L_(p+1,p) give every
-    other L_pq with p != q and each L_pp - L_(p+1,p+1), while sum_p L_pp = k
-    - 1 is a scalar; so each ||[L, F]||_F / ||L||_F of a simple root must be
-    within DEFAULT_ATOL.  L_pq moves every weight by e_p - e_q.  On the class
-    of weight w it is L_w = diag(c) - E_qp, c_b = sqrt((w + e_b)_q ((w +
-    e_b)_p + 1)), into the class of w + e_p - e_q, which has one row, where
-    F is constant, when w_q = 0; and it takes the class of one row (w + e_q,
-    p), w_p = 0, to sqrt(w_q + 1) e_p - e_q in the class of w.  [L, 1] = 0,
-    so with F's value on the classes of one row taken off, ||[L, F]||^2 =
-    sum_w ||L_w F_w - F_(w+e_p-e_q) L_w||^2 + sum_(w: w_p = 0) ||F_w
-    (sqrt(w_q + 1) e_p - e_q)||^2, and ||L||^2 = d sum_n n_q (n_p + 1) + m
-    over the occupations n of k.  Only a zero ratio implies covariance
-    exactly: a ratio eps bounds the commutator with a root of height h only
-    through h - 1 nested brackets.
+    sum_p L_pp = k - 1 is a scalar and [L_pq, L_qp] = L_pp - L_qq, so F is
+    covariant once it commutes with each L_pq, p != q.  A permutation matrix
+    P_sigma lies in U(d), and rho(P_sigma) = P_sigma^(x k) (x) P_sigma
+    conjugates L_pq to L_sigma(p)sigma(q); the swap (0 1) and the cycle a ->
+    a + 1 mod d generate S_d, which is transitive on ordered pairs.  So with
+    ratio(L) = ||[L, F]||_F / ||L||_F and l(sigma) the length of sigma as a
+    word in the two, ratio(L_sigma(0)sigma(1)) <= ratio(L_01) + 2 l(sigma)
+    (largest residual of F under the two): ``_covariance``'s largest value
+    bounds every root directly, and must be within DEFAULT_ATOL.  The swap
+    is there for this bound; from the cycle alone the other roots follow
+    only through nested brackets.
     Reduction: the kernel of K = sum_(p<q) L_pq^dagger L_pq, which keeps each
     class, holds one highest-weight vector per irreducible component; it must
     meet two classes, one vector each, so the commutant is spanned by two
     projectors, and <v, F v> on them must be 0 and 1, so F is one of them (at
-    d = 1, one vector and 1, and no simple root).  The quadratic Casimir
+    d = 1, one vector and 1).  The quadratic Casimir
     sum_(p,q) L_pq L_qp is sum_p L_pp^2 + 2 K + sum_(p<q) (L_pp - L_qq), and
     alpha - 2 (k+1) X, as its cross term -2 sum_i (i A)^(t_A) is 2 - 2 (k+1) X;
     L_pp is w_p on a row of weight w, so K = (alpha - 2 (k+1) X - s_r) / 2 with
     alpha = k (k+d-1) + d + 2 and s_r = sum_p w_p^2 + sum_p (d-1-2p) w_p.  K
-    thus reads X's closed form, not the generators, which certify covariance
-    alone; the tests compare K with the dense generator sum.  So K >= 0 is no
-    longer built in: a kernel eigenvalue is one within KERNEL_CUT of 0, and
-    a negative one outside it raises.  Returns the largest ratio and K's
-    smallest nonzero eigenvalue, None at d = 1 (K = 0).
+    thus reads X's closed form, not the generators (the tests compare it with
+    their dense sum), and K >= 0 is not built in: a kernel eigenvalue is one
+    within KERNEL_CUT of 0, and a negative one outside it raises.  Returns
+    the covariance residual and K's least nonzero eigenvalue, None at d = 1.
     """
-    weights, occ, level = occupations(k - 1, d), occupations(k, d), np.arange(d)
-    padded = np.zeros((len(classes.f.blocks) + 1, d, d))  # the last block: the classes of one row, where f is 0
-    f = np.subtract(classes.f.blocks, classes.f.single * np.eye(d), out=padded[:-1])
-    covariance = 0.0
-    for p, q in [(p, p + 1) for p in range(d - 1)] + [(p + 1, p) for p in range(d - 1)]:
-        c = np.sqrt((weights[:, q, None] + (level == q)) * (weights[:, p, None] + (level == p) + 1.0))
-        moved = np.maximum(weights + (level == p) - (level == q), 0)  # taken only where w_q > 0
-        image = padded[np.where(weights[:, q] > 0, occupation_rank(moved), len(f))]
-        commutator = c[:, :, None] * f
-        commutator -= image * c[:, None, :]
-        commutator[:, q] -= f[:, p]
-        commutator[:, :, p] += image[:, :, q]
-        onto = weights[:, p] == 0  # the classes that the class of one row (w + e_q, p) goes to
-        lifted = np.sqrt(weights[onto, q, None] + 1.0) * f[onto, :, p] - f[onto, :, q]
-        squares = np.vdot(commutator, commutator) + np.vdot(lifted, lifted)
-        covariance = max(covariance, math.sqrt(squares / (d * (occ[:, q] * (occ[:, p] + 1.0)).sum() + len(occ))))
+    covariance = _covariance(classes, d, k)  # in a call of its own, so its arrays are gone before K's
     if covariance > DEFAULT_ATOL:
         raise VerificationError(
             f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
@@ -174,7 +202,8 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     blocks, single = _casimir_blocks(classes, d, k)
     values, vectors = np.linalg.eigh(blocks)
     kernel, alone = np.abs(values) < KERNEL_CUT, np.abs(single) < KERNEL_CUT
-    on_kernel = np.einsum("jai,jab,jbi->ji", vectors, classes.f.blocks, vectors)[kernel]
+    j, i = np.nonzero(kernel)  # <v, F v> on the kernel's vectors v = vectors[j, :, i] alone
+    on_kernel = np.einsum("na,nab,nb->n", vectors[j, :, i], classes.f.blocks[j], vectors[j, :, i])
     on_kernel = np.sort(np.append(on_kernel, np.full(alone.sum(), classes.f.single)))
     met, expected = int(kernel.any(axis=1).sum() + alone.sum()), np.arange(2 - min(d, 2), 2.0)
     rest = np.concatenate([values[~kernel], single[~alone]])
@@ -218,33 +247,25 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     """
     classes = _weight_classes(d, k)
     _, q, f, x = classes
-    c1 = _class_trace(classes, x, f) / _class_trace(classes, q, f)
+    (on_f, on_rest), (x_on_f, x_on_rest) = classes.traces
+    c1, c2 = x_on_f / on_f, None
     blocks, single = x.blocks - c1 * f.blocks, x.single - c1 * f.single
-    c2 = None
     if d > 1:  # at d = 1, Q - F is empty
-        rest = _Held(q.blocks - f.blocks, q.single - f.single)
-        c2 = _class_trace(classes, x, rest) / _class_trace(classes, q, rest)
-        blocks, single = blocks - c2 * rest.blocks, single - c2 * rest.single
+        c2 = x_on_rest / on_rest
+        blocks, single = blocks - c2 * (q.blocks - f.blocks), single - c2 * (q.single - f.single)
     residual = math.sqrt(np.sum(blocks**2) + classes.singles * single**2)
-    c1_closed = (d + k) / (k + 1)
-    c2_closed = 1.0 / (k + 1)
-    c1_row_form = (d + k) / k
+    c1_closed, c2_closed, c1_row_form = (d + k) / (k + 1), 1.0 / (k + 1), (d + k) / k
     note = (
         f"leading coefficient: measured {c1:.12g}, matches (d+k)/(k+1) = "
         f"{c1_closed:.12g}; the alternative closed form (d+k)/k = "
         f"{c1_row_form:.12g} is inconsistent with the measured value"
     )
-    report = CoefficientReport(
-        d, k, c1, c2, c1_closed, c2_closed, c1_row_form, residual, tol, note
-    )
     worst = max(residual, abs(c1 - c1_closed), 0.0 if c2 is None else abs(c2 - c2_closed))
     if worst > tol:
         raise VerificationError(
-            f"reduced-family decomposition failed at d={d}, k={k}: "
-            f"c1={c1}, c2={c2}, residual={residual:.3e}",
-            worst,
+            f"reduced-family decomposition failed at d={d}, k={k}: c1={c1}, c2={c2}, residual={residual:.3e}", worst
         )
-    return report
+    return CoefficientReport(d, k, c1, c2, c1_closed, c2_closed, c1_row_form, residual, tol, note)
 
 
 #: For F and for Q - F: the coefficients of F, the rank, the objective tr(M)/(d m_k) and the gap
@@ -257,13 +278,9 @@ def _family(d: int, k: int) -> _Family:
 
     The ranks are C(k+d-2, k-1) and m d minus that, so Q - F has rank 0 at d = 1.
     """
-    classes = _weight_classes(d, k)
     m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
-    _, q, f, x = classes
-    parts = (f, _Held(q.blocks - f.blocks, q.single - f.single))
-    traces, overlaps = (np.array([_class_trace(classes, a, part) for part in parts]) for a in (q, x))
-    width = math.comb(k + d - 2, k - 1)
-    ranks = np.array([width, d * m_k - width])
+    traces, overlaps = np.array(_weight_classes(d, k).traces)
+    ranks = np.array([width := math.comb(k + d - 2, k - 1), d * m_k - width])
     return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)
 
 
@@ -271,10 +288,11 @@ class SdpReport(NamedTuple):
     """Exact optimum of the reduced two-parameter family, attained at M = F.
 
     ``objective_value`` is F's objective and ``equality_residual`` its
-    constraint gap, both from the raw traces; ``covariance_residual`` and
-    ``reduction_margin`` are the largest relative commutator of F with a
-    simple-root generator (exact covariance only at 0) and the smallest
-    nonzero eigenvalue of K (see ``_certify``).
+    constraint gap, both from the raw traces; ``covariance_residual`` is the
+    largest of F's relative commutator with the root L_01 and its residuals
+    under the swap and the cycle of levels, which bound F's relative
+    commutator with every root (see ``_certify``), and ``reduction_margin``
+    is the smallest nonzero eigenvalue of K.
     """
 
     d: int
@@ -301,23 +319,16 @@ def reduced_optimum(d: int, k: int) -> SdpReport:
     family = _family(d, k)
     obj_f, (gap_f, gap_ps) = family.objective[0], family.gap
     if abs(gap_f) > FEASIBILITY_TOL:
-        raise VerificationError(
-            f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}",
-            abs(gap_f),
-        )
+        raise VerificationError(f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}", abs(gap_f))
     if family.ranks[1] and abs(gap_ps) <= FEASIBILITY_TOL:
         raise VerificationError(
-            f"Q - F meets the equality at d={d}, k={k}: gap {gap_ps:.3e}, so Q would beat F",
-            abs(gap_ps),
+            f"Q - F meets the equality at d={d}, k={k}: gap {gap_ps:.3e}, so Q would beat F", abs(gap_ps)
         )
-
     p_star = success_probability_formula(d, k)
     if abs(obj_f - p_star) > DEFAULT_ATOL:
         raise VerificationError(
-            f"reduced optimum {obj_f} deviates from closed form {p_star} at d={d}, k={k}",
-            abs(obj_f - p_star),
+            f"reduced optimum {obj_f} deviates from closed form {p_star} at d={d}, k={k}", abs(obj_f - p_star)
         )
-
     covariance, margin = _certify(_weight_classes(d, k), d, k)
     return SdpReport(d, k, p_star, obj_f, abs(gap_f), covariance, margin)
 
@@ -350,12 +361,7 @@ class FalsifierReport(NamedTuple):
     passed: bool
 
 
-def perturbation_falsifier(
-    d: int,
-    k: int,
-    trials: int = 200,
-    seed: int = 0,
-) -> FalsifierReport:
+def perturbation_falsifier(d: int, k: int, trials: int = 200, seed: int = 0) -> FalsifierReport:
     """Search for feasible perturbations of the optimum that beat it.
 
     The covariant operators are c_1 F + c_2 (Q - F), as ``reduced_optimum``
@@ -364,15 +370,20 @@ def perturbation_falsifier(
     the orthonormal basis F / sqrt(r_1), (Q - F) / sqrt(r_2) evenly, 2 pi /
     trials apart, from an offset u = key / 2^64, key the seed's first
     SplitMix64 output (``spawn_keys``): trial j has direction (cos t_j, sin
-    t_j) / sqrt(ranks), t_j = 2 pi (j + u) / trials.  Each is uniform on that circle, as a
-    projected Gaussian symmetric direction is, and evenly spaced they leave
-    no arc wider than 2 pi / trials unsearched; at d = 1 the direction is
-    the sign of cos t_j, and both signs come up once trials >= 2.  A
+    t_j) / sqrt(ranks), t_j = 2 pi (j + u) / trials.  Each is uniform on
+    that circle, and evenly spaced they leave no arc wider than 2 pi /
+    trials unsearched; at d = 1 the direction is the sign of cos t_j, and
+    both signs come up once trials >= 2.  A
     coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so does an
     objective above p* + MARGIN, as it would contradict the optimality
     statement or expose a bug; the first failing trial is named.  F is
     checked by one ``eigvalsh`` of its blocks, the trials as stacked
     arrays, in chunks of at most FACTOR_CAP entries.
+
+    The sweep cannot beat F and does not test the reduction: F's gap is
+    exactly 0, so the gap correction sets every candidate's coefficient of
+    Q - F back to 0, and each candidate is c F with c <= 1 after clipping,
+    objective c p*.  It only confirms that scaling F down loses.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -383,8 +394,7 @@ def perturbation_falsifier(
     family = _family(d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))
     offset = int(spawn_keys(seed, 1)[0]) / 2**64
-    max_objective = p_star
-    max_step = 0.0
+    max_objective, max_step = p_star, 0.0
     for part in batch_slices(trials, 8):  # a trial's angle, direction, candidate and temporaries: under 8 floats
         theta = 2 * np.pi * (np.arange(part.start, min(part.stop, trials)) + offset) / trials
         directions = np.column_stack([np.cos(theta), np.sin(theta)])[:, : len(family.ranks)] / np.sqrt(family.ranks)
@@ -397,21 +407,10 @@ def perturbation_falsifier(
             trial, value = part.start + first, float(values[first])
             _check_unit_interval(targets[first], f"candidate at d={d}, k={k} (trial {trial}, seed {seed})")
             raise VerificationError(
-                f"feasible candidate beats the optimum at d={d}, k={k}: "
-                f"objective {value} > {p_star} + {MARGIN} "
+                f"feasible candidate beats the optimum at d={d}, k={k}: objective {value} > {p_star} + {MARGIN} "
                 f"(trial {trial}, seed {seed})",
                 value - p_star,
             )
         max_objective = max(max_objective, float(values.max()))
         max_step = max(max_step, float(np.sqrt(((targets - family.f) ** 2) @ family.ranks).max()))
-    return FalsifierReport(
-        d=d,
-        k=k,
-        trials=trials,
-        seed=seed,
-        p_star=p_star,
-        max_objective=max_objective,
-        margin=MARGIN,
-        max_step=max_step,
-        passed=True,
-    )
+    return FalsifierReport(d, k, trials, seed, p_star, max_objective, MARGIN, max_step, passed=True)
