@@ -11,6 +11,12 @@ failure, 2 a usage error, and 3 a cell that raised any other exception: it
 is recorded as ``error`` with the exception in its detail, and the grid
 goes on.  With a fixed seed the report is byte-identical across runs once
 the timestamp (and with it the wall-time column) is suppressed.
+
+``main(argv)`` is the in-process API: it returns the exit code and never
+ends the process (a usage error raises argparse's ``SystemExit(2)``).
+``entry()`` is what ``python -m mcteleport`` and the ``mcteleport`` console
+script run: it calls ``main``, flushes the report and ends the process with
+``os._exit``, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -335,5 +341,29 @@ def main(argv: list[str] | None = None) -> int:
     return 1 if "false" in outcomes else 3 if "error" in outcomes else 0
 
 
+def entry() -> None:
+    """Run ``main`` and end the process with its code as soon as the report is flushed.
+
+    ``python -m mcteleport`` and the ``mcteleport`` console script both end
+    here.  ``os._exit`` skips the interpreter's teardown, which frees every
+    object and module one by one, a tenth or more of a small grid's run; the
+    OS takes the memory back at once.  Nothing is lost by skipping it:
+
+    - ``parser.error``'s ``SystemExit(2)`` and any uncaught exception propagate
+      out of ``main`` before ``os._exit`` is reached, so they end the process
+      exactly as a normal exit does;
+    - an ``--out`` file is closed in ``main``'s ``finally``;
+    - with ``--threads`` > 1 the pool is joined by the ``with`` block in ``run``
+      before ``main`` returns;
+    - the package registers no ``atexit`` handler;
+    - if a flush raises (a closed pipe, say), the exception propagates and
+      the interpreter exits as it would without this function.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

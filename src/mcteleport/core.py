@@ -143,21 +143,29 @@ def occupations(n: int, d: int) -> np.ndarray:
     (n, 0, ..., 0).  There are C(n + d - 1, n) of them; a table of more than
     FACTOR_CAP entries is refused before it is built.  The table grows one
     level at a time: a row with r factors left is repeated r + 1 times and
-    its next level takes r, r - 1, .., 0 of them.
+    its next level takes r, r - 1, .., 0 of them.  Each level keeps its
+    column and the parent of each of its rows; the columns are then gathered
+    once each, from the last level back, through the composed parent maps.
     """
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
     count = math.comb(n + d - 1, n)
     if count * d > FACTOR_CAP:
         raise CapacityError(f"occupation table of {count} x {d} entries exceeds cap {FACTOR_CAP}")
-    columns, rest = [], np.array([n])
+    columns, parents, rest = [], [], np.array([n])
     for _ in range(d - 1):
         sizes = rest + 1
         parent = np.repeat(np.arange(rest.size), sizes)
         left = np.arange(parent.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # 0 .. r within each parent
-        columns = [column[parent] for column in columns] + [rest[parent] - left]
+        columns.append(rest[parent] - left)
+        parents.append(parent)
         rest = left
-    out = np.column_stack(columns + [rest])
+    out = np.empty((rest.size, d), dtype=rest.dtype)
+    out[:, -1] = rest
+    index = np.arange(rest.size)  # each row's row at the level being filled
+    for level in range(d - 2, -1, -1):
+        out[:, level] = columns[level][index]
+        index = parents[level][index]
     out.setflags(write=False)
     return out
 

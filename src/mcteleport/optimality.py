@@ -114,10 +114,11 @@ def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.n
     blocks = -(k + 1) * classes.x.blocks
     blocks[:, np.arange(d), np.arange(d)] += ((alpha - (weights**2).sum(axis=1) - weights @ tilt) / 2)[:, None]
     # the class of one row (n, a), n_a = 0, has the weight n - e_a, so s_r = A(n) + 1 - tilt_a with
-    # A(n) = sum_p n_p^2 + sum_p tilt_p n_p
-    n, a = np.nonzero(occ == 0)
-    s = ((occ**2).sum(axis=1) + occ @ tilt)[n] + 1 - tilt[a]
-    return blocks, (alpha - s) / 2 - (k + 1) * classes.x.single
+    # A(n) = sum_p n_p^2 + sum_p tilt_p n_p, and (alpha - s_r) / 2 = (alpha - 1 - A(n)) / 2 + tilt_a / 2, exactly;
+    # the mask lists the (n, a) row-major, as the classes are
+    single = np.add.outer((alpha - 1 - (occ**2).sum(axis=1) - occ @ tilt) / 2, tilt / 2)[occ == 0]
+    single -= (k + 1) * classes.x.single
+    return blocks, single
 
 
 def _covariance(classes: _Classes, d: int, k: int) -> float:

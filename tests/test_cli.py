@@ -1,8 +1,11 @@
+import ast
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +67,56 @@ class TestDeterminism:
             assert result.returncode == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestExitPath:
+    """``python -m mcteleport`` and the console script end in ``cli.entry``: report flushed, then ``os._exit``."""
+
+    ARGV = ["verify", "--d", "2", "--k", "1..3", "--format", "json", "--no-timestamp", "--threads", "2"]
+
+    def in_process(self, capsys, argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_the_report_is_flushed_and_atexit_handlers_are_skipped(self, capsys):
+        code = (
+            "import atexit, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write('atexit ran\\n'))\n"
+            f"sys.argv = ['mcteleport'] + {self.ARGV!r}\n"
+            "runpy.run_module('mcteleport', run_name='__main__', alter_sys=True)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert "atexit ran" not in result.stderr
+        assert result.stdout == self.in_process(capsys, self.ARGV)
+
+    def test_an_out_file_holds_the_whole_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        result = run_cli(*self.ARGV, "--out", str(path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == ""
+        assert path.read_text(encoding="utf-8") == self.in_process(capsys, self.ARGV)
+
+    def test_the_console_script_exits_one_on_a_failed_cell(self):
+        # The wrapper pip writes for a [project.scripts] entry: import the target and sys.exit its result.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        (target,) = re.findall(r'^mcteleport = "([\w.]+:\w+)"$', pyproject, flags=re.M)
+        assert target == "mcteleport.cli:entry"
+        module, name = target.split(":")
+        code = f"import sys\nfrom {module} import {name}\nsys.argv[0] = 'mcteleport'\nsys.exit({name}())\n"
+        argv = ["verify", "--d", "2", "--k", "1", "--samples", "3", "--tol", "1e-30", "--no-timestamp"]
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=300)
+        assert result.returncode == 1, result.stderr
+        assert [row["pass"] for row in parse_csv(result.stdout)] == ["false"]
+
+    def test_entry_is_the_only_caller_of_os_exit(self):
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+            found += [(path.stem, owner.get(id(n))) for n in ast.walk(tree)
+                      if isinstance(n, ast.Attribute) and n.attr == "_exit"]
+        assert found == [("cli", "entry")]
 
 
 class TestExitCodes:

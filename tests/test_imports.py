@@ -98,15 +98,7 @@ RANDOM = {"numpy.random", "secrets", "_hashlib"}
 )
 def test_a_one_thread_run_imports_only_its_suite(argv, absent):
     argv = argv + ["--samples", "3", "--threads", "1", "--no-timestamp"]
-    code = (
-        "import runpy, sys\n"
-        f"sys.argv = ['mcteleport'] + {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('mcteleport', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
-    )
-    loaded = _modules_after(code)
+    loaded = _modules_after(f"import mcteleport.cli\nassert mcteleport.cli.main({argv!r}) == 0")
     assert "mcteleport.cli" in loaded and "mcteleport.teleport" in loaded
     assert not absent & loaded, absent & loaded
     assert mcteleport.Operator.__module__ not in loaded

@@ -716,6 +716,21 @@ def test_weight_classes_hold_blocks_not_tables(d, k):
     assert held and max(array.size for array in held) <= max(width * d * d, m * d)
 
 
+@pytest.mark.parametrize("d,k", [(3, 4), (8, 10), (128, 2)])
+def test_casimir_values_on_the_classes_of_one_row_match_the_gathered_form(d, k):
+    # The classes of one row (n, a), n_a = 0, listed by np.nonzero, and s_r gathered over them
+    try:
+        classes = optimality._weight_classes(d, k)
+        occ, tilt = core.occupations(k, d), d - 1 - 2 * np.arange(d)
+        n, a = np.nonzero(occ == 0)
+        s = ((occ**2).sum(axis=1) + occ @ tilt)[n] + 1 - tilt[a]
+        want = (k * (k + d - 1) + d + 2 - s) / 2 - (k + 1) * classes.x.single
+        _, single = optimality._casimir_blocks(classes, d, k)
+        assert single.dtype == want.dtype and np.array_equal(single, want)
+    finally:
+        optimality._weight_classes.cache_clear()
+
+
 def test_group_layers_check_the_budget_before_any_dense_operator(forbid_dense_builders):
     with pytest.raises(CapacityError, match="symmetric group on 9 letters"):
         absorption_residual(2, 9)  # 2^10 entries per row is within the dense cap
