@@ -3,9 +3,12 @@
 The public names and the submodules are bound on first access (PEP 562), so
 ``import mcteleport`` loads neither numpy nor any submodule, and a CLI run
 compiles and imports only the modules its suite calls.  ``core`` holds what
-every suite shares; the dense layer, ``tensor`` and ``symgroup``, is loaded
-only by ``lemmas``, by the one-sample entry points (``simulate``, ``store``,
-``retrieve``, ``r_vectors``) and by the names it exports.
+every suite shares, the seeded draws among it; the dense layer, ``tensor``
+and ``symgroup`` (every frame computation, the partition type and the
+semistandard counts among them), is loaded only by ``lemmas``, by the
+one-sample entry points (``simulate``, ``store``, ``retrieve``,
+``r_vectors``) and by the names it exports.  ``_EXPORTS`` files each public
+name under the one module that defines it.
 """
 
 import importlib
@@ -15,11 +18,8 @@ _EXPORTS = {
     "core": (
         "DEFAULT_ATOL",
         "CapacityError",
-        "Partition",
         "VerificationError",
-        "mult_semistandard",
         "occupations",
-        "sym_partition",
     ),
     "tensor": (
         "DIM_CAP",
@@ -38,13 +38,16 @@ _EXPORTS = {
         "symmetric_group",
     ),
     "symgroup": (
+        "Partition",
         "absorption_residual",
         "character",
         "dim_standard",
         "f_projector",
+        "mult_semistandard",
         "partitions",
         "removable_boxes",
         "sym_basis",
+        "sym_partition",
         "sym_projector",
         "young_projector",
     ),
@@ -77,7 +80,6 @@ _EXPORTS = {
         "unitary_channel",
         "verify_sar",
     ),
-    "streams": (),
     "cli": (),
 }
 

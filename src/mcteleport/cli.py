@@ -5,6 +5,8 @@ protocol against the closed-form probability, ``lemmas`` certifies the
 algebraic identities behind it, ``optimality`` runs the reduced optimiser
 and the perturbation search, ``sar`` exercises program storage and
 retrieval, and ``sweep`` combines verify with the coefficient checks.
+Each suite's branch of ``run_cell`` imports the library modules it calls,
+so a run compiles and loads no other suite's code.
 
 Exit code 0 means every executed cell passed, 1 flags a verification
 failure, 2 a usage error, and 3 a cell that raised any other exception: it
@@ -22,7 +24,6 @@ script run: it calls ``main``, flushes the report and ends the process with
 from __future__ import annotations
 
 import argparse
-import importlib
 import io
 import json
 import math
@@ -30,25 +31,13 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .core import CapacityError, VerificationError, spawn_keys
 
-if TYPE_CHECKING:
-    from . import optimality, sar, symgroup, teleport
-
 CSV_COLUMNS = ["d", "k", "p_formula", "p_mean", "p_std", "eig_residual", "c1", "c2", "pass", "seconds"]
 
-#: Each suite and the library modules its cells call.  ``run`` imports and binds them here
-#: before the first cell, so a run compiles and loads no other suite's code.
-SUITE_MODULES = {
-    "verify": ("teleport",),
-    "sweep": ("optimality", "teleport"),
-    "lemmas": ("symgroup", "optimality", "teleport"),
-    "optimality": ("optimality",),
-    "sar": ("sar",),
-}
-SUITES = tuple(SUITE_MODULES)
+SUITES = ("verify", "sweep", "lemmas", "optimality", "sar")
 
 
 class RunConfig(NamedTuple):
@@ -110,7 +99,11 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     start = time.perf_counter()
     try:
         if config.suite in ("verify", "sweep"):
+            from . import teleport
+
             if config.suite == "sweep":
+                from . import optimality
+
                 # First, so a cell whose insertion table passes FACTOR_CAP skips before sampling.
                 coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
                 record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
@@ -128,6 +121,8 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
                 ("eig_residual", report.eig_residual, report.eig_residual <= tol),
             ])
         elif config.suite == "lemmas":
+            from . import optimality, symgroup, teleport
+
             # First, so a cell over the group budget or the dense cap skips before anything is built.
             absorption = symgroup.absorption_residual(d, k)
             coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
@@ -144,6 +139,8 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
             checks = [(name, value, value <= config.tol) for name, value in residuals.items()]
             _judge(record, all(ok for *_, ok in checks), config.tol, checks)
         elif config.suite == "optimality":
+            from . import optimality
+
             sdp = optimality.reduced_optimum(d, k)
             optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed)
             record.update(p_formula=sdp.p_star, p_mean=sdp.objective_value)
@@ -154,6 +151,8 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
             ]
             _judge(record, all(ok for *_, ok in checks), tol, checks)
         elif config.suite == "sar":
+            from . import sar
+
             report = sar.verify_sar(
                 d,
                 d if config.d_out is None else config.d_out,
@@ -187,14 +186,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
     return record
 
 
-def import_suite(suite: str) -> None:
-    """Import the library modules of ``suite`` and bind each here under its own name."""
-    for name in SUITE_MODULES[suite]:
-        globals()[name] = importlib.import_module(f"{__package__}.{name}")
-
-
 def run(config: RunConfig) -> list[dict]:
-    import_suite(config.suite)
     cells = config.cells()
     seeds = spawn_keys(config.seed, len(cells)).tolist()
     if config.threads == 1:

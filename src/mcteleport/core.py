@@ -1,17 +1,22 @@
-"""What every suite shares: tolerances, caps, errors, seed keys, stacked draws and occupation tables.
+"""What every suite shares: tolerances, caps, errors, seeded draws and occupation tables.
 
-The errors are those a cell ends on; ``splitmix64`` is the one
+The errors are those a cell ends on.  ``splitmix64`` is the one
 construction that turns a seed into numbers, with no ``numpy.random``:
 ``spawn_keys`` takes a seed's child keys from it, for the cell seeds, the
-falsifier's sweep and the samples' streams, and ``streams`` makes each
-key's row of normals from it, and ``check_seed`` refuses any other seed;
-the draws turn rows of standard normals into stacks of Haar unitaries or
+falsifier's sweep and the samples' streams; ``seeded_normals`` turns each
+key into one row of standard normals, each output of the key's stream made
+a uniform as numpy makes one (``seeded_uniforms``) and each pair of
+uniforms two normals by Box–Muller; ``check_seed`` refuses any other seed.
+A row depends on its key alone, so neither chunking nor threads can change
+a report.  The theorem holds for every input and every channel, so a
+sample needs only to be generic and reproducible from the seed; the tests
+pin the stream to a scalar reference and check its distribution.  The
+draws turn rows of standard normals into stacks of Haar unitaries or
 isometries, by Gram–Schmidt with no LAPACK call, and unit vectors, a
-one-sample draw being one on a stack of one key; the partition counts are
-the semistandard ones.
+one-sample draw being one on a stack of one key.
 ``verify``, ``sar`` and ``optimality`` work in symmetric coordinates and on
 stacks of samples, so they load this module and never the dense layer
-(``tensor``'s layouts and operators, ``symgroup``'s characters and
+(``tensor``'s layouts and operators, ``symgroup``'s frames, characters and
 projectors).  ``tensor`` and ``symgroup`` import what they use from here.
 """
 
@@ -134,6 +139,41 @@ def spawn_keys(seed: int, n: int) -> np.ndarray:
     return splitmix64([check_seed(seed)], n)[0]
 
 
+def seeded_uniforms(keys, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of ``splitmix64`` from each uint64 key s, one row per key.
+
+    Output z_j, j = 1 .. count, gives u_j = (z_j >> 11) 2^-53, a uniform on
+    [0, 1) as numpy's Generator makes one.  Besides the output, a uint64
+    array of it and one shifted copy are alive at once.
+    """
+    z = splitmix64(keys, count)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out *= 2.0**-53
+    return out
+
+
+def seeded_normals(keys, width: int) -> np.ndarray:
+    """One row of ``width`` standard normals per uint64 key: Box–Muller on its ``seeded_uniforms``.
+
+    Each pair (u_(2i-1), u_(2i)) of a row's uniforms gives the normals
+    sqrt(-2 log(1 - u_(2i-1))) (cos, sin)(2 pi u_(2i)) at places 2i - 1 and
+    2i; the last is dropped when width is odd.  Besides its output the draw
+    holds at most 3 entries per pair, which the chunk counts of ``verify``
+    and ``sar`` include.  ``ginibres`` and ``gaussian_vectors`` read a row
+    from its head, so a one-sample draw reads the head of its key's row.
+    """
+    half = -(-width // 2)
+    out = seeded_uniforms(keys, 2 * half).reshape(len(keys), half, 2)
+    radius = np.log1p(-out[..., 0])
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = out[..., 1] * (2 * math.pi)
+    np.multiply(radius, np.cos(angle), out=out[..., 0])
+    np.multiply(radius, np.sin(angle, out=angle), out=out[..., 1])
+    return out.reshape(len(keys), 2 * half)[:, :width]
+
+
 @lru_cache(maxsize=None)
 def occupations(n: int, d: int) -> np.ndarray:
     """Occupation vectors of n factors over d levels, one per row, in ``sym_basis`` order.
@@ -186,47 +226,3 @@ def occupation_rank(occ: np.ndarray) -> np.ndarray:
     table = np.array([[math.comb(t + r - 1, r) for t in span] for r in range(d - 1, 0, -1)], dtype=np.intp)
     return table[np.arange(d - 1), tails].sum(axis=-1)
 
-
-Partition = tuple[int, ...]
-
-
-def check_partition(mu: Partition) -> None:
-    if any(p < 1 for p in mu):
-        raise ValueError(f"partition parts must be positive: {mu}")
-    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
-        raise ValueError(f"partition parts must be weakly decreasing: {mu}")
-
-
-def sym_partition(k: int) -> Partition:
-    """The one-row frame with k boxes; the empty frame for k = 0."""
-    return (k,) if k > 0 else ()
-
-
-def conjugate(mu: Partition) -> Partition:
-    if not mu:
-        return ()
-    return tuple(sum(1 for p in mu if p > j) for j in range(mu[0]))
-
-
-def _hook_lengths(mu: Partition) -> list[int]:
-    co = conjugate(mu)
-    return [mu[i] - j + co[j] - i - 1 for i in range(len(mu)) for j in range(mu[i])]
-
-
-def mult_semistandard(mu: Partition, d: int) -> int:
-    """Number of semistandard tableaux with entries in 1..d (hook content).
-
-    Zero whenever the frame is taller than d.
-    """
-    check_partition(mu)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    if not mu:
-        return 1
-    if len(mu) > d:
-        return 0
-    numerator = math.prod(d + j - i for i in range(len(mu)) for j in range(mu[i]))
-    denominator = math.prod(_hook_lengths(mu))
-    quotient, rem = divmod(numerator, denominator)
-    assert rem == 0
-    return quotient

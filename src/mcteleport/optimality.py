@@ -19,9 +19,10 @@ covariance rests on the generators, and the tests compare both with the
 dense generators.
 ``reduced_optimum`` finds F optimal in that family; the perturbation search
 draws on its two coefficients.  Nothing here builds a d^(k+1)-square
-operator, so this module loads neither ``tensor`` nor ``symgroup``, and
-nothing here draws random numbers, so it loads neither ``streams`` nor
-``numpy.random``.
+operator, so this module loads neither ``tensor`` nor ``symgroup``: the
+one-row multiplicities m_k = C(k + d - 1, k) it needs are binomials.  The
+falsifier's only draw is an offset from ``core.spawn_keys``, so nothing here
+reads a row of normals.
 """
 
 from __future__ import annotations
@@ -37,11 +38,9 @@ from .core import (
     DEFAULT_ATOL,
     VerificationError,
     batch_slices,
-    mult_semistandard,
     occupation_rank,
     occupations,
     spawn_keys,
-    sym_partition,
 )
 from .teleport import build_measurement, success_probability_formula
 
@@ -84,24 +83,32 @@ def _weight_classes(d: int, k: int) -> _Classes:
     weight w >= 0, or it raises.  Block j is the class whose weight w is row
     j of occupations(k - 1, d), its rows in the order of b.  Every other row,
     n_a = 0, is a class of one.  Within a class X is sqrt((n_b + 1)(n'_a +
-    1)) / (k + 1) between rows (n, a) and (n', b), and on a class of one it
-    is (n_a + 1) / (k + 1) = 1 / (k + 1); F is g g^T on the class of a
-    column, g the measurement's values there, and 0 on a class of one.
+    1)) / (k + 1) between rows (n, a) and (n', b), that is sqrt((w_b + 1 +
+    delta_ab)(w_a + 1 + delta_ab)) / (k + 1), built from the weight alone;
+    on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1).  F is g g^T
+    on the class of a column, g the measurement's values there, and 0 on a
+    class of one.
     Every array kept is a (width, d, d) stack, as large as the insertion
     table that ``build_measurement`` bounds by FACTOR_CAP before it builds
     anything; ``occupations`` bounds the m d entries of the other table.
     """
     meas = build_measurement(d, k)
     n = occupations(k, d)[meas.rows // d]  # n[j, b] is the occupation of row rows[j, b]
-    weights = n - np.eye(d, dtype=n.dtype)
-    if weights.min() < 0 or np.any(weights != weights[:, :1]):
+    eye = np.eye(d, dtype=n.dtype)
+    n -= eye  # the weight of each row
+    if n.min() < 0 or np.any(n != n[:, :1]):
         raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
-    order = np.argsort(occupation_rank(weights[:, 0]))
-    n, values = n[order], meas.values[order]
-    width = len(n)
+    order = np.argsort(occupation_rank(n[:, 0]))
+    v, values = n[order, 0] + 1, meas.values[order]  # w + 1 for each class's weight w
+    del n
+    width = len(v)
+    x = v[:, None, :] + eye
+    x *= v[:, :, None] + eye  # (w_b + 1 + delta_ab)(w_a + 1 + delta_ab), exact integers, in place
+    x = np.sqrt(x)
+    x /= k + 1
     q = _Held(np.broadcast_to(np.eye(d), (width, d, d)), 1.0)
     f = _Held(values[:, :, None] * values[:, None, :], 0.0)
-    x = _Held(np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1), 1 / (k + 1))
+    x = _Held(x, 1 / (k + 1))
     for held in (f, x):
         held.blocks.setflags(write=False)
     return _Classes((math.comb(k + d - 1, k) - width) * d, q, f, x)
@@ -279,7 +286,7 @@ def _family(d: int, k: int) -> _Family:
 
     The ranks are C(k+d-2, k-1) and m d minus that, so Q - F has rank 0 at d = 1.
     """
-    m_k, m_k1 = (mult_semistandard(sym_partition(n), d) for n in (k, k + 1))
+    m_k, m_k1 = (math.comb(n + d - 1, n) for n in (k, k + 1))
     traces, overlaps = np.array(_weight_classes(d, k).traces)
     ranks = np.array([width := math.comb(k + d - 2, k - 1), d * m_k - width])
     return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)

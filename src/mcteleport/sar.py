@@ -35,10 +35,10 @@ from .core import (
     gaussian_vectors,
     ginibres,
     haar_unitaries,
+    seeded_normals,
     spawn_keys,
     unit_rows,
 )
-from .streams import seeded_normals
 from .teleport import (
     Measurement,
     _check_floor,

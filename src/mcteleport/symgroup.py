@@ -2,13 +2,13 @@
 
 Partitions are tuples of weakly decreasing positive integers; the empty
 tuple is the (trivial) partition of 0, needed as the removed-box companion
-of the single-box frame.  Young frames, standard tableau counts,
-irreducible characters, the character-weighted group projectors (every
-frame of k from one pass over S_k), the occupation-number basis of the
-symmetric subspace and the projectors F_mu(alpha) of the partially
-transposed permutation algebra live here.  The partition type, the
-semistandard counts and the occupation tables, which the suites in
-symmetric coordinates use without the dense layer, live in ``core``.
+of the single-box frame.  Young frames, standard and semistandard tableau
+counts, irreducible characters, the character-weighted group projectors
+(every frame of k from one pass over S_k), the occupation-number basis of
+the symmetric subspace and the projectors F_mu(alpha) of the partially
+transposed permutation algebra live here.  The occupation tables, which
+the suites in symmetric coordinates use without the dense layer, live in
+``core``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Partition, _hook_lengths, check_partition, mult_semistandard, occupation_rank, sym_partition
+from .core import occupation_rank
 from .tensor import (
     Operator,
     Permutation,
@@ -29,6 +29,51 @@ from .tensor import (
     permutation_index_map,
     symmetric_group,
 )
+
+
+Partition = tuple[int, ...]
+
+
+def check_partition(mu: Partition) -> None:
+    if any(p < 1 for p in mu):
+        raise ValueError(f"partition parts must be positive: {mu}")
+    if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
+        raise ValueError(f"partition parts must be weakly decreasing: {mu}")
+
+
+def sym_partition(k: int) -> Partition:
+    """The one-row frame with k boxes; the empty frame for k = 0."""
+    return (k,) if k > 0 else ()
+
+
+def conjugate(mu: Partition) -> Partition:
+    if not mu:
+        return ()
+    return tuple(sum(1 for p in mu if p > j) for j in range(mu[0]))
+
+
+def _hook_lengths(mu: Partition) -> list[int]:
+    co = conjugate(mu)
+    return [mu[i] - j + co[j] - i - 1 for i in range(len(mu)) for j in range(mu[i])]
+
+
+def mult_semistandard(mu: Partition, d: int) -> int:
+    """Number of semistandard tableaux with entries in 1..d (hook content).
+
+    Zero whenever the frame is taller than d.
+    """
+    check_partition(mu)
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    if not mu:
+        return 1
+    if len(mu) > d:
+        return 0
+    numerator = math.prod(d + j - i for i in range(len(mu)) for j in range(mu[i]))
+    denominator = math.prod(_hook_lengths(mu))
+    quotient, rem = divmod(numerator, denominator)
+    assert rem == 0
+    return quotient
 
 
 def partitions(k: int) -> list[Partition]:

@@ -19,9 +19,9 @@ forms, which share no helper and so certify each other, never touch the
 d^(k+1) coordinates of the full space.  A cell whose insertion table would
 pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
 ``gram_residual``) lives there.  It and ``simulate`` import the dense layer
-(``tensor``, ``symgroup``) when called, and the sampling imports ``streams``
-(the samples' normals) when called, so ``verify`` and ``sar`` load neither
-dense module and ``optimality`` loads no ``streams``.
+(``tensor``, ``symgroup``) when called, so ``verify``, ``sar`` and
+``optimality`` load neither dense module; the samples' normals are
+``core.seeded_normals`` rows.
 
 ``verify_theorem`` draws each input from one row of normals on its own
 child seed, then forms and simulates the samples together: every array of
@@ -51,6 +51,7 @@ from .core import (
     gaussian_vectors,
     occupation_rank,
     occupations,
+    seeded_normals,
     spawn_keys,
     unit_rows,
 )
@@ -359,8 +360,6 @@ def _theorem_chunk(meas: Measurement, keys: np.ndarray) -> tuple[np.ndarray, np.
 
     Its arrays are released on return, so no two chunks are alive at once.
     """
-    from .streams import seeded_normals
-
     psis = unit_rows(gaussian_vectors(seeded_normals(keys, 2 * meas.d), meas.d))
     probs, bob = simulations(meas, psis)
     return probs, np.einsum("sa,sab,sb->s", psis.conj(), bob, psis).real

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import CapacityError, check_seed, gaussian_vectors, ginibres, haar_unitaries, unit_rows
+from .core import CapacityError, check_seed, gaussian_vectors, ginibres, haar_unitaries, seeded_normals, unit_rows
 
 #: Largest ambient dimension constructed without raising CapacityError.
 DIM_CAP = 65536
@@ -282,8 +282,6 @@ def max_entangled_state(d: int) -> StateVector:
 def haar_unitary(d: int, seed: int) -> Operator:
     """Haar-distributed unitary: ``haar_unitaries`` of the d x d ``ginibres`` of the first 2 d^2 normals
     of ``seeded_normals`` on the one key ``seed``, that 64-bit integer's own SplitMix64 row."""
-    from .streams import seeded_normals  # only a draw needs it
-
     if d < 1:
         raise ValueError("dimension must be at least 1")
     return Operator(haar_unitaries(ginibres(seeded_normals([check_seed(seed)], 2 * d * d), d, d))[0], (d,))
@@ -293,6 +291,4 @@ def haar_state(d: int, seed: int) -> StateVector:
     """Haar-uniform pure state: ``unit_rows`` of the ``gaussian_vectors`` of the first 2 d normals of
     ``seeded_normals`` on the one key ``seed``, so ``spawn_keys(cell_seed, n)[i]`` gives sample i's
     input in ``verify_theorem``."""
-    from .streams import seeded_normals
-
     return StateVector(unit_rows(gaussian_vectors(seeded_normals([check_seed(seed)], 2 * d), d))[0], (d,))

@@ -32,6 +32,7 @@ import numpy as np
 from mcteleport import (
     Measurement,
     Operator,
+    Partition,
     Permutation,
     StateVector,
     VerificationError,
@@ -55,8 +56,7 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport.core import DEFAULT_ATOL, Partition, gaussian_vectors, occupation_rank, occupations
-from mcteleport.streams import seeded_normals
+from mcteleport.core import DEFAULT_ATOL, gaussian_vectors, occupation_rank, occupations, seeded_normals
 from mcteleport.tensor import check_capacity, permutation_index_map
 
 

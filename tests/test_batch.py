@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from mcteleport import VerificationError, cli, core, haar_state, sar, teleport, verify_sar, verify_theorem
-from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
-from mcteleport.streams import seeded_normals
+from mcteleport.core import FACTOR_CAP, batch_slices, seeded_normals, spawn_keys
 
 from oracles import haar_isometries_by_qr, verify_sar_by_loop, verify_theorem_by_loop
 

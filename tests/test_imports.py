@@ -5,6 +5,7 @@ import importlib
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,14 +14,14 @@ import mcteleport
 
 #: The public names of each submodule, by the module that defines them.
 PUBLIC = {
-    "core": "DEFAULT_ATOL CapacityError Partition VerificationError mult_semistandard occupations sym_partition",
+    "core": "DEFAULT_ATOL CapacityError VerificationError occupations",
     "tensor": (
         "DIM_CAP GROUP_BUDGET Operator Permutation StateVector conjugate_by_permutation haar_state haar_unitary "
         "kron max_entangled_state partial_trace partial_transpose permute_state symmetric_group"
     ),
     "symgroup": (
-        "absorption_residual character dim_standard f_projector partitions removable_boxes sym_basis "
-        "sym_projector young_projector"
+        "Partition absorption_residual character dim_standard f_projector mult_semistandard partitions "
+        "removable_boxes sym_basis sym_partition sym_projector young_projector"
     ),
     "teleport": (
         "Measurement RVector build_measurement conditioned_element "
@@ -32,7 +33,7 @@ PUBLIC = {
         "store unitary_channel verify_sar"
     ),
 }
-SUBMODULES = ("cli", "core", "optimality", "sar", "streams", "symgroup", "teleport", "tensor")
+SUBMODULES = ("cli", "core", "optimality", "sar", "symgroup", "teleport", "tensor")
 
 
 @pytest.mark.parametrize("module,name", [(module, name) for module, names in PUBLIC.items() for name in names.split()])
@@ -49,6 +50,18 @@ def test_a_submodule_resolves_by_attribute(name):
 
 def test_the_exports_are_exactly_the_public_names():
     assert sorted(mcteleport.__all__) == sorted(name for names in PUBLIC.values() for name in names.split())
+
+
+def test_every_exported_function_or_class_is_defined_in_the_module_that_files_it():
+    """``_EXPORTS`` files a name under the module that defines it, so no module re-exports another's name."""
+    checked = 0
+    for module, names in mcteleport._EXPORTS.items():
+        for name in names:
+            value = getattr(importlib.import_module(f"mcteleport.{module}"), name)
+            if callable(value) and not isinstance(value, types.GenericAlias):  # a type alias has no module of its own
+                assert value.__module__ == f"mcteleport.{module}", (name, value.__module__)
+                checked += 1
+    assert checked >= 40, checked
 
 
 def test_an_unknown_name_raises_attribute_error():
@@ -91,24 +104,33 @@ RANDOM = {"numpy.random", "secrets", "_hashlib"}
         ),
         (
             ["optimality", "--d", "2..3", "--k", "1..3"],
-            {"mcteleport.sar", "mcteleport.streams", "numpy.random", "concurrent.futures", "dataclasses", *DENSE},
+            {"mcteleport.sar", "numpy.random", "concurrent.futures", "dataclasses", *DENSE},
+        ),
+        (
+            ["sweep", "--d", "1..3", "--k", "1..3"],
+            {"mcteleport.sar", "concurrent.futures", "dataclasses", *DENSE, *RANDOM},
+        ),
+        (
+            ["lemmas", "--d", "2", "--k", "1..3"],
+            {"mcteleport.sar", "concurrent.futures", *RANDOM},
         ),
     ],
-    ids=["verify", "sar", "optimality"],
+    ids=["verify", "sar", "optimality", "sweep", "lemmas"],
 )
 def test_a_one_thread_run_imports_only_its_suite(argv, absent):
     argv = argv + ["--samples", "3", "--threads", "1", "--no-timestamp"]
     loaded = _modules_after(f"import mcteleport.cli\nassert mcteleport.cli.main({argv!r}) == 0")
     assert "mcteleport.cli" in loaded and "mcteleport.teleport" in loaded
     assert not absent & loaded, absent & loaded
-    assert mcteleport.Operator.__module__ not in loaded
+    # only lemmas loads the dense layer, and DENSE names the module of its operators
+    assert mcteleport.Operator.__module__ in DENSE and (DENSE <= loaded) == (argv[0] == "lemmas")
 
 
 def test_the_one_sample_draws_load_no_numpy_random():
     loaded = _modules_after(
         "import mcteleport as mt\nmt.haar_state(2, 0), mt.haar_unitary(2, 0), mt.random_channel(2, 3, 2, 0)"
     )
-    assert "mcteleport.streams" in loaded and not RANDOM & loaded, RANDOM & loaded
+    assert "mcteleport.sar" in loaded and not RANDOM & loaded, RANDOM & loaded
 
 
 def test_random_channel_loads_no_dense_module():
@@ -123,7 +145,7 @@ def test_every_module_parses_as_python_3_10(name):
     ast.parse(source, filename=f"{name}.py", feature_version=(3, 10))
 
 
-@pytest.mark.parametrize("name", ["cli", "core", "optimality", "sar", "streams", "teleport"])
+@pytest.mark.parametrize("name", ["cli", "core", "optimality", "sar", "teleport"])
 def test_the_suite_modules_define_no_dataclass(name):
     """Their records are NamedTuples and their validated types plain classes: ``dataclasses`` is neither
     imported nor named, so no suite run generates dataclass code."""

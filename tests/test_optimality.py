@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -714,6 +715,28 @@ def test_weight_classes_hold_blocks_not_tables(d, k):
     width, m = math.comb(k + d - 2, k - 1), math.comb(k + d - 1, k)
     held = arrays(optimality._weight_classes(d, k))
     assert held and max(array.size for array in held) <= max(width * d * d, m * d)
+
+
+@pytest.mark.parametrize("d,k", [(3, 4), (8, 12), (128, 2)])
+def test_weight_classes_match_the_gathered_occupation_table_bit_for_bit(d, k):
+    # X from each class's weight alone equals X from the (width, d, d) table of the rows' occupations;
+    # at (8, 12), 2 M entries per stack, the build stays under 60 MiB with no such table kept
+    optimality._weight_classes.cache_clear()
+    tracemalloc.start()
+    try:
+        classes = optimality._weight_classes(d, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        optimality._weight_classes.cache_clear()
+    meas = teleport.build_measurement(d, k)
+    n = core.occupations(k, d)[meas.rows // d]
+    order = np.argsort(core.occupation_rank(n[:, 0] - np.eye(d, dtype=n.dtype)[0]))
+    n, values = n[order], meas.values[order]
+    x = np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1)
+    assert classes.x.blocks.dtype == x.dtype and np.array_equal(classes.x.blocks, x)
+    assert np.array_equal(classes.f.blocks, values[:, :, None] * values[:, None, :])
+    assert (d, k) != (8, 12) or peak < 60 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("d,k", [(3, 4), (8, 10), (128, 2)])

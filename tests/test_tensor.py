@@ -22,8 +22,7 @@ from mcteleport import (
 )
 
 from mcteleport import core
-from mcteleport.core import FACTOR_CAP, batch_slices, spawn_keys
-from mcteleport.streams import seeded_normals, seeded_uniforms
+from mcteleport.core import FACTOR_CAP, batch_slices, seeded_normals, seeded_uniforms, spawn_keys
 
 from oracles import (
     box_muller_normals,
