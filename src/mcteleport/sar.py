@@ -41,11 +41,12 @@ from .core import (
 )
 from .teleport import (
     Measurement,
-    _check_floor,
-    _check_input,
-    _sample_entries,
     build_measurement,
+    check_floor,
+    check_input,
+    check_weights,
     conditioned_elements,
+    sample_entries,
     success_probability_formula,
 )
 
@@ -198,7 +199,7 @@ def retrievals(e: np.ndarray, rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     d_out = rhos.shape[-1] // d
     blocks = np.einsum("sab,sbxay->sxy", e, rhos.reshape(-1, d, d_out, d, d_out))
     probs = np.trace(blocks, axis1=1, axis2=2).real
-    _check_floor(probs)
+    check_floor(probs)
     return probs, blocks / probs[:, None, None]
 
 
@@ -214,7 +215,7 @@ def retrieve(
     """
     from .tensor import Operator
 
-    _check_input(psi, prog.d)
+    check_input(psi, prog.d)
     if meas is None:
         meas = build_measurement(prog.d, k, form="eigen")
     elif meas.d != prog.d or meas.k != k:
@@ -225,7 +226,7 @@ def retrieve(
 
 def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
     """Entries per sample of every array a chunk of ``verify_sar`` can hold at once, all counted as
-    if alive together: those of ``_sample_entries``, the rest of the draw row and the isometry step
+    if alive together: those of ``sample_entries``, the rest of the draw row and the isometry step
     on w = d_out kraus_rank (the row's 2 w d, the generator's 3 w d temporaries, the w x d Ginibre
     matrix and the isometry, each w d, and Gram–Schmidt's column in hand, its projection and their
     difference, 3 w, with the column's d coefficients and its 2 norm sums), the Kraus stack's
@@ -236,7 +237,7 @@ def _sar_sample_entries(d: int, d_out: int, k: int, kraus_rank: int) -> int:
     w = d_out * kraus_rank
     isometry = 7 * w * d + 3 * w + d + 2
     kraus = 4 * w * d + kraus_rank * d * d + 2 * d * d
-    return _sample_entries(d, k) + isometry + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
+    return sample_entries(d, k) + isometry + kraus + (d * d_out) ** 2 + 4 * d_out * d_out + w
 
 
 def _sar_chunk(
@@ -306,6 +307,7 @@ def verify_sar(
         raise ValueError("need at least one sample")
     _check_program(d, d_out)
     meas = build_measurement(d, k, form="eigen")
+    check_weights(d, k)
     _check_dilation(d, d_out, kraus_rank)
     p_formula = success_probability_formula(d, k)
     keys = spawn_keys(seed, samples)

@@ -15,13 +15,13 @@ M lives on Sym^k (x) C^d as F F^dagger with F = (B (x) 1) G, and column j
 of G is nonzero only on the d coordinates |n'_j + e_a>_sym (x) |a> of one
 weight class, so G is held as those coordinates and its values there.
 Simulation, retrieval and the residual between the eigen and projector
-forms, which share no helper and so certify each other, never touch the
-d^(k+1) coordinates of the full space.  A cell whose insertion table would
-pass FACTOR_CAP entries is refused before it is built.  ``r_vectors`` (for
-``gram_residual``) lives there.  It and ``simulate`` import the dense layer
-(``tensor``, ``symgroup``) when called, so ``verify``, ``sar`` and
-``optimality`` load neither dense module; the samples' normals are
-``core.seeded_normals`` rows.
+forms, which share only the occupation tables that number them and so
+certify each other, never touch the d^(k+1) coordinates of the full space
+that ``r_vectors`` (for ``gram_residual``) works on.  A cell whose insertion
+table would pass FACTOR_CAP entries is refused before it is built.
+``r_vectors`` and ``simulate`` import the dense layer (``tensor``,
+``symgroup``) when called, so ``verify``, ``sar`` and ``optimality`` load
+neither dense module; the samples' normals are ``core.seeded_normals`` rows.
 
 ``verify_theorem`` draws each input from one row of normals on its own
 child seed, then forms and simulates the samples together: every array of
@@ -34,10 +34,7 @@ one-sample case of the same kernels.
 from __future__ import annotations
 
 import math
-import operator
-from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
@@ -142,6 +139,34 @@ def _insertions(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return occupation_rank(grown) * d + np.arange(d), base + 1
 
 
+def _multinomials(d: int, n: int) -> list[int]:
+    """n! / prod_j c_j! for each occupation c in ``occupations(n, d)``, exact; uncached, as the big
+    integers take many times the memory of the float roots ``_sqrt_multinomials`` keeps.
+
+    Past 2^1000 they are refused, from the largest (the most even
+    occupation) before the others are formed, so every square root stays
+    under 2^500 and the power products of a weight that matters stay far
+    above the float underflow.  They grow level by level in the order of
+    ``occupations``: a row with r factors left takes r, .., 0 of them at the
+    next level, times C(r, j) from the row of Pascal's triangle of r, made
+    once per r by the exact recurrence C(r, j + 1) = C(r, j) (r - j) / (j + 1).
+    """
+    q, extra = divmod(n, d)
+    most_even = math.factorial(n) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
+    if most_even.bit_length() > 1000:
+        raise CapacityError(f"multinomial weights of k={n} copies at d={d} exceed the float range")
+    pascal: dict[int, list[int]] = {}
+    mults, rest = [1], [n]
+    for _ in range(d - 1):
+        for r in set(rest) - pascal.keys():
+            row = pascal[r] = [1]
+            for j in range(r):
+                row.append(row[-1] * (r - j) // (j + 1))
+        mults = [m * c for m, r in zip(mults, rest) for c in pascal[r]]
+        rest = [left for r in rest for left in range(r + 1)]
+    return mults
+
+
 def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The P+ sandwich Z^dagger compressed to one row per occupation of k-1 factors.
 
@@ -152,32 +177,20 @@ def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     occupation n'' agree, so Z Z^dagger = C^dagger C with one row per n'',
     weighted by sqrt(mult(n'')).  Row n'' is nonzero only in the d columns
     (n'' + e_a, a), so the rows are orthogonal, and each is returned as
-    those columns and its entries there.  The rows come from sorted
-    multisets of levels, counted by bisection, the columns from a lookup of
-    n'' + e_a and the entries from the multinomials themselves, each taken
-    once per occupation from one table of exact factorials, so nothing is
-    shared with the eigen form.
+    those columns and its entries there.  The rows run through
+    ``occupations(k - 1, d)``, each column n'' + e_a is found by lookup in
+    ``occupations(k, d)``, and each entry sqrt(mult(n'') / (d mult(n'' + e_a)))
+    comes from ``_multinomials``, read for k first: past the float range no array is built.
     """
-    factorial = list(accumulate(range(1, k + 1), operator.mul, initial=1))  # factorial[c] = c!
-
-    def multinomial(occ: tuple[int, ...]) -> int:
-        den = 1
-        for c in occ:
-            den *= factorial[c]
-        return factorial[sum(occ)] // den
-
-    column = {occ: (i * d, multinomial(occ)) for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
+    grown = _multinomials(d, k)
+    index = {occ: i for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
     columns, entries = [], []
-    for levels in combinations_with_replacement(range(d), k - 1):
-        edges = [bisect_left(levels, a) for a in range(1, d)]
-        base = tuple(hi - lo for lo, hi in zip([0] + edges, edges + [k - 1]))
-        mult = multinomial(base)
+    for base, mult in zip(map(tuple, occupations(k - 1, d).tolist()), _multinomials(d, k - 1)):
         for a in range(d):
-            index, grown = column[base[:a] + (base[a] + 1,) + base[a + 1 :]]
-            columns.append(index + a)
-            entries.append(math.sqrt(mult / (d * grown)))
-    shape = (math.comb(k - 2 + d, k - 1), d)
-    return np.array(columns, dtype=np.intp).reshape(shape), np.array(entries).reshape(shape)
+            i = index[base[:a] + (base[a] + 1,) + base[a + 1 :]]
+            columns.append(i * d + a)
+            entries.append(math.sqrt(mult / (d * grown[i])))
+    return np.array(columns, dtype=np.intp).reshape(-1, d), np.array(entries).reshape(-1, d)
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
@@ -188,22 +201,21 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     puts the eigenvector of index n' at sqrt((n'_a + 1)/(k - 1 + d)) in
     coordinate (n' + e_a, a), for each level a.  ``form="projector"`` is
     G = sqrt(c) C^dagger for the rows C of ``_sandwich_rows``: they are
-    orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It is
-    coded independently of the eigen form and kept for cross-checks.
+    orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It uses
+    no helper or closed form of the eigen form and is kept for cross-checks.
 
     A cell is refused with ``CapacityError`` before anything is allocated
-    when its width x d x d insertion table would pass FACTOR_CAP entries, or
-    when its sqrt-multinomial weights leave the float range.  That table is
-    the largest array of a build and of the residual, never smaller than the
-    m d entries of the occupation table (d width >= m), and every cell with
-    d^(k+1) <= DIM_CAP fits, as width <= d^(k-1).
+    when its width x d x d insertion table would pass FACTOR_CAP entries,
+    and the projector form, not the eigen form, also when its multinomials
+    leave the float range.  That table is the largest array of a build and
+    of the residual, never smaller than the m d entries of the occupation
+    table (d width >= m), and every cell with d^(k+1) <= DIM_CAP fits.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
     width = math.comb(k - 2 + d, k - 1)
     if width * d * d > FACTOR_CAP:
         raise CapacityError(f"insertion table of {width} x {d} x {d} entries exceeds cap {FACTOR_CAP}")
-    _sqrt_multinomials(d, k)
     if form == "eigen":
         coords, counts = _insertions(d, k)
         return Measurement(d, k, coords, np.sqrt(counts / (k - 1 + d)))
@@ -239,7 +251,7 @@ def eigendecomposition_residual(d: int, k: int) -> float:
     return _factor_distance(build_measurement(d, k, form="eigen"), build_measurement(d, k, form="projector"))
 
 
-def _check_input(psi: StateVector, d: int) -> None:
+def check_input(psi: StateVector, d: int) -> None:
     """Reject an input that is not one factor of dim d; the stacked kernels check its norm."""
     if psi.dims != (d,):
         raise ValueError(f"input state must be a single factor of dim {d}")
@@ -251,7 +263,7 @@ def _check_normalised(psis: np.ndarray) -> None:
         raise ValueError("input state must be normalised")
 
 
-def _check_floor(probs: np.ndarray) -> None:
+def check_floor(probs: np.ndarray) -> None:
     """Raise on the first success probability below P_FLOOR, carrying it."""
     low = np.flatnonzero(probs < P_FLOOR)
     if low.size:
@@ -259,38 +271,20 @@ def _check_floor(probs: np.ndarray) -> None:
         raise VerificationError(f"success probability {p_est:.3e} below floor", p_est)
 
 
+def check_weights(d: int, k: int) -> None:
+    """Refuse a cell whose sampled weights leave the float range (``CapacityError``), before any draw."""
+    _sqrt_multinomials(d, k)
+
+
 @lru_cache(maxsize=None)
 def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
-    """sqrt(k! / prod_j n_j!) for each occupation n in ``occupations(k, d)``, read-only.
-
-    The multinomials are exact integers.  Below 2^1000 every square root
-    stays under 2^500, so the power products of a weight that matters stay
-    far above the float underflow; larger multinomials are refused, from
-    the largest one (the most even occupation) before the others are formed.
-    They are grown level by level in the order of ``occupations``: a row
-    with r copies left takes n = r, .., 0 of them at the next level, times
-    C(r, n) = C(r, r - n) from the row of Pascal's triangle of r, made once
-    per r by the exact recurrence C(r, j + 1) = C(r, j) (r - j) / (j + 1).
-    """
-    q, extra = divmod(k, d)
-    most_even = math.factorial(k) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
-    if most_even.bit_length() > 1000:
-        raise CapacityError(f"multinomial weights of k={k} copies at d={d} exceed the float range")
-    pascal: dict[int, list[int]] = {}
-    mults, rest = [1], [k]
-    for _ in range(d - 1):
-        for r in set(rest) - pascal.keys():
-            row = pascal[r] = [1]
-            for j in range(r):
-                row.append(row[-1] * (r - j) // (j + 1))
-        mults = [m * c for m, r in zip(mults, rest) for c in pascal[r]]
-        rest = [left for r in rest for left in range(r + 1)]
-    out = np.sqrt(np.array([float(m) for m in mults]))
+    """sqrt(k! / prod_j n_j!) for each occupation n in ``occupations(k, d)``, from ``_multinomials``, read-only."""
+    out = np.sqrt(np.array([float(m) for m in _multinomials(d, k)]))
     out.setflags(write=False)
     return out
 
 
-def _sample_entries(d: int, k: int) -> int:
+def sample_entries(d: int, k: int) -> int:
     """Entries per sample of every array a chunk of ``verify_theorem`` can hold at once, all counted
     as if alive together: the draw row, the generator's temporaries (3 per pair of normals) and the
     input (6 d), and in ``conditioned_elements`` the power table with the array it accumulates
@@ -329,7 +323,7 @@ def conditioned_elements(meas: Measurement, psis: np.ndarray) -> np.ndarray:
 
 def conditioned_element(meas: Measurement, psi: StateVector) -> np.ndarray:
     """``conditioned_elements`` of the one input psi, a d x d matrix."""
-    _check_input(psi, meas.d)
+    check_input(psi, meas.d)
     return conditioned_elements(meas, psi.vec[None])[0]
 
 
@@ -342,7 +336,7 @@ def simulations(meas: Measurement, psis: np.ndarray) -> tuple[np.ndarray, np.nda
     e = conditioned_elements(meas, psis)
     traces = np.trace(e, axis1=1, axis2=2).real
     probs = traces / meas.d
-    _check_floor(probs)
+    check_floor(probs)
     return probs, np.swapaxes(e, 1, 2) / traces[:, None, None]
 
 
@@ -350,7 +344,7 @@ def simulate(psi: StateVector, meas: Measurement) -> tuple[float, Operator]:
     """``simulations`` of the one input psi: (p_est, Bob's state)."""
     from .tensor import Operator
 
-    _check_input(psi, meas.d)
+    check_input(psi, meas.d)
     probs, bob = simulations(meas, psi.vec[None])
     return float(probs[0]), Operator(bob[0], (meas.d,))
 
@@ -397,9 +391,9 @@ def verify_theorem(
     key of the seed: the children's keys, the seed's SplitMix64 outputs, come
     from ``spawn_keys`` in one pass, and ``seeded_normals`` draws each chunk's rows, one
     SplitMix64 stream per key, with numpy array arithmetic.  ``haar_state``
-    on child i's key forms sample i's input bit for bit.  The
-    inputs are then formed and simulated together, one chunk at a time,
-    so that every array a chunk holds (``_sample_entries``) stays within
+    on child i's key forms sample i's input bit for bit, after ``check_weights``.
+    The inputs are then formed and simulated together, one chunk at a time,
+    so that every array a chunk holds (``sample_entries``) stays within
     FACTOR_CAP.  Passes iff every sampled probability matches k/(d(k-1+d))
     within tol, every conditional output has fidelity at least 1 - tol with
     the input, and the residual between the two measurement constructions
@@ -408,11 +402,12 @@ def verify_theorem(
     if samples < 1:
         raise ValueError("need at least one sample")
     meas = build_measurement(d, k, form="eigen")
+    check_weights(d, k)
     p_formula = success_probability_formula(d, k)
     keys = spawn_keys(seed, samples)
     probs = np.empty(samples)
     fids = np.empty(samples)
-    for part in batch_slices(samples, _sample_entries(d, k)):
+    for part in batch_slices(samples, sample_entries(d, k)):
         probs[part], fids[part] = _theorem_chunk(meas, keys[part])
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)

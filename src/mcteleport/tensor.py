@@ -33,7 +33,8 @@ GROUP_BUDGET = 8
 
 def check_capacity(dim: int) -> None:
     if dim > DIM_CAP:
-        raise CapacityError(f"ambient dimension {dim} exceeds cap {DIM_CAP}")
+        shown = dim if dim < 10**18 else f"about 10^{math.log10(dim):.0f}"  # str() refuses ints past 4300 digits
+        raise CapacityError(f"ambient dimension {shown} exceeds cap {DIM_CAP}")
 
 
 def check_group_budget(n: int) -> None:

@@ -60,7 +60,7 @@ def test_an_impossible_tolerance_fails_like_the_loop():
 def test_one_sample_chunks_equal_one_chunk(d, k, monkeypatch):
     whole = [verify_theorem(d, k, samples=30, seed=7), verify_sar(d, d + 1, k, 2, samples=30, seed=7)]
     monkeypatch.setattr(core, "FACTOR_CAP", 1)
-    assert len(batch_slices(30, teleport._sample_entries(d, k))) == 30
+    assert len(batch_slices(30, teleport.sample_entries(d, k))) == 30
     chunked = [verify_theorem(d, k, samples=30, seed=7), verify_sar(d, d + 1, k, 2, samples=30, seed=7)]
     for one, many in zip(whole, chunked):
         for field, value in one._asdict().items():
@@ -218,7 +218,7 @@ def test_working_set_chunks_equal_one_chunk_at_a_thousand_copies(suite, monkeypa
     def run():
         return verify_theorem(2, 1000, samples=600, seed=4) if suite == "verify" else verify_sar(2, 2, 1000, 2, samples=600, seed=4)
 
-    assert len(batch_slices(600, teleport._sample_entries(2, 1000))) > 1
+    assert len(batch_slices(600, teleport.sample_entries(2, 1000))) > 1
     chunked = run()
     monkeypatch.setattr(core, "FACTOR_CAP", 2**40)
     assert chunked == run()

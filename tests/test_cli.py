@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mcteleport import cli, optimality, teleport
+from mcteleport import cli, optimality, sar, teleport
 from mcteleport.core import VerificationError, spawn_keys
 
 BASE = [sys.executable, "-m", "mcteleport"]
@@ -217,12 +217,29 @@ class TestVerifySuite:
         assert cell["pass"] == "true"
 
     @pytest.mark.parametrize("suite", ["verify", "sar"])
-    @pytest.mark.parametrize("d,k", [("16", "7"), ("2", "1100")])
+    @pytest.mark.parametrize("d,k", [("16", "7")])
     def test_cells_over_the_factor_cap_skip_unbuilt(self, suite, d, k, monkeypatch, capsys):
         def unexpected(*args, **kwargs):
             raise AssertionError("factor built for a cell over the cap")
 
         monkeypatch.setattr(teleport, "_insertions", unexpected)
+        monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
+        argv = [suite, "--d", d, "--k", k, "--samples", "5", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert "exceed" in cell["detail"]
+
+    @pytest.mark.parametrize("suite", ["verify", "sar"])
+    @pytest.mark.parametrize("d,k", [("2", "1100")])
+    def test_cells_past_the_float_range_skip_unsampled(self, suite, d, k, monkeypatch, capsys):
+        # the eigen form is built, as it forms no multinomial; the weights are refused before any draw
+        def unexpected(*args, **kwargs):
+            raise AssertionError("sample drawn or projector form built past the float range")
+
+        monkeypatch.setattr(teleport, "seeded_normals", unexpected)
+        monkeypatch.setattr(sar, "seeded_normals", unexpected)
         monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
         argv = [suite, "--d", d, "--k", k, "--samples", "5", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
@@ -287,6 +304,15 @@ class TestDenseSuites:
         assert cell["pass"] == "skipped"
         assert "ambient dimension 390625 exceeds cap" in cell["detail"]
 
+    @pytest.mark.parametrize("d,k", [("2", "15000"), ("10", "5000")])
+    def test_cells_whose_dimension_passes_4300_digits_skip(self, d, k):
+        # str() refuses an int of more than 4300 digits, which d^(k+1) is at both cells
+        result = run_cli("lemmas", "--d", d, "--k", k, "--threads", "1", "--format", "json", "--no-timestamp")
+        assert result.returncode == 0, result.stderr
+        cell = json.loads(result.stdout)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert re.fullmatch(r"ambient dimension about 10\^\d+ exceeds cap 65536", cell["detail"])
+
 
 class TestSymmetricSuites:
     @pytest.mark.parametrize("suite", ["optimality", "sweep"])
@@ -298,6 +324,33 @@ class TestSymmetricSuites:
         assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "true", cell.get("detail")
+
+    @pytest.mark.parametrize("d,k", [("2", "1100"), ("2", "100000"), ("3", "400")])
+    def test_optimality_runs_past_the_float_range(self, d, k, monkeypatch, capsys):
+        # no optimality layer forms a multinomial weight, so the float range does not bound them
+        monkeypatch.setattr(teleport, "_multinomials", lambda *args: pytest.fail("multinomials formed"))
+        argv = ["optimality", "--d", d, "--k", k, "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            optimality._weight_classes.cache_clear()  # these cells' (width, d, d) stacks
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "true", cell.get("detail")
+
+    def test_sweep_keeps_its_coefficients_past_the_float_range(self, capsys):
+        argv = ["sweep", "--d", "2", "--k", "1100", "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            optimality._weight_classes.cache_clear()
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "skipped"
+        assert cell["detail"] == "multinomial weights of k=1100 copies at d=2 exceed the float range"
+        assert cell["c1"] == pytest.approx(1102 / 1101, abs=1e-12)  # (d + k)/(k + 1)
+        assert cell["c2"] == pytest.approx(1 / 1101, abs=1e-12)  # 1/(k + 1)
+        assert cell["p_mean"] == ""  # nothing was sampled
 
     @pytest.mark.parametrize("suite", ["optimality", "sweep"])
     def test_no_dense_operator_is_built(self, suite, forbid_dense_builders, capsys):

@@ -145,6 +145,20 @@ def test_every_module_parses_as_python_3_10(name):
     ast.parse(source, filename=f"{name}.py", feature_version=(3, 10))
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in Path(mcteleport.__file__).parent.glob("*.py")))
+def test_no_module_imports_a_private_name_of_another(name):
+    """A name with a leading underscore is used only in the module that defines it: no ``from .x import _name``."""
+    source = (Path(mcteleport.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    private = [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 @pytest.mark.parametrize("name", ["cli", "core", "optimality", "sar", "teleport"])
 def test_the_suite_modules_define_no_dataclass(name):
     """Their records are NamedTuples and their validated types plain classes: ``dataclasses`` is neither

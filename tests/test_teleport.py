@@ -364,7 +364,7 @@ class TestThinFactor:
         with pytest.raises(CapacityError):  # C(1100, 550) > 2^1000
             teleport._sqrt_multinomials(2, 1100)
 
-    @pytest.mark.parametrize("d,k", [(2, 30000), (16, 7), (2, 1010), (2, 1100)])
+    @pytest.mark.parametrize("d,k", [(16, 7)])
     def test_oversized_cells_are_refused_before_allocation(self, d, k, monkeypatch):
         def unexpected(*args, **kwargs):
             raise AssertionError("factor built for a cell over the cap")
@@ -374,6 +374,21 @@ class TestThinFactor:
         for form in ("eigen", "projector"):
             with pytest.raises(CapacityError):
                 build_measurement(d, k, form)
+
+    @pytest.mark.parametrize("d,k", [(2, 30000), (2, 1010), (2, 1100)])
+    def test_only_the_multinomials_are_refused_past_the_float_range(self, d, k, monkeypatch):
+        # the projector form is refused by its first multinomial, before an occupation table exists
+        with monkeypatch.context() as patch:
+            patch.setattr(teleport, "occupations", lambda *args: pytest.fail("projector form built"))
+            with pytest.raises(CapacityError, match=f"weights of k={k} copies at d={d} exceed the float range"):
+                build_measurement(d, k, "projector")
+        with pytest.raises(CapacityError, match="exceed the float range"):
+            teleport._sqrt_multinomials(d, k)
+        with pytest.raises(CapacityError, match="exceed the float range"):
+            teleport.check_weights(d, k)
+        monkeypatch.setattr(teleport, "_multinomials", lambda *args: pytest.fail("multinomials formed"))
+        meas = build_measurement(d, k, "eigen")
+        assert meas.rows.shape == meas.values.shape == (k, d)  # width C(k, k - 1) = k at d = 2
 
     def test_every_dense_cell_fits_the_factor_cap(self):
         for d in range(2, 257):  # 257^2 > DIM_CAP
