@@ -79,39 +79,32 @@ def _weight_classes(d: int, k: int) -> _Classes:
     """Q = 1, F and X on Sym^k (x) C^d, on the weight classes of the rows.
 
     Row (n, a) has the weight n - e_a.  The classes of d rows are the
-    measurement's columns: each column holds the rows (w + e_b, b) of one
-    weight w >= 0, or it raises.  Block j is the class whose weight w is row
-    j of occupations(k - 1, d), its rows in the order of b.  Every other row,
-    n_a = 0, is a class of one.  Within a class X is sqrt((n_b + 1)(n'_a +
-    1)) / (k + 1) between rows (n, a) and (n', b), that is sqrt((w_b + 1 +
-    delta_ab)(w_a + 1 + delta_ab)) / (k + 1), built from the weight alone;
-    on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1).  F is g g^T
-    on the class of a column, g the measurement's values there, and 0 on a
-    class of one.
+    measurement's columns, in the layout ``build_measurement`` returns and
+    ``Measurement`` checks: block j is the class whose weight w is row j of
+    occupations(k - 1, d), its rows (w + e_b, b) in the order of b.  Every
+    other row, n_a = 0, is a class of one.  Within a class X is sqrt((n_b +
+    1)(n'_a + 1)) / (k + 1) between rows (n, a) and (n', b), that is
+    sqrt((w_b + 1 + delta_ab)(w_a + 1 + delta_ab)) / (k + 1), built from the
+    weight alone; on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1).
+    F is g g^T on the class of a column, g the measurement's values there,
+    and 0 on a class of one.
     Every array kept is a (width, d, d) stack, as large as the insertion
     table that ``build_measurement`` bounds by FACTOR_CAP before it builds
     anything; ``occupations`` bounds the m d entries of the other table.
     """
-    meas = build_measurement(d, k)
-    n = occupations(k, d)[meas.rows // d]  # n[j, b] is the occupation of row rows[j, b]
-    eye = np.eye(d, dtype=n.dtype)
-    n -= eye  # the weight of each row
-    if n.min() < 0 or np.any(n != n[:, :1]):
-        raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
-    order = np.argsort(occupation_rank(n[:, 0]))
-    v, values = n[order, 0] + 1, meas.values[order]  # w + 1 for each class's weight w
-    del n
-    width = len(v)
+    values = build_measurement(d, k).values
+    v = occupations(k - 1, d) + 1  # w + 1 for each class's weight w
+    eye = np.eye(d, dtype=v.dtype)
     x = v[:, None, :] + eye
     x *= v[:, :, None] + eye  # (w_b + 1 + delta_ab)(w_a + 1 + delta_ab), exact integers, in place
     x = np.sqrt(x)
     x /= k + 1
-    q = _Held(np.broadcast_to(np.eye(d), (width, d, d)), 1.0)
+    q = _Held(np.broadcast_to(np.eye(d), (len(v), d, d)), 1.0)
     f = _Held(values[:, :, None] * values[:, None, :], 0.0)
     x = _Held(x, 1 / (k + 1))
     for held in (f, x):
         held.blocks.setflags(write=False)
-    return _Classes((math.comb(k + d - 1, k) - width) * d, q, f, x)
+    return _Classes((math.comb(k + d - 1, k) - len(v)) * d, q, f, x)
 
 
 def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ from .tensor import (
     StateVector,
     check_capacity,
     check_group_budget,
+    check_memory,
     max_entangled_state,
     permutation_index_map,
     symmetric_group,
@@ -163,12 +164,15 @@ def _young_projectors(k: int, d: int) -> dict[Partition, Operator]:
     frame, weighted by its characters, by ``np.bincount``.  A chunk has at most
     max(d^(2k), k!) keys.  The sums are exact integers until the scale.  Each
     frame has its own sum, released once its operator holds a copy, so at most
-    one frame beyond the store is alive.
+    one frame beyond the store is alive: the ``bincount`` output while summing,
+    a frozen copy while wrapping.  That peak, (frames + 1) d^(2k) floats, is
+    refused by ``check_memory`` before the first sum is allocated.
     """
     frames = [mu for mu in partitions(k) if len(mu) <= d]
     group = symmetric_group(k)  # checks the group budget before anything is allocated
     total = d**k
     check_capacity(total)
+    check_memory((len(frames) + 1) * total * total * 8, "Young projector store")
     images, label, classes = [], [], {}
     for sigma in group:
         images.append(sigma.images)

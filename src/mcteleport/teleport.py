@@ -107,8 +107,15 @@ class Measurement:
     holds ``values[j, a]`` in row ``rows[j, a]`` = index(n) d + a, the
     coordinate |n>_sym (x) |a> with index(n) the row of n in
     ``occupations(k, d)``, and zero elsewhere.  Both arrays are width x d,
-    width = C(k+d-2, k-1), and kept as read-only views; rows of the wrong
-    level, out of range or repeated are refused.
+    width = C(k+d-2, k-1), and kept as read-only views.
+
+    Its layout is an invariant, checked here and trusted everywhere else:
+    column j is the weight class of n'_j, row j of ``occupations(k - 1, d)``,
+    so ``rows[j, a]`` is the coordinate (n'_j + e_a, a).  Rows of the wrong
+    shape, out of range or at the wrong level raise ValueError; any other
+    layout, such as a repeated coordinate or columns out of order, raises
+    VerificationError.  The check reads the occupation tables alone, so each
+    form is checked against this definition, not against the other.
     """
 
     __slots__ = ("d", "k", "rows", "values")
@@ -120,8 +127,10 @@ class Measurement:
             raise ValueError(f"need {shape} integer rows and values at d={d}, k={k}, got {rows.shape} {rows.dtype}")
         if rows.min() < 0 or rows.max() >= d * math.comb(k + d - 1, k) or ((rows - np.arange(d)) % d).max():
             raise ValueError(f"rows[j, a] must be a coordinate index(n) d + a of Sym^{k} (x) C^{d}")
-        if np.bincount(rows.ravel()).max() > 1:
-            raise ValueError("rows hold a coordinate twice")
+        grown = occupations(k, d)[rows // d]
+        grown -= np.eye(d, dtype=grown.dtype)
+        if not (grown == occupations(k - 1, d)[:, None, :]).all():
+            raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
         rows.setflags(write=False)
         values.setflags(write=False)
         self.d, self.k, self.rows, self.values = d, k, rows, values
@@ -203,6 +212,8 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     G = sqrt(c) C^dagger for the rows C of ``_sandwich_rows``: they are
     orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It uses
     no helper or closed form of the eigen form and is kept for cross-checks.
+    Both forms emit the columns in the order of ``occupations(k - 1, d)``,
+    and ``Measurement`` refuses either one if it does not.
 
     A cell is refused with ``CapacityError`` before anything is allocated
     when its width x d x d insertion table would pass FACTOR_CAP entries,
@@ -234,15 +245,12 @@ def gram_residual(d: int, k: int) -> float:
 def _factor_distance(a: Measurement, b: Measurement) -> float:
     """||M_a - M_b||_F from the entries of the thin factors alone.
 
-    Sorted by rows[:, 0] (no coordinate is held twice) and with the same
-    rows, M_a - M_b is a direct sum over the columns j of g_j g_j^dagger -
-    h_j h_j^dagger on the coordinates rows[j], so its squared norm is the
-    sum of theirs; B (x) 1 cancels.  Different rows raise VerificationError.
+    Two measurements of one cell hold the same rows (the layout
+    ``Measurement`` checks), so M_a - M_b is a direct sum over the columns j
+    of g_j g_j^dagger - h_j h_j^dagger on the coordinates rows[j], and its
+    squared norm is the sum of theirs; B (x) 1 cancels.
     """
-    order_a, order_b = np.argsort(a.rows[:, 0]), np.argsort(b.rows[:, 0])
-    if not np.array_equal(a.rows[order_a], b.rows[order_b]):
-        raise VerificationError(f"measurement constructions hold different coordinates at d={a.d}, k={a.k}")
-    g, h = a.values[order_a], b.values[order_b]
+    g, h = a.values, b.values
     return float(np.linalg.norm(g[:, :, None] * g[:, None, :].conj() - h[:, :, None] * h[:, None, :].conj()))
 
 

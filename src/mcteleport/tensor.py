@@ -17,6 +17,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import permutations as _sn_iter
 from typing import Iterable, Iterator
@@ -35,6 +37,17 @@ def check_capacity(dim: int) -> None:
     if dim > DIM_CAP:
         shown = dim if dim < 10**18 else f"about 10^{math.log10(dim):.0f}"  # str() refuses ints past 4300 digits
         raise CapacityError(f"ambient dimension {shown} exceeds cap {DIM_CAP}")
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse ``what`` past the memory this process can get: physical memory, or the soft RLIMIT_AS if lower."""
+    room = [os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")] if hasattr(os, "sysconf") else []
+    with suppress(ImportError):  # a host without resource sets no address-space limit to read
+        import resource
+        soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+        room += [] if soft == resource.RLIM_INFINITY else [soft]
+    if room and nbytes > min(room):
+        raise CapacityError(f"{what} of {nbytes / 2**30:.2f} GiB exceeds the {min(room) / 2**30:.2f} GiB this process gets")
 
 
 def check_group_budget(n: int) -> None:

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mcteleport import cli, optimality, sar, teleport
-from mcteleport.core import VerificationError, spawn_keys
+from mcteleport.core import VerificationError, occupation_rank, spawn_keys
 
 BASE = [sys.executable, "-m", "mcteleport"]
 
@@ -304,6 +305,26 @@ class TestDenseSuites:
         assert cell["pass"] == "skipped"
         assert "ambient dimension 390625 exceeds cap" in cell["detail"]
 
+    @pytest.mark.parametrize("d,k,status", [("3", "8", "skipped"), ("4", "7", "skipped"), ("6", "5", "skipped"),
+                                            ("4", "6", "true")])
+    def test_young_stores_past_the_memory_limit_skip(self, d, k, status):
+        # under a 3 GiB address-space limit the first three once stopped on a MemoryError in the
+        # Young projector store, (frames + 1) d^(2k) floats; the limit is set in the child alone
+        argv = ["lemmas", "--d", d, "--k", k, "--threads", "1", "--format", "json", "--no-timestamp"]
+        code = (
+            "import resource, runpy, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            f"sys.argv = ['mcteleport'] + {argv!r}\n"
+            "runpy.run_module('mcteleport', run_name='__main__', alter_sys=True)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        cell = json.loads(result.stdout)["cells"][0]
+        assert cell["pass"] == status, cell.get("detail")
+        if status == "skipped":
+            assert re.fullmatch(r"Young projector store of [\d.]+ GiB exceeds the 3\.00 GiB this process gets",
+                                cell["detail"])
+
     @pytest.mark.parametrize("d,k", [("2", "15000"), ("10", "5000")])
     def test_cells_whose_dimension_passes_4300_digits_skip(self, d, k):
         # str() refuses an int of more than 4300 digits, which d^(k+1) is at both cells
@@ -394,6 +415,21 @@ class TestFailureReporting:
         assert cli.main(argv) == 1
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert (cell["pass"], cell["detail"]) == ("false", "failed at tol 1e-09: gram_residual = 0.25")
+
+    @pytest.mark.parametrize("suite", ["verify", "sar", "optimality", "sweep", "lemmas"])
+    def test_every_suite_refuses_misplaced_weight_classes(self, suite, monkeypatch, capsys):
+        # a shifted occupation_rank puts the eigen build's columns on the wrong coordinates, which
+        # Measurement refuses on entry, before any suite samples or certifies with them
+        m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
+        monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
+        argv = [suite, "--d", "3", "--k", "2", "--samples", "2", "--threads", "1", "--format", "json", "--no-timestamp"]
+        optimality._weight_classes.cache_clear()  # a cached cell would hide the build
+        try:
+            assert cli.main(argv) == 1
+        finally:
+            optimality._weight_classes.cache_clear()
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert (cell["pass"], cell["detail"]) == ("false", "measurement rows differ from the weight classes at d=3, k=2")
 
     def test_a_passing_cell_has_no_detail(self, capsys):
         assert cli.main(["verify", "--d", "2", "--k", "2", "--samples", "3", "--threads", "1", "--format", "json",

@@ -11,6 +11,7 @@ from mcteleport import (
     StateVector,
     VerificationError,
     build_measurement,
+    conditioned_element,
     conjugate_by_permutation,
     eigendecomposition_residual,
     gram_residual,
@@ -238,6 +239,21 @@ class TestConditionedOutput:
         assert np.linalg.norm(p * out.mat - want) < 1e-12
 
 
+    @pytest.mark.parametrize("form", ["eigen", "projector"])
+    @pytest.mark.parametrize("d,k", [(2, 3), (3, 2)])
+    def test_conditioned_element_is_the_one_sample_case(self, d, k, form):
+        meas = build_measurement(d, k, form)
+        psi = haar_state(d, 10 * d + k)
+        e = conditioned_element(meas, psi)
+        assert e.shape == (d, d)
+        assert np.array_equal(e, teleport.conditioned_elements(meas, psi.vec[None])[0])
+        trace = np.trace(e).real
+        assert abs(trace / d - success_probability_formula(d, k)) < 1e-12
+        assert np.abs(e.T / trace - np.outer(psi.vec, psi.vec.conj())).max() < 1e-12
+        with pytest.raises(ValueError):
+            conditioned_element(meas, StateVector(np.kron(psi.vec, psi.vec), (d, d)))
+
+
 class TestVerifyTheorem:
     def test_single_copy(self):
         report = verify_theorem(2, 1, samples=50, seed=5)
@@ -345,12 +361,13 @@ class TestThinFactor:
             rows + 0.0,  # not integer
             rows + 2,  # one past index(n) = m - 1
             rows[:, ::-1],  # rows[j, a] at level 1 - a
-            np.stack([rows[0], rows[0], rows[2]]),  # a coordinate twice
         ):
             with pytest.raises(ValueError):
                 teleport.Measurement(2, 3, bad, values)
         with pytest.raises(ValueError):
             teleport.Measurement(2, 3, rows, np.ones((2, 2)))
+        with pytest.raises(VerificationError, match="rows differ from the weight classes"):  # a coordinate twice
+            teleport.Measurement(2, 3, np.stack([rows[0], rows[0], rows[2]]), values)
 
     def test_verify_paths_need_no_full_basis(self, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -423,18 +440,19 @@ class TestThinFactor:
         roots, want = teleport._sqrt_multinomials(d, k), sqrt_multinomials_by_combs(d, k)
         assert roots.dtype == want.dtype and np.array_equal(roots, want)
 
+    @pytest.mark.parametrize("form", ["eigen", "projector"])
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2), (3, 6)])
-    def test_residual_ignores_the_column_order(self, d, k):
-        eigen, proj = (build_measurement(d, k, form) for form in ("eigen", "projector"))
-        order = np.random.default_rng(d * k).permutation(len(proj.rows))
-        shuffled = teleport.Measurement(d, k, proj.rows[order], proj.values[order])
-        assert teleport._factor_distance(eigen, shuffled) == teleport._factor_distance(eigen, proj)
-        assert teleport._factor_distance(shuffled, eigen) < 1e-14
+    def test_column_shuffled_factor_is_refused(self, d, k, form):
+        # the columns follow occupations(k - 1, d), so the residual compares them without sorting
+        meas = build_measurement(d, k, form)
+        order = np.roll(np.arange(len(meas.rows)), 1)
+        with pytest.raises(VerificationError, match="rows differ from the weight classes"):
+            teleport.Measurement(d, k, meas.rows[order], meas.values[order])
 
     def test_residual_sees_a_broken_occupation_rank(self, monkeypatch):
         m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
         monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
-        with pytest.raises(VerificationError, match="different coordinates"):
+        with pytest.raises(VerificationError, match="rows differ from the weight classes"):
             eigendecomposition_residual(3, 2)
 
     def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
