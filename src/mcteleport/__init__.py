@@ -67,6 +67,7 @@ _EXPORTS = {
         "decomposition_coefficients",
         "perturbation_falsifier",
         "reduced_optimum",
+        "verify_lemmas",
     ),
     "sar": (
         "Channel",

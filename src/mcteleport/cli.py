@@ -6,7 +6,10 @@ algebraic identities behind it, ``optimality`` runs the reduced optimiser
 and the perturbation search, ``sar`` exercises program storage and
 retrieval, and ``sweep`` combines verify with the coefficient checks.
 Each suite's branch of ``run_cell`` imports the library modules it calls,
-so a run compiles and loads no other suite's code.
+so a run compiles and loads no other suite's code, and maps its report's
+fields to columns.  The report also carries the checks its cell is judged
+on, each (name, value, ok) at ``--tol``; ``run_cell`` only names the failed
+ones.
 
 Exit code 0 means every executed cell passed, 1 flags a verification
 failure, 2 a usage error, and 3 a cell that raised any other exception: it
@@ -74,28 +77,21 @@ def parse_int_range(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _empty_record(d: int, k: int) -> dict:
-    record = {column: "" for column in CSV_COLUMNS}
-    record["d"] = d
-    record["k"] = k
-    return record
-
-
 def _or_empty(value: float | None) -> float | str:
     """None (a coefficient that does not exist for the cell) reports as an empty field."""
     return "" if value is None else value
 
 
-def _judge(record: dict, passed: bool, tol: float, checks: list[tuple[str, float, bool]]) -> None:
-    """Set the cell's outcome; a cell that ends false names each quantity whose check failed, and its value."""
-    record["pass"] = "true" if passed else "false"
-    if not passed:
-        failed = ", ".join(f"{name} = {float(value)}" for name, value, ok in checks if not ok)
+def _judge(record: dict, checks: tuple[tuple[str, float, bool], ...], tol: float) -> None:
+    """Set the cell's outcome from its report's checks; a cell that ends false names each failed one, and its value."""
+    failed = ", ".join(f"{name} = {float(value)}" for name, value, ok in checks if not ok)
+    record["pass"] = "false" if failed else "true"
+    if failed:
         record["detail"] = f"failed at tol {tol:g}: {failed}"
 
 
 def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
-    record = _empty_record(d, k)
+    record = {column: "" for column in CSV_COLUMNS} | {"d": d, "k": k}
     start = time.perf_counter()
     try:
         if config.suite in ("verify", "sweep"):
@@ -109,67 +105,30 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
                 record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             report = teleport.verify_theorem(d, k, config.samples, config.tol, seed)
             record.update(
-                p_formula=report.p_formula,
-                p_mean=report.p_mean,
-                p_std=report.p_std,
-                eig_residual=report.eig_residual,
+                p_formula=report.p_formula, p_mean=report.p_mean, p_std=report.p_std, eig_residual=report.eig_residual
             )
-            deviation, tol = report.max_probability_deviation, config.tol
-            _judge(record, report.passed, tol, [
-                ("max_probability_deviation", deviation, deviation <= tol),
-                ("min_fidelity", report.min_fidelity, report.min_fidelity >= 1.0 - tol),
-                ("eig_residual", report.eig_residual, report.eig_residual <= tol),
-            ])
         elif config.suite == "lemmas":
-            from . import optimality, symgroup, teleport
+            from . import optimality
 
-            # First, so a cell over the group budget or the dense cap skips before anything is built.
-            absorption = symgroup.absorption_residual(d, k)
-            coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
-            gram = teleport.gram_residual(d, k)
-            eig = teleport.eigendecomposition_residual(d, k)
+            report = optimality.verify_lemmas(d, k, config.tol)
             record.update(
-                p_formula=teleport.success_probability_formula(d, k),
-                eig_residual=eig,
-                c1=coeff.c1,
-                c2=_or_empty(coeff.c2),
+                p_formula=report.p_formula, eig_residual=report.eig_residual, c1=report.c1, c2=_or_empty(report.c2)
             )
-            residuals = {"gram_residual": gram, "eig_residual": eig, "absorption_residual": absorption,
-                         "residual_on_support": coeff.residual_on_support}
-            checks = [(name, value, value <= config.tol) for name, value in residuals.items()]
-            _judge(record, all(ok for *_, ok in checks), config.tol, checks)
         elif config.suite == "optimality":
             from . import optimality
 
-            sdp = optimality.reduced_optimum(d, k)
+            report = optimality.reduced_optimum(d, k, config.tol)
             optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed)
-            record.update(p_formula=sdp.p_star, p_mean=sdp.objective_value)
-            deviation, tol = abs(sdp.objective_value - sdp.p_star), config.tol
-            checks = [
-                ("objective_deviation", deviation, deviation <= tol),
-                ("covariance_residual", sdp.covariance_residual, sdp.covariance_residual <= tol),
-            ]
-            _judge(record, all(ok for *_, ok in checks), tol, checks)
+            record.update(p_formula=report.p_star, p_mean=report.objective_value)
         elif config.suite == "sar":
             from . import sar
 
-            report = sar.verify_sar(
-                d,
-                d if config.d_out is None else config.d_out,
-                k,
-                config.kraus_rank,
-                config.samples,
-                config.tol,
-                seed,
-            )
+            d_out = d if config.d_out is None else config.d_out
+            report = sar.verify_sar(d, d_out, k, config.kraus_rank, config.samples, config.tol, seed)
             record.update(p_formula=report.p_formula, p_mean=report.p_mean, p_std=report.p_std)
-            deviation, tol = report.max_probability_deviation, config.tol
-            _judge(record, report.passed, tol, [
-                ("max_probability_deviation", deviation, deviation <= tol),
-                ("max_state_deviation", report.max_state_deviation, report.max_state_deviation <= tol),
-            ])
         else:
             raise ValueError(f"unknown suite {config.suite}")
+        _judge(record, report.checks, config.tol)
     except CapacityError as exc:
         record["pass"] = "skipped"
         record["detail"] = str(exc)
@@ -182,7 +141,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
         traceback.print_exc()
         record["pass"] = "error"
         record["detail"] = f"error:{type(exc).__name__}: {exc}"
-    record["seconds"] = time.perf_counter() - start
+    record["seconds"] = time.perf_counter() - start if config.timestamp else 0.0
     return record
 
 
@@ -201,11 +160,9 @@ def run(config: RunConfig) -> list[dict]:
 def _format_value(column: str, value) -> str:
     if value == "" or value is None:
         return ""
-    if column in ("d", "k"):
+    if column in ("d", "k", "pass"):
         return str(value)
-    if column == "pass":
-        return str(value)
-    if column in ("eig_residual",):
+    if column == "eig_residual":
         return f"{value:.6e}"
     if column == "seconds":
         return f"{value:.3f}"
@@ -221,10 +178,7 @@ def render_csv(config: RunConfig, records: list[dict]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
-        row = dict(record)
-        if not config.timestamp:
-            row["seconds"] = 0.0
-        writer.writerow([_format_value(col, row.get(col, "")) for col in CSV_COLUMNS])
+        writer.writerow([_format_value(col, record.get(col, "")) for col in CSV_COLUMNS])
     return buffer.getvalue()
 
 
@@ -232,8 +186,6 @@ def render_json(config: RunConfig, records: list[dict], all_pass: bool) -> str:
     cells = []
     for record in records:
         cell = {col: record.get(col, "") for col in CSV_COLUMNS}
-        if not config.timestamp:
-            cell["seconds"] = 0.0
         if "detail" in record:
             cell["detail"] = record["detail"]
         cells.append(cell)

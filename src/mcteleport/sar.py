@@ -264,6 +264,8 @@ def _sar_chunk(
 
 
 class SarReport(NamedTuple):
+    """Retrievals against the Kraus action; ``checks`` holds the worst probability and state deviations, each at tol."""
+
     d: int
     d_out: int
     k: int
@@ -276,6 +278,7 @@ class SarReport(NamedTuple):
     max_probability_deviation: float
     max_state_deviation: float
     tol: float
+    checks: tuple[tuple[str, float, bool], ...]
     passed: bool
     worst_channel_index: int
 
@@ -317,8 +320,9 @@ def verify_sar(
         probs[part], state_devs[part] = _sar_chunk(meas, keys[part], d_out, kraus_rank)
     p_devs = np.abs(probs - p_formula)
     worst_p, worst_state = float(p_devs.max()), float(state_devs.max())
-    passed = bool(worst_p <= tol and worst_state <= tol)
+    checks = (("max_probability_deviation", worst_p, worst_p <= tol),
+              ("max_state_deviation", worst_state, worst_state <= tol))
     return SarReport(
-        d, d_out, k, kraus_rank, samples, seed, p_formula, float(probs.mean()), float(probs.std()),
-        worst_p, worst_state, tol, passed, int(np.argmax(np.maximum(p_devs, state_devs))),
+        d, d_out, k, kraus_rank, samples, seed, p_formula, float(probs.mean()), float(probs.std()), worst_p,
+        worst_state, tol, checks, all(ok for *_, ok in checks), int(np.argmax(np.maximum(p_devs, state_devs))),
     )

@@ -165,14 +165,16 @@ def _young_projectors(k: int, d: int) -> dict[Partition, Operator]:
     max(d^(2k), k!) keys.  The sums are exact integers until the scale.  Each
     frame has its own sum, released once its operator holds a copy, so at most
     one frame beyond the store is alive: the ``bincount`` output while summing,
-    a frozen copy while wrapping.  That peak, (frames + 1) d^(2k) floats, is
-    refused by ``check_memory`` before the first sum is allocated.
+    a frozen copy while wrapping.  That peak, (frames + 1) d^(2k) floats with
+    a chunk's int64 keys and repeated weights, min(step, k!) d^k entries each,
+    is refused by ``check_memory`` before the first sum is allocated.
     """
     frames = [mu for mu in partitions(k) if len(mu) <= d]
     group = symmetric_group(k)  # checks the group budget before anything is allocated
     total = d**k
     check_capacity(total)
-    check_memory((len(frames) + 1) * total * total * 8, "Young projector store")
+    step = max(total, math.factorial(k) // total)  # group elements per chunk
+    check_memory(((len(frames) + 1) * total + 2 * min(step, math.factorial(k))) * total * 8, "Young projector store")
     images, label, classes = [], [], {}
     for sigma in group:
         images.append(sigma.images)
@@ -181,7 +183,6 @@ def _young_projectors(k: int, d: int) -> dict[Partition, Operator]:
     places = (d ** np.arange(k - 1, -1, -1))[np.array(images)]
     digits = np.indices((d,) * k).reshape(k, total)
     sums = [np.zeros(total * total) for _ in frames]
-    step = max(total, len(images) // total)
     for start in range(0, len(images), step):
         keys = (places[start : start + step] @ digits * total + np.arange(total)).reshape(-1)
         for acc, weight in zip(sums, chars[:, label[start : start + step]]):

@@ -127,10 +127,10 @@ class Measurement:
             raise ValueError(f"need {shape} integer rows and values at d={d}, k={k}, got {rows.shape} {rows.dtype}")
         if rows.min() < 0 or rows.max() >= d * math.comb(k + d - 1, k) or ((rows - np.arange(d)) % d).max():
             raise ValueError(f"rows[j, a] must be a coordinate index(n) d + a of Sym^{k} (x) C^{d}")
-        grown = occupations(k, d)[rows // d]
-        grown -= np.eye(d, dtype=grown.dtype)
-        if not (grown == occupations(k - 1, d)[:, None, :]).all():
-            raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
+        occ, weights = occupations(k, d), occupations(k - 1, d)
+        for a in range(d):  # one level at a time, so no array holds more than width x d entries
+            if not (occ[rows[:, a] // d] - np.eye(1, d, a, dtype=occ.dtype) == weights).all():
+                raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
         rows.setflags(write=False)
         values.setflags(write=False)
         self.d, self.k, self.rows, self.values = d, k, rows, values
@@ -368,7 +368,8 @@ def _theorem_chunk(meas: Measurement, keys: np.ndarray) -> tuple[np.ndarray, np.
 
 
 class TheoremReport(NamedTuple):
-    """Aggregate of Haar-sampled protocol runs against the closed formula."""
+    """Aggregate of Haar-sampled protocol runs against the closed formula; ``checks`` holds the largest probability
+    deviation, the least fidelity and the residual, each judged at tol, and ``passed`` reads them alone."""
 
     d: int
     k: int
@@ -381,6 +382,7 @@ class TheoremReport(NamedTuple):
     min_fidelity: float
     eig_residual: float
     tol: float
+    checks: tuple[tuple[str, float, bool], ...]
     passed: bool
     worst_sample_index: int
 
@@ -402,7 +404,7 @@ def verify_theorem(
     on child i's key forms sample i's input bit for bit, after ``check_weights``.
     The inputs are then formed and simulated together, one chunk at a time,
     so that every array a chunk holds (``sample_entries``) stays within
-    FACTOR_CAP.  Passes iff every sampled probability matches k/(d(k-1+d))
+    FACTOR_CAP.  Its checks: every sampled probability matches k/(d(k-1+d))
     within tol, every conditional output has fidelity at least 1 - tol with
     the input, and the residual between the two measurement constructions
     (reusing the eigen form it sampled with) is at most tol.
@@ -420,10 +422,13 @@ def verify_theorem(
     deviations = np.abs(probs - p_formula)
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
+    max_deviation, min_fidelity = float(deviations.max()), float(fids.min())
     eig_residual = _factor_distance(meas, build_measurement(d, k, form="projector"))
-    passed = bool(deviations.max() <= tol and fids.min() >= 1.0 - tol and eig_residual <= tol)
+    checks = (("max_probability_deviation", max_deviation, max_deviation <= tol),
+              ("min_fidelity", min_fidelity, min_fidelity >= 1.0 - tol),
+              ("eig_residual", eig_residual, eig_residual <= tol))
     return TheoremReport(
-        d, k, samples, seed, p_formula, float(probs.mean()), float(probs.std()), float(deviations.max()),
-        float(fids.min()), eig_residual, tol, passed, worst,
+        d, k, samples, seed, p_formula, float(probs.mean()), float(probs.std()), max_deviation, min_fidelity,
+        eig_residual, tol, checks, all(ok for *_, ok in checks), worst,
     )
 

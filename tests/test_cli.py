@@ -325,6 +325,26 @@ class TestDenseSuites:
             assert re.fullmatch(r"Young projector store of [\d.]+ GiB exceeds the 3\.00 GiB this process gets",
                                 cell["detail"])
 
+    @pytest.mark.parametrize("limit", [4 << 30, 17 << 28])  # 4 and 4.25 GiB
+    def test_a_young_store_counts_its_chunk_and_the_mapped_space(self, limit):
+        # (3, 8)'s frames with one spare are 3.53 GiB, 4.17 GiB with a chunk's keys and repeated weights, and
+        # the address space the process already maps counts against the limit too: at either limit the cell
+        # once passed the check and then ended error on a MemoryError
+        argv = ["lemmas", "--d", "3", "--k", "8", "--threads", "1", "--format", "json", "--no-timestamp"]
+        code = (
+            "import resource, runpy, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            f"sys.argv = ['mcteleport'] + {argv!r}\n"
+            "runpy.run_module('mcteleport', run_name='__main__', alter_sys=True)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        cell = json.loads(result.stdout)["cells"][0]
+        assert cell["pass"] == "skipped", cell.get("detail")
+        need, room = re.fullmatch(r"Young projector store of ([\d.]+) GiB exceeds the ([\d.]+) GiB this process gets",
+                                  cell["detail"]).groups()
+        assert float(room) == limit / 2**30 and float(need) > float(room)
+
     @pytest.mark.parametrize("d,k", [("2", "15000"), ("10", "5000")])
     def test_cells_whose_dimension_passes_4300_digits_skip(self, d, k):
         # str() refuses an int of more than 4300 digits, which d^(k+1) is at both cells
@@ -437,6 +457,54 @@ class TestFailureReporting:
         assert "detail" not in json.loads(capsys.readouterr().out)["cells"][0]
 
 
+#: Each suite's library call, as its module and name, and the checks its report carries, in order.
+VERDICTS = {
+    "verify": (teleport, "verify_theorem", ("max_probability_deviation", "min_fidelity", "eig_residual")),
+    "sar": (sar, "verify_sar", ("max_probability_deviation", "max_state_deviation")),
+    "optimality": (optimality, "reduced_optimum", ("objective_deviation", "covariance_residual")),
+    "lemmas": (
+        optimality, "verify_lemmas", ("gram_residual", "eig_residual", "absorption_residual", "residual_on_support")
+    ),
+}
+
+
+class TestOneVerdict:
+    ARGV = ["--d", "2", "--k", "2", "--samples", "3", "--threads", "1", "--format", "json", "--no-timestamp"]
+
+    @pytest.mark.parametrize(
+        "suite,flipped", [(suite, i) for suite, (*_, names) in VERDICTS.items() for i in range(len(names))]
+    )
+    def test_a_cell_is_judged_on_its_reports_checks_alone(self, suite, flipped, monkeypatch, capsys):
+        # the library's real report with one check flipped to not-ok, its passed flag left as it was:
+        # the cell ends false naming that check alone, with its value
+        module, name, names = VERDICTS[suite]
+        real, values = getattr(module, name), []
+
+        def one_check_flipped(*args, **kwargs):
+            report = real(*args, **kwargs)
+            assert [check[0] for check in report.checks] == list(names)
+            assert report.passed and all(ok for *_, ok in report.checks)
+            checks = list(report.checks)
+            values.append(checks[flipped][1])
+            checks[flipped] = (names[flipped], values[-1], False)
+            return report._replace(checks=tuple(checks))
+
+        monkeypatch.setattr(module, name, one_check_flipped)
+        assert cli.main([suite, *self.ARGV]) == 1
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert (cell["pass"], cell["detail"]) == ("false", f"failed at tol 1e-09: {names[flipped]} = {float(values[0])}")
+
+    def test_an_objective_off_the_closed_form_fails_its_check(self, monkeypatch, capsys):
+        # checked once, at --tol, where the report is built, not raised at a tolerance of its own
+        exact = optimality.success_probability_formula
+        monkeypatch.setattr(optimality, "success_probability_formula", lambda d, k: exact(d, k) + 1e-6)
+        assert cli.main(["optimality", *self.ARGV]) == 1
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "false"
+        name, value = re.fullmatch(r"failed at tol 1e-09: (\w+) = (\S+)", cell["detail"]).groups()
+        assert name == "objective_deviation" and float(value) == pytest.approx(1e-6, rel=1e-6)
+
+
 class TestErrorContainment:
     ARGV = ["optimality", "--d", "2", "--k", "1,2", "--samples", "1", "--threads", "1",
             "--format", "json", "--no-timestamp"]
@@ -444,10 +512,10 @@ class TestErrorContainment:
     def test_unexpected_error_is_recorded_and_the_grid_goes_on(self, monkeypatch, capsys):
         exact = optimality.reduced_optimum
 
-        def out_of_memory_at_two_copies(d, k):
+        def out_of_memory_at_two_copies(d, k, tol):
             if k == 2:
                 raise MemoryError("Unable to allocate 32.0 GiB")
-            return exact(d, k)
+            return exact(d, k, tol)
 
         monkeypatch.setattr(optimality, "reduced_optimum", out_of_memory_at_two_copies)
         assert cli.main(self.ARGV) == 3

@@ -151,6 +151,26 @@ class TestCoefficients:
         assert report.residual_on_support < 1e-12
 
 
+class TestVerifyLemmas:
+    @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 3), (3, 2)])
+    def test_four_residuals_in_order(self, d, k):
+        report = optimality.verify_lemmas(d, k)
+        names = [name for name, *_ in report.checks]
+        assert names == ["gram_residual", "eig_residual", "absorption_residual", "residual_on_support"]
+        assert report.passed and all(value <= 1e-9 for _, value, _ in report.checks)
+        assert report.eig_residual == report.checks[1][1] and report.p_formula == success_probability_formula(d, k)
+        assert report.c2 is None if d == 1 else abs(report.c2 - 1 / (k + 1)) < 1e-12
+
+    def test_a_nan_residual_on_the_support_fails_its_check(self, monkeypatch):
+        # decomposition_coefficients raises when max(residual, ...) > tol, which max(nan, ...) never is
+        classes = optimality._weight_classes(2, 2)
+        broken = classes._replace(x=classes.x._replace(single=math.nan))
+        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: broken)
+        report = optimality.verify_lemmas(2, 2)
+        assert not report.passed and math.isnan(report.c1)
+        assert [name for name, _, ok in report.checks if not ok] == ["residual_on_support"]
+
+
 class TestReducedOptimum:
     def test_two_qubit_two_copies(self):
         report = reduced_optimum(2, 2)
@@ -201,6 +221,15 @@ class TestReducedOptimum:
         monkeypatch.setattr(optimality, "_family", closed_gap)
         with pytest.raises(VerificationError, match="Q - F meets the equality"):
             reduced_optimum(2, 2)
+
+    def test_the_objective_is_checked_at_tol_not_raised(self, monkeypatch):
+        # an objective 1e-6 off p* fails its check at the default tol and passes at 1e-3
+        exact = optimality.success_probability_formula
+        monkeypatch.setattr(optimality, "success_probability_formula", lambda d, k: exact(d, k) + 1e-6)
+        strict, loose = reduced_optimum(2, 2), reduced_optimum(2, 2, tol=1e-3)
+        assert [name for name, *_ in strict.checks] == ["objective_deviation", "covariance_residual"]
+        assert [ok for *_, ok in strict.checks] == [False, True] and not strict.passed and loose.passed
+        assert strict.checks[0][1] == loose.checks[0][1] == pytest.approx(1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("d,k", [(2, 1), (2, 5), (3, 3), (1, 4), (4, 2)])
     def test_reports_the_reduction_margin(self, d, k):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -448,6 +449,18 @@ class TestThinFactor:
         order = np.roll(np.arange(len(meas.rows)), 1)
         with pytest.raises(VerificationError, match="rows differ from the weight classes"):
             teleport.Measurement(d, k, meas.rows[order], meas.values[order])
+
+    @pytest.mark.parametrize("d,k", [(8, 12), (128, 2)])
+    def test_layout_check_holds_one_level_at_a_time(self, d, k):
+        # the check gathers width x d occupations per level, never a (width, d, d) table
+        meas = build_measurement(d, k)  # its occupation tables are cached, as for every build after the first
+        tracemalloc.start()
+        try:
+            teleport.Measurement(d, k, meas.rows, meas.values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * meas.rows.size * 8, peak
 
     def test_residual_sees_a_broken_occupation_rank(self, monkeypatch):
         m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
