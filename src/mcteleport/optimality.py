@@ -131,7 +131,9 @@ def _covariance(classes: _Classes, d: int, k: int) -> float:
     + 1) e_p - e_q in the class of w.  [L, 1] = 0, so with F's value on the
     classes of one row taken off, ||[L, F]||^2 = sum_w ||L_w F_w - F_(w+e_p-
     e_q) L_w||^2 + sum_(w: w_p = 0) ||F_w (sqrt(w_q + 1) e_p - e_q)||^2, and
-    ||L||^2 = d sum_n n_q (n_p + 1) + m over the occupations n of k.
+    ||L||^2 = d sum_n n_q (n_p + 1) + m over the occupations n of k.  Adding
+    e_p keeps the order of ``occupations``, and so does taking e_q off, so
+    w + e_p - e_q takes the j-th w with w_q > 0 to the j-th with w_p > 0.
     rho(P_sigma) takes the class of w to that of sigma.w, level b to
     sigma(b), so ||rho(P_sigma)^dagger F rho(P_sigma) - F||_F is one gather
     of the blocks; the classes of one row need none, F being constant on
@@ -143,8 +145,9 @@ def _covariance(classes: _Classes, d: int, k: int) -> float:
     padded = np.zeros((len(classes.f.blocks) + 1, d, d))  # the last block: the classes of one row, where f is 0
     f = np.subtract(classes.f.blocks, classes.f.single * np.eye(d), out=padded[:-1])
     c = np.sqrt((weights[:, q, None] + (level == q)) * (weights[:, p, None] + (level == p) + 1.0))
-    moved = np.maximum(weights + (level == p) - (level == q), 0)  # taken only where w_q > 0
-    image = padded[np.where(weights[:, q] > 0, occupation_rank(moved), len(f))]
+    index = np.full(len(f), len(f))  # the padding block where w_q = 0, else w + e_p - e_q by its place in the order
+    index[weights[:, q] > 0] = np.flatnonzero(weights[:, p])
+    image = padded[index]
     column = image[:, :, q].copy()
     commutator = c[:, :, None] * f
     commutator -= np.multiply(image, c[:, None, :], out=image)

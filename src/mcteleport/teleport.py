@@ -127,9 +127,11 @@ class Measurement:
             raise ValueError(f"need {shape} integer rows and values at d={d}, k={k}, got {rows.shape} {rows.dtype}")
         if rows.min() < 0 or rows.max() >= d * math.comb(k + d - 1, k) or ((rows - np.arange(d)) % d).max():
             raise ValueError(f"rows[j, a] must be a coordinate index(n) d + a of Sym^{k} (x) C^{d}")
-        occ, weights = occupations(k, d), occupations(k - 1, d)
-        for a in range(d):  # one level at a time, so no array holds more than width x d entries
-            if not (occ[rows[:, a] // d] - np.eye(1, d, a, dtype=occ.dtype) == weights).all():
+        occ, weights, index, grown = occupations(k, d), occupations(k - 1, d), rows // d, np.empty(shape, int)
+        for a in range(d):  # one level at a time, into one buffer, so no array holds more than width x d entries
+            np.take(occ, index[:, a], axis=0, out=grown, mode="clip")  # unbuffered; the rows are in range
+            grown[:, a] -= 1
+            if not (grown == weights).all():
                 raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
         rows.setflags(write=False)
         values.setflags(write=False)
@@ -187,19 +189,13 @@ def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     weighted by sqrt(mult(n'')).  Row n'' is nonzero only in the d columns
     (n'' + e_a, a), so the rows are orthogonal, and each is returned as
     those columns and its entries there.  The rows run through
-    ``occupations(k - 1, d)``, each column n'' + e_a is found by lookup in
-    ``occupations(k, d)``, and each entry sqrt(mult(n'') / (d mult(n'' + e_a)))
-    comes from ``_multinomials``, read for k first: past the float range no array is built.
+    ``occupations(k - 1, d)``, in an order that adding e_a keeps: n''_j + e_a is the j-th
+    row of ``occupations(k, d)`` with level a nonzero.  Each entry sqrt(mult(n'') / (d mult(n'' + e_a)))
+    is exact from ``_multinomials``, read for k first: past the float range no array is built.
     """
-    grown = _multinomials(d, k)
-    index = {occ: i for i, occ in enumerate(map(tuple, occupations(k, d).tolist()))}
-    columns, entries = [], []
-    for base, mult in zip(map(tuple, occupations(k - 1, d).tolist()), _multinomials(d, k - 1)):
-        for a in range(d):
-            i = index[base[:a] + (base[a] + 1,) + base[a + 1 :]]
-            columns.append(i * d + a)
-            entries.append(math.sqrt(mult / (d * grown[i])))
-    return np.array(columns, dtype=np.intp).reshape(-1, d), np.array(entries).reshape(-1, d)
+    grown, index = _multinomials(d, k), np.stack([np.flatnonzero(level) for level in occupations(k, d).T], axis=1)
+    entries = [math.sqrt(m / (d * grown[i])) for m, row in zip(_multinomials(d, k - 1), index.tolist()) for i in row]
+    return index * d + np.arange(d), np.array(entries).reshape(-1, d)
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:

@@ -41,18 +41,19 @@ def check_capacity(dim: int) -> None:
 
 def check_memory(nbytes: int, what: str) -> None:
     """Refuse ``what`` past the memory this process can get: physical memory, or the soft RLIMIT_AS if lower,
-    against which it is counted, and reported, with the address space already mapped (``/proc/self/statm``)."""
-    room = [(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), nbytes)] if hasattr(os, "sysconf") else []
+    against which it is counted with the address space already mapped (``/proc/self/statm``), named apart."""
+    room = [(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0)] if hasattr(os, "sysconf") else []
     with suppress(ImportError):  # a host without resource sets no address-space limit to read
         import resource
-        soft, need = resource.getrlimit(resource.RLIMIT_AS)[0], nbytes
+        soft, mapped = resource.getrlimit(resource.RLIMIT_AS)[0], 0
         if soft != resource.RLIM_INFINITY:
             with suppress(OSError), open("/proc/self/statm") as statm:
-                need += int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-            room.append((soft, need))
-    for limit, need in sorted(room):
-        if need > limit:
-            raise CapacityError(f"{what} of {need / 2**30:.2f} GiB exceeds the {limit / 2**30:.2f} GiB this process gets")
+                mapped = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+            room.append((soft, mapped))
+    for limit, mapped in sorted(room):
+        if nbytes + mapped > limit:
+            held = f"GiB, with {mapped / 2**30:.2f} GiB already mapped," if mapped else "GiB"
+            raise CapacityError(f"{what} of {nbytes / 2**30:.2f} {held} exceeds the {limit / 2**30:.2f} GiB this process gets")
 
 
 def check_group_budget(n: int) -> None:

@@ -322,8 +322,8 @@ class TestDenseSuites:
         cell = json.loads(result.stdout)["cells"][0]
         assert cell["pass"] == status, cell.get("detail")
         if status == "skipped":
-            assert re.fullmatch(r"Young projector store of [\d.]+ GiB exceeds the 3\.00 GiB this process gets",
-                                cell["detail"])
+            assert re.fullmatch(r"Young projector store of [\d.]+ GiB, with [\d.]+ GiB already mapped, "
+                                r"exceeds the 3\.00 GiB this process gets", cell["detail"])
 
     @pytest.mark.parametrize("limit", [4 << 30, 17 << 28])  # 4 and 4.25 GiB
     def test_a_young_store_counts_its_chunk_and_the_mapped_space(self, limit):
@@ -341,9 +341,9 @@ class TestDenseSuites:
         assert result.returncode == 0, result.stderr
         cell = json.loads(result.stdout)["cells"][0]
         assert cell["pass"] == "skipped", cell.get("detail")
-        need, room = re.fullmatch(r"Young projector store of ([\d.]+) GiB exceeds the ([\d.]+) GiB this process gets",
-                                  cell["detail"]).groups()
-        assert float(room) == limit / 2**30 and float(need) > float(room)
+        store, mapped, room = re.fullmatch(r"Young projector store of ([\d.]+) GiB, with ([\d.]+) GiB already mapped, "
+                                           r"exceeds the ([\d.]+) GiB this process gets", cell["detail"]).groups()
+        assert float(room) == limit / 2**30 and float(store) + float(mapped) > float(room)
 
     @pytest.mark.parametrize("d,k", [("2", "15000"), ("10", "5000")])
     def test_cells_whose_dimension_passes_4300_digits_skip(self, d, k):

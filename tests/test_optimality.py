@@ -271,9 +271,10 @@ class TestReducedOptimum:
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (3, 2), (5, 1), (6, 3)])
     def test_one_root_and_the_level_permutations_are_looked_up(self, d, k, monkeypatch):
-        # the root L_01 looks up its image classes once, and each level permutation once: the swap and
-        # the cycle at d >= 3, one permutation at d = 2, where they agree, and nothing at d = 1; which
-        # they are is pinned by the residuals in test_commutators_match_dense_products
+        # the root L_01 finds its image classes by their place in the order, with no lookup; each level
+        # permutation, which does not keep the order, looks its classes up once: the swap and the cycle at
+        # d >= 3, one permutation at d = 2, where they agree, and nothing at d = 1; which classes they and
+        # the root reach is pinned by the residuals in test_commutators_match_dense_products
         classes = optimality._weight_classes(d, k)
         looked_up = []
         exact = optimality.occupation_rank
@@ -284,7 +285,7 @@ class TestReducedOptimum:
 
         monkeypatch.setattr(optimality, "occupation_rank", counting)
         optimality._certify(classes, d, k)
-        assert len(looked_up) == (0 if d == 1 else 1 + min(d - 1, 2))
+        assert len(looked_up) == (0 if d == 1 else min(d - 1, 2))
 
     def test_leaking_factor_fails_on_entry(self, monkeypatch):
         # an entry of the factor outside its column's weight class is checked, not assumed

@@ -300,6 +300,19 @@ class TestOccupations:
         occ = occupations(n, d)
         assert np.array_equal(occupation_rank(occ), np.arange(len(occ)))
 
+    @pytest.mark.parametrize("n,d", [(n, d) for n in (0, 1, 5, 40, 1000) for d in (1, 2, 3, 8, 16)
+                                     if math.comb(n + d, n + 1) * d <= FACTOR_CAP])
+    def test_a_factor_added_at_one_level_keeps_the_order(self, n, d):
+        # n + e_a takes the rows of occupations(n, d), in order, to the rows of occupations(n + 1, d) with
+        # level a nonzero, so w - e_q + e_p takes the rows with w_q > 0, in order, to those with w_p > 0
+        occ, grown, eye = occupations(n, d), occupations(n + 1, d), np.eye(d, dtype=int)
+        for a in range(d):
+            assert np.array_equal(occupation_rank(occ + eye[a]), np.flatnonzero(grown[:, a]))
+        for p in range(d):
+            for q in range(d):
+                moved = occ[occ[:, q] > 0] - eye[q] + eye[p]
+                assert np.array_equal(occupation_rank(moved), np.flatnonzero(occ[:, p]))
+
     def test_listing_is_read_only(self):
         with pytest.raises(ValueError):
             occupations(2, 2)[0, 0] = 5

@@ -429,7 +429,7 @@ class TestThinFactor:
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)
         assert frobenius_distance(f @ f.conj().T, dense_success_element(d, k)) < 1e-12
 
-    @pytest.mark.parametrize("d,k", [(2, 10), (3, 5), (4, 6), (3, 40), (1, 4), (5, 1)])
+    @pytest.mark.parametrize("d,k", [(2, 10), (3, 5), (4, 6), (3, 40), (1, 4), (5, 1), (8, 10), (4, 60), (16, 5)])
     def test_sandwich_rows_keep_the_bits_of_the_per_row_count(self, d, k):
         columns, entries = teleport._sandwich_rows(d, k)
         want_columns, want_entries = sandwich_rows_by_count(d, k)

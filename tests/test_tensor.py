@@ -1,4 +1,6 @@
 import math
+import os
+import re
 import warnings
 from itertools import permutations as sn_iter
 
@@ -23,6 +25,7 @@ from mcteleport import (
 
 from mcteleport import core
 from mcteleport.core import FACTOR_CAP, batch_slices, seeded_normals, seeded_uniforms, spawn_keys
+from mcteleport.tensor import check_memory
 
 from oracles import (
     box_muller_normals,
@@ -404,3 +407,23 @@ class TestValueTypes:
         assert proj.projector_defect() < 1e-14
         assert proj.hermiticity_defect() < 1e-14
         assert proj.min_eigenvalue() > -1e-14
+
+
+class TestCheckMemory:
+    def test_a_store_past_the_address_space_limit_is_named_apart_from_the_mapped_space(self, monkeypatch):
+        # the store is compared with the limit together with the address space already mapped, but its own
+        # size is the one reported: 3e9 bytes are 2.79 GiB, however much the process maps
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (2 << 30, resource.RLIM_INFINITY))
+        with pytest.raises(CapacityError) as refused:
+            check_memory(3 * 10**9, "store")
+        assert re.fullmatch(r"store of 2\.79 GiB, with [\d.]+ GiB already mapped, exceeds the 2\.00 GiB this process gets",
+                            str(refused.value))
+
+    def test_a_store_past_physical_memory_is_reported_alone(self, monkeypatch):
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(resource, "getrlimit", lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        check_memory(physical, "store")
+        with pytest.raises(CapacityError, match=r"^store of [\d.]+ GiB exceeds the [\d.]+ GiB this process gets$"):
+            check_memory(physical + 1, "store")
