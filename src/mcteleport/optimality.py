@@ -79,11 +79,11 @@ def _weight_classes(d: int, k: int) -> _Classes:
     """Q = 1, F and X on Sym^k (x) C^d, on the weight classes of the rows.
 
     Row (n, a) has the weight n - e_a.  The classes of d rows are the
-    measurement's columns, in the layout ``build_measurement`` returns and
-    ``Measurement`` checks: block j is the class whose weight w is row j of
-    occupations(k - 1, d), its rows (w + e_b, b) in the order of b.  Every
-    other row, n_a = 0, is a class of one.  Within a class X is sqrt((n_b +
-    1)(n'_a + 1)) / (k + 1) between rows (n, a) and (n', b), that is
+    measurement's columns, in the layout ``Measurement`` builds from (d, k):
+    block j is the class whose weight w is row j of occupations(k - 1, d),
+    its rows (w + e_b, b) in the order of b.  Every other row, n_a = 0, is
+    a class of one.  Within a class X is sqrt((n_b + 1)(n'_a + 1)) / (k + 1)
+    between rows (n, a) and (n', b), that is
     sqrt((w_b + 1 + delta_ab)(w_a + 1 + delta_ab)) / (k + 1), built from the
     weight alone; on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1).
     F is g g^T on the class of a column, g the measurement's values there,

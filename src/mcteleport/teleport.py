@@ -13,12 +13,14 @@ with probability k / (d (k - 1 + d)) independent of the input.
 
 M lives on Sym^k (x) C^d as F F^dagger with F = (B (x) 1) G, and column j
 of G is nonzero only on the d coordinates |n'_j + e_a>_sym (x) |a> of one
-weight class, so G is held as those coordinates and its values there.
-Simulation, retrieval and the residual between the eigen and projector
-forms, which share only the occupation tables that number them and so
-certify each other, never touch the d^(k+1) coordinates of the full space
-that ``r_vectors`` (for ``gram_residual``) works on.  A cell whose insertion
-table would pass FACTOR_CAP entries is refused before it is built.
+weight class.  Those coordinates are fixed by (d, k) and built in one
+place, ``Measurement``; the eigen and projector forms give only the values
+there, so they certify each other where they can disagree.  Simulation,
+retrieval and the residual between the forms never touch the d^(k+1)
+coordinates of the full space that ``r_vectors`` (for ``gram_residual``)
+works on; the dense oracles check the layout against ``occupation_rank``.
+A cell whose insertion table would pass FACTOR_CAP entries is refused
+before it is built.
 ``r_vectors`` and ``simulate`` import the dense layer (``tensor``,
 ``symgroup``) when called, so ``verify``, ``sar`` and ``optimality`` load
 neither dense module; the samples' normals are ``core.seeded_normals`` rows.
@@ -46,7 +48,6 @@ from .core import (
     VerificationError,
     batch_slices,
     gaussian_vectors,
-    occupation_rank,
     occupations,
     seeded_normals,
     spawn_keys,
@@ -107,47 +108,34 @@ class Measurement:
     holds ``values[j, a]`` in row ``rows[j, a]`` = index(n) d + a, the
     coordinate |n>_sym (x) |a> with index(n) the row of n in
     ``occupations(k, d)``, and zero elsewhere.  Both arrays are width x d,
-    width = C(k+d-2, k-1), and kept as read-only views.
-
-    Its layout is an invariant, checked here and trusted everywhere else:
-    column j is the weight class of n'_j, row j of ``occupations(k - 1, d)``,
-    so ``rows[j, a]`` is the coordinate (n'_j + e_a, a).  Rows of the wrong
-    shape, out of range or at the wrong level raise ValueError; any other
-    layout, such as a repeated coordinate or columns out of order, raises
-    VerificationError.  The check reads the occupation tables alone, so each
-    form is checked against this definition, not against the other.
+    width = C(k+d-2, k-1), and kept as read-only views.  Only ``values`` is
+    passed in: ``rows`` is fixed by (d, k), column j being the weight class of
+    n'_j, row j of ``occupations(k - 1, d)``, and ``_coordinates`` builds it.
     """
 
     __slots__ = ("d", "k", "rows", "values")
 
-    def __init__(self, d: int, k: int, rows: np.ndarray, values: np.ndarray):
-        rows, values = np.asarray(rows).view(), np.asarray(values).view()
+    def __init__(self, d: int, k: int, values: np.ndarray):
+        values = np.asarray(values).view()
         shape = (math.comb(k + d - 2, k - 1), d)
-        if rows.shape != shape or values.shape != shape or rows.dtype.kind != "i":
-            raise ValueError(f"need {shape} integer rows and values at d={d}, k={k}, got {rows.shape} {rows.dtype}")
-        if rows.min() < 0 or rows.max() >= d * math.comb(k + d - 1, k) or ((rows - np.arange(d)) % d).max():
-            raise ValueError(f"rows[j, a] must be a coordinate index(n) d + a of Sym^{k} (x) C^{d}")
-        occ, weights, index, grown = occupations(k, d), occupations(k - 1, d), rows // d, np.empty(shape, int)
-        for a in range(d):  # one level at a time, into one buffer, so no array holds more than width x d entries
-            np.take(occ, index[:, a], axis=0, out=grown, mode="clip")  # unbuffered; the rows are in range
-            grown[:, a] -= 1
-            if not (grown == weights).all():
-                raise VerificationError(f"measurement rows differ from the weight classes at d={d}, k={k}")
-        rows.setflags(write=False)
+        if values.shape != shape:
+            raise ValueError(f"need {shape} values at d={d}, k={k}, got {values.shape}")
         values.setflags(write=False)
-        self.d, self.k, self.rows, self.values = d, k, rows, values
+        self.d, self.k, self.rows, self.values = d, k, _coordinates(d, k), values
 
 
-def _insertions(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where inserting a factor at level a takes each occupation n' of k-1 factors.
+def _coordinates(d: int, k: int) -> np.ndarray:
+    """``Measurement.rows``: [j, a] is index(n'_j + e_a) d + a, n'_j row j of ``occupations(k - 1, d)``; read-only.
 
-    Returns, for every n' (rows, in ``occupations(k - 1, d)`` order) and
-    level a (columns), the symmetric coordinate (n' + e_a, a) and the count
-    n'_a + 1 of level a in n' + e_a.
+    Adding e_a keeps the order, so n'_j + e_a is the j-th row of
+    ``occupations(k, d)`` with level a nonzero.
     """
-    base = occupations(k - 1, d)
-    grown = base[:, None, :] + np.eye(d, dtype=base.dtype)
-    return occupation_rank(grown) * d + np.arange(d), base + 1
+    occ = occupations(k, d)
+    out = np.empty((math.comb(k + d - 2, k - 1), d), dtype=np.intp)
+    for a in range(d):
+        out[:, a] = (occ[:, a] > 0).nonzero()[0] * d + a
+    out.setflags(write=False)
+    return out
 
 
 def _multinomials(d: int, n: int) -> list[int]:
@@ -178,8 +166,8 @@ def _multinomials(d: int, n: int) -> list[int]:
     return mults
 
 
-def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The P+ sandwich Z^dagger compressed to one row per occupation of k-1 factors.
+def _sandwich_rows(d: int, k: int) -> np.ndarray:
+    """The P+ sandwich Z^dagger compressed to one row per occupation of k-1 factors, as its entries.
 
     With Psym = B B^dagger, M = c (B (x) 1) Z Z^dagger (B (x) 1)^dagger
     where Z = (B^dagger (x) 1)(1 (x) |phi>), with one column per ket y of
@@ -187,15 +175,14 @@ def _sandwich_rows(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     1/sqrt(d mult(n)) when occ(y) + e_a = n.  Columns of kets with one
     occupation n'' agree, so Z Z^dagger = C^dagger C with one row per n'',
     weighted by sqrt(mult(n'')).  Row n'' is nonzero only in the d columns
-    (n'' + e_a, a), so the rows are orthogonal, and each is returned as
-    those columns and its entries there.  The rows run through
-    ``occupations(k - 1, d)``, in an order that adding e_a keeps: n''_j + e_a is the j-th
-    row of ``occupations(k, d)`` with level a nonzero.  Each entry sqrt(mult(n'') / (d mult(n'' + e_a)))
-    is exact from ``_multinomials``, read for k first: past the float range no array is built.
+    (n'' + e_a, a), the coordinates ``Measurement`` holds, so the rows are
+    orthogonal, and each is returned as its entries there, width x d.  Each
+    entry sqrt(mult(n'') / (d mult(n'' + e_a))) is exact from
+    ``_multinomials``, read for k first: past the float range no array is built.
     """
-    grown, index = _multinomials(d, k), np.stack([np.flatnonzero(level) for level in occupations(k, d).T], axis=1)
-    entries = [math.sqrt(m / (d * grown[i])) for m, row in zip(_multinomials(d, k - 1), index.tolist()) for i in row]
-    return index * d + np.arange(d), np.array(entries).reshape(-1, d)
+    grown, raised = _multinomials(d, k), (_coordinates(d, k) // d).tolist()
+    entries = [math.sqrt(m / (d * grown[i])) for m, row in zip(_multinomials(d, k - 1), raised) for i in row]
+    return np.array(entries).reshape(-1, d)
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
@@ -208,13 +195,13 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     G = sqrt(c) C^dagger for the rows C of ``_sandwich_rows``: they are
     orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It uses
     no helper or closed form of the eigen form and is kept for cross-checks.
-    Both forms emit the columns in the order of ``occupations(k - 1, d)``,
-    and ``Measurement`` refuses either one if it does not.
+    Both forms give only the values; ``Measurement`` builds the coordinates
+    from (d, k), and the dense oracles check them against ``occupation_rank``.
 
     A cell is refused with ``CapacityError`` before anything is allocated
     when its width x d x d insertion table would pass FACTOR_CAP entries,
     and the projector form, not the eigen form, also when its multinomials
-    leave the float range.  That table is the largest array of a build and
+    leave the float range.  That table bounds every array of a build and
     of the residual, never smaller than the m d entries of the occupation
     table (d width >= m), and every cell with d^(k+1) <= DIM_CAP fits.
     """
@@ -224,11 +211,9 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     if width * d * d > FACTOR_CAP:
         raise CapacityError(f"insertion table of {width} x {d} x {d} entries exceeds cap {FACTOR_CAP}")
     if form == "eigen":
-        coords, counts = _insertions(d, k)
-        return Measurement(d, k, coords, np.sqrt(counts / (k - 1 + d)))
+        return Measurement(d, k, np.sqrt((occupations(k - 1, d) + 1) / (k - 1 + d)))
     if form == "projector":
-        columns, entries = _sandwich_rows(d, k)
-        return Measurement(d, k, columns, math.sqrt(d * k / (k - 1 + d)) * entries)
+        return Measurement(d, k, math.sqrt(d * k / (k - 1 + d)) * _sandwich_rows(d, k))
     raise ValueError(f"unknown form {form!r}")
 
 
@@ -241,10 +226,10 @@ def gram_residual(d: int, k: int) -> float:
 def _factor_distance(a: Measurement, b: Measurement) -> float:
     """||M_a - M_b||_F from the entries of the thin factors alone.
 
-    Two measurements of one cell hold the same rows (the layout
-    ``Measurement`` checks), so M_a - M_b is a direct sum over the columns j
-    of g_j g_j^dagger - h_j h_j^dagger on the coordinates rows[j], and its
-    squared norm is the sum of theirs; B (x) 1 cancels.
+    Two measurements of one cell hold the same rows, the layout
+    ``Measurement`` builds from (d, k), so M_a - M_b is a direct sum over
+    the columns j of g_j g_j^dagger - h_j h_j^dagger on the coordinates
+    rows[j], and its squared norm is the sum of theirs; B (x) 1 cancels.
     """
     g, h = a.values, b.values
     return float(np.linalg.norm(g[:, :, None] * g[:, None, :].conj() - h[:, :, None] * h[:, None, :].conj()))

@@ -282,7 +282,7 @@ def test_a_probability_under_the_floor_fails_the_batch(module, suite, monkeypatc
         meas = build(d, k, form)
         values = np.array(meas.values)
         values[:, 1:] = 0.0
-        return teleport.Measurement(d, k, meas.rows, values)
+        return teleport.Measurement(d, k, values)
 
     def third_is_level_one(v):
         rows = core.unit_rows(v)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from mcteleport import cli, optimality, sar, teleport
-from mcteleport.core import VerificationError, occupation_rank, spawn_keys
+from mcteleport.core import VerificationError, spawn_keys
 
 BASE = [sys.executable, "-m", "mcteleport"]
 
@@ -223,7 +223,7 @@ class TestVerifySuite:
         def unexpected(*args, **kwargs):
             raise AssertionError("factor built for a cell over the cap")
 
-        monkeypatch.setattr(teleport, "_insertions", unexpected)
+        monkeypatch.setattr(teleport, "occupations", unexpected)
         monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
         argv = [suite, "--d", d, "--k", k, "--samples", "5", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
@@ -273,8 +273,8 @@ class TestVerifySuite:
         assert cell["pass"] == "true", cell.get("detail")
 
     def test_sar_over_the_program_cap_skips_unbuilt(self, monkeypatch, capsys):
-        # the insertion table and the weight-class tables are not needed; the 90000-square program is too big
-        monkeypatch.setattr(teleport, "_insertions", lambda *args: pytest.fail("factor built"))
+        # the measurement and the weight-class tables are not needed; the 90000-square program is too big
+        monkeypatch.setattr(teleport, "occupations", lambda *args: pytest.fail("factor built"))
         argv = ["sar", "--d", "300", "--k", "1", "--samples", "2", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0
@@ -437,19 +437,27 @@ class TestFailureReporting:
         assert (cell["pass"], cell["detail"]) == ("false", "failed at tol 1e-09: gram_residual = 0.25")
 
     @pytest.mark.parametrize("suite", ["verify", "sar", "optimality", "sweep", "lemmas"])
-    def test_every_suite_refuses_misplaced_weight_classes(self, suite, monkeypatch, capsys):
-        # a shifted occupation_rank puts the eigen build's columns on the wrong coordinates, which
-        # Measurement refuses on entry, before any suite samples or certifies with them
-        m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
-        monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
+    def test_a_shifted_layout_fails_every_suite_that_reads_it(self, suite, monkeypatch, capsys):
+        # moving each column's coordinates one row down occupations(k, d) puts the eigen form's values on
+        # the wrong coordinates and makes the projector form look up the wrong multinomials: the samples
+        # and the residual see it, while optimality, which reads only the eigen form's values, ends true
+        exact = teleport._coordinates
+        monkeypatch.setattr(teleport, "_coordinates", lambda d, k: (exact(d, k) + d) % (d * math.comb(k + d - 1, k)))
         argv = [suite, "--d", "3", "--k", "2", "--samples", "2", "--threads", "1", "--format", "json", "--no-timestamp"]
         optimality._weight_classes.cache_clear()  # a cached cell would hide the build
         try:
-            assert cli.main(argv) == 1
+            code = cli.main(argv)
         finally:
             optimality._weight_classes.cache_clear()
         cell = json.loads(capsys.readouterr().out)["cells"][0]
-        assert (cell["pass"], cell["detail"]) == ("false", "measurement rows differ from the weight classes at d=3, k=2")
+        if suite == "optimality":
+            assert (code, cell["pass"]) == (0, "true")
+            return
+        assert (code, cell["pass"]) == (1, "false")
+        assert cell["detail"].startswith("failed at tol 1e-09: ")
+        named = re.findall(r"(\w+) = ", cell["detail"])
+        assert named and set(named) <= {"max_probability_deviation", "min_fidelity", "max_state_deviation",
+                                        "eig_residual"}, cell["detail"]
 
     def test_a_passing_cell_has_no_detail(self, capsys):
         assert cli.main(["verify", "--d", "2", "--k", "2", "--samples", "3", "--threads", "1", "--format", "json",

@@ -287,24 +287,6 @@ class TestReducedOptimum:
         optimality._certify(classes, d, k)
         assert len(looked_up) == (0 if d == 1 else min(d - 1, 2))
 
-    def test_leaking_factor_fails_on_entry(self, monkeypatch):
-        # an entry of the factor outside its column's weight class is checked, not assumed
-        exact = optimality.build_measurement
-
-        def leaking(d, k):
-            meas = exact(d, k)
-            rows = meas.rows.copy()
-            rows[[0, -1], 0] = rows[[-1, 0], 0]  # columns 0 and -1 trade their level-0 coordinates
-            return teleport.Measurement(d, k, rows, meas.values)
-
-        monkeypatch.setattr(optimality, "build_measurement", leaking)
-        optimality._weight_classes.cache_clear()
-        try:
-            with pytest.raises(VerificationError, match="rows differ from the weight classes"):
-                optimality._weight_classes(2, 3)
-        finally:
-            optimality._weight_classes.cache_clear()
-
 
 def _projection_by_least_squares(op, d, k):
     """Distance of op from the span of the explicit orbit sums (test oracle)."""
@@ -715,7 +697,7 @@ def test_weight_class_layers_check_capacity_on_entry(d, k, monkeypatch):
 
     monkeypatch.setattr(optimality, "occupations", unexpected)
     monkeypatch.setattr(teleport, "_sqrt_multinomials", unexpected)
-    monkeypatch.setattr(teleport, "_insertions", unexpected)
+    monkeypatch.setattr(teleport, "occupations", unexpected)
     width = math.comb(k + d - 2, k - 1)
     for layer in (decomposition_coefficients, reduced_optimum, perturbation_falsifier):
         with pytest.raises(CapacityError, match=f"insertion table of {width} x {d} x {d} entries exceeds cap"):

@@ -27,7 +27,7 @@ from mcteleport import (
     verify_theorem,
 )
 from mcteleport import cli, sar, symgroup, teleport
-from mcteleport.core import occupation_rank, spawn_keys
+from mcteleport.core import spawn_keys
 
 from oracles import (
     dense_conditional_output,
@@ -159,7 +159,7 @@ class TestEigendecomposition:
                 return meas
             values = meas.values.copy()
             values[0, 0] += 1e-3
-            return teleport.Measurement(d, k, meas.rows, values)
+            return teleport.Measurement(d, k, values)
 
         monkeypatch.setattr(teleport, "build_measurement", moved)
         assert eigendecomposition_residual(2, 2) > 1e-4
@@ -203,7 +203,7 @@ class TestSimulate:
     def test_degenerate_outcome_guard(self):
         from mcteleport.teleport import Measurement
 
-        zero = Measurement(2, 1, build_measurement(2, 1).rows, np.zeros((1, 2)))  # width x d
+        zero = Measurement(2, 1, np.zeros((1, 2)))  # width x d
         with pytest.raises(VerificationError):
             simulate(StateVector(np.array([1.0, 0.0]), (2,)), zero)
 
@@ -222,7 +222,7 @@ class TestConditionedOutput:
         rng = np.random.default_rng([d, k])
         shape = build_measurement(d, k).rows.shape
         values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2 * shape[0])
-        meas = teleport.Measurement(d, k, build_measurement(d, k).rows, values)
+        meas = teleport.Measurement(d, k, values)
         g = dense_factor(meas)
         b = sym_basis_by_loop(k, d)
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)  # F = (B (x) 1) G
@@ -355,20 +355,10 @@ class TestThinFactor:
         stacked = np.column_stack([r.vector.vec for r in r_vectors(d, k)])
         assert np.abs((b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1) - stacked).max() < 1e-13
 
-    def test_factor_needs_symmetric_rows(self):
-        rows, values = build_measurement(2, 3).rows, np.ones((3, 2))  # m d = 8 coordinates
-        for bad in (
-            np.zeros((2**4, 1), dtype=int),  # d^(k+1) rows, not width x d
-            rows + 0.0,  # not integer
-            rows + 2,  # one past index(n) = m - 1
-            rows[:, ::-1],  # rows[j, a] at level 1 - a
-        ):
+    def test_factor_needs_width_x_d_values(self):
+        for bad in (np.ones((2, 2)), np.ones((2**4, 1)), np.ones((3, 2, 1))):  # width x d = 3 x 2 at (2, 3)
             with pytest.raises(ValueError):
-                teleport.Measurement(2, 3, bad, values)
-        with pytest.raises(ValueError):
-            teleport.Measurement(2, 3, rows, np.ones((2, 2)))
-        with pytest.raises(VerificationError, match="rows differ from the weight classes"):  # a coordinate twice
-            teleport.Measurement(2, 3, np.stack([rows[0], rows[0], rows[2]]), values)
+                teleport.Measurement(2, 3, bad)
 
     def test_verify_paths_need_no_full_basis(self, monkeypatch):
         def unexpected(*args, **kwargs):
@@ -387,7 +377,7 @@ class TestThinFactor:
         def unexpected(*args, **kwargs):
             raise AssertionError("factor built for a cell over the cap")
 
-        monkeypatch.setattr(teleport, "_insertions", unexpected)
+        monkeypatch.setattr(teleport, "occupations", unexpected)
         monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
         for form in ("eigen", "projector"):
             with pytest.raises(CapacityError):
@@ -418,11 +408,18 @@ class TestThinFactor:
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 2), (5, 1)])
     def test_projector_form_shares_no_helper_with_the_eigen_form(self, d, k, monkeypatch):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("eigen-form helper used by the projector form")
+        # the forms share the layout, built from occupations(k, d); the eigen form's values read
+        # occupations(k - 1, d), which the projector form never builds
+        exact = teleport.occupations
 
-        monkeypatch.setattr(teleport, "_insertions", unexpected)
-        monkeypatch.setattr(teleport, "occupation_rank", unexpected)
+        def layout_only(n, levels):
+            assert n == k, "eigen-form table built by the projector form"
+            return exact(n, levels)
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("occupation_rank used by the projector form")
+
+        monkeypatch.setattr(teleport, "occupations", layout_only)
         monkeypatch.setattr(symgroup, "occupation_rank", unexpected)
         g = dense_factor(build_measurement(d, k, form="projector"))
         b = sym_basis_by_loop(k, d)
@@ -431,7 +428,8 @@ class TestThinFactor:
 
     @pytest.mark.parametrize("d,k", [(2, 10), (3, 5), (4, 6), (3, 40), (1, 4), (5, 1), (8, 10), (4, 60), (16, 5)])
     def test_sandwich_rows_keep_the_bits_of_the_per_row_count(self, d, k):
-        columns, entries = teleport._sandwich_rows(d, k)
+        # the oracle finds each row's columns by lookup; the measurement builds them from (d, k)
+        columns, entries = build_measurement(d, k, "projector").rows, teleport._sandwich_rows(d, k)
         want_columns, want_entries = sandwich_rows_by_count(d, k)
         assert columns.dtype == want_columns.dtype and np.array_equal(columns, want_columns)
         assert entries.dtype == want_entries.dtype and np.array_equal(entries, want_entries)
@@ -441,32 +439,17 @@ class TestThinFactor:
         roots, want = teleport._sqrt_multinomials(d, k), sqrt_multinomials_by_combs(d, k)
         assert roots.dtype == want.dtype and np.array_equal(roots, want)
 
-    @pytest.mark.parametrize("form", ["eigen", "projector"])
-    @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2), (3, 6)])
-    def test_column_shuffled_factor_is_refused(self, d, k, form):
-        # the columns follow occupations(k - 1, d), so the residual compares them without sorting
-        meas = build_measurement(d, k, form)
-        order = np.roll(np.arange(len(meas.rows)), 1)
-        with pytest.raises(VerificationError, match="rows differ from the weight classes"):
-            teleport.Measurement(d, k, meas.rows[order], meas.values[order])
-
     @pytest.mark.parametrize("d,k", [(8, 12), (128, 2)])
-    def test_layout_check_holds_one_level_at_a_time(self, d, k):
-        # the check gathers width x d occupations per level, never a (width, d, d) table
+    def test_eigen_build_holds_a_few_width_x_d_arrays(self, d, k):
+        # the values and the coordinates are each one width x d array, never a (width, d, d) table
         meas = build_measurement(d, k)  # its occupation tables are cached, as for every build after the first
         tracemalloc.start()
         try:
-            teleport.Measurement(d, k, meas.rows, meas.values)
+            build_measurement(d, k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 3 * meas.rows.size * 8, peak
-
-    def test_residual_sees_a_broken_occupation_rank(self, monkeypatch):
-        m = math.comb(4, 2)  # occupations of k = 2 factors over d = 3 levels
-        monkeypatch.setattr(teleport, "occupation_rank", lambda occ: (occupation_rank(occ) + 1) % m)
-        with pytest.raises(VerificationError, match="rows differ from the weight classes"):
-            eigendecomposition_residual(3, 2)
 
     def test_verify_paths_leave_dense_op_unbuilt(self, monkeypatch):
         built = []
