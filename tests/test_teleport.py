@@ -439,6 +439,40 @@ class TestThinFactor:
         roots, want = teleport._sqrt_multinomials(d, k), sqrt_multinomials_by_combs(d, k)
         assert roots.dtype == want.dtype and np.array_equal(roots, want)
 
+    @pytest.mark.parametrize("form", ["eigen", "projector"])
+    @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 2), (3, 6)])
+    def test_column_shuffled_factor_is_refused(self, d, k, form, monkeypatch):
+        # the columns follow occupations(k - 1, d), so the residual compares them without sorting
+        exact, rolled = teleport.build_measurement, form
+
+        def shuffled(d, k, form="eigen"):
+            meas = exact(d, k, form)
+            return teleport.Measurement(d, k, np.roll(meas.values, 1, axis=0)) if form == rolled else meas
+
+        monkeypatch.setattr(teleport, "build_measurement", shuffled)
+        assert eigendecomposition_residual(d, k) > 1e-4
+        report = verify_theorem(d, k, samples=3, seed=1)
+        assert not report.passed
+        assert "eig_residual" in {name for name, _, ok in report.checks if not ok}
+
+    @pytest.mark.parametrize("d,k", [(8, 12), (128, 2)])
+    def test_coordinates_are_built_one_level_at_a_time(self, d, k):
+        # one width x d output and one level's columns at a time, never a whole-table mask of occupations(k, d)
+        out = teleport._coordinates(d, k)  # its occupation table is cached, as for every build after the first
+        tracemalloc.start()
+        try:
+            teleport._coordinates(d, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.size * 8, peak
+
+    def test_residual_sees_a_shifted_layout(self, monkeypatch):
+        # the projector form looks its multinomials up through the layout, so a shifted layout moves its values
+        exact = teleport._coordinates
+        monkeypatch.setattr(teleport, "_coordinates", lambda d, k: (exact(d, k) + d) % (d * math.comb(k + d - 1, k)))
+        assert eigendecomposition_residual(3, 2) > 1e-4
+
     @pytest.mark.parametrize("d,k", [(8, 12), (128, 2)])
     def test_eigen_build_holds_a_few_width_x_d_arrays(self, d, k):
         # the values and the coordinates are each one width x d array, never a (width, d, d) table
