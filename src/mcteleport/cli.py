@@ -100,7 +100,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
             if config.suite == "sweep":
                 from . import optimality
 
-                # First, so a cell whose insertion table passes FACTOR_CAP skips before sampling.
+                # First, so a cell whose occupation table passes FACTOR_CAP skips before sampling.
                 coeff = optimality.decomposition_coefficients(d, k, tol=config.tol)
                 record.update(c1=coeff.c1, c2=_or_empty(coeff.c2))
             report = teleport.verify_theorem(d, k, config.samples, config.tol, seed)
@@ -117,8 +117,9 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
         elif config.suite == "optimality":
             from . import optimality
 
-            report = optimality.reduced_optimum(d, k, config.tol)
-            optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed)
+            classes = optimality._weight_classes(d, k)  # built once for both layers
+            report = optimality.reduced_optimum(d, k, config.tol, classes=classes)
+            optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed, classes=classes)
             record.update(p_formula=report.p_star, p_mean=report.objective_value)
         elif config.suite == "sar":
             from . import sar

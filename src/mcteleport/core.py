@@ -29,9 +29,9 @@ import numpy as np
 
 #: Default tolerance for identity-style checks (Frobenius residuals).
 DEFAULT_ATOL = 1e-9
-#: Largest array, in entries, of the symmetric-coordinate layers: a measurement's
-#: insertion table, an occupation table, and the arrays a chunk of stacked samples
-#: holds at once, counted together.
+#: Largest array, in entries, of the symmetric-coordinate layers: an occupation
+#: table, which bounds every table a cell builds from it, and the arrays a chunk of
+#: stacked samples holds at once, counted together.
 FACTOR_CAP = 2**21
 
 

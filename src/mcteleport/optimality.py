@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +74,6 @@ class _Classes(namedtuple("_Classes", "singles q f x")):
         )
 
 
-@lru_cache(maxsize=None)
 def _weight_classes(d: int, k: int) -> _Classes:
     """Q = 1, F and X on Sym^k (x) C^d, on the weight classes of the rows.
 
@@ -88,9 +87,11 @@ def _weight_classes(d: int, k: int) -> _Classes:
     weight alone; on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1).
     F is g g^T on the class of a column, g the measurement's values there,
     and 0 on a class of one.
-    Every array kept is a (width, d, d) stack, as large as the insertion
-    table that ``build_measurement`` bounds by FACTOR_CAP before it builds
-    anything; ``occupations`` bounds the m d entries of the other table.
+    Every array kept is a (width, d, d) stack of m d x d k / (k + d - 1)
+    entries.  The measurement is built first, and its layout refuses a cell
+    whose occupations(k, d) pass FACTOR_CAP entries, so a stack holds at
+    most 5.38 FACTOR_CAP entries, at (7, 21).  Nothing is cached: a caller
+    of ``reduced_optimum`` and ``perturbation_falsifier`` hands both one build.
     """
     values = build_measurement(d, k).values
     v = occupations(k - 1, d) + 1  # w + 1 for each class's weight w
@@ -307,13 +308,13 @@ def verify_lemmas(d: int, k: int, tol: float = DEFAULT_ATOL) -> LemmaReport:
 _Family = namedtuple("_Family", "f ranks objective gap")
 
 
-def _family(d: int, k: int) -> _Family:
+def _family(classes: _Classes, d: int, k: int) -> _Family:
     """Ranks, objective values and constraint gaps of F and of Q - F, from their traces on the classes.
 
     The ranks are C(k+d-2, k-1) and m d minus that, so Q - F has rank 0 at d = 1.
     """
     m_k, m_k1 = (math.comb(n + d - 1, n) for n in (k, k + 1))
-    traces, overlaps = np.array(_weight_classes(d, k).traces)
+    traces, overlaps = np.array(classes.traces)
     ranks = np.array([width := math.comb(k + d - 2, k - 1), d * m_k - width])
     return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)
 
@@ -341,7 +342,7 @@ class SdpReport(NamedTuple):
     passed: bool
 
 
-def reduced_optimum(d: int, k: int, tol: float = DEFAULT_ATOL) -> SdpReport:
+def reduced_optimum(d: int, k: int, tol: float = DEFAULT_ATOL, classes: _Classes | None = None) -> SdpReport:
     """Maximise over M(a1, a2) = a1 F + a2 (Q - F), 0 <= a1, a2 <= 1, under the equality.
 
     The constraint gap is linear, a1 gap(F) + a2 gap(Q - F), and gap(F) is
@@ -353,7 +354,8 @@ def reduced_optimum(d: int, k: int, tol: float = DEFAULT_ATOL) -> SdpReport:
     ``_certify`` checks that the family holds every covariant operator; F's
     objective and the covariance residual are checked at tol.
     """
-    family = _family(d, k)
+    classes = _weight_classes(d, k) if classes is None else classes
+    family = _family(classes, d, k)
     obj_f, (gap_f, gap_ps) = family.objective[0], family.gap
     if abs(gap_f) > FEASIBILITY_TOL:
         raise VerificationError(f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}", abs(gap_f))
@@ -362,7 +364,7 @@ def reduced_optimum(d: int, k: int, tol: float = DEFAULT_ATOL) -> SdpReport:
             f"Q - F meets the equality at d={d}, k={k}: gap {gap_ps:.3e}, so Q would beat F", abs(gap_ps)
         )
     p_star = success_probability_formula(d, k)
-    covariance, margin = _certify(_weight_classes(d, k), d, k)
+    covariance, margin = _certify(classes, d, k)
     deviation = float(abs(obj_f - p_star))
     checks = (("objective_deviation", deviation, deviation <= tol),
               ("covariance_residual", covariance, covariance <= tol))
@@ -397,7 +399,9 @@ class FalsifierReport(NamedTuple):
     passed: bool
 
 
-def perturbation_falsifier(d: int, k: int, trials: int = 200, seed: int = 0) -> FalsifierReport:
+def perturbation_falsifier(
+    d: int, k: int, trials: int = 200, seed: int = 0, classes: _Classes | None = None
+) -> FalsifierReport:
     """Search for feasible perturbations of the optimum that beat it.
 
     The covariant operators are c_1 F + c_2 (Q - F), as ``reduced_optimum``
@@ -424,10 +428,10 @@ def perturbation_falsifier(d: int, k: int, trials: int = 200, seed: int = 0) -> 
     if trials < 1:
         raise ValueError("need at least one trial")
     p_star = success_probability_formula(d, k)
-    classes = _weight_classes(d, k)
+    classes = _weight_classes(d, k) if classes is None else classes
     spectrum = np.append(np.linalg.eigvalsh(classes.f.blocks), [classes.f.single] if classes.singles else [])
     _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
-    family = _family(d, k)
+    family = _family(classes, d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))
     offset = int(spawn_keys(seed, 1)[0]) / 2**64
     max_objective, max_step = p_star, 0.0

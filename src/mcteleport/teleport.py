@@ -19,8 +19,8 @@ there, so they certify each other where they can disagree.  Simulation,
 retrieval and the residual between the forms never touch the d^(k+1)
 coordinates of the full space that ``r_vectors`` (for ``gram_residual``)
 works on; the dense oracles check the layout against ``occupation_rank``.
-A cell whose insertion table would pass FACTOR_CAP entries is refused
-before it is built.
+A cell is refused by the occupation tables it builds, each bounded by
+FACTOR_CAP entries in ``core.occupations``.
 ``r_vectors`` and ``simulate`` import the dense layer (``tensor``,
 ``symgroup``) when called, so ``verify``, ``sar`` and ``optimality`` load
 neither dense module; the samples' normals are ``core.seeded_normals`` rows.
@@ -43,7 +43,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_ATOL,
-    FACTOR_CAP,
     CapacityError,
     VerificationError,
     batch_slices,
@@ -142,18 +141,15 @@ def _multinomials(d: int, n: int) -> list[int]:
     """n! / prod_j c_j! for each occupation c in ``occupations(n, d)``, exact; uncached, as the big
     integers take many times the memory of the float roots ``_sqrt_multinomials`` keeps.
 
-    Past 2^1000 they are refused, from the largest (the most even
-    occupation) before the others are formed, so every square root stays
-    under 2^500 and the power products of a weight that matters stay far
-    above the float underflow.  They grow level by level in the order of
-    ``occupations``: a row with r factors left takes r, .., 0 of them at the
-    next level, times C(r, j) from the row of Pascal's triangle of r, made
-    once per r by the exact recurrence C(r, j + 1) = C(r, j) (r - j) / (j + 1).
+    Past 2^1000 they are refused before any is formed: callers first run
+    ``check_weights`` on the largest (the most even occupation), so
+    every square root stays under 2^500 and the power products of a weight
+    that matters stay far above the float underflow.  They grow level by
+    level in the order of ``occupations``: a row with r factors left takes
+    r, .., 0 of them at the next level, times C(r, j) from the row of
+    Pascal's triangle of r, made once per r by the exact recurrence
+    C(r, j + 1) = C(r, j) (r - j) / (j + 1).
     """
-    q, extra = divmod(n, d)
-    most_even = math.factorial(n) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
-    if most_even.bit_length() > 1000:
-        raise CapacityError(f"multinomial weights of k={n} copies at d={d} exceed the float range")
     pascal: dict[int, list[int]] = {}
     mults, rest = [1], [n]
     for _ in range(d - 1):
@@ -178,9 +174,10 @@ def _sandwich_rows(d: int, k: int) -> np.ndarray:
     (n'' + e_a, a), the coordinates ``Measurement`` holds, so the rows are
     orthogonal, and each is returned as its entries there, width x d.  Each
     entry sqrt(mult(n'') / (d mult(n'' + e_a))) is exact from
-    ``_multinomials``, read for k first: past the float range no array is built.
+    ``_multinomials``, formed once the float range of k and the layout pass.
     """
-    grown, raised = _multinomials(d, k), (_coordinates(d, k) // d).tolist()
+    check_weights(d, k)
+    raised, grown = (_coordinates(d, k) // d).tolist(), _multinomials(d, k)
     entries = [math.sqrt(m / (d * grown[i])) for m, row in zip(_multinomials(d, k - 1), raised) for i in row]
     return np.array(entries).reshape(-1, d)
 
@@ -198,18 +195,12 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     Both forms give only the values; ``Measurement`` builds the coordinates
     from (d, k), and the dense oracles check them against ``occupation_rank``.
 
-    A cell is refused with ``CapacityError`` before anything is allocated
-    when its width x d x d insertion table would pass FACTOR_CAP entries,
-    and the projector form, not the eigen form, also when its multinomials
-    leave the float range.  That table bounds every array of a build and
-    of the residual, never smaller than the m d entries of the occupation
-    table (d width >= m), and every cell with d^(k+1) <= DIM_CAP fits.
+    A cell is refused with ``CapacityError`` only by what it builds: an
+    occupation table past FACTOR_CAP entries, and in the projector form, not
+    the eigen form, multinomials past the float range.
     """
     if d < 1 or k < 1:
         raise ValueError("need d >= 1 and k >= 1")
-    width = math.comb(k - 2 + d, k - 1)
-    if width * d * d > FACTOR_CAP:
-        raise CapacityError(f"insertion table of {width} x {d} x {d} entries exceeds cap {FACTOR_CAP}")
     if form == "eigen":
         return Measurement(d, k, np.sqrt((occupations(k - 1, d) + 1) / (k - 1 + d)))
     if form == "projector":
@@ -224,15 +215,19 @@ def gram_residual(d: int, k: int) -> float:
 
 
 def _factor_distance(a: Measurement, b: Measurement) -> float:
-    """||M_a - M_b||_F from the entries of the thin factors alone.
+    """||M_a - M_b||_F from the width x d entries of the thin factors alone.
 
     Two measurements of one cell hold the same rows, the layout
     ``Measurement`` builds from (d, k), so M_a - M_b is a direct sum over
-    the columns j of g_j g_j^dagger - h_j h_j^dagger on the coordinates
-    rows[j], and its squared norm is the sum of theirs; B (x) 1 cancels.
+    the columns of g g^dagger - h h^dagger (g, h the column's values) on its
+    coordinates, its squared norm the sum of theirs; B (x) 1 cancels.  With
+    s = g - h and t = g + h that is (||s||^2 ||t||^2 + Re((t^dagger s)^2)) / 2,
+    two terms that are non-negative for real factors, as both forms are:
+    nothing cancels, so the residual is as exact as the difference s.
     """
-    g, h = a.values, b.values
-    return float(np.linalg.norm(g[:, :, None] * g[:, None, :].conj() - h[:, :, None] * h[:, None, :].conj()))
+    s, t = a.values - b.values, a.values + b.values
+    st, ss, tt = (np.einsum("ja,ja->j", x.conj(), y) for x, y in ((t, s), (s, s), (t, t)))
+    return float(np.sqrt(np.sum(ss.real * tt.real + (st * st).real) / 2))
 
 
 def eigendecomposition_residual(d: int, k: int) -> float:
@@ -261,13 +256,17 @@ def check_floor(probs: np.ndarray) -> None:
 
 
 def check_weights(d: int, k: int) -> None:
-    """Refuse a cell whose sampled weights leave the float range (``CapacityError``), before any draw."""
-    _sqrt_multinomials(d, k)
+    """Refuse (``CapacityError``) a cell whose largest multinomial weight passes 2^1000, before any draw."""
+    q, extra = divmod(k, d)
+    most_even = math.factorial(k) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
+    if most_even.bit_length() > 1000:
+        raise CapacityError(f"multinomial weights of k={k} copies at d={d} exceed the float range")
 
 
 @lru_cache(maxsize=None)
 def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
     """sqrt(k! / prod_j n_j!) for each occupation n in ``occupations(k, d)``, from ``_multinomials``, read-only."""
+    check_weights(d, k)
     out = np.sqrt(np.array([float(m) for m in _multinomials(d, k)]))
     out.setflags(write=False)
     return out

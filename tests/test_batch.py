@@ -299,7 +299,7 @@ def test_a_probability_under_the_floor_fails_the_batch(module, suite, monkeypatc
 @pytest.mark.parametrize("suite", ["verify", "sar"])
 def test_cells_past_the_old_occupation_cap_run(suite, capsys):
     # 65703 occupations of 361 copies over 3 levels: past DIM_CAP as a row count,
-    # while the insertion table holds 65341 x 3 x 3 entries
+    # while the occupation table holds 65703 x 3 entries
     argv = [suite, "--d", "3", "--k", "361", "--samples", "3", "--threads", "1", "--format", "json", "--no-timestamp"]
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["cells"][0]["pass"] == "true"

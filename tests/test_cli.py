@@ -220,17 +220,19 @@ class TestVerifySuite:
     @pytest.mark.parametrize("suite", ["verify", "sar"])
     @pytest.mark.parametrize("d,k", [("16", "7")])
     def test_cells_over_the_factor_cap_skip_unbuilt(self, suite, d, k, monkeypatch, capsys):
+        # the eigen form's layout refuses the cell on its occupation table, before any draw or projector form
         def unexpected(*args, **kwargs):
-            raise AssertionError("factor built for a cell over the cap")
+            raise AssertionError("sample drawn or projector form built for a cell over the cap")
 
-        monkeypatch.setattr(teleport, "occupations", unexpected)
+        monkeypatch.setattr(teleport, "seeded_normals", unexpected)
+        monkeypatch.setattr(sar, "seeded_normals", unexpected)
         monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
         argv = [suite, "--d", d, "--k", k, "--samples", "5", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
-        assert "exceed" in cell["detail"]
+        assert "occupation table of 170544 x 16 entries exceeds cap" in cell["detail"]
 
     @pytest.mark.parametrize("suite", ["verify", "sar"])
     @pytest.mark.parametrize("d,k", [("2", "1100")])
@@ -251,7 +253,7 @@ class TestVerifySuite:
 
     @pytest.mark.parametrize("suite", ["verify", "sar", "sweep", "optimality"])
     def test_cells_once_over_the_factor_cap_run(self, suite, capsys):
-        # a dense factor at (5, 15) has 19380 x 3060 entries; its insertion table has 76500
+        # a dense factor at (5, 15) has 19380 x 3060 entries; its occupation table has 3876 x 5
         argv = [suite, "--d", "5", "--k", "15", "--samples", "3", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0
@@ -259,18 +261,38 @@ class TestVerifySuite:
         assert cell["pass"] == "true", cell.get("detail")
 
     @pytest.mark.parametrize("suite", ["sweep", "optimality"])
-    @pytest.mark.parametrize("d,k", [("300", "1"), ("128", "2")])
-    def test_wide_cells_under_the_insertion_table_cap_run(self, suite, d, k, capsys):
-        # the insertion table fits here, and it bounds every array of the weight classes, though
-        # m d x d is 27 M entries at (300, 1) and 135 M at (128, 2)
+    @pytest.mark.parametrize("d,k", [("300", "1"), ("128", "2"), ("16", "6"), ("8", "14")])
+    def test_wide_cells_whose_occupation_tables_fit_run(self, suite, d, k, capsys):
+        # the occupation tables fit here, and they bound every array of the weight classes, though
+        # m d x d is 27 M entries at (300, 1) and 135 M at (128, 2), and a (width, d, d) stack passes
+        # FACTOR_CAP at (16, 6) and (8, 14)
         argv = [suite, "--d", d, "--k", k, "--samples", "2", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
-        try:
-            assert cli.main(argv) == 0
-        finally:
-            optimality._weight_classes.cache_clear()  # these cells' (width, d, d) stacks
+        assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "true", cell.get("detail")
+
+    @pytest.mark.parametrize("suite", ["verify", "sar"])
+    @pytest.mark.parametrize("d,k", [("16", "6"), ("8", "13")])
+    def test_cells_whose_occupation_tables_fit_run(self, suite, d, k, capsys):
+        # width x d x d passes FACTOR_CAP here, but no array of that size is built
+        argv = [suite, "--d", d, "--k", k, "--samples", "2", "--threads", "1",
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "true", cell.get("detail")
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_cell_builds_its_weight_classes_once(self, threads, monkeypatch, capsys):
+        # both layers of a cell read the classes run_cell hands them, and none is kept for the next cell
+        built, exact = [], optimality._weight_classes
+        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: built.append((d, k)) or exact(d, k))
+        argv = ["optimality", "--d", "3", "--k", "2..4", "--samples", "2", "--threads", threads,
+                "--format", "json", "--no-timestamp"]
+        assert cli.main(argv) == 0
+        assert sorted(built) == [(3, 2), (3, 3), (3, 4)]
+        assert not hasattr(exact, "cache_info")
+        assert [cell["pass"] for cell in json.loads(capsys.readouterr().out)["cells"]] == ["true"] * 3
 
     def test_sar_over_the_program_cap_skips_unbuilt(self, monkeypatch, capsys):
         # the measurement and the weight-class tables are not needed; the 90000-square program is too big
@@ -372,20 +394,14 @@ class TestSymmetricSuites:
         monkeypatch.setattr(teleport, "_multinomials", lambda *args: pytest.fail("multinomials formed"))
         argv = ["optimality", "--d", d, "--k", k, "--samples", "2", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
-        try:
-            assert cli.main(argv) == 0
-        finally:
-            optimality._weight_classes.cache_clear()  # these cells' (width, d, d) stacks
+        assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "true", cell.get("detail")
 
     def test_sweep_keeps_its_coefficients_past_the_float_range(self, capsys):
         argv = ["sweep", "--d", "2", "--k", "1100", "--samples", "2", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
-        try:
-            assert cli.main(argv) == 0
-        finally:
-            optimality._weight_classes.cache_clear()
+        assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
         assert cell["detail"] == "multinomial weights of k=1100 copies at d=2 exceed the float range"
@@ -444,11 +460,7 @@ class TestFailureReporting:
         exact = teleport._coordinates
         monkeypatch.setattr(teleport, "_coordinates", lambda d, k: (exact(d, k) + d) % (d * math.comb(k + d - 1, k)))
         argv = [suite, "--d", "3", "--k", "2", "--samples", "2", "--threads", "1", "--format", "json", "--no-timestamp"]
-        optimality._weight_classes.cache_clear()  # a cached cell would hide the build
-        try:
-            code = cli.main(argv)
-        finally:
-            optimality._weight_classes.cache_clear()
+        code = cli.main(argv)
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         if suite == "optimality":
             assert (code, cell["pass"]) == (0, "true")
@@ -520,10 +532,10 @@ class TestErrorContainment:
     def test_unexpected_error_is_recorded_and_the_grid_goes_on(self, monkeypatch, capsys):
         exact = optimality.reduced_optimum
 
-        def out_of_memory_at_two_copies(d, k, tol):
+        def out_of_memory_at_two_copies(d, k, tol, classes):
             if k == 2:
                 raise MemoryError("Unable to allocate 32.0 GiB")
-            return exact(d, k, tol)
+            return exact(d, k, tol, classes)
 
         monkeypatch.setattr(optimality, "reduced_optimum", out_of_memory_at_two_copies)
         assert cli.main(self.ARGV) == 3
@@ -537,7 +549,7 @@ class TestErrorContainment:
         assert two["detail"] == "error:MemoryError: Unable to allocate 32.0 GiB"
 
     def test_verification_failure_outranks_an_error(self, monkeypatch, capsys):
-        def fail_or_raise(d, k, trials, seed):
+        def fail_or_raise(d, k, trials, seed, classes):
             if k == 1:
                 raise VerificationError("candidate beats the optimum")
             raise MemoryError("Unable to allocate 32.0 GiB")
@@ -581,7 +593,7 @@ class TestOtherSuites:
         assert cli.main(argv) == 0
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
-        assert "insertion table of 54264 x 16 x 16 entries exceeds cap" in cell["detail"]
+        assert "occupation table of 170544 x 16 entries exceeds cap" in cell["detail"]
 
     def test_sweep_runs_past_the_group_budget(self):
         result = run_cli("sweep", "--d", "2", "--k", "9", "--samples", "5", "--format", "json",

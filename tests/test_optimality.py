@@ -214,8 +214,8 @@ class TestReducedOptimum:
         # were the gap of Q - F zero, Q would be feasible and beat F
         exact = optimality._family
 
-        def closed_gap(d, k):
-            family = exact(d, k)
+        def closed_gap(classes, d, k):
+            family = exact(classes, d, k)
             return family._replace(gap=family.gap * [1.0, 0.0])
 
         monkeypatch.setattr(optimality, "_family", closed_gap)
@@ -394,8 +394,8 @@ class TestFalsifier:
         # objective, so only the spectrum check can catch it.
         tables = optimality._family
 
-        def unit_gaps(d, k):
-            family = tables(d, k)
+        def unit_gaps(classes, d, k):
+            family = tables(classes, d, k)
             return family._replace(gap=np.ones_like(family.gap))
 
         monkeypatch.setattr(optimality, "PERTURBATION_SCALE", 0.0)
@@ -432,7 +432,7 @@ class TestFalsifier:
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
     def test_two_coefficient_trial_matches_the_dense_trial(self, d, k):
         # the dense oracle keeps the shield 1 - (Q - F), which the trial drops
-        family = optimality._family(d, k)
+        family = optimality._family(optimality._weight_classes(d, k), d, k)
         live = family.ranks > 0
         family = optimality._Family(*(column[live] for column in family))
         f, q, x = success_projector(d, k), sym_with_identity(d, k), transposed_symmetriser(d, k)
@@ -502,7 +502,7 @@ class TestSweep:
     @pytest.mark.parametrize("seed", [0, 4])
     def test_stacked_checks_agree_with_one_trial_at_a_time(self, monkeypatch, cap, seed):
         d, k, trials = 2, 3, 20
-        family = optimality._family(d, k)
+        family = optimality._family(optimality._weight_classes(d, k), d, k)
         p_star = success_probability_formula(d, k)
         coords = _swept(monkeypatch, d, k, trials, seed)
         targets = [optimality._trial(family, c / np.sqrt(family.ranks), d) for c in coords]
@@ -516,7 +516,7 @@ class TestSweep:
         # so the first trial to beat the margin is one in mid-sweep.
         first = next(j for j, value in enumerate(values) if value < 0.2)
         assert first > 2
-        monkeypatch.setattr(optimality, "_family", lambda d, k: family._replace(objective=-family.objective))
+        monkeypatch.setattr(optimality, "_family", lambda classes, d, k: family._replace(objective=-family.objective))
         monkeypatch.setattr(optimality, "MARGIN", -p_star - 0.2)
         with pytest.raises(VerificationError, match=rf"beats the optimum.*\(trial {first}, seed {seed}\)"):
             perturbation_falsifier(d, k, trials=trials, seed=seed)
@@ -690,30 +690,47 @@ def test_dense_layers_check_capacity_on_entry():
 
 @pytest.mark.parametrize("d,k", [(16, 7), (162, 2)])
 def test_weight_class_layers_check_capacity_on_entry(d, k, monkeypatch):
-    # every array the weight classes keep is a width x d x d stack, the size of the measurement's
-    # insertion table, so a cell whose table passes FACTOR_CAP is refused before anything is built
+    # the measurement is built first, and its layout's occupation table of k copies refuses the
+    # cell before any weight-class table is built
     def unexpected(*args, **kwargs):
         raise AssertionError("weight-class table built for a cell over the cap")
 
     monkeypatch.setattr(optimality, "occupations", unexpected)
-    monkeypatch.setattr(teleport, "_sqrt_multinomials", unexpected)
-    monkeypatch.setattr(teleport, "occupations", unexpected)
-    width = math.comb(k + d - 2, k - 1)
+    m = math.comb(k + d - 1, k)
     for layer in (decomposition_coefficients, reduced_optimum, perturbation_falsifier):
-        with pytest.raises(CapacityError, match=f"insertion table of {width} x {d} x {d} entries exceeds cap"):
+        with pytest.raises(CapacityError, match=f"occupation table of {m} x {d} entries exceeds cap"):
             layer(d, k)
 
 
+def test_every_weight_class_stack_of_a_cell_whose_occupations_fit_stays_within_six_factor_caps():
+    # a cell runs when occupations(k, d) has at most FACTOR_CAP entries; its stacks hold width d^2
+    # = m d x d k / (k + d - 1) entries, which grow with k, so the largest such k of each d bounds them.
+    # At d = 1 a stack has one entry, and past d = 1448 not even k = 1 fits.
+    def fits(d, k):
+        return math.comb(k + d - 1, k) * d <= core.FACTOR_CAP
+
+    assert fits(1448, 1) and not fits(1449, 1)
+    stacks = {}
+    for d in range(2, 1449):
+        fit, over = 1, 2
+        while fits(d, over):
+            fit, over = over, 2 * over
+        while over - fit > 1:
+            mid = (fit + over) // 2
+            fit, over = (mid, over) if fits(d, mid) else (fit, mid)
+        stacks[d, fit] = math.comb(fit + d - 2, fit - 1) * d * d
+    largest = max(stacks, key=stacks.get)
+    assert (largest, stacks[largest]) == ((7, 21), 11_281_270)
+    assert stacks[largest] <= 6 * core.FACTOR_CAP
+
+
 @pytest.mark.parametrize("d,k", [(300, 1), (162, 1), (128, 2), (56, 2)])
-def test_wide_cells_under_the_insertion_table_cap_run_every_weight_class_layer(d, k):
+def test_wide_cells_whose_occupation_tables_fit_run_every_weight_class_layer(d, k):
     # m d x d is 27 M entries at (300, 1) and 135 M at (128, 2), but no array of that size is built
-    try:
-        assert decomposition_coefficients(d, k).residual_on_support <= 1e-10
-        report = reduced_optimum(d, k)
-        assert report.covariance_residual <= 1e-9 and report.reduction_margin >= 1.0 - 1e-9
-        assert perturbation_falsifier(d, k, trials=3).passed
-    finally:
-        optimality._weight_classes.cache_clear()  # these cells' (width, d, d) stacks
+    assert decomposition_coefficients(d, k).residual_on_support <= 1e-10
+    report = reduced_optimum(d, k)
+    assert report.covariance_residual <= 1e-9 and report.reduction_margin >= 1.0 - 1e-9
+    assert perturbation_falsifier(d, k, trials=3).passed
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 4), (6, 4), (8, 10), (16, 5)])
@@ -733,14 +750,12 @@ def test_weight_classes_hold_blocks_not_tables(d, k):
 def test_weight_classes_match_the_gathered_occupation_table_bit_for_bit(d, k):
     # X from each class's weight alone equals X from the (width, d, d) table of the rows' occupations;
     # at (8, 12), 2 M entries per stack, the build stays under 60 MiB with no such table kept
-    optimality._weight_classes.cache_clear()
     tracemalloc.start()
     try:
         classes = optimality._weight_classes(d, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-        optimality._weight_classes.cache_clear()
     meas = teleport.build_measurement(d, k)
     n = core.occupations(k, d)[meas.rows // d]
     order = np.argsort(core.occupation_rank(n[:, 0] - np.eye(d, dtype=n.dtype)[0]))
@@ -754,16 +769,13 @@ def test_weight_classes_match_the_gathered_occupation_table_bit_for_bit(d, k):
 @pytest.mark.parametrize("d,k", [(3, 4), (8, 10), (128, 2)])
 def test_casimir_values_on_the_classes_of_one_row_match_the_gathered_form(d, k):
     # The classes of one row (n, a), n_a = 0, listed by np.nonzero, and s_r gathered over them
-    try:
-        classes = optimality._weight_classes(d, k)
-        occ, tilt = core.occupations(k, d), d - 1 - 2 * np.arange(d)
-        n, a = np.nonzero(occ == 0)
-        s = ((occ**2).sum(axis=1) + occ @ tilt)[n] + 1 - tilt[a]
-        want = (k * (k + d - 1) + d + 2 - s) / 2 - (k + 1) * classes.x.single
-        _, single = optimality._casimir_blocks(classes, d, k)
-        assert single.dtype == want.dtype and np.array_equal(single, want)
-    finally:
-        optimality._weight_classes.cache_clear()
+    classes = optimality._weight_classes(d, k)
+    occ, tilt = core.occupations(k, d), d - 1 - 2 * np.arange(d)
+    n, a = np.nonzero(occ == 0)
+    s = ((occ**2).sum(axis=1) + occ @ tilt)[n] + 1 - tilt[a]
+    want = (k * (k + d - 1) + d + 2 - s) / 2 - (k + 1) * classes.x.single
+    _, single = optimality._casimir_blocks(classes, d, k)
+    assert single.dtype == want.dtype and np.array_equal(single, want)
 
 
 def test_group_layers_check_the_budget_before_any_dense_operator(forbid_dense_builders):
@@ -881,14 +893,14 @@ class TestSymmetricCoordinates:
 
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
     def test_family_traces_match_the_dense_traces(self, d, k):
-        family = optimality._family(d, k)
+        family = optimality._family(optimality._weight_classes(d, k), d, k)
         assert np.abs(np.concatenate([family.objective, family.gap]) - dense_family_traces(d, k)).max() <= 1e-12
         report = reduced_optimum(d, k)
         assert (report.objective_value, report.equality_residual) == (family.objective[0], abs(family.gap[0]))
 
     def test_the_class_traces_are_taken_once_per_cell(self, monkeypatch):
-        # reduced_optimum, the falsifier and decomposition_coefficients read the traces of one cached
-        # classes: Q - F is held once, to take them, and never again
+        # reduced_optimum, the falsifier and decomposition_coefficients read the traces of the one
+        # classes they are handed: Q - F is held once, to take them, and never again
         fresh = optimality._weight_classes(3, 4)._replace()  # a copy with no traces taken yet
         monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: fresh)
         built, held = [], optimality._Held

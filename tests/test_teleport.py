@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -27,7 +28,7 @@ from mcteleport import (
     verify_theorem,
 )
 from mcteleport import cli, sar, symgroup, teleport
-from mcteleport.core import spawn_keys
+from mcteleport.core import FACTOR_CAP, spawn_keys
 
 from oracles import (
     dense_conditional_output,
@@ -163,6 +164,39 @@ class TestEigendecomposition:
 
         monkeypatch.setattr(teleport, "build_measurement", moved)
         assert eigendecomposition_residual(2, 2) > 1e-4
+
+    @staticmethod
+    def exact_squared_distance(g, h):
+        # sum over the columns of ||g g^T - h h^T||^2 in rationals, from the float entries of both factors
+        total = Fraction(0)
+        for gs, hs in zip(g.tolist(), h.tolist()):
+            gs, hs = [Fraction(x) for x in gs], [Fraction(x) for x in hs]
+            total += sum((ga * gb - ha * hb) ** 2 for ga, ha in zip(gs, hs) for gb, hb in zip(gs, hs))
+        return total
+
+    @pytest.mark.parametrize("d,k,moved", [(1, 3, False), (2, 1, False), (2, 3, False), (3, 4, False),
+                                           (8, 5, False), (3, 4, True)])
+    def test_factor_distance_is_the_exact_distance_of_the_stored_factors(self, d, k, moved):
+        eigen, projector = build_measurement(d, k, "eigen"), build_measurement(d, k, "projector")
+        if moved:
+            values = projector.values.copy()
+            values[1, 2] += 1e-3
+            projector = teleport.Measurement(d, k, values)
+        exact = self.exact_squared_distance(eigen.values, projector.values)
+        distance = teleport._factor_distance(eigen, projector)
+        assert distance**2 == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert (distance > 1e-4) == moved
+
+    @pytest.mark.parametrize("d,k", [(8, 12), (128, 2)])
+    def test_factor_distance_holds_width_x_d_arrays(self, d, k):
+        eigen, projector = build_measurement(d, k, "eigen"), build_measurement(d, k, "projector")
+        tracemalloc.start()
+        try:
+            teleport._factor_distance(eigen, projector)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * eigen.values.size * 16, peak
 
 
 class TestSimulate:
@@ -372,16 +406,21 @@ class TestThinFactor:
         with pytest.raises(CapacityError):  # C(1100, 550) > 2^1000
             teleport._sqrt_multinomials(2, 1100)
 
-    @pytest.mark.parametrize("d,k", [(16, 7)])
-    def test_oversized_cells_are_refused_before_allocation(self, d, k, monkeypatch):
-        def unexpected(*args, **kwargs):
-            raise AssertionError("factor built for a cell over the cap")
-
-        monkeypatch.setattr(teleport, "occupations", unexpected)
-        monkeypatch.setattr(teleport, "_sandwich_rows", unexpected)
-        for form in ("eigen", "projector"):
-            with pytest.raises(CapacityError):
-                build_measurement(d, k, form)
+    @pytest.mark.parametrize("d,k", [(16, 7), (10, 30), (20, 20)])
+    def test_oversized_cells_are_refused_before_allocation(self, d, k):
+        # the projector form is refused by the table of k factors before its multinomials exist; the eigen
+        # form by the first table that does not fit, of k - 1 factors or of k, after its width x d values
+        rows = {n: math.comb(n + d - 1, n) for n in (k - 1, k)}
+        for form, bound in (("eigen", 3 * FACTOR_CAP * 8), ("projector", 2**16)):
+            n = k - 1 if form == "eigen" and rows[k - 1] * d > FACTOR_CAP else k
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match=f"occupation table of {rows[n]} x {d} entries exceeds cap"):
+                    build_measurement(d, k, form)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound, (form, peak)
 
     @pytest.mark.parametrize("d,k", [(2, 30000), (2, 1010), (2, 1100)])
     def test_only_the_multinomials_are_refused_past_the_float_range(self, d, k, monkeypatch):
@@ -403,8 +442,7 @@ class TestThinFactor:
             for k in range(1, 17):
                 if d ** (k + 1) > DIM_CAP:
                     break
-                width = math.comb(k - 2 + d, k - 1)
-                assert width * d * d <= teleport.FACTOR_CAP
+                assert math.comb(k + d - 1, k) * d <= FACTOR_CAP  # its occupation table fits
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 1), (2, 5), (3, 3), (4, 2), (5, 1)])
     def test_projector_form_shares_no_helper_with_the_eigen_form(self, d, k, monkeypatch):
