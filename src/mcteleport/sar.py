@@ -292,7 +292,8 @@ def verify_sar(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> SarReport:
-    """Monte-Carlo retrieval check over random channels and Haar inputs, refused first over PROGRAM_CAP.
+    """Monte-Carlo retrieval check over random channels and Haar inputs; an impossible dilation is refused
+    first, then a program state over PROGRAM_CAP, before anything is built.
 
     Each sample fills one row of 2 w d + 2 d standard normals (w = d_out
     kraus_rank) from its own child key of the seed: the real and
@@ -308,10 +309,10 @@ def verify_sar(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_dilation(d, d_out, kraus_rank)
     _check_program(d, d_out)
     meas = build_measurement(d, k, form="eigen")
     check_weights(d, k)
-    _check_dilation(d, d_out, kraus_rank)
     p_formula = success_probability_formula(d, k)
     keys = spawn_keys(seed, samples)
     probs = np.empty(samples)

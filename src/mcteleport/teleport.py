@@ -137,31 +137,6 @@ def _coordinates(d: int, k: int) -> np.ndarray:
     return out
 
 
-def _multinomials(d: int, n: int) -> list[int]:
-    """n! / prod_j c_j! for each occupation c in ``occupations(n, d)``, exact; uncached, as the big
-    integers take many times the memory of the float roots ``_sqrt_multinomials`` keeps.
-
-    Past 2^1000 they are refused before any is formed: callers first run
-    ``check_weights`` on the largest (the most even occupation), so
-    every square root stays under 2^500 and the power products of a weight
-    that matters stay far above the float underflow.  They grow level by
-    level in the order of ``occupations``: a row with r factors left takes
-    r, .., 0 of them at the next level, times C(r, j) from the row of
-    Pascal's triangle of r, made once per r by the exact recurrence
-    C(r, j + 1) = C(r, j) (r - j) / (j + 1).
-    """
-    pascal: dict[int, list[int]] = {}
-    mults, rest = [1], [n]
-    for _ in range(d - 1):
-        for r in set(rest) - pascal.keys():
-            row = pascal[r] = [1]
-            for j in range(r):
-                row.append(row[-1] * (r - j) // (j + 1))
-        mults = [m * c for m, r in zip(mults, rest) for c in pascal[r]]
-        rest = [left for r in rest for left in range(r + 1)]
-    return mults
-
-
 def _sandwich_rows(d: int, k: int) -> np.ndarray:
     """The P+ sandwich Z^dagger compressed to one row per occupation of k-1 factors, as its entries.
 
@@ -173,13 +148,12 @@ def _sandwich_rows(d: int, k: int) -> np.ndarray:
     weighted by sqrt(mult(n'')).  Row n'' is nonzero only in the d columns
     (n'' + e_a, a), the coordinates ``Measurement`` holds, so the rows are
     orthogonal, and each is returned as its entries there, width x d.  Each
-    entry sqrt(mult(n'') / (d mult(n'' + e_a))) is exact from
-    ``_multinomials``, formed once the float range of k and the layout pass.
+    entry sqrt(mult(n'')) / (sqrt(d) sqrt(mult(n'' + e_a))) comes within 4 ulp
+    from the roots ``_sqrt_multinomials`` caches, once the float range of k and the layout pass.
     """
     check_weights(d, k)
-    raised, grown = (_coordinates(d, k) // d).tolist(), _multinomials(d, k)
-    entries = [math.sqrt(m / (d * grown[i])) for m, row in zip(_multinomials(d, k - 1), raised) for i in row]
-    return np.array(entries).reshape(-1, d)
+    raised = _coordinates(d, k) // d
+    return _sqrt_multinomials(d, k - 1)[:, None] / (math.sqrt(d) * _sqrt_multinomials(d, k)[raised])
 
 
 def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
@@ -190,8 +164,8 @@ def build_measurement(d: int, k: int, form: str = "eigen") -> Measurement:
     puts the eigenvector of index n' at sqrt((n'_a + 1)/(k - 1 + d)) in
     coordinate (n' + e_a, a), for each level a.  ``form="projector"`` is
     G = sqrt(c) C^dagger for the rows C of ``_sandwich_rows``: they are
-    orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It uses
-    no helper or closed form of the eigen form and is kept for cross-checks.
+    orthogonal, so Z Z^dagger = C^dagger C needs no factorisation.  It shares
+    the draws' cached roots but no helper or closed form of the eigen form, and is kept for cross-checks.
     Both forms give only the values; ``Measurement`` builds the coordinates
     from (d, k), and the dense oracles check them against ``occupation_rank``.
 
@@ -264,10 +238,28 @@ def check_weights(d: int, k: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _sqrt_multinomials(d: int, k: int) -> np.ndarray:
-    """sqrt(k! / prod_j n_j!) for each occupation n in ``occupations(k, d)``, from ``_multinomials``, read-only."""
-    check_weights(d, k)
-    out = np.sqrt(np.array([float(m) for m in _multinomials(d, k)]))
+def _sqrt_multinomials(d: int, n: int) -> np.ndarray:
+    """sqrt(n! / prod_j c_j!) for each occupation c in ``occupations(n, d)``, read-only; once per (d, n).
+
+    The one place exact multinomials are formed.  Past 2^1000 ``check_weights``
+    refuses them first, so every root stays under 2^500 and the power products
+    of a weight that matters stay far above the float underflow.  They grow exactly, level by
+    level in the order of ``occupations``: a row with r factors left takes
+    r, .., 0 of them at the next level, times C(r, j) from the row of
+    Pascal's triangle of r, made once per r by the exact recurrence
+    C(r, j + 1) = C(r, j) (r - j) / (j + 1).
+    """
+    check_weights(d, n)
+    pascal: dict[int, list[int]] = {}
+    mults, rest = [1], [n]
+    for _ in range(d - 1):
+        for r in set(rest) - pascal.keys():
+            row = pascal[r] = [1]
+            for j in range(r):
+                row.append(row[-1] * (r - j) // (j + 1))
+        mults = [m * c for m, r in zip(mults, rest) for c in pascal[r]]
+        rest = [left for r in rest for left in range(r + 1)]
+    out = np.sqrt(np.array([float(m) for m in mults]))
     out.setflags(write=False)
     return out
 

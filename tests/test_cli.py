@@ -391,7 +391,7 @@ class TestSymmetricSuites:
     @pytest.mark.parametrize("d,k", [("2", "1100"), ("2", "100000"), ("3", "400")])
     def test_optimality_runs_past_the_float_range(self, d, k, monkeypatch, capsys):
         # no optimality layer forms a multinomial weight, so the float range does not bound them
-        monkeypatch.setattr(teleport, "_multinomials", lambda *args: pytest.fail("multinomials formed"))
+        monkeypatch.setattr(teleport, "_sqrt_multinomials", lambda *args: pytest.fail("multinomials formed"))
         argv = ["optimality", "--d", d, "--k", k, "--samples", "2", "--threads", "1",
                 "--format", "json", "--no-timestamp"]
         assert cli.main(argv) == 0

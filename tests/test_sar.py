@@ -215,6 +215,15 @@ def test_verify_sar_checks_the_program_cap_on_entry(d, d_out, monkeypatch):
         verify_sar(d, d_out, 1, 1, samples=2)
 
 
+def test_verify_sar_checks_the_dilation_before_it_builds_anything(monkeypatch):
+    # (2, 30000) is past the float range, so a later check would skip it as a capacity error
+    with pytest.raises(ValueError, match="kraus_rank must be at least 1"):
+        verify_sar(2, 2, 30000, kraus_rank=0, samples=2)
+    monkeypatch.setattr(sar, "build_measurement", lambda *args, **kwargs: pytest.fail("measurement built"))
+    with pytest.raises(ValueError, match="no isometry"):
+        verify_sar(8, 1, 12, 1, samples=2)
+
+
 class TestProgramStateType:
     def test_rho_layout(self):
         prog = store(random_channel(2, 3, kraus_rank=2, seed=4))

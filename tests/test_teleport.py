@@ -433,7 +433,7 @@ class TestThinFactor:
             teleport._sqrt_multinomials(d, k)
         with pytest.raises(CapacityError, match="exceed the float range"):
             teleport.check_weights(d, k)
-        monkeypatch.setattr(teleport, "_multinomials", lambda *args: pytest.fail("multinomials formed"))
+        monkeypatch.setattr(teleport, "_sqrt_multinomials", lambda *args: pytest.fail("multinomials formed"))
         meas = build_measurement(d, k, "eigen")
         assert meas.rows.shape == meas.values.shape == (k, d)  # width C(k, k - 1) = k at d = 2
 
@@ -464,13 +464,25 @@ class TestThinFactor:
         f = (b @ g.reshape(b.shape[1], -1)).reshape(d ** (k + 1), -1)
         assert frobenius_distance(f @ f.conj().T, dense_success_element(d, k)) < 1e-12
 
-    @pytest.mark.parametrize("d,k", [(2, 10), (3, 5), (4, 6), (3, 40), (1, 4), (5, 1), (8, 10), (4, 60), (16, 5)])
+    @pytest.mark.parametrize(
+        "d,k", [(2, 10), (3, 5), (4, 6), (3, 40), (1, 4), (5, 1), (8, 10), (4, 60), (16, 5), (2, 1000)]
+    )
     def test_sandwich_rows_keep_the_bits_of_the_per_row_count(self, d, k):
-        # the oracle finds each row's columns by lookup; the measurement builds them from (d, k)
+        # the oracle finds each row's columns by lookup; the measurement builds them from (d, k).  Its entries
+        # are exact quotients; the roots round two conversions, three square roots, a product and a quotient
         columns, entries = build_measurement(d, k, "projector").rows, teleport._sandwich_rows(d, k)
         want_columns, want_entries = sandwich_rows_by_count(d, k)
         assert columns.dtype == want_columns.dtype and np.array_equal(columns, want_columns)
-        assert entries.dtype == want_entries.dtype and np.array_equal(entries, want_entries)
+        assert entries.dtype == want_entries.dtype
+        assert np.all(np.abs(entries - want_entries) <= 4 * np.spacing(want_entries))
+
+    def test_the_projector_form_and_the_draws_share_one_table_per_copy_count(self):
+        # the projector form reads the roots of k and of k - 1 factors; the draws of the same cell reuse k's
+        teleport._sqrt_multinomials.cache_clear()
+        build_measurement(3, 40, "projector")
+        verify_theorem(3, 40, samples=2)
+        info = teleport._sqrt_multinomials.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
 
     @pytest.mark.parametrize("d,k", [(3, 361), (2, 10), (4, 5), (5, 1), (1, 4)])
     def test_sqrt_multinomials_keep_the_bits_of_one_comb_chain_per_occupation(self, d, k):
