@@ -16,7 +16,11 @@ sum_(p<q) L_pq^dagger L_pq that the covariant operators are span{F, 1 - F}
 (two irreducible components, Pieri rule).  The quadratic Casimir gives K =
 (alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads X, only
 covariance rests on the generators, and the tests compare both with the
-dense generators.
+dense generators.  Every block held is a scalar plus a rank-one term, so
+K's and F's spectra are taken in closed form, integers and ||g||^2, and
+the built blocks' distances from those forms bound how far their spectra
+can lie (Weyl's inequality): no eigensolver runs, and the tests keep one
+as an oracle.
 ``reduced_optimum`` finds F optimal in that family; the perturbation search
 draws on its two coefficients.  Only ``verify_lemmas`` builds a d^(k+1)-square
 operator, and it imports ``tensor`` and ``symgroup`` when called; the rest
@@ -52,8 +56,6 @@ PERTURBATION_SCALE = 1.0
 MARGIN = 1e-7
 #: Eigenvalue slack of the [0, 1] feasibility test of F and of each candidate.
 EIG_SLACK = 1e-10
-#: The raising operators' sum K has integer eigenvalues, so one within this of 0 is zero.
-KERNEL_CUT = 0.5
 
 
 #: An operator that keeps each weight class: a (width, d, d) stack of blocks, one per class of d rows, and
@@ -108,18 +110,73 @@ def _weight_classes(d: int, k: int) -> _Classes:
     return _Classes((math.comb(k + d - 1, k) - len(v)) * d, q, f, x)
 
 
-def _casimir_blocks(classes: _Classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """K = (alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): its blocks, and its value on each class of one row."""
+def _casimir_spectrum(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """K's closed form (see ``_certify``), exact in int64: s_w on each class of d rows, and K on each class of one row.
+
+    With u = sqrt(w + 1), X's block on the class of weight w is (1 + u u^T) / (k + 1)
+    (``_weight_classes``), so K = (alpha - 2 (k+1) X - s_r) / 2 is s_w - 1 - u u^T there, with
+    s_w = (alpha - s_r) / 2: eigenvalue s_w - 1 on u-perp, d - 1 times, and s_w - 1 - ||u||^2
+    = s_w - (k + d) on u.  On the class of one row (n, a), n_a = 0, X is 1 / (k + 1), and K is
+    (alpha - s_r) / 2 - 1 for its weight n - e_a.  alpha - s_r is even for every weight of k - 1
+    factors, as sum_p w_p^2 and sum_p w_p = k - 1 have one parity; an odd one raises.
+    """
     alpha, tilt = k * (k + d - 1) + d + 2, d - 1 - 2 * np.arange(d)
     weights, occ = occupations(k - 1, d), occupations(k, d)
-    blocks = -(k + 1) * classes.x.blocks
-    blocks[:, np.arange(d), np.arange(d)] += ((alpha - (weights**2).sum(axis=1) - weights @ tilt) / 2)[:, None]
+    twice = alpha - (weights**2).sum(axis=1) - weights @ tilt
     # the class of one row (n, a), n_a = 0, has the weight n - e_a, so s_r = A(n) + 1 - tilt_a with
-    # A(n) = sum_p n_p^2 + sum_p tilt_p n_p, and (alpha - s_r) / 2 = (alpha - 1 - A(n)) / 2 + tilt_a / 2, exactly;
-    # the mask lists the (n, a) row-major, as the classes are
-    single = np.add.outer((alpha - 1 - (occ**2).sum(axis=1) - occ @ tilt) / 2, tilt / 2)[occ == 0]
-    single -= (k + 1) * classes.x.single
-    return blocks, single
+    # A(n) = sum_p n_p^2 + sum_p tilt_p n_p; the mask lists the (n, a) row-major, as the classes are
+    twice_single = np.add.outer(alpha - 1 - (occ**2).sum(axis=1) - occ @ tilt, tilt)[occ == 0]
+    if (twice % 2).any() or (twice_single % 2).any():
+        raise VerificationError(f"K's closed form is not an integer at d={d}, k={k}")
+    return twice // 2, twice_single // 2 - 1
+
+
+def _rank_one_distance(blocks: np.ndarray, v: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> np.ndarray:
+    """||scale B_w - shift - v_w v_w^T||_F for each block B_w, in chunks of at most FACTOR_CAP entries."""
+    out, eye = np.empty(len(v)), shift * np.eye(v.shape[1])
+    for part in batch_slices(len(v), 2 * v.shape[1] ** 2):  # the residual and the outer product
+        residual = blocks[part] * scale
+        residual -= eye
+        residual -= v[part, :, None] * v[part, None, :]
+        out[part] = np.einsum("nab,nab->n", residual, residual)
+    return np.sqrt(out, out=out)
+
+
+#: K's kernel (see ``_certify``): the classes of d rows and of one row it meets, its vectors, <v, F v> on them
+#: in increasing order, and K's least nonzero eigenvalue, None when there is none.
+_Reduction = namedtuple("_Reduction", "blocks singles vectors on_kernel margin")
+
+
+def _reduction(classes: _Classes, d: int, k: int) -> _Reduction:
+    """K's kernel and margin from its closed-form spectra; raise unless X is within DEFAULT_ATOL of its closed form."""
+    u, norm = np.sqrt(occupations(k - 1, d) + 1.0), k - 1 + d  # ||u||^2 = k - 1 + d
+    off = _rank_one_distance(classes.x.blocks, u, k + 1, 1.0).max()
+    if classes.singles:
+        off = np.maximum(off, abs((k + 1) * classes.x.single - 1.0))
+    if not off <= DEFAULT_ATOL:  # a NaN fails too
+        raise VerificationError(
+            f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: X is {off:.3e} from its closed form "
+            f"(1 + u u^T) / (k + 1), so K's spectrum is not known to be integer",
+            float(off),
+        )
+    shift, single = _casimir_spectrum(d, k)
+    on_u, alone = np.flatnonzero(shift == k + d), np.flatnonzero(single == 0)
+    on_perp = np.flatnonzero(shift == 1) if d > 1 else on_u[:0]
+    f = classes.f.blocks
+
+    def along(j):  # <v, F v> at v = u / ||u|| on the classes j
+        return np.einsum("na,nab,nb->n", u[j], f[j], u[j]) / norm
+
+    if d == 2:  # the one vector of u-perp takes the rest of the trace
+        across = np.trace(f[on_perp], axis1=1, axis2=2) - along(on_perp)
+    else:  # at d >= 3, d - 1 >= 2 vectors in one class, which the count refuses (at d = 1, u-perp is empty)
+        across = np.full((d - 1) * len(on_perp), np.nan)
+    on_kernel = np.sort(np.concatenate([along(on_u), across, np.full(len(alone), classes.f.single)]))
+    rest = np.concatenate([shift - (k + d), shift - 1 if d > 1 else shift[:0], single])
+    rest = rest[rest != 0]
+    margin = int(rest.min()) if rest.size else None
+    vectors = len(on_u) + (d - 1) * len(on_perp) + len(alone)
+    return _Reduction(np.sort(np.concatenate([on_u, on_perp])), alone, vectors, on_kernel, margin)
 
 
 def _covariance(classes: _Classes, d: int, k: int) -> float:
@@ -168,7 +225,7 @@ def _covariance(classes: _Classes, d: int, k: int) -> float:
     return max(residuals)
 
 
-def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
+def _certify(classes: _Classes, d: int, k: int) -> tuple[float, int | None]:
     """Certify that F is covariant and that span{F, 1 - F} holds every covariant operator, or raise.
 
     Covariance: the d^2 generators L_pq = J_pq (x) 1 - 1 (x) E_qp span the
@@ -194,32 +251,38 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, float | None]:
     alpha - 2 (k+1) X, as its cross term -2 sum_i (i A)^(t_A) is 2 - 2 (k+1) X;
     L_pp is w_p on a row of weight w, so K = (alpha - 2 (k+1) X - s_r) / 2 with
     alpha = k (k+d-1) + d + 2 and s_r = sum_p w_p^2 + sum_p (d-1-2p) w_p.  K
-    thus reads X's closed form, not the generators (the tests compare it with
-    their dense sum), and K >= 0 is not built in: a kernel eigenvalue is one
-    within KERNEL_CUT of 0, and a negative one outside it raises.  Returns
-    the covariance residual and K's least nonzero eigenvalue, None at d = 1.
+    thus reads X, not the generators (the tests compare it with their dense
+    sum).  On the class of weight w, X's closed form (1 + u u^T) / (k + 1),
+    u = sqrt(w + 1), makes K = s_w - 1 - u u^T with s_w = (alpha - s_r) / 2,
+    whose eigenvalues s_w - 1 (on u-perp) and s_w - (k + d) (on u) are
+    integers (``_casimir_spectrum``, which also refuses an odd alpha - s_r),
+    and so are K's values on the classes of one row.  The K of the built X
+    differs from that by (k+1) X_w - 1 - u u^T, so by Weyl's inequality its
+    eigenvalues lie within eps_X = max_w ||(k+1) X_w - 1 - u u^T||_F of the
+    integers, and its eigenvectors, the spectral gaps being at least 1,
+    within about eps_X of u and u-perp: eps_X above DEFAULT_ATOL raises.
+    The kernel is where the integers are 0, and <v, F v> is read from F's
+    blocks, u^T F_w u / ||u||^2 on u and, at d = 2, tr F_w minus that on
+    u-perp; at d >= 3 a kernel on u-perp is d - 1 >= 2 vectors in one
+    class, which the count refuses.  K >= 0 is not built in: a negative
+    eigenvalue raises.  Returns the covariance residual and K's least
+    nonzero eigenvalue, an exact integer, None at d = 1.
     """
     covariance = _covariance(classes, d, k)  # in a call of its own, so its arrays are gone before K's
     if covariance > DEFAULT_ATOL:
         raise VerificationError(
             f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
         )
-    blocks, single = _casimir_blocks(classes, d, k)
-    values, vectors = np.linalg.eigh(blocks)
-    kernel, alone = np.abs(values) < KERNEL_CUT, np.abs(single) < KERNEL_CUT
-    j, i = np.nonzero(kernel)  # <v, F v> on the kernel's vectors v = vectors[j, :, i] alone
-    on_kernel = np.einsum("na,nab,nb->n", vectors[j, :, i], classes.f.blocks[j], vectors[j, :, i])
-    on_kernel = np.sort(np.append(on_kernel, np.full(alone.sum(), classes.f.single)))
-    met, expected = int(kernel.any(axis=1).sum() + alone.sum()), np.arange(2 - min(d, 2), 2.0)
-    rest = np.concatenate([values[~kernel], single[~alone]])
-    margin = float(rest.min()) if rest.size else None
-    wrong = (met, len(on_kernel)) != (len(expected),) * 2 or np.abs(on_kernel - expected).max() > DEFAULT_ATOL
-    if wrong or (margin or 0.0) < 0:
+    kernel = _reduction(classes, d, k)
+    met, expected = len(kernel.blocks) + len(kernel.singles), np.arange(2 - min(d, 2), 2.0)
+    counts = (met, kernel.vectors) != (len(expected),) * 2
+    if counts or not np.abs(kernel.on_kernel - expected).max() <= DEFAULT_ATOL or (kernel.margin or 0) < 0:
         raise VerificationError(
-            f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: the kernel of K meets {met} classes, "
-            f"with <v, F v> = {on_kernel} on it where {expected} was expected, and K's least other eigenvalue {margin}"
+            f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: the kernel of K meets {met} classes in "
+            f"{kernel.vectors} vectors, with <v, F v> = {kernel.on_kernel} on it where {expected} was expected, "
+            f"and K's least other eigenvalue {kernel.margin}"
         )
-    return covariance, margin
+    return covariance, kernel.margin
 
 
 class CoefficientReport(NamedTuple):
@@ -327,7 +390,8 @@ class SdpReport(NamedTuple):
     largest of F's relative commutator with the root L_01 and its residuals
     under the swap and the cycle of levels, which bound F's relative
     commutator with every root (see ``_certify``), and ``reduction_margin``
-    is the smallest nonzero eigenvalue of K.  ``checks`` holds the first's
+    is the smallest nonzero eigenvalue of K, an exact integer from its
+    closed form, None at d = 1.  ``checks`` holds the first's
     distance from p* and the covariance residual, each at most tol to pass.
     """
 
@@ -337,7 +401,7 @@ class SdpReport(NamedTuple):
     objective_value: float
     equality_residual: float
     covariance_residual: float
-    reduction_margin: float | None
+    reduction_margin: int | None
     checks: tuple[tuple[str, float, bool], ...]
     passed: bool
 
@@ -373,8 +437,8 @@ def reduced_optimum(d: int, k: int, tol: float = DEFAULT_ATOL, classes: _Classes
 
 def _check_unit_interval(spectrum: np.ndarray, what: str) -> None:
     """Raise unless every value of spectrum lies in [-EIG_SLACK, 1 + EIG_SLACK]."""
-    excess = max(-spectrum.min(), spectrum.max() - 1.0)
-    if excess > EIG_SLACK:
+    excess = np.maximum(-spectrum.min(), spectrum.max() - 1.0)
+    if not excess <= EIG_SLACK:  # a NaN fails too
         raise VerificationError(f"{what} leaves [0, 1] by {excess:.3e}", excess)
 
 
@@ -416,9 +480,11 @@ def perturbation_falsifier(
     both signs come up once trials >= 2.  A
     coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so does an
     objective above p* + MARGIN, as it would contradict the optimality
-    statement or expose a bug; the first failing trial is named.  F is
-    checked by one ``eigvalsh`` of its blocks, the trials as stacked
-    arrays, in chunks of at most FACTOR_CAP entries.
+    statement or expose a bug; the first failing trial is named.  F's
+    spectrum must pass the same test: on each class it lies in
+    [-eps_F, ||g||^2 + eps_F] (Weyl), eps_F = ||F_w - g g^T||_F, g the
+    measurement's values.  The trials run as stacked arrays, in chunks of
+    at most FACTOR_CAP entries.
 
     The sweep cannot beat F and does not test the reduction: F's gap is
     exactly 0, so the gap correction sets every candidate's coefficient of
@@ -429,7 +495,11 @@ def perturbation_falsifier(
         raise ValueError("need at least one trial")
     p_star = success_probability_formula(d, k)
     classes = _weight_classes(d, k) if classes is None else classes
-    spectrum = np.append(np.linalg.eigvalsh(classes.f.blocks), [classes.f.single] if classes.singles else [])
+    # F_w = g g^T has eigenvalues 0 and ||g||^2, and a held block's lie within its distance from g g^T (Weyl);
+    # g is built again rather than held with the classes, whose peak, in _covariance, it would raise
+    g = build_measurement(d, k).values
+    off = _rank_one_distance(classes.f.blocks, g)
+    spectrum = np.concatenate([-off, np.einsum("na,na->n", g, g) + off, [classes.f.single] if classes.singles else []])
     _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
     family = _family(classes, d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))

@@ -230,10 +230,19 @@ def check_floor(probs: np.ndarray) -> None:
 
 
 def check_weights(d: int, k: int) -> None:
-    """Refuse (``CapacityError``) a cell whose largest multinomial weight passes 2^1000, before any draw."""
+    """Refuse (``CapacityError``) a cell whose largest multinomial weight passes 2^1000, before any draw.
+
+    The largest is that of the most even occupation.  Its log2 from ``math.lgamma`` is off by about
+    1e-15 of its size: far below one bit near 1000 bits, which only k < 1100 reach, and far below its
+    distance from 1000 elsewhere.  So it decides alone unless it lies within one bit of 1000; only then
+    is the exact integer formed, and every decision is that of the exact integer.
+    """
     q, extra = divmod(k, d)
-    most_even = math.factorial(k) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
-    if most_even.bit_length() > 1000:
+    bits = (math.lgamma(k + 1) - extra * math.lgamma(q + 2) - (d - extra) * math.lgamma(q + 1)) / math.log(2)
+    if abs(bits - 1000) <= 1:
+        most_even = math.factorial(k) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
+        bits = most_even.bit_length()
+    if bits > 1000:
         raise CapacityError(f"multinomial weights of k={k} copies at d={d} exceed the float range")
 
 

@@ -15,7 +15,9 @@ the feasibility functionals ``objective`` and ``equality_residual``, the
 Haar-moment check, F, Q and X on (C^d)^(x (k+1)) and the commutant
 projection, is built from the package's own operators (each checked
 against a naive construction elsewhere in the suite) and cross-checks the
-symmetric-coordinate optimality layer.
+symmetric-coordinate optimality layer.  Its last part, K's reduction
+certificate by ``eigh``, reads the package's weight classes: it is the
+eigensolver path the closed-form spectra replaced, kept to check them.
 """
 
 from __future__ import annotations
@@ -865,3 +867,34 @@ def commutant_projection(x: np.ndarray, d: int, k: int) -> np.ndarray:
     out = np.zeros(x.shape, dtype=np.result_type(x, values))
     out.reshape(-1)[positions] = (values @ x.reshape(-1)[positions] / ranks) @ values
     return out
+
+
+#: K's eigenvalues are integers, so one within this of 0 is zero.
+KERNEL_CUT = 0.5
+
+
+def casimir_blocks_from_x(classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """K = (alpha - 2 (k+1) X - s_r) / 2 from the blocks and the one-row value of X, in floats: its blocks, and
+    its value on each class of one row, s_r taken from each class's weight."""
+    alpha, tilt = k * (k + d - 1) + d + 2, d - 1 - 2 * np.arange(d)
+    weights, occ = occupations(k - 1, d), occupations(k, d)
+    blocks = -(k + 1) * classes.x.blocks
+    blocks[:, np.arange(d), np.arange(d)] += ((alpha - (weights**2).sum(axis=1) - weights @ tilt) / 2)[:, None]
+    # the class of one row (n, a), n_a = 0, has the weight n - e_a, listed row-major by the mask
+    single = np.add.outer((alpha - 1 - (occ**2).sum(axis=1) - occ @ tilt) / 2, tilt / 2)[occ == 0]
+    return blocks, single - (k + 1) * classes.x.single
+
+
+def reduction_by_eigh(classes, d: int, k: int) -> tuple:
+    """K's reduction certificate by ``eigh`` of ``casimir_blocks_from_x``: each block's eigenvalues, K's values
+    on the classes of one row, the classes of d rows and of one row that its kernel meets, <v, F v> on the
+    kernel's vectors in increasing order, and K's least other eigenvalue (None when there is none)."""
+    blocks, single = casimir_blocks_from_x(classes, d, k)
+    values, vectors = np.linalg.eigh(blocks)
+    kernel, alone = np.abs(values) < KERNEL_CUT, np.abs(single) < KERNEL_CUT
+    j, i = np.nonzero(kernel)  # <v, F v> on the kernel's vectors v = vectors[j, :, i] alone
+    on_kernel = np.einsum("na,nab,nb->n", vectors[j, :, i], classes.f.blocks[j], vectors[j, :, i])
+    on_kernel = np.sort(np.append(on_kernel, np.full(alone.sum(), classes.f.single)))
+    rest = np.concatenate([values[~kernel], single[~alone]])
+    margin = float(rest.min()) if rest.size else None
+    return values, single, np.flatnonzero(kernel.any(axis=1)), np.flatnonzero(alone), on_kernel, margin

@@ -26,7 +26,7 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
-from mcteleport import core, optimality, teleport
+from mcteleport import cli, core, optimality, teleport
 
 import oracles
 from oracles import (
@@ -269,6 +269,22 @@ class TestReducedOptimum:
         with pytest.raises(VerificationError, match="is not the commutant"):
             optimality._certify(classes._replace(x=classes.x._replace(blocks=x)), d, k)
 
+    @pytest.mark.parametrize("d,k,block", [(2, 2, 0), (3, 3, 0), (3, 3, -1), (4, 2, 2)])
+    def test_an_off_diagonal_change_to_x_fails_the_reduction_certificate(self, d, k, block):
+        # 1e-6 (e_0 e_1^T + e_1 e_0^T) on one class keeps X's trace and K's integer diagonal, and an eigensolve
+        # of the K it gives still finds the kernel and the margin; but X is then (k+1) 1e-6 sqrt(2) from its
+        # closed form, which bounds how far K's spectrum may lie from the integers
+        classes = optimality._weight_classes(d, k)
+        x = classes.x.blocks.copy()
+        x[block, [0, 1], [1, 0]] += 1e-6
+        moved = classes._replace(x=classes.x._replace(blocks=x))
+        assert np.trace(x, axis1=1, axis2=2).sum() == np.trace(classes.x.blocks, axis1=1, axis2=2).sum()
+        *_, on_kernel, margin = oracles.reduction_by_eigh(moved, d, k)
+        assert np.abs(on_kernel - [0.0, 1.0]).max() <= 1e-9 and abs(margin - round(margin)) <= 1e-9
+        with pytest.raises(VerificationError, match="is not the commutant") as raised:
+            optimality._certify(moved, d, k)
+        assert raised.value.residual == pytest.approx((k + 1) * 1e-6 * math.sqrt(2), rel=1e-6)
+
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (3, 2), (5, 1), (6, 3)])
     def test_one_root_and_the_level_permutations_are_looked_up(self, d, k, monkeypatch):
         # the root L_01 finds its image classes by their place in the order, with no lookup; each level
@@ -410,6 +426,20 @@ class TestFalsifier:
         with pytest.raises(VerificationError, match="optimal element"):
             perturbation_falsifier(2, 2, trials=1)
 
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 2)])
+    def test_an_excess_of_f_on_u_perp_leaves_the_unit_interval(self, d, k):
+        # 1.5 (1 - u u^T / ||u||^2) on one class gives F an eigenvalue 1.5 on u-perp while ||g||^2 = 1 there,
+        # so the bound must read F's blocks, not g alone
+        classes = optimality._weight_classes(d, k)
+        u = np.sqrt(core.occupations(k - 1, d)[0] + 1.0)
+        f = classes.f.blocks.copy()
+        f[0] += 1.5 * (np.eye(d) - np.outer(u, u) / (u @ u))
+        g = build_measurement(d, k).values[0]
+        assert np.linalg.eigvalsh(f[0])[-1] == pytest.approx(1.5) and g @ g == pytest.approx(1.0)
+        moved = classes._replace(f=classes.f._replace(blocks=f))
+        with pytest.raises(VerificationError, match=rf"optimal element at d={d}, k={k} leaves \[0, 1\]"):
+            perturbation_falsifier(d, k, trials=1, classes=moved)
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_fewer_than_one_trial(self, trials):
         with pytest.raises(ValueError, match="at least one trial"):
@@ -427,7 +457,7 @@ class TestFalsifier:
 
             monkeypatch.setattr(np.linalg, name, counted)
         perturbation_falsifier(3, 3, trials=10)
-        assert calls == {"eigh": 0, "eigvalsh": 1}
+        assert calls == {"eigh": 0, "eigvalsh": 0}
 
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
     def test_two_coefficient_trial_matches_the_dense_trial(self, d, k):
@@ -768,14 +798,35 @@ def test_weight_classes_match_the_gathered_occupation_table_bit_for_bit(d, k):
 
 @pytest.mark.parametrize("d,k", [(3, 4), (8, 10), (128, 2)])
 def test_casimir_values_on_the_classes_of_one_row_match_the_gathered_form(d, k):
-    # The classes of one row (n, a), n_a = 0, listed by np.nonzero, and s_r gathered over them
+    # The classes of one row (n, a), n_a = 0, listed by np.nonzero, and s_r gathered over them; X is 1 / (k + 1)
+    # there, so K is (alpha - s_r) / 2 - 1, an integer, and within rounding of its value read from X
     classes = optimality._weight_classes(d, k)
     occ, tilt = core.occupations(k, d), d - 1 - 2 * np.arange(d)
     n, a = np.nonzero(occ == 0)
     s = ((occ**2).sum(axis=1) + occ @ tilt)[n] + 1 - tilt[a]
-    want = (k * (k + d - 1) + d + 2 - s) / 2 - (k + 1) * classes.x.single
-    _, single = optimality._casimir_blocks(classes, d, k)
-    assert single.dtype == want.dtype and np.array_equal(single, want)
+    twice = k * (k + d - 1) + d + 2 - s
+    assert not (twice % 2).any()
+    _, single = optimality._casimir_spectrum(d, k)
+    assert single.dtype == np.int64 and np.array_equal(single, twice // 2 - 1)
+    assert np.abs(single - oracles.casimir_blocks_from_x(classes, d, k)[1]).max() <= 1e-12
+
+
+def test_an_optimality_run_calls_no_lapack_routine(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK routine was called")
+
+    for name in ("qr", "eigh", "eigvalsh", "svd", "cholesky", "inv", "solve", "det", "eig", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    core.occupations.cache_clear()  # so that no table a LAPACK call could have built is reused
+    teleport._sqrt_multinomials.cache_clear()
+    for d, k in [(1, 3), (2, 5), (3, 3), (4, 2)]:
+        classes = optimality._weight_classes(d, k)
+        assert reduced_optimum(d, k, classes=classes).passed
+        assert perturbation_falsifier(d, k, trials=20, seed=d + k, classes=classes).passed
+    argv = ["optimality", "--d", "1..4", "--k", "1..4", "--samples", "5", "--threads", "1", "--no-timestamp"]
+    assert cli.main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 16 and all(",true," in row for row in rows)
 
 
 def test_group_layers_check_the_budget_before_any_dense_operator(forbid_dense_builders):
@@ -987,9 +1038,14 @@ class TestSymmetricCoordinates:
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_casimir_blocks_match_the_dense_raising_sum(self, d, k):
-        # K from the Casimir, placed back entry by entry, against sum_(p<q) L_pq^T L_pq
+        # K's closed form s_w - 1 - u u^T, placed back entry by entry, against sum_(p<q) L_pq^T L_pq, and
+        # against K read from X's blocks
         classes = optimality._weight_classes(d, k)
-        blocks, single = optimality._casimir_blocks(classes, d, k)
+        shift, single = optimality._casimir_spectrum(d, k)
+        u = np.sqrt(core.occupations(k - 1, d) + 1.0)
+        blocks = (shift - 1)[:, None, None] * np.eye(d) - u[:, :, None] * u[:, None, :]
+        from_x, single_from_x = oracles.casimir_blocks_from_x(classes, d, k)
+        assert np.abs(blocks - from_x).max() <= 1e-12 and np.abs(single - single_from_x).max(initial=0) <= 1e-12
         rows, singles = _class_rows(d, k)
         casimir = np.zeros((d * math.comb(k + d - 1, k),) * 2)
         casimir[rows[:, :, None], rows[:, None, :]] = blocks
@@ -997,6 +1053,26 @@ class TestSymmetricCoordinates:
         total = sum(ell.T @ ell for ell in (_sym_generator(d, k, p, q) for p in range(d) for q in range(p + 1, d)))
         assert np.abs(casimir - total).max() <= 1e-12
         assert (len(singles) > 0) == (d > 1)  # single-row classes are compared too
+
+    @pytest.mark.parametrize("d,k", PROJECTION_CELLS + [(8, 10)])
+    def test_closed_form_spectra_match_the_eigh_oracle(self, d, k):
+        # K's and F's spectra, the classes that K's kernel meets, <v, F v> on it and the margin, against
+        # eigh and eigvalsh of the built blocks; eigh sorts s_w - (k + d) before the d - 1 values s_w - 1
+        classes = optimality._weight_classes(d, k)
+        values, single, blocks, singles, on_kernel, margin = oracles.reduction_by_eigh(classes, d, k)
+        shift, closed_single = optimality._casimir_spectrum(d, k)
+        closed = np.column_stack([shift - (k + d)] + [shift - 1] * (d - 1))
+        assert np.abs(values - closed).max() <= 1e-10 and np.abs(single - closed_single).max(initial=0) <= 1e-12
+        kernel = optimality._reduction(classes, d, k)
+        assert np.array_equal(kernel.blocks, blocks) and np.array_equal(kernel.singles, singles)
+        assert kernel.vectors == len(on_kernel) and np.abs(kernel.on_kernel - on_kernel).max() <= 1e-12
+        if margin is None:
+            assert kernel.margin is None and d == 1
+        else:
+            assert type(kernel.margin) is int and abs(kernel.margin - margin) <= 1e-10
+        g = build_measurement(d, k).values
+        f_closed = np.column_stack([np.zeros((len(g), d - 1)), np.einsum("na,na->n", g, g)])
+        assert np.abs(np.linalg.eigvalsh(classes.f.blocks) - f_closed).max() <= 1e-12
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_kernel_and_margin_match_a_dense_eigensolve(self, d, k):
@@ -1007,7 +1083,7 @@ class TestSymmetricCoordinates:
                 total += ell.T @ ell
         values = np.linalg.eigvalsh(total)
         assert np.abs(values - np.round(values)).max() <= 1e-12  # integer spectrum
-        assert (values < optimality.KERNEL_CUT).sum() == (2 if d > 1 else 1)
+        assert (values < oracles.KERNEL_CUT).sum() == (2 if d > 1 else 1)
         margin = reduced_optimum(d, k).reduction_margin
-        rest = values[values >= optimality.KERNEL_CUT]
+        rest = values[values >= oracles.KERNEL_CUT]
         assert margin is None if d == 1 else abs(margin - rest.min()) <= 1e-12

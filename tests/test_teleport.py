@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -436,6 +437,30 @@ class TestThinFactor:
         monkeypatch.setattr(teleport, "_sqrt_multinomials", lambda *args: pytest.fail("multinomials formed"))
         meas = build_measurement(d, k, "eigen")
         assert meas.rows.shape == meas.values.shape == (k, d)  # width C(k, k - 1) = k at d = 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_the_float_range_is_decided_as_by_the_exact_multinomial(self, d):
+        # the first k whose most even multinomial has more than 1000 bits, and a band around it, where
+        # the log-gamma estimate is near the threshold and the exact integer decides
+        def exact(k):
+            q, extra = divmod(k, d)
+            most_even = math.factorial(k) // (math.factorial(q + 1) ** extra * math.factorial(q) ** (d - extra))
+            return most_even.bit_length()
+
+        first = next(k for k in range(1, 2000) if exact(k) > 1000)
+        for k in range(max(1, first - 80), first + 80):
+            try:
+                teleport.check_weights(d, k)
+                refused = False
+            except CapacityError:
+                refused = True
+            assert refused == (exact(k) > 1000), k
+
+    def test_the_float_range_is_decided_without_forming_the_multinomial(self):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="exceed the float range"):
+            teleport.check_weights(2, 10**6)
+        assert time.perf_counter() - start < 0.01
 
     def test_every_dense_cell_fits_the_factor_cap(self):
         for d in range(2, 257):  # 257^2 > DIM_CAP
