@@ -1,4 +1,4 @@
-"""What every suite shares: tolerances, caps, errors, seeded draws and occupation tables.
+"""What every suite shares: tolerances, caps, errors, seeded draws, occupation tables and factor distances.
 
 The errors are those a cell ends on.  ``splitmix64`` is the one
 construction that turns a seed into numbers, with no ``numpy.random``:
@@ -53,6 +53,17 @@ def batch_slices(count: int, entries: int) -> list[slice]:
     """
     step = max(1, FACTOR_CAP // entries)
     return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def factor_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """sqrt(sum_j ||a_j a_j^dagger - b_j b_j^dagger||_F^2) over the rows a_j, b_j of two factors, from them alone.
+
+    With s = a_j - b_j and t = a_j + b_j, each term is (||s||^2 ||t||^2 + Re((t^dagger s)^2)) / 2, two terms
+    that are non-negative for real factors: nothing cancels, so the distance is as exact as the difference s.
+    """
+    s, t = a - b, a + b
+    st, ss, tt = (np.einsum("ja,ja->j", x.conj(), y) for x, y in ((t, s), (s, s), (t, t)))
+    return float(np.sqrt(np.sum(ss.real * tt.real + (st * st).real) / 2))
 
 
 def _complex_normals(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

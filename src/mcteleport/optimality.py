@@ -7,8 +7,10 @@ A, covariance under factor permutations and under U^(x k) (x) conj(U), and
 0 <= M <= 1.  Both traces see only the compression of M to Sym^k (x) C^d,
 where permutation covariance is automatic, so the layers here work in the
 coordinates (n, a) of that space, grouped by the weight n - e_a: F, Q = 1
-and X keep each weight class, and each is held as one d x d block per class
-of d rows and one value for every class of one row.  One root generator
+and X keep each weight class, each a scalar plus a rank-one term on a
+class of d rows and one value on every class of one row.  Only width x d
+arrays are held, F's factor g and the weights; a d x d block is formed
+only within a chunk of classes, and dropped with it.  One root generator
 L_01 of U^(x k) (x) conj(U), which moves each class to one other, and the
 two level permutations that generate S_d, which carry L_01 to every other
 root, certify block by block that F is covariant, and the kernel of K =
@@ -16,11 +18,10 @@ sum_(p<q) L_pq^dagger L_pq that the covariant operators are span{F, 1 - F}
 (two irreducible components, Pieri rule).  The quadratic Casimir gives K =
 (alpha - 2 (k+1) X - s_r) / 2 (see ``_certify``): K reads X, only
 covariance rests on the generators, and the tests compare both with the
-dense generators.  Every block held is a scalar plus a rank-one term, so
-K's and F's spectra are taken in closed form, integers and ||g||^2, and
-the built blocks' distances from those forms bound how far their spectra
-can lie (Weyl's inequality): no eigensolver runs, and the tests keep one
-as an oracle.
+dense generators.  K's spectrum is taken in closed form, integers, and
+X's distance from its closed form bounds how far K's may lie (Weyl's
+inequality); F's is ||g||^2 and 0: no eigensolver runs, and the tests
+keep one as an oracle.
 ``reduced_optimum`` finds F optimal in that family; the perturbation search
 draws on its two coefficients.  Only ``verify_lemmas`` builds a d^(k+1)-square
 operator, and it imports ``tensor`` and ``symgroup`` when called; the rest
@@ -42,6 +43,7 @@ from .core import (
     DEFAULT_ATOL,
     VerificationError,
     batch_slices,
+    factor_distance,
     occupation_rank,
     occupations,
     spawn_keys,
@@ -58,56 +60,52 @@ MARGIN = 1e-7
 EIG_SLACK = 1e-10
 
 
-#: An operator that keeps each weight class: a (width, d, d) stack of blocks, one per class of d rows, and
-#: its one value on every class of one row.
-_Held = namedtuple("_Held", "blocks single")
-
-
-class _Classes(namedtuple("_Classes", "singles q f x")):
-    """The number of classes of one row, and Q = 1, F and X as ``_Held``; see ``_weight_classes``."""
+class _Classes(namedtuple("_Classes", "singles v g")):
+    """The number of classes of one row, v = w + 1 for each class's weight w, and g; see ``_weight_classes``."""
 
     @cached_property
     def traces(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(tr(Q F), tr(Q (Q - F))) and (tr(X F), tr(X (Q - F))), over the blocks and the classes of one row."""
-        parts = (self.f, _Held(self.q.blocks - self.f.blocks, self.q.single - self.f.single))
-        return tuple(
-            tuple(float(np.sum(a.blocks * b.blocks) + self.singles * a.single * b.single) for b in parts)
-            for a in (self.q, self.x)
-        )
+        width, d = self.g.shape
+        k = int(self.v[0].sum()) - d + 1  # a weight w sums to k - 1, so v = w + 1 to k - 1 + d
+        on_f, x_on_f, x_trace = float(np.einsum("na,na->", self.g, self.g)), 0.0, self.singles / (k + 1)
+        for part in batch_slices(width, 4 * d * d):  # X's build and up to three more d x d arrays a class
+            x = _x_blocks(self.v[part], k)
+            x_on_f += float(np.einsum("na,nab,nb->", self.g[part], x, self.g[part]))
+            x_trace += float(np.trace(x, axis1=1, axis2=2).sum())
+        return (on_f, width * d + self.singles - on_f), (x_on_f, x_trace - x_on_f)
 
 
 def _weight_classes(d: int, k: int) -> _Classes:
-    """Q = 1, F and X on Sym^k (x) C^d, on the weight classes of the rows.
+    """Q = 1, F and X on Sym^k (x) C^d, on the weight classes of the rows, as width x d arrays.
 
     Row (n, a) has the weight n - e_a.  The classes of d rows are the
     measurement's columns, in the layout ``Measurement`` builds from (d, k):
     block j is the class whose weight w is row j of occupations(k - 1, d),
     its rows (w + e_b, b) in the order of b.  Every other row, n_a = 0, is
-    a class of one.  Within a class X is sqrt((n_b + 1)(n'_a + 1)) / (k + 1)
-    between rows (n, a) and (n', b), that is
-    sqrt((w_b + 1 + delta_ab)(w_a + 1 + delta_ab)) / (k + 1), built from the
-    weight alone; on a class of one it is (n_a + 1) / (k + 1) = 1 / (k + 1).
-    F is g g^T on the class of a column, g the measurement's values there,
-    and 0 on a class of one.
-    Every array kept is a (width, d, d) stack of m d x d k / (k + d - 1)
-    entries.  The measurement is built first, and its layout refuses a cell
-    whose occupations(k, d) pass FACTOR_CAP entries, so a stack holds at
-    most 5.38 FACTOR_CAP entries, at (7, 21).  Nothing is cached: a caller
-    of ``reduced_optimum`` and ``perturbation_falsifier`` hands both one build.
+    a class of one.  Q is 1 on every class.  F is g g^T on the class of a
+    column, g the measurement's values there, and 0 on a class of one.
+    X is ``_x_blocks`` of v = w + 1 on a class of d rows and (n_a + 1) /
+    (k + 1) = 1 / (k + 1) on a class of one.  So only v and g are kept,
+    m d k / (k + d - 1) entries each, fewer than the occupation table of k
+    copies, which the measurement's layout, built first, bounds by
+    FACTOR_CAP; a block is formed only within a chunk of ``batch_slices``
+    and dropped with it.  Nothing is cached: a caller of ``reduced_optimum``
+    and ``perturbation_falsifier`` hands both one build.
     """
     values = build_measurement(d, k).values
-    v = occupations(k - 1, d) + 1  # w + 1 for each class's weight w
-    eye = np.eye(d, dtype=v.dtype)
+    return _Classes((math.comb(k + d - 1, k) - len(values)) * d, occupations(k - 1, d) + 1, values)
+
+
+def _x_blocks(v: np.ndarray, k: int) -> np.ndarray:
+    """X's blocks on the classes of weights v - 1: between rows (n, a) and (n', b), sqrt((n_b + 1)(n'_a + 1)) /
+    (k + 1), that is sqrt((v_b + delta_ab)(v_a + delta_ab)) / (k + 1), the product an exact integer."""
+    eye = np.eye(v.shape[1], dtype=v.dtype)
     x = v[:, None, :] + eye
-    x *= v[:, :, None] + eye  # (w_b + 1 + delta_ab)(w_a + 1 + delta_ab), exact integers, in place
+    x *= v[:, :, None] + eye
     x = np.sqrt(x)
     x /= k + 1
-    q = _Held(np.broadcast_to(np.eye(d), (len(v), d, d)), 1.0)
-    f = _Held(values[:, :, None] * values[:, None, :], 0.0)
-    x = _Held(x, 1 / (k + 1))
-    for held in (f, x):
-        held.blocks.setflags(write=False)
-    return _Classes((math.comb(k + d - 1, k) - len(v)) * d, q, f, x)
+    return x
 
 
 def _casimir_spectrum(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,17 +129,6 @@ def _casimir_spectrum(d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return twice // 2, twice_single // 2 - 1
 
 
-def _rank_one_distance(blocks: np.ndarray, v: np.ndarray, scale: float = 1.0, shift: float = 0.0) -> np.ndarray:
-    """||scale B_w - shift - v_w v_w^T||_F for each block B_w, in chunks of at most FACTOR_CAP entries."""
-    out, eye = np.empty(len(v)), shift * np.eye(v.shape[1])
-    for part in batch_slices(len(v), 2 * v.shape[1] ** 2):  # the residual and the outer product
-        residual = blocks[part] * scale
-        residual -= eye
-        residual -= v[part, :, None] * v[part, None, :]
-        out[part] = np.einsum("nab,nab->n", residual, residual)
-    return np.sqrt(out, out=out)
-
-
 #: K's kernel (see ``_certify``): the classes of d rows and of one row it meets, its vectors, <v, F v> on them
 #: in increasing order, and K's least nonzero eigenvalue, None when there is none.
 _Reduction = namedtuple("_Reduction", "blocks singles vectors on_kernel margin")
@@ -149,10 +136,12 @@ _Reduction = namedtuple("_Reduction", "blocks singles vectors on_kernel margin")
 
 def _reduction(classes: _Classes, d: int, k: int) -> _Reduction:
     """K's kernel and margin from its closed-form spectra; raise unless X is within DEFAULT_ATOL of its closed form."""
-    u, norm = np.sqrt(occupations(k - 1, d) + 1.0), k - 1 + d  # ||u||^2 = k - 1 + d
-    off = _rank_one_distance(classes.x.blocks, u, k + 1, 1.0).max()
-    if classes.singles:
-        off = np.maximum(off, abs((k + 1) * classes.x.single - 1.0))
+    u, norm, off, eye = np.sqrt(classes.v), k - 1 + d, 0.0, np.eye(d)  # ||u||^2 = k - 1 + d
+    for part in batch_slices(len(u), 4 * d * d):  # ||(k + 1) X_w - 1 - u u^T||_F
+        x = _x_blocks(classes.v[part], k) * (k + 1)
+        x -= eye
+        x -= u[part, :, None] * u[part, None, :]
+        off = np.maximum(off, np.sqrt(np.einsum("nab,nab->n", x, x).max()))
     if not off <= DEFAULT_ATOL:  # a NaN fails too
         raise VerificationError(
             f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: X is {off:.3e} from its closed form "
@@ -162,16 +151,16 @@ def _reduction(classes: _Classes, d: int, k: int) -> _Reduction:
     shift, single = _casimir_spectrum(d, k)
     on_u, alone = np.flatnonzero(shift == k + d), np.flatnonzero(single == 0)
     on_perp = np.flatnonzero(shift == 1) if d > 1 else on_u[:0]
-    f = classes.f.blocks
+    g = classes.g
 
-    def along(j):  # <v, F v> at v = u / ||u|| on the classes j
-        return np.einsum("na,nab,nb->n", u[j], f[j], u[j]) / norm
+    def along(j):  # <v, F v> = (u . g)^2 / ||u||^2 at v = u / ||u|| on the classes j
+        return np.einsum("na,na->n", u[j], g[j]) ** 2 / norm
 
-    if d == 2:  # the one vector of u-perp takes the rest of the trace
-        across = np.trace(f[on_perp], axis1=1, axis2=2) - along(on_perp)
+    if d == 2:  # the one vector of u-perp takes the rest of the trace, ||g||^2
+        across = np.einsum("na,na->n", g[on_perp], g[on_perp]) - along(on_perp)
     else:  # at d >= 3, d - 1 >= 2 vectors in one class, which the count refuses (at d = 1, u-perp is empty)
         across = np.full((d - 1) * len(on_perp), np.nan)
-    on_kernel = np.sort(np.concatenate([along(on_u), across, np.full(len(alone), classes.f.single)]))
+    on_kernel = np.sort(np.concatenate([along(on_u), across, np.zeros(len(alone))]))
     rest = np.concatenate([shift - (k + d), shift - 1 if d > 1 else shift[:0], single])
     rest = rest[rest != 0]
     margin = int(rest.min()) if rest.size else None
@@ -184,45 +173,47 @@ def _covariance(classes: _Classes, d: int, k: int) -> float:
 
     L_pq, here L_01, moves every weight by e_p - e_q.  On the class of weight w it is L_w
     = diag(c) - E_qp, c_b = sqrt((w + e_b)_q ((w + e_b)_p + 1)), into the
-    class of w + e_p - e_q, which has one row, where F is constant, when w_q
-    = 0; and it takes the class of one row (w + e_q, p), w_p = 0, to sqrt(w_q
-    + 1) e_p - e_q in the class of w.  [L, 1] = 0, so with F's value on the
-    classes of one row taken off, ||[L, F]||^2 = sum_w ||L_w F_w - F_(w+e_p-
-    e_q) L_w||^2 + sum_(w: w_p = 0) ||F_w (sqrt(w_q + 1) e_p - e_q)||^2, and
-    ||L||^2 = d sum_n n_q (n_p + 1) + m over the occupations n of k.  Adding
-    e_p keeps the order of ``occupations``, and so does taking e_q off, so
-    w + e_p - e_q takes the j-th w with w_q > 0 to the j-th with w_p > 0.
-    rho(P_sigma) takes the class of w to that of sigma.w, level b to
-    sigma(b), so ||rho(P_sigma)^dagger F rho(P_sigma) - F||_F is one gather
-    of the blocks; the classes of one row need none, F being constant on
-    them.  At d = 2 the swap is the cycle; at d = 1 there is nothing to check.
+    class of w + e_p - e_q, which has one row, where F is 0, when w_q = 0;
+    and it takes the class of one row (w + e_q, p), w_p = 0, to sqrt(w_q +
+    1) e_p - e_q in the class of w.  So ||[L, F]||^2 = sum_w ||L_w F_w -
+    F_(w+e_p-e_q) L_w||^2 + sum_(w: w_p = 0) ||F_w (sqrt(w_q + 1) e_p -
+    e_q)||^2, and ||L||^2 = d sum_n n_q (n_p + 1) + m over the occupations
+    n of k.  Adding e_p keeps the order of ``occupations``, and so does
+    taking e_q off, so w + e_p - e_q takes the j-th w with w_q > 0 to the
+    j-th with w_p > 0.  The first sum's blocks are formed from g a chunk at
+    a time: expanded into dot products of the factors, its terms would
+    cancel to about 1e-8.  rho(P_sigma) takes the class of w to that of
+    sigma.w, level b to sigma(b), so rho(P_sigma)^dagger F rho(P_sigma) is
+    h h^T on the class of w, h F's factor on sigma.w gathered by sigma, and
+    its distance from F is ``factor_distance``'s, which does not cancel;
+    the classes of one row need none, F being 0 on them.  At d = 2 the
+    swap is the cycle; at d = 1 there is nothing to check.
     """
     if d == 1:
         return 0.0
-    weights, occ, level, (p, q) = occupations(k - 1, d), occupations(k, d), np.arange(d), (0, 1)
-    padded = np.zeros((len(classes.f.blocks) + 1, d, d))  # the last block: the classes of one row, where f is 0
-    f = np.subtract(classes.f.blocks, classes.f.single * np.eye(d), out=padded[:-1])
+    weights, occ, level, (p, q), g = occupations(k - 1, d), occupations(k, d), np.arange(d), (0, 1), classes.g
     c = np.sqrt((weights[:, q, None] + (level == q)) * (weights[:, p, None] + (level == p) + 1.0))
-    index = np.full(len(f), len(f))  # the padding block where w_q = 0, else w + e_p - e_q by its place in the order
-    index[weights[:, q] > 0] = np.flatnonzero(weights[:, p])
-    image = padded[index]
-    column = image[:, :, q].copy()
-    commutator = c[:, :, None] * f
-    commutator -= np.multiply(image, c[:, None, :], out=image)
-    commutator[:, q] -= f[:, p]
-    commutator[:, :, p] += column
+    moves = weights[:, q] > 0  # the classes whose image w + e_p - e_q has d rows, found by its place in the order
+    h = np.zeros(g.shape)  # F's factor on each class's image, 0 on an image of one row
+    h[moves] = g[np.flatnonzero(weights[:, p])]
+    squares = 0.0
+    for part in batch_slices(len(g), 4 * d * d):  # F, its image, the commutator and a temporary
+        f = g[part, :, None] * g[part, None, :]
+        image = h[part, :, None] * h[part, None, :]
+        column = image[:, :, q].copy()
+        commutator = c[part, :, None] * f
+        commutator -= np.multiply(image, c[part, None, :], out=image)
+        commutator[:, q] -= f[:, p]
+        commutator[:, :, p] += column
+        squares += np.vdot(commutator, commutator)
     onto = weights[:, p] == 0  # the classes that the class of one row (w + e_q, p) goes to
-    lifted = np.sqrt(weights[onto, q, None] + 1.0) * f[onto, :, p] - f[onto, :, q]
-    squares = np.vdot(commutator, commutator) + np.vdot(lifted, lifted)
+    lifted = g[onto] * (np.sqrt(weights[onto, q] + 1.0) * g[onto, p] - g[onto, q])[:, None]
+    squares += np.vdot(lifted, lifted)
     residuals = [math.sqrt(squares / (d * (occ[:, q] * (occ[:, p] + 1.0)).sum() + len(occ)))]
-    del image, commutator
     swap = np.array([1, 0, *level[2:]])
     for sigma, inverse in [(swap, swap), (np.roll(level, -1), np.roll(level, 1))][: min(d - 1, 2)]:
-        # rho(P_sigma)^dagger F rho(P_sigma) on the class of w: F's block on sigma.w, rows and columns by sigma
-        moved = f[occupation_rank(weights[:, inverse])[:, None, None], sigma[:, None], sigma]
-        moved -= f
-        residuals.append(math.sqrt(np.vdot(moved, moved)))
-    return max(residuals)
+        residuals.append(factor_distance(g[occupation_rank(weights[:, inverse])][:, sigma], g))
+    return float(np.max(residuals))  # a NaN is kept
 
 
 def _certify(classes: _Classes, d: int, k: int) -> tuple[float, int | None]:
@@ -262,14 +253,14 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, int | None]:
     integers, and its eigenvectors, the spectral gaps being at least 1,
     within about eps_X of u and u-perp: eps_X above DEFAULT_ATOL raises.
     The kernel is where the integers are 0, and <v, F v> is read from F's
-    blocks, u^T F_w u / ||u||^2 on u and, at d = 2, tr F_w minus that on
+    factor g, (u . g)^2 / ||u||^2 on u and, at d = 2, ||g||^2 minus that on
     u-perp; at d >= 3 a kernel on u-perp is d - 1 >= 2 vectors in one
     class, which the count refuses.  K >= 0 is not built in: a negative
     eigenvalue raises.  Returns the covariance residual and K's least
     nonzero eigenvalue, an exact integer, None at d = 1.
     """
-    covariance = _covariance(classes, d, k)  # in a call of its own, so its arrays are gone before K's
-    if covariance > DEFAULT_ATOL:
+    covariance = _covariance(classes, d, k)
+    if not covariance <= DEFAULT_ATOL:  # a NaN fails too
         raise VerificationError(
             f"F does not commute with U^(x k) (x) conj(U) at d={d}, k={k}: residual {covariance:.3e}", covariance
         )
@@ -314,14 +305,16 @@ def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> Coefficien
     is then None and left unchecked.
     """
     classes = _weight_classes(d, k)
-    _, q, f, x = classes
     (on_f, on_rest), (x_on_f, x_on_rest) = classes.traces
-    c1, c2 = x_on_f / on_f, None
-    blocks, single = x.blocks - c1 * f.blocks, x.single - c1 * f.single
-    if d > 1:  # at d = 1, Q - F is empty
-        c2 = x_on_rest / on_rest
-        blocks, single = blocks - c2 * (q.blocks - f.blocks), single - c2 * (q.single - f.single)
-    residual = math.sqrt(np.sum(blocks**2) + classes.singles * single**2)
+    c1, c2 = x_on_f / on_f, None if d == 1 else x_on_rest / on_rest  # at d = 1, Q - F is empty
+    squares, eye = 0.0, np.eye(d)
+    for part in batch_slices(len(classes.g), 4 * d * d):  # X - c1 F - c2 (Q - F), F = g g^T, on each class of d rows
+        x, f = _x_blocks(classes.v[part], k), classes.g[part, :, None] * classes.g[part, None, :]
+        x -= c1 * f
+        if c2 is not None:
+            x -= c2 * (eye - f)
+        squares += np.sum(x**2)
+    residual = math.sqrt(squares + classes.singles * (1 / (k + 1) - (c2 or 0.0)) ** 2)  # X is 1 / (k + 1) there
     c1_closed, c2_closed, c1_row_form = (d + k) / (k + 1), 1.0 / (k + 1), (d + k) / k
     note = (
         f"leading coefficient: measured {c1:.12g}, matches (d+k)/(k+1) = "
@@ -421,9 +414,9 @@ def reduced_optimum(d: int, k: int, tol: float = DEFAULT_ATOL, classes: _Classes
     classes = _weight_classes(d, k) if classes is None else classes
     family = _family(classes, d, k)
     obj_f, (gap_f, gap_ps) = family.objective[0], family.gap
-    if abs(gap_f) > FEASIBILITY_TOL:
+    if not abs(gap_f) <= FEASIBILITY_TOL:  # a NaN fails too
         raise VerificationError(f"F violates the equality at d={d}, k={k}: gap {gap_f:.3e}", abs(gap_f))
-    if family.ranks[1] and abs(gap_ps) <= FEASIBILITY_TOL:
+    if family.ranks[1] and not abs(gap_ps) > FEASIBILITY_TOL:
         raise VerificationError(
             f"Q - F meets the equality at d={d}, k={k}: gap {gap_ps:.3e}, so Q would beat F", abs(gap_ps)
         )
@@ -479,12 +472,11 @@ def perturbation_falsifier(
     trials unsearched; at d = 1 the direction is the sign of cos t_j, and
     both signs come up once trials >= 2.  A
     coefficient outside [-EIG_SLACK, 1 + EIG_SLACK] raises, and so does an
-    objective above p* + MARGIN, as it would contradict the optimality
-    statement or expose a bug; the first failing trial is named.  F's
-    spectrum must pass the same test: on each class it lies in
-    [-eps_F, ||g||^2 + eps_F] (Weyl), eps_F = ||F_w - g g^T||_F, g the
-    measurement's values.  The trials run as stacked arrays, in chunks of
-    at most FACTOR_CAP entries.
+    objective above p* + MARGIN or a NaN, as it would contradict the
+    optimality statement or expose a bug; the first failing trial is named.
+    F's spectrum must pass the same test: on each class F = g g^T, whose
+    eigenvalues are ||g||^2 and 0.  The trials run as stacked arrays, in
+    chunks of at most FACTOR_CAP entries.
 
     The sweep cannot beat F and does not test the reduction: F's gap is
     exactly 0, so the gap correction sets every candidate's coefficient of
@@ -495,12 +487,7 @@ def perturbation_falsifier(
         raise ValueError("need at least one trial")
     p_star = success_probability_formula(d, k)
     classes = _weight_classes(d, k) if classes is None else classes
-    # F_w = g g^T has eigenvalues 0 and ||g||^2, and a held block's lie within its distance from g g^T (Weyl);
-    # g is built again rather than held with the classes, whose peak, in _covariance, it would raise
-    g = build_measurement(d, k).values
-    off = _rank_one_distance(classes.f.blocks, g)
-    spectrum = np.concatenate([-off, np.einsum("na,na->n", g, g) + off, [classes.f.single] if classes.singles else []])
-    _check_unit_interval(spectrum, f"optimal element at d={d}, k={k}")
+    _check_unit_interval(np.einsum("na,na->n", classes.g, classes.g), f"optimal element at d={d}, k={k}")
     family = _family(classes, d, k)
     family = _Family(*(column[family.ranks > 0] for column in family))
     offset = int(spawn_keys(seed, 1)[0]) / 2**64
@@ -511,7 +498,7 @@ def perturbation_falsifier(
         targets = _trial(family, directions, d)
         values = targets @ family.objective
         excess = np.maximum(-targets.min(axis=1), targets.max(axis=1) - 1.0)
-        failed = (excess > EIG_SLACK) | (values > p_star + MARGIN)
+        failed = ~((excess <= EIG_SLACK) & (values <= p_star + MARGIN))  # a NaN fails too
         if failed.any():
             first = int(np.argmax(failed))
             trial, value = part.start + first, float(values[first])

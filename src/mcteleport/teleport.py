@@ -46,6 +46,7 @@ from .core import (
     CapacityError,
     VerificationError,
     batch_slices,
+    factor_distance,
     gaussian_vectors,
     occupations,
     seeded_normals,
@@ -188,25 +189,17 @@ def gram_residual(d: int, k: int) -> float:
     return float(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1])).max())
 
 
-def _factor_distance(a: Measurement, b: Measurement) -> float:
-    """||M_a - M_b||_F from the width x d entries of the thin factors alone.
+def eigendecomposition_residual(d: int, k: int) -> float:
+    """Frobenius distance between the two independent constructions.
 
     Two measurements of one cell hold the same rows, the layout
     ``Measurement`` builds from (d, k), so M_a - M_b is a direct sum over
     the columns of g g^dagger - h h^dagger (g, h the column's values) on its
-    coordinates, its squared norm the sum of theirs; B (x) 1 cancels.  With
-    s = g - h and t = g + h that is (||s||^2 ||t||^2 + Re((t^dagger s)^2)) / 2,
-    two terms that are non-negative for real factors, as both forms are:
-    nothing cancels, so the residual is as exact as the difference s.
+    coordinates, its squared norm the sum of theirs; B (x) 1 cancels, and
+    ``factor_distance`` takes it from the values alone.
     """
-    s, t = a.values - b.values, a.values + b.values
-    st, ss, tt = (np.einsum("ja,ja->j", x.conj(), y) for x, y in ((t, s), (s, s), (t, t)))
-    return float(np.sqrt(np.sum(ss.real * tt.real + (st * st).real) / 2))
-
-
-def eigendecomposition_residual(d: int, k: int) -> float:
-    """Frobenius distance between the two independent constructions."""
-    return _factor_distance(build_measurement(d, k, form="eigen"), build_measurement(d, k, form="projector"))
+    eigen, projector = (build_measurement(d, k, form=form).values for form in ("eigen", "projector"))
+    return factor_distance(eigen, projector)
 
 
 def check_input(psi: StateVector, d: int) -> None:
@@ -404,7 +397,7 @@ def verify_theorem(
     badness = np.maximum(deviations, 1.0 - fids)
     worst = int(np.argmax(badness))
     max_deviation, min_fidelity = float(deviations.max()), float(fids.min())
-    eig_residual = _factor_distance(meas, build_measurement(d, k, form="projector"))
+    eig_residual = factor_distance(meas.values, build_measurement(d, k, form="projector").values)
     checks = (("max_probability_deviation", max_deviation, max_deviation <= tol),
               ("min_fidelity", min_fidelity, min_fidelity >= 1.0 - tol),
               ("eig_residual", eig_residual, eig_residual <= tol))

@@ -16,8 +16,9 @@ Haar-moment check, F, Q and X on (C^d)^(x (k+1)) and the commutant
 projection, is built from the package's own operators (each checked
 against a naive construction elsewhere in the suite) and cross-checks the
 symmetric-coordinate optimality layer.  Its last part, K's reduction
-certificate by ``eigh``, reads the package's weight classes: it is the
-eigensolver path the closed-form spectra replaced, kept to check them.
+certificate by ``eigh``, reads the package's weight classes and forms X's
+blocks through its ``_x_blocks``: it is the eigensolver path the
+closed-form spectra replaced, kept to check them.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from mcteleport import (
     sym_projector,
     young_projector,
 )
+from mcteleport import optimality
 from mcteleport.core import DEFAULT_ATOL, gaussian_vectors, occupation_rank, occupations, seeded_normals
 from mcteleport.tensor import check_capacity, permutation_index_map
 
@@ -874,15 +876,16 @@ KERNEL_CUT = 0.5
 
 
 def casimir_blocks_from_x(classes, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """K = (alpha - 2 (k+1) X - s_r) / 2 from the blocks and the one-row value of X, in floats: its blocks, and
-    its value on each class of one row, s_r taken from each class's weight."""
+    """K = (alpha - 2 (k+1) X - s_r) / 2 from X's blocks, ``optimality._x_blocks`` of the classes' v, and its value
+    1 / (k + 1) on each class of one row, in floats: K's blocks, and its value on each class of one row, s_r taken
+    from each class's weight."""
     alpha, tilt = k * (k + d - 1) + d + 2, d - 1 - 2 * np.arange(d)
     weights, occ = occupations(k - 1, d), occupations(k, d)
-    blocks = -(k + 1) * classes.x.blocks
+    blocks = -(k + 1) * optimality._x_blocks(classes.v, k)
     blocks[:, np.arange(d), np.arange(d)] += ((alpha - (weights**2).sum(axis=1) - weights @ tilt) / 2)[:, None]
     # the class of one row (n, a), n_a = 0, has the weight n - e_a, listed row-major by the mask
     single = np.add.outer((alpha - 1 - (occ**2).sum(axis=1) - occ @ tilt) / 2, tilt / 2)[occ == 0]
-    return blocks, single - (k + 1) * classes.x.single
+    return blocks, single - 1.0  # (k + 1) X is 1 on a class of one row
 
 
 def reduction_by_eigh(classes, d: int, k: int) -> tuple:
@@ -893,8 +896,9 @@ def reduction_by_eigh(classes, d: int, k: int) -> tuple:
     values, vectors = np.linalg.eigh(blocks)
     kernel, alone = np.abs(values) < KERNEL_CUT, np.abs(single) < KERNEL_CUT
     j, i = np.nonzero(kernel)  # <v, F v> on the kernel's vectors v = vectors[j, :, i] alone
-    on_kernel = np.einsum("na,nab,nb->n", vectors[j, :, i], classes.f.blocks[j], vectors[j, :, i])
-    on_kernel = np.sort(np.append(on_kernel, np.full(alone.sum(), classes.f.single)))
+    f = classes.g[j, :, None] * classes.g[j, None, :]  # F = g g^T on each class of d rows, 0 on a class of one
+    on_kernel = np.einsum("na,nab,nb->n", vectors[j, :, i], f, vectors[j, :, i])
+    on_kernel = np.sort(np.append(on_kernel, np.zeros(alone.sum())))
     rest = np.concatenate([values[~kernel], single[~alone]])
     margin = float(rest.min()) if rest.size else None
     return values, single, np.flatnonzero(kernel.any(axis=1)), np.flatnonzero(alone), on_kernel, margin

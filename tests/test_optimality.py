@@ -163,9 +163,7 @@ class TestVerifyLemmas:
 
     def test_a_nan_residual_on_the_support_fails_its_check(self, monkeypatch):
         # decomposition_coefficients raises when max(residual, ...) > tol, which max(nan, ...) never is
-        classes = optimality._weight_classes(2, 2)
-        broken = classes._replace(x=classes.x._replace(single=math.nan))
-        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: broken)
+        _changed_x(monkeypatch, (-1, 0, 0), lambda entry: math.nan)
         report = optimality.verify_lemmas(2, 2)
         assert not report.passed and math.isnan(report.c1)
         assert [name for name, _, ok in report.checks if not ok] == ["residual_on_support"]
@@ -203,20 +201,20 @@ class TestReducedOptimum:
         assert reduced_optimum(1, k).objective_value == 1.0
 
     def test_violated_equality_raises(self, monkeypatch):
-        # Mixing in some of Q - F puts weight where the equality has a gap.
-        classes = optimality._weight_classes(2, 2)
-        mixed = classes._replace(f=_combined(classes, 1.0, 0.1))
-        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: mixed)
+        # Turning F's factor within one class keeps tr F and moves tr(X F), so the equality gets a gap.
+        turned = _turned(optimality._weight_classes(2, 2), 0, 0.1)
+        monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: turned)
         with pytest.raises(VerificationError, match="violates the equality"):
             reduced_optimum(2, 2)
 
-    def test_feasible_complement_raises(self, monkeypatch):
-        # were the gap of Q - F zero, Q would be feasible and beat F
+    @pytest.mark.parametrize("factor", [0.0, math.nan])
+    def test_feasible_complement_raises(self, monkeypatch, factor):
+        # were the gap of Q - F zero, Q would be feasible and beat F; a NaN gap proves nothing either
         exact = optimality._family
 
         def closed_gap(classes, d, k):
             family = exact(classes, d, k)
-            return family._replace(gap=family.gap * [1.0, 0.0])
+            return family._replace(gap=family.gap * [1.0, factor])
 
         monkeypatch.setattr(optimality, "_family", closed_gap)
         with pytest.raises(VerificationError, match="Q - F meets the equality"):
@@ -244,46 +242,58 @@ class TestReducedOptimum:
     def test_flipped_generator_fails_the_covariance_certificate(self):
         # J_01 (x) 1 + 1 (x) E_10 generates no symmetry of F: it is L_01 conjugated by 1 (x) Z,
         # Z = diag(1, -1), so F's commutator with it is that of L_01 with (1 (x) Z) F (1 (x) Z),
-        # which is Z F_w Z on each class, Z acting on the levels b
+        # which is (Z g)(Z g)^T on each class, Z acting on the levels b
         classes = optimality._weight_classes(2, 2)
-        z = np.diag([1.0, -1.0])
         with pytest.raises(VerificationError, match="does not commute"):
-            optimality._certify(classes._replace(f=classes.f._replace(blocks=z @ classes.f.blocks @ z)), 2, 2)
+            optimality._certify(classes._replace(g=classes.g * [1.0, -1.0]), 2, 2)
 
-    def test_mixed_f_fails_the_reduction_certificate(self):
-        # F + (Q - F)/10 is covariant, but not the projector onto one component
+    def test_scaled_f_fails_the_reduction_certificate(self):
+        # 1.1 F, its factor scaled by sqrt(1.1), is covariant, but not the projector onto one component
         classes = optimality._weight_classes(2, 2)
-        mixed = classes._replace(f=_combined(classes, 1.0, 0.1))
         with pytest.raises(VerificationError, match="is not the commutant"):
-            optimality._certify(mixed, 2, 2)
+            optimality._certify(classes._replace(g=classes.g * math.sqrt(1.1)), 2, 2)
 
     @pytest.mark.parametrize("block,scale", [(0, 0.5), (0, 1.5), (-1, 3.0)])
     @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 2)])
-    def test_perturbed_x_fails_the_reduction_certificate(self, d, k, block, scale):
+    def test_perturbed_x_fails_the_reduction_certificate(self, d, k, block, scale, monkeypatch):
         # K reads X: scaling X's block on the class of F's highest weight takes that class off
         # K's kernel, to a positive eigenvalue at 0.5 and to a negative one at 1.5; scaling the
         # last class's block by 3 leaves the kernel as it is, and gives K a negative eigenvalue
         classes = optimality._weight_classes(d, k)
-        x = classes.x.blocks.copy()
-        x[block] *= scale
+        _changed_x(monkeypatch, block, lambda blocks: blocks * scale)
         with pytest.raises(VerificationError, match="is not the commutant"):
-            optimality._certify(classes._replace(x=classes.x._replace(blocks=x)), d, k)
+            optimality._certify(classes, d, k)
 
     @pytest.mark.parametrize("d,k,block", [(2, 2, 0), (3, 3, 0), (3, 3, -1), (4, 2, 2)])
-    def test_an_off_diagonal_change_to_x_fails_the_reduction_certificate(self, d, k, block):
+    def test_an_off_diagonal_change_to_x_fails_the_reduction_certificate(self, d, k, block, monkeypatch):
         # 1e-6 (e_0 e_1^T + e_1 e_0^T) on one class keeps X's trace and K's integer diagonal, and an eigensolve
         # of the K it gives still finds the kernel and the margin; but X is then (k+1) 1e-6 sqrt(2) from its
         # closed form, which bounds how far K's spectrum may lie from the integers
         classes = optimality._weight_classes(d, k)
-        x = classes.x.blocks.copy()
-        x[block, [0, 1], [1, 0]] += 1e-6
-        moved = classes._replace(x=classes.x._replace(blocks=x))
-        assert np.trace(x, axis1=1, axis2=2).sum() == np.trace(classes.x.blocks, axis1=1, axis2=2).sum()
-        *_, on_kernel, margin = oracles.reduction_by_eigh(moved, d, k)
+        exact = optimality._x_blocks(classes.v, k)
+        _changed_x(monkeypatch, (block, [0, 1], [1, 0]), lambda pair: pair + 1e-6)
+        x = optimality._x_blocks(classes.v, k)
+        assert np.abs(x - exact).max() == pytest.approx(1e-6)
+        assert np.trace(x, axis1=1, axis2=2).sum() == np.trace(exact, axis1=1, axis2=2).sum()
+        *_, on_kernel, margin = oracles.reduction_by_eigh(classes, d, k)
         assert np.abs(on_kernel - [0.0, 1.0]).max() <= 1e-9 and abs(margin - round(margin)) <= 1e-9
         with pytest.raises(VerificationError, match="is not the commutant") as raised:
-            optimality._certify(moved, d, k)
+            optimality._certify(classes, d, k)
         assert raised.value.residual == pytest.approx((k + 1) * 1e-6 * math.sqrt(2), rel=1e-6)
+
+    @pytest.mark.parametrize("d,k", [(3, 3), (2, 4), (4, 2)])
+    def test_a_nan_in_one_class_off_the_kernel_fails_the_certificate_and_the_optimum(self, d, k):
+        # the last class is off K's kernel, so only F's covariance and its traces read the NaN, and
+        # each must fail on it rather than let it compare false
+        classes = optimality._weight_classes(d, k)
+        assert len(classes.g) - 1 not in optimality._reduction(classes, d, k).blocks
+        g = classes.g.copy()
+        g[-1, 0] = math.nan
+        broken = classes._replace(g=g)
+        with pytest.raises(VerificationError, match="does not commute"):
+            optimality._certify(broken, d, k)
+        with pytest.raises(VerificationError, match="violates the equality"):
+            reduced_optimum(d, k, classes=broken)
 
     @pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (3, 2), (5, 1), (6, 3)])
     def test_one_root_and_the_level_permutations_are_looked_up(self, d, k, monkeypatch):
@@ -421,24 +431,38 @@ class TestFalsifier:
 
     def test_infeasible_optimum_raises(self, monkeypatch):
         classes = optimality._weight_classes(2, 2)
-        scaled = classes._replace(f=classes.f._replace(blocks=1.5 * classes.f.blocks))
+        scaled = classes._replace(g=math.sqrt(1.5) * classes.g)  # 1.5 F
         monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: scaled)
         with pytest.raises(VerificationError, match="optimal element"):
             perturbation_falsifier(2, 2, trials=1)
 
     @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 2)])
     def test_an_excess_of_f_on_u_perp_leaves_the_unit_interval(self, d, k):
-        # 1.5 (1 - u u^T / ||u||^2) on one class gives F an eigenvalue 1.5 on u-perp while ||g||^2 = 1 there,
-        # so the bound must read F's blocks, not g alone
+        # 0.8 of a unit vector across u added to g on one class gives F = g g^T the eigenvalue 1.64
         classes = optimality._weight_classes(d, k)
-        u = np.sqrt(core.occupations(k - 1, d)[0] + 1.0)
-        f = classes.f.blocks.copy()
-        f[0] += 1.5 * (np.eye(d) - np.outer(u, u) / (u @ u))
-        g = build_measurement(d, k).values[0]
-        assert np.linalg.eigvalsh(f[0])[-1] == pytest.approx(1.5) and g @ g == pytest.approx(1.0)
-        moved = classes._replace(f=classes.f._replace(blocks=f))
-        with pytest.raises(VerificationError, match=rf"optimal element at d={d}, k={k} leaves \[0, 1\]"):
-            perturbation_falsifier(d, k, trials=1, classes=moved)
+        u = np.sqrt(classes.v[0])
+        across = np.eye(d)[1] - u[1] * u / (u @ u)
+        g = classes.g.copy()
+        g[0] += 0.8 * across / np.linalg.norm(across)
+        with pytest.raises(VerificationError, match=rf"optimal element at d={d}, k={k} leaves \[0, 1\] by 6\.400e-01"):
+            perturbation_falsifier(d, k, trials=1, classes=classes._replace(g=g))
+
+    @pytest.mark.parametrize("d,k", [(2, 2), (3, 3), (4, 2)])
+    def test_a_nan_in_f_leaves_the_unit_interval(self, d, k):
+        classes = optimality._weight_classes(d, k)
+        g = classes.g.copy()
+        g[-1, -1] = math.nan
+        with pytest.raises(VerificationError, match=rf"optimal element at d={d}, k={k} leaves \[0, 1\] by nan"):
+            perturbation_falsifier(d, k, trials=1, classes=classes._replace(g=g))
+
+    def test_a_nan_objective_fails_the_sweep(self, monkeypatch):
+        # every candidate's objective is NaN, which compares false with p* + MARGIN and must fail anyway
+        exact = optimality._family
+        monkeypatch.setattr(
+            optimality, "_family", lambda classes, d, k: exact(classes, d, k)._replace(objective=np.full(2, np.nan))
+        )
+        with pytest.raises(VerificationError, match=r"beats the optimum at d=2, k=2: objective nan .*\(trial 0"):
+            perturbation_falsifier(2, 2, trials=3)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_rejects_fewer_than_one_trial(self, trials):
@@ -668,7 +692,7 @@ class TestCommutantProjection:
 class TestReducedFamily:
     def test_components_are_orthogonal_projectors(self):
         classes = optimality._weight_classes(2, 2)
-        f = _dense(classes.f, 2, 2)
+        f = _dense(_combined(classes, 1.0, 0.0), 2, 2)
         ps = _dense(_combined(classes, 0.0, 1.0), 2, 2)
         assert np.linalg.norm(f @ f - f) < 1e-12
         assert np.linalg.norm(ps @ ps - ps) < 1e-12
@@ -732,10 +756,11 @@ def test_weight_class_layers_check_capacity_on_entry(d, k, monkeypatch):
             layer(d, k)
 
 
-def test_every_weight_class_stack_of_a_cell_whose_occupations_fit_stays_within_six_factor_caps():
-    # a cell runs when occupations(k, d) has at most FACTOR_CAP entries; its stacks hold width d^2
-    # = m d x d k / (k + d - 1) entries, which grow with k, so the largest such k of each d bounds them.
-    # At d = 1 a stack has one entry, and past d = 1448 not even k = 1 fits.
+def test_the_weight_classes_of_every_cell_whose_occupations_fit_are_held_within_one_factor_cap():
+    # a cell runs when occupations(k, d) has at most FACTOR_CAP entries; its classes hold width d
+    # = m d k / (k + d - 1) entries, and all their blocks together width d^2, which grow with k, so the
+    # largest such k of each d bounds them: at (7, 21) the blocks would take 5.38 FACTOR_CAP, and so they
+    # are formed a chunk at a time.  At d = 1 a block has one entry, and past d = 1448 not even k = 1 fits.
     def fits(d, k):
         return math.comb(k + d - 1, k) * d <= core.FACTOR_CAP
 
@@ -749,9 +774,10 @@ def test_every_weight_class_stack_of_a_cell_whose_occupations_fit_stays_within_s
             mid = (fit + over) // 2
             fit, over = (mid, over) if fits(d, mid) else (fit, mid)
         stacks[d, fit] = math.comb(fit + d - 2, fit - 1) * d * d
+        assert stacks[d, fit] // d <= core.FACTOR_CAP
     largest = max(stacks, key=stacks.get)
     assert (largest, stacks[largest]) == ((7, 21), 11_281_270)
-    assert stacks[largest] <= 6 * core.FACTOR_CAP
+    assert 5 * core.FACTOR_CAP < stacks[largest] <= 6 * core.FACTOR_CAP
 
 
 @pytest.mark.parametrize("d,k", [(300, 1), (162, 1), (128, 2), (56, 2)])
@@ -765,7 +791,7 @@ def test_wide_cells_whose_occupation_tables_fit_run_every_weight_class_layer(d, 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 4), (6, 4), (8, 10), (16, 5)])
 def test_weight_classes_hold_blocks_not_tables(d, k):
-    # d x d blocks on the width classes of d rows, a value for the classes of one row, and no (m d) x d table
+    # width x d arrays for the width classes of d rows, a count of the classes of one row, and no d x d block
     def arrays(item):
         if isinstance(item, np.ndarray):
             return [item]
@@ -773,13 +799,13 @@ def test_weight_classes_hold_blocks_not_tables(d, k):
 
     width, m = math.comb(k + d - 2, k - 1), math.comb(k + d - 1, k)
     held = arrays(optimality._weight_classes(d, k))
-    assert held and max(array.size for array in held) <= max(width * d * d, m * d)
+    assert held and max(array.size for array in held) <= max(width * d, m * d)
 
 
 @pytest.mark.parametrize("d,k", [(3, 4), (8, 12), (128, 2)])
 def test_weight_classes_match_the_gathered_occupation_table_bit_for_bit(d, k):
     # X from each class's weight alone equals X from the (width, d, d) table of the rows' occupations;
-    # at (8, 12), 2 M entries per stack, the build stays under 60 MiB with no such table kept
+    # at (8, 12), 2 M entries per stack, the build stays under 60 MiB with no such table kept, nor a stack
     tracemalloc.start()
     try:
         classes = optimality._weight_classes(d, k)
@@ -791,9 +817,26 @@ def test_weight_classes_match_the_gathered_occupation_table_bit_for_bit(d, k):
     order = np.argsort(core.occupation_rank(n[:, 0] - np.eye(d, dtype=n.dtype)[0]))
     n, values = n[order], meas.values[order]
     x = np.sqrt((n + 1) * (np.swapaxes(n, 1, 2) + 1)) / (k + 1)
-    assert classes.x.blocks.dtype == x.dtype and np.array_equal(classes.x.blocks, x)
-    assert np.array_equal(classes.f.blocks, values[:, :, None] * values[:, None, :])
+    blocks = optimality._x_blocks(classes.v, k)
+    assert blocks.dtype == x.dtype and np.array_equal(blocks, x) and np.array_equal(classes.g, values)
     assert (d, k) != (8, 12) or peak < 60 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("layer", ["_weight_classes", "reduced_optimum", "perturbation_falsifier",
+                                   "decomposition_coefficients"])
+def test_each_weight_class_layer_peaks_below_two_stacks(layer):
+    # at (8, 14) a (width, d, d) stack is 37.9 MiB, and each layer, its measurement build included and its
+    # caches cold, peaks below two of them: no stack is held, and a chunk's blocks stay within FACTOR_CAP
+    d, k = 8, 14
+    core.occupations.cache_clear()
+    teleport._sqrt_multinomials.cache_clear()
+    tracemalloc.start()
+    try:
+        getattr(optimality, layer)(d, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * math.comb(k + d - 2, k - 1) * d * d * 8, peak / 2**20
 
 
 @pytest.mark.parametrize("d,k", [(3, 4), (8, 10), (128, 2)])
@@ -852,15 +895,41 @@ class TestDenseSuccessElement:
             success_projector(d, k),
             sym_with_identity(d, k),
             transposed_symmetriser(d, k),
-            *(held.blocks for held in optimality._weight_classes(d, k)[1:]),
+            optimality._weight_classes(d, k).g,
+            optimality._x_blocks(optimality._weight_classes(d, k).v, k),
         ]
         assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
 
 
+def _changed_x(monkeypatch, index, change):
+    """Make ``optimality._x_blocks`` replace x[index] by change(x[index]) in each chunk of X's blocks it forms."""
+    exact = optimality._x_blocks
+
+    def changed(v, k):
+        x = exact(v, k)
+        x[index] = change(x[index])
+        return x
+
+    monkeypatch.setattr(optimality, "_x_blocks", changed)
+
+
+def _turned(classes, j, angle):
+    """The classes with F's factor on class j turned by angle in the plane of levels 0 and 1."""
+    c, s = math.cos(angle), math.sin(angle)
+    g = classes.g.copy()
+    g[j, :2] = [[c, -s], [s, c]] @ g[j, :2]
+    return classes._replace(g=g)
+
+
+def _f(g):
+    """F = g g^T on each class of d rows and 0 on each class of one row, as (blocks, value)."""
+    return g[:, :, None] * g[:, None, :], 0.0
+
+
 def _combined(classes, a1, a2):
-    """a1 F + a2 (Q - F), held class by class."""
-    q, f = classes.q, classes.f
-    return optimality._Held(a1 * f.blocks + a2 * (q.blocks - f.blocks), a1 * f.single + a2 * (q.single - f.single))
+    """a1 F + a2 (Q - F), as (blocks, value on the classes of one row)."""
+    f, _ = _f(classes.g)
+    return a1 * f + a2 * (np.eye(f.shape[1]) - f), a2
 
 
 def _class_rows(d, k):
@@ -872,18 +941,11 @@ def _class_rows(d, k):
 
 
 def _dense(held, d, k):
-    """The (m d)-square matrix of an operator held class by class."""
+    """The (m d)-square matrix of an operator that keeps each weight class, given as (blocks, one-row value)."""
     rows, singles = _class_rows(d, k)
     out = np.zeros((d * math.comb(k + d - 1, k),) * 2)
-    out[rows[:, :, None], rows[:, None, :]] = held.blocks
-    out[singles, singles] = held.single
+    out[rows[:, :, None], rows[:, None, :]], out[singles, singles] = held
     return out
-
-
-def _held_from_dense(m, d, k):
-    """The blocks and the one-row value of an operator that keeps every weight class, read from its dense matrix."""
-    rows, singles = _class_rows(d, k)
-    return optimality._Held(m[rows[:, :, None], rows[:, None, :]], m[singles[0], singles[0]])
 
 
 def _sym_generator(d, k, p, q):
@@ -915,9 +977,9 @@ def _dense_residuals(m, d, k):
 
 
 def _scaled(classes, d, k, weight):
-    """The classes with F's block on the class of each weight w scaled by 1 + 1e-3 weight(w), row by row."""
+    """The classes with F on the class of each weight w scaled by 1 + 1e-3 weight(w), its factor by the root."""
     scale = 1.0 + 1e-3 * weight(core.occupations(k - 1, d))  # block j is the class of row j
-    return classes._replace(f=classes.f._replace(blocks=classes.f.blocks * scale[:, None, None]))
+    return classes._replace(g=classes.g * np.sqrt(scale)[:, None])
 
 
 #: Small cells for the checks that build every generator densely.
@@ -927,12 +989,15 @@ GENERATOR_CELLS = [(1, 3), (2, 1), (2, 3), (2, 6), (3, 2), (3, 3), (4, 2), (5, 1
 class TestSymmetricCoordinates:
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
     def test_classes_match_the_compressed_dense_operators(self, d, k):
-        # X_sym is the closed form; F comes from the factor; Q is 1
+        # X_sym is X's definition on each class's weight and 1 / (k + 1) on a class of one row; F is g g^T
+        # from the factor, and 0 on a class of one row; Q is 1, and the classes cover every row
         classes = optimality._weight_classes(d, k)
         iso = _isometry(d, k)
-        for held, dense in [(classes.x, transposed_symmetriser(d, k)), (classes.f, success_projector(d, k))]:
+        x = optimality._x_blocks(classes.v, k), 1 / (k + 1)
+        for held, dense in [(x, transposed_symmetriser(d, k)), (_f(classes.g), success_projector(d, k))]:
             assert np.linalg.norm(_dense(held, d, k) - iso.conj().T @ dense @ iso) <= 1e-12
-        assert np.array_equal(_dense(classes.q, d, k), np.eye(len(iso.T)))
+        q = np.broadcast_to(np.eye(d), (len(classes.g), d, d)), 1.0
+        assert np.array_equal(_dense(q, d, k), np.eye(len(iso.T)))
 
     @pytest.mark.parametrize("d,k", PROJECTION_CELLS)
     def test_coefficients_match_the_dense_projections(self, d, k):
@@ -951,15 +1016,16 @@ class TestSymmetricCoordinates:
 
     def test_the_class_traces_are_taken_once_per_cell(self, monkeypatch):
         # reduced_optimum, the falsifier and decomposition_coefficients read the traces of the one
-        # classes they are handed: Q - F is held once, to take them, and never again
-        fresh = optimality._weight_classes(3, 4)._replace()  # a copy with no traces taken yet
+        # classes they are handed: X's blocks are formed once for them, once for X's distance from its
+        # closed form and once for the residual of the decomposition, and never again
+        fresh = optimality._weight_classes(3, 4)
         monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: fresh)
-        built, held = [], optimality._Held
-        monkeypatch.setattr(optimality, "_Held", lambda *args: built.append(args) or held(*args))
+        formed, exact = [], optimality._x_blocks
+        monkeypatch.setattr(optimality, "_x_blocks", lambda v, k: formed.append(len(v)) or exact(v, k))
         reduced_optimum(3, 4)
         perturbation_falsifier(3, 4, trials=5)
         decomposition_coefficients(3, 4)
-        assert len(built) == 1
+        assert formed == [len(fresh.v)] * 3
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_generators_are_the_compressed_lie_algebra(self, d, k):
@@ -989,29 +1055,27 @@ class TestSymmetricCoordinates:
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_commutators_match_dense_products(self, d, k):
-        # F, and symmetric operators on the same classes, with a value of their own on the classes of
-        # one row, that are not covariant: the residual is the largest of the dense L_01 ratio and the
-        # dense residuals of the swap and the cycle; one noisy operator is averaged over the cycle's
-        # powers first, so that its swap residual is not hidden behind its cycle residual
+        # F, and g g^T on the same classes for factors g that are not covariant: the residual is the
+        # largest of the dense L_01 ratio and the dense residuals of the swap and the cycle; one factor
+        # is g_w[a] = phi(w_a, w_(a+1), ..., w_(a-1)), the weight read cyclically from level a, which
+        # the cycle keeps exactly, so that its swap residual is not hidden behind its cycle residual (at
+        # k = 1 the one weight is 0, where such a factor is constant and F covariant)
         classes = optimality._weight_classes(d, k)
         rng = np.random.default_rng(d + 10 * k)
-        noise = rng.standard_normal(classes.f.blocks.shape)
-        noisy = optimality._Held(noise + np.swapaxes(noise, 1, 2), rng.standard_normal())
+        noisy = rng.standard_normal(classes.g.shape)
         if d == 1:  # no root and no permutation: every operator on the one row commutes
-            assert optimality._covariance(classes._replace(f=noisy), d, k) == 0.0
+            assert optimality._covariance(classes._replace(g=noisy), d, k) == 0.0
             return
-        worst = max(_dense_residuals(_dense(classes.f, d, k), d, k))
+        worst = max(_dense_residuals(_dense(_f(classes.g), d, k), d, k))
         assert optimality._certify(classes, d, k)[0] == pytest.approx(worst, abs=1e-15)
-        m = _dense(noisy, d, k)
-        cycle = _sym_level_permutation(d, k, (*range(1, d), 0))
-        powers = [np.linalg.matrix_power(cycle, j) for j in range(d)]
-        averaged = sum(power @ m @ power.T for power in powers) / d
-        for dense in (m, averaged):
-            residuals = _dense_residuals(dense, d, k)
-            assert max(residuals) > 1e-3
-            held = _held_from_dense(dense, d, k)
+        weights = core.occupations(k - 1, d)
+        turns = np.array([np.roll(weights, -a, axis=1) for a in range(d)])  # turns[a, w] = (w_a, w_(a+1), ...)
+        cyclic = np.sin(turns @ rng.standard_normal(d) + 1.0).T
+        for g in (noisy, cyclic)[: 1 + (k > 1)]:
+            residuals = _dense_residuals(_dense(_f(g), d, k), d, k)
+            assert max(residuals) > 1e-3 and (g is noisy or residuals[-1] <= 1e-12)
             with pytest.raises(VerificationError, match="does not commute") as raised:
-                optimality._certify(classes._replace(f=held), d, k)
+                optimality._certify(classes._replace(g=g), d, k)
             assert raised.value.residual == pytest.approx(max(residuals), rel=1e-12)
 
     @pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (4, 3), (3, 5), (5, 4)])
@@ -1019,7 +1083,7 @@ class TestSymmetricCoordinates:
         # max(w) is kept by every permutation of the levels, so this F keeps the swap and the cycle
         # exactly, and only the root L_01 can see that it is not covariant
         scaled = _scaled(optimality._weight_classes(d, k), d, k, lambda w: w.max(axis=1))
-        root, swap, cycle = _dense_residuals(_dense(scaled.f, d, k), d, k)
+        root, swap, cycle = _dense_residuals(_dense(_f(scaled.g), d, k), d, k)
         assert max(swap, cycle) <= 1e-14 and root > 1e-5
         with pytest.raises(VerificationError, match="does not commute") as raised:
             optimality._certify(scaled, d, k)
@@ -1030,7 +1094,7 @@ class TestSymmetricCoordinates:
         # L_01 and the swap (0 1) leave w_2 alone, so this F commutes with both, and only the
         # cycle a -> a + 1 can see that it is not covariant
         scaled = _scaled(optimality._weight_classes(d, k), d, k, lambda w: w[:, 2])
-        root, swap, cycle = _dense_residuals(_dense(scaled.f, d, k), d, k)
+        root, swap, cycle = _dense_residuals(_dense(_f(scaled.g), d, k), d, k)
         assert max(root, swap) <= 1e-14 and cycle > 1e-4
         with pytest.raises(VerificationError, match="does not commute") as raised:
             optimality._certify(scaled, d, k)
@@ -1072,7 +1136,7 @@ class TestSymmetricCoordinates:
             assert type(kernel.margin) is int and abs(kernel.margin - margin) <= 1e-10
         g = build_measurement(d, k).values
         f_closed = np.column_stack([np.zeros((len(g), d - 1)), np.einsum("na,na->n", g, g)])
-        assert np.abs(np.linalg.eigvalsh(classes.f.blocks) - f_closed).max() <= 1e-12
+        assert np.abs(np.linalg.eigvalsh(_f(classes.g)[0]) - f_closed).max() <= 1e-12
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_kernel_and_margin_match_a_dense_eigensolve(self, d, k):

@@ -28,7 +28,7 @@ from mcteleport import (
     symmetric_group,
     verify_theorem,
 )
-from mcteleport import cli, sar, symgroup, teleport
+from mcteleport import cli, core, sar, symgroup, teleport
 from mcteleport.core import FACTOR_CAP, spawn_keys
 
 from oracles import (
@@ -184,7 +184,7 @@ class TestEigendecomposition:
             values[1, 2] += 1e-3
             projector = teleport.Measurement(d, k, values)
         exact = self.exact_squared_distance(eigen.values, projector.values)
-        distance = teleport._factor_distance(eigen, projector)
+        distance = core.factor_distance(eigen.values, projector.values)
         assert distance**2 == pytest.approx(float(exact), rel=1e-12, abs=0)
         assert (distance > 1e-4) == moved
 
@@ -193,7 +193,7 @@ class TestEigendecomposition:
         eigen, projector = build_measurement(d, k, "eigen"), build_measurement(d, k, "projector")
         tracemalloc.start()
         try:
-            teleport._factor_distance(eigen, projector)
+            core.factor_distance(eigen.values, projector.values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,7 +311,7 @@ class TestVerifyTheorem:
         assert report.p_std <= 1e-10
 
     def test_disagreeing_constructions_fail(self, monkeypatch, capsys):
-        monkeypatch.setattr(teleport, "_factor_distance", lambda *args: 1.0)
+        monkeypatch.setattr(teleport, "factor_distance", lambda *args: 1.0)
         assert not verify_theorem(2, 2, samples=3, seed=9).passed
         assert cli.main(["verify", "--d", "2", "--k", "2", "--samples", "3", "--threads", "1"]) == 1
         assert capsys.readouterr().out.splitlines()[-1].split(",")[-2] == "false"
