@@ -68,6 +68,7 @@ _EXPORTS = {
         "perturbation_falsifier",
         "reduced_optimum",
         "verify_lemmas",
+        "verify_optimality",
     ),
     "sar": (
         "Channel",

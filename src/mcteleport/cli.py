@@ -6,10 +6,10 @@ algebraic identities behind it, ``optimality`` runs the reduced optimiser
 and the perturbation search, ``sar`` exercises program storage and
 retrieval, and ``sweep`` combines verify with the coefficient checks.
 Each suite's branch of ``run_cell`` imports the library modules it calls,
-so a run compiles and loads no other suite's code, and maps its report's
-fields to columns.  The report also carries the checks its cell is judged
-on, each (name, value, ok) at ``--tol``; ``run_cell`` only names the failed
-ones.
+so a run compiles and loads no other suite's code, makes one public call
+(``sweep`` two), and maps its report's fields to columns.  The report also
+carries the checks its cell is judged on, each (name, value, ok) at
+``--tol``; ``run_cell`` only names the failed ones.
 
 Exit code 0 means every executed cell passed, 1 flags a verification
 failure, 2 a usage error, and 3 a cell that raised any other exception: it
@@ -117,9 +117,7 @@ def run_cell(config: RunConfig, seed: int, d: int, k: int) -> dict:
         elif config.suite == "optimality":
             from . import optimality
 
-            classes = optimality._weight_classes(d, k)  # built once for both layers
-            report = optimality.reduced_optimum(d, k, config.tol, classes=classes)
-            optimality.perturbation_falsifier(d, k, trials=config.samples, seed=seed, classes=classes)
+            report = optimality.verify_optimality(d, k, config.samples, config.tol, seed)
             record.update(p_formula=report.p_star, p_mean=report.objective_value)
         elif config.suite == "sar":
             from . import sar

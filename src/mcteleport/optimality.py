@@ -23,11 +23,12 @@ X's distance from its closed form bounds how far K's may lie (Weyl's
 inequality); F's is ||g||^2 and 0: no eigensolver runs, and the tests
 keep one as an oracle.
 ``reduced_optimum`` finds F optimal in that family; the perturbation search
-draws on its two coefficients.  Only ``verify_lemmas`` builds a d^(k+1)-square
-operator, and it imports ``tensor`` and ``symgroup`` when called; the rest
-needs only the binomials m_k = C(k + d - 1, k), the one-row multiplicities.
-The falsifier's only draw is an offset from ``core.spawn_keys``, so nothing
-here reads a row of normals.
+draws on its two coefficients; ``verify_optimality`` runs both on one build
+of the classes, which forms X's blocks in one pass.  Only ``verify_lemmas``
+builds a d^(k+1)-square operator, and it imports ``tensor`` and ``symgroup``
+when called; the rest needs only the binomials m_k = C(k + d - 1, k), the
+one-row multiplicities.  The falsifier's only draw is an offset from
+``core.spawn_keys``, so nothing here reads a row of normals.
 """
 
 from __future__ import annotations
@@ -64,16 +65,25 @@ class _Classes(namedtuple("_Classes", "singles v g")):
     """The number of classes of one row, v = w + 1 for each class's weight w, and g; see ``_weight_classes``."""
 
     @cached_property
-    def traces(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """(tr(Q F), tr(Q (Q - F))) and (tr(X F), tr(X (Q - F))), over the blocks and the classes of one row."""
+    def x_pass(self) -> tuple[tuple[float, float], tuple[float, float], float, float]:
+        """All that is read of X, from one pass over its blocks: (tr(Q F), tr(Q (Q - F))), (tr(X F), tr(X (Q - F))),
+        eps_X = max_w ||(k+1) X_w - 1 - u u^T||_F, u = sqrt(v) (see ``_certify``), and ||X - c1* F - c2* (Q - F)||_F
+        at c1* = (d+k)/(k+1) and c2* = 1/(k+1), 0 at d = 1, which is 0 on each class of one row (X = 1/(k+1) there)."""
         width, d = self.g.shape
         k = int(self.v[0].sum()) - d + 1  # a weight w sums to k - 1, so v = w + 1 to k - 1 + d
+        c1, c2, eye, off, squares = (d + k) / (k + 1), (d > 1) / (k + 1), np.eye(d), 0.0, 0.0
         on_f, x_on_f, x_trace = float(np.einsum("na,na->", self.g, self.g)), 0.0, self.singles / (k + 1)
         for part in batch_slices(width, 4 * d * d):  # X's build and up to three more d x d arrays a class
-            x = _x_blocks(self.v[part], k)
-            x_on_f += float(np.einsum("na,nab,nb->", self.g[part], x, self.g[part]))
+            x, g, u = _x_blocks(self.v[part], k), self.g[part], np.sqrt(self.v[part])
+            x_on_f += float(np.einsum("na,nab,nb->", g, x, g))
             x_trace += float(np.trace(x, axis1=1, axis2=2).sum())
-        return (on_f, width * d + self.singles - on_f), (x_on_f, x_trace - x_on_f)
+            # ||X - c1* F - c2* (1 - F)||^2 on the chunk, F = g g^T, from temporaries that numpy reuses
+            squares += float(np.sum((g[:, :, None] * g[:, None, :] * (c2 - c1) + x - c2 * eye) ** 2))
+            x *= k + 1  # (k+1) X_w - 1 - u u^T
+            x -= eye
+            x -= u[:, :, None] * u[:, None, :]
+            off = np.maximum(off, np.sqrt(np.einsum("nab,nab->n", x, x).max()))  # a NaN is kept
+        return (on_f, width * d + self.singles - on_f), (x_on_f, x_trace - x_on_f), float(off), math.sqrt(squares)
 
 
 def _weight_classes(d: int, k: int) -> _Classes:
@@ -90,8 +100,8 @@ def _weight_classes(d: int, k: int) -> _Classes:
     m d k / (k + d - 1) entries each, fewer than the occupation table of k
     copies, which the measurement's layout, built first, bounds by
     FACTOR_CAP; a block is formed only within a chunk of ``batch_slices``
-    and dropped with it.  Nothing is cached: a caller of ``reduced_optimum``
-    and ``perturbation_falsifier`` hands both one build.
+    and dropped with it, X's in one pass per build (``_Classes.x_pass``).  No
+    build is cached: ``verify_optimality`` hands both of its layers one.
     """
     values = build_measurement(d, k).values
     return _Classes((math.comb(k + d - 1, k) - len(values)) * d, occupations(k - 1, d) + 1, values)
@@ -136,12 +146,7 @@ _Reduction = namedtuple("_Reduction", "blocks singles vectors on_kernel margin")
 
 def _reduction(classes: _Classes, d: int, k: int) -> _Reduction:
     """K's kernel and margin from its closed-form spectra; raise unless X is within DEFAULT_ATOL of its closed form."""
-    u, norm, off, eye = np.sqrt(classes.v), k - 1 + d, 0.0, np.eye(d)  # ||u||^2 = k - 1 + d
-    for part in batch_slices(len(u), 4 * d * d):  # ||(k + 1) X_w - 1 - u u^T||_F
-        x = _x_blocks(classes.v[part], k) * (k + 1)
-        x -= eye
-        x -= u[part, :, None] * u[part, None, :]
-        off = np.maximum(off, np.sqrt(np.einsum("nab,nab->n", x, x).max()))
+    u, norm, off = np.sqrt(classes.v), k - 1 + d, classes.x_pass[2]  # ||u||^2 = k - 1 + d
     if not off <= DEFAULT_ATOL:  # a NaN fails too
         raise VerificationError(
             f"span{{F, 1 - F}} is not the commutant at d={d}, k={k}: X is {off:.3e} from its closed form "
@@ -277,7 +282,7 @@ def _certify(classes: _Classes, d: int, k: int) -> tuple[float, int | None]:
 
 
 class CoefficientReport(NamedTuple):
-    """Projection of the transposed symmetriser onto the reduced family.
+    """Projection of the transposed symmetriser onto the reduced family, and its residual at the closed forms.
 
     ``c1_row_form`` records the alternative closed form (d+k)/k that floats
     around for the leading coefficient; the measured value matches
@@ -299,30 +304,21 @@ class CoefficientReport(NamedTuple):
 def decomposition_coefficients(d: int, k: int, tol: float = 1e-10) -> CoefficientReport:
     """Decompose (Psym_{1..k,A})^{t_A} = c1 F + c2 (Q - F) numerically, class by class.
 
-    c1 and c2 are least-squares projections onto the two orthogonal
-    projectors; the residual is the Frobenius norm of the rest of X on their
-    combined support Q = 1 on Sym^k (x) C^d.  At d = 1, Q - F is empty: c2
+    c1 and c2 are least-squares projections onto the two orthogonal projectors; the residual is
+    ||X - c1* F - c2* (Q - F)||_F at c1* = (d+k)/(k+1) and c2* = 1/(k+1), which bounds the least-squares
+    one and leaves out the rounding of c1 and c2 (``_Classes.x_pass``).  At d = 1, Q - F is empty: c2
     is then None and left unchecked.
     """
-    classes = _weight_classes(d, k)
-    (on_f, on_rest), (x_on_f, x_on_rest) = classes.traces
+    (on_f, on_rest), (x_on_f, x_on_rest), _, residual = _weight_classes(d, k).x_pass
     c1, c2 = x_on_f / on_f, None if d == 1 else x_on_rest / on_rest  # at d = 1, Q - F is empty
-    squares, eye = 0.0, np.eye(d)
-    for part in batch_slices(len(classes.g), 4 * d * d):  # X - c1 F - c2 (Q - F), F = g g^T, on each class of d rows
-        x, f = _x_blocks(classes.v[part], k), classes.g[part, :, None] * classes.g[part, None, :]
-        x -= c1 * f
-        if c2 is not None:
-            x -= c2 * (eye - f)
-        squares += np.sum(x**2)
-    residual = math.sqrt(squares + classes.singles * (1 / (k + 1) - (c2 or 0.0)) ** 2)  # X is 1 / (k + 1) there
     c1_closed, c2_closed, c1_row_form = (d + k) / (k + 1), 1.0 / (k + 1), (d + k) / k
     note = (
         f"leading coefficient: measured {c1:.12g}, matches (d+k)/(k+1) = "
         f"{c1_closed:.12g}; the alternative closed form (d+k)/k = "
         f"{c1_row_form:.12g} is inconsistent with the measured value"
     )
-    worst = max(residual, abs(c1 - c1_closed), 0.0 if c2 is None else abs(c2 - c2_closed))
-    if worst > tol:
+    worst = np.max([residual, abs(c1 - c1_closed), 0.0 if c2 is None else abs(c2 - c2_closed)])  # a NaN is kept
+    if not worst <= tol:
         raise VerificationError(
             f"reduced-family decomposition failed at d={d}, k={k}: c1={c1}, c2={c2}, residual={residual:.3e}", worst
         )
@@ -345,8 +341,7 @@ class LemmaReport(NamedTuple):
 
 def verify_lemmas(d: int, k: int, tol: float = DEFAULT_ATOL) -> LemmaReport:
     """Certify the identities behind the optimum at (d, k).  Absorption comes first, so a cell over the group
-    budget or the dense cap skips before anything is built; ``decomposition_coefficients`` raises on its own,
-    but its residual is checked again here, as a NaN passes that raise."""
+    budget or the dense cap skips before anything is built; ``decomposition_coefficients`` raises on its own."""
     from . import symgroup, teleport
 
     absorption = symgroup.absorption_residual(d, k)
@@ -370,7 +365,7 @@ def _family(classes: _Classes, d: int, k: int) -> _Family:
     The ranks are C(k+d-2, k-1) and m d minus that, so Q - F has rank 0 at d = 1.
     """
     m_k, m_k1 = (math.comb(n + d - 1, n) for n in (k, k + 1))
-    traces, overlaps = np.array(classes.traces)
+    traces, overlaps = np.array(classes.x_pass[:2])
     ranks = np.array([width := math.comb(k + d - 2, k - 1), d * m_k - width])
     return _Family(np.array([1.0, 0.0]), ranks, traces / (d * m_k), traces / m_k - overlaps / m_k1)
 
@@ -511,3 +506,12 @@ def perturbation_falsifier(
         max_objective = max(max_objective, float(values.max()))
         max_step = max(max_step, float(np.sqrt(((targets - family.f) ** 2) @ family.ranks).max()))
     return FalsifierReport(d, k, trials, seed, p_star, max_objective, MARGIN, max_step, passed=True)
+
+
+def verify_optimality(d: int, k: int, trials: int, tol: float = DEFAULT_ATOL, seed: int = 0) -> SdpReport:
+    """``reduced_optimum`` and then ``perturbation_falsifier`` at (d, k) on one build of the classes: the former's
+    report; the falsifier raises on a failure, and its report, which has no checks, is dropped."""
+    classes = _weight_classes(d, k)
+    report = reduced_optimum(d, k, tol, classes=classes)
+    perturbation_falsifier(d, k, trials=trials, seed=seed, classes=classes)
+    return report

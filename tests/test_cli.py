@@ -119,6 +119,16 @@ class TestExitPath:
                       if isinstance(n, ast.Attribute) and n.attr == "_exit"]
         assert found == [("cli", "entry")]
 
+    def test_cli_reads_no_private_name_of_the_package(self):
+        # cli.py only selects cells and formats reports: all it calls of a suite's module is public
+        modules = {path.stem for path in Path(cli.__file__).parent.glob("*.py")}
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = [f"{n.value.id}.{n.attr}" for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id in modules and n.attr.startswith("_")]
+        read += [f"{n.module}.{alias.name}" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level
+                 for alias in n.names if alias.name.startswith("_")]
+        assert read == []
+
 
 class TestExitCodes:
     def test_pass_exits_zero(self):
@@ -594,6 +604,23 @@ class TestOtherSuites:
         cell = json.loads(capsys.readouterr().out)["cells"][0]
         assert cell["pass"] == "skipped"
         assert "occupation table of 170544 x 16 entries exceeds cap" in cell["detail"]
+
+    def test_a_nan_decomposition_fails_the_sweep(self, monkeypatch, capsys):
+        # a NaN in one of X's blocks makes c1 and c2 NaN; the decomposition's own check must end the cell false
+        exact = optimality._x_blocks
+
+        def with_nan(v, k):
+            x = exact(v, k)
+            x[-1, 0, 0] = math.nan
+            return x
+
+        monkeypatch.setattr(optimality, "_x_blocks", with_nan)
+        argv = ["sweep", "--d", "2", "--k", "2", "--samples", "3", "--threads", "1", "--format", "json",
+                "--no-timestamp"]
+        assert cli.main(argv) == 1
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert cell["pass"] == "false"
+        assert cell["detail"].startswith("reduced-family decomposition failed at d=2, k=2: c1=nan, c2=nan")
 
     def test_sweep_runs_past_the_group_budget(self):
         result = run_cli("sweep", "--d", "2", "--k", "9", "--samples", "5", "--format", "json",

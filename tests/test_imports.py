@@ -27,7 +27,7 @@ PUBLIC = {
         "Measurement RVector build_measurement conditioned_element "
         "eigendecomposition_residual gram_residual r_vectors simulate success_probability_formula verify_theorem"
     ),
-    "optimality": "decomposition_coefficients perturbation_falsifier reduced_optimum verify_lemmas",
+    "optimality": "decomposition_coefficients perturbation_falsifier reduced_optimum verify_lemmas verify_optimality",
     "sar": (
         "Channel ProgramState depolarizing_channel identity_channel mix_channels random_channel retrieve "
         "store unitary_channel verify_sar"

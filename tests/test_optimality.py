@@ -143,6 +143,12 @@ class TestCoefficients:
         with pytest.raises(VerificationError):
             decomposition_coefficients(2, 2, tol=-1.0)
 
+    @pytest.mark.parametrize("d,k", [(8, 12), (300, 1)])
+    def test_the_residual_is_taken_at_the_closed_forms(self, d, k):
+        # the least-squares c1 and c2 carry the rounding of two width-long sums, 9e-12 at (8, 12) and
+        # 1.4e-11 at (300, 1) in the residual; at (d+k)/(k+1) and 1/(k+1) it is rounding of one block
+        assert decomposition_coefficients(d, k).residual_on_support <= 1e-12
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_trivial_dimension_has_no_second_coefficient(self, k):
         report = decomposition_coefficients(1, k)
@@ -162,11 +168,11 @@ class TestVerifyLemmas:
         assert report.c2 is None if d == 1 else abs(report.c2 - 1 / (k + 1)) < 1e-12
 
     def test_a_nan_residual_on_the_support_fails_its_check(self, monkeypatch):
-        # decomposition_coefficients raises when max(residual, ...) > tol, which max(nan, ...) never is
+        # decomposition_coefficients takes its worst value with np.max, which keeps a NaN, and raises on it
         _changed_x(monkeypatch, (-1, 0, 0), lambda entry: math.nan)
-        report = optimality.verify_lemmas(2, 2)
-        assert not report.passed and math.isnan(report.c1)
-        assert [name for name, _, ok in report.checks if not ok] == ["residual_on_support"]
+        with pytest.raises(VerificationError, match="reduced-family decomposition failed") as raised:
+            optimality.verify_lemmas(2, 2)
+        assert math.isnan(raised.value.residual)
 
 
 class TestReducedOptimum:
@@ -1015,9 +1021,9 @@ class TestSymmetricCoordinates:
         assert (report.objective_value, report.equality_residual) == (family.objective[0], abs(family.gap[0]))
 
     def test_the_class_traces_are_taken_once_per_cell(self, monkeypatch):
-        # reduced_optimum, the falsifier and decomposition_coefficients read the traces of the one
-        # classes they are handed: X's blocks are formed once for them, once for X's distance from its
-        # closed form and once for the residual of the decomposition, and never again
+        # reduced_optimum, the falsifier and decomposition_coefficients read the one classes they are
+        # handed: X's blocks are formed in one pass, for the traces, X's distance from its closed form
+        # and the residual of the decomposition together, and never again
         fresh = optimality._weight_classes(3, 4)
         monkeypatch.setattr(optimality, "_weight_classes", lambda d, k: fresh)
         formed, exact = [], optimality._x_blocks
@@ -1025,7 +1031,7 @@ class TestSymmetricCoordinates:
         reduced_optimum(3, 4)
         perturbation_falsifier(3, 4, trials=5)
         decomposition_coefficients(3, 4)
-        assert formed == [len(fresh.v)] * 3
+        assert formed == [len(fresh.v)]
 
     @pytest.mark.parametrize("d,k", GENERATOR_CELLS)
     def test_generators_are_the_compressed_lie_algebra(self, d, k):
